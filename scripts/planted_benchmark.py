@@ -15,7 +15,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ruleloc.binarize import row_feature_masks, transform
+from ruleloc.binarize import relabel, row_feature_masks, transform
 from ruleloc.cli import main as cli_main
 from ruleloc.cli import write_csv_columns
 from ruleloc.core import f1_score
@@ -60,9 +60,9 @@ def main() -> int:
 
     model = FaultModel.from_json(model_path.read_text())
     print("\nheld-out F1 per fault type:")
+    heldout = transform(model.binarization, scenario.heldout_table)
     for name in model.fault_types():
-        labels = [1 if v == name else 0 for v in scenario.heldout_table["fault_type"]]
-        ds = transform(model.binarization, scenario.heldout_table, labels)
+        ds = relabel(heldout, [v == name for v in scenario.heldout_table["fault_type"]])
         print(f"  {name}: {f1_score(ds, model.rule_set(name)):.4f}")
 
     cases = []

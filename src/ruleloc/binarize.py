@@ -10,6 +10,13 @@ Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
 the column maximum are dropped (they would produce an always-true and a
 never-true predicate, and they are all a constant column would produce).
+A numeric cell is missing when it is None, empty or whitespace only, or
+when it parses to nan, inf or -inf: infinities count as missing, so they
+satisfy neither (x <= t) nor (x > t) and never move a threshold.
+
+Numeric cells parse with Python's float() rules.  A table whose numeric
+columns already hold float arrays (see parse_numeric_columns) is used as
+is, so one parse can serve both fit and transform.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -143,6 +150,13 @@ class BinarizationModel:
         return cls.from_json_obj(json.loads(text))
 
 
+class InvalidValueError(ValueError):
+    """A numeric cell that does not parse; the message names its column and row.
+
+    Rows count from 1, the first row after the header.
+    """
+
+
 def _as_float(value) -> float:
     if value is None:
         return math.nan
@@ -154,8 +168,39 @@ def _as_float(value) -> float:
     return float(value)
 
 
-def _numeric_column(values: Sequence) -> np.ndarray:
-    return np.array([_as_float(v) for v in values], dtype=float)
+def numeric_column(values: Sequence, name: str) -> np.ndarray:
+    """Parse one raw column to a float64 array; missing cells become nan.
+
+    The whole column goes through one numpy conversion, which applies
+    float() to each cell (a float array passes through uncopied).  A
+    column holding a blank or unparseable cell falls back to one cell at
+    a time, where blanks become nan and a bad cell raises
+    InvalidValueError naming `name` and the row.
+    """
+    try:
+        return np.asarray(values, dtype=float)
+    except (ValueError, TypeError):
+        pass
+    out = np.empty(len(values))
+    for i, value in enumerate(values):
+        try:
+            out[i] = _as_float(value)
+        except (ValueError, TypeError) as exc:
+            raise InvalidValueError(f"column {name!r}, row {i + 1}: {exc}") from None
+    return out
+
+
+def parse_numeric_columns(
+    table: MutableMapping[str, Sequence], specs: Sequence[FeatureSpec]
+) -> None:
+    """Replace each numeric column of `table` named by `specs` with its float array.
+
+    Done once per training table, it lets fit and transform share one
+    parse; columns absent from the table are left for fit to report.
+    """
+    for spec in specs:
+        if spec.kind == NUMERIC and spec.name in table:
+            table[spec.name] = numeric_column(table[spec.name], spec.name)
 
 
 def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> BinarizationModel:
@@ -175,7 +220,7 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
             raise SchemaError(f"column {spec.name!r} not present in table")
         raw = table[spec.name]
         if spec.kind == NUMERIC:
-            values = _numeric_column(raw)
+            values = numeric_column(raw, spec.name)
             finite = values[np.isfinite(values)]
             if finite.size == 0:
                 warnings.warn(
@@ -205,41 +250,70 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
     return BinarizationModel(tuple(columns), tuple(catalog))
 
 
-def _feature_column(model: BinarizationModel, feature: BinaryFeature, table, n: int):
-    raw = table[feature.column]
-    if len(raw) != n:
-        raise SchemaError(f"column {feature.column!r} has inconsistent length")
-    return raw
-
-
-def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:
-    """Dense boolean matrix (n rows x len(catalog) columns) of the predicates."""
+def _row_count(model: BinarizationModel, table: Mapping[str, Sequence]) -> int:
     missing = [c.name for c in model.columns if c.name not in table]
     if missing:
         raise SchemaError(f"table is missing fitted columns {missing}")
     n = max((len(table[c.name]) for c in model.columns), default=0)
-    out = np.zeros((n, len(model.catalog)), dtype=bool)
-    numeric_cache: dict[str, np.ndarray] = {}
+    for name in dict.fromkeys(f.column for f in model.catalog):
+        if len(table[name]) != n:
+            raise SchemaError(f"column {name!r} has inconsistent length")
+    return n
+
+
+def _predicate_blocks(model: BinarizationModel, table: Mapping[str, Sequence]):
+    """Yield (catalog positions, block) for each (column, op) group of the catalog.
+
+    block[r] holds, per row, whether the predicate at positions[r] is
+    true, so a group costs one broadcast comparison.  Positions index the
+    catalog as given, so any catalog order works.
+    """
+    groups: dict[tuple[str, str], list[int]] = {}
     for k, feat in enumerate(model.catalog):
-        raw = _feature_column(model, feat, table, n)
-        if feat.op == "==":
-            out[:, k] = np.array(
-                [v is not None and str(v) == feat.category for v in raw], dtype=bool
+        groups.setdefault((feat.column, feat.op), []).append(k)
+    parsed: dict[str, np.ndarray] = {}
+    for (column, op), positions in groups.items():
+        raw = table[column]
+        if op == "==":
+            cats = [model.catalog[k].category for k in positions]
+            slot = {c: i for i, c in enumerate(dict.fromkeys(cats))}
+            codes = np.fromiter(
+                (-1 if v is None else slot.get(str(v), -1) for v in raw),
+                dtype=np.intp,
+                count=len(raw),
             )
+            block = codes == np.array([slot[c] for c in cats])[:, None]
         else:
-            if feat.column not in numeric_cache:
-                numeric_cache[feat.column] = _numeric_column(raw)
-            vals = numeric_cache[feat.column]
-            finite = np.isfinite(vals)
-            if feat.op == "<=":
-                out[:, k] = finite & (vals <= feat.threshold)
+            if column not in parsed:
+                parsed[column] = numeric_column(raw, column)
+            vals = parsed[column]
+            thresholds = np.array([model.catalog[k].threshold for k in positions], dtype=float)
+            if op == "<=":
+                block = vals <= thresholds[:, None]
             else:
-                out[:, k] = finite & (vals > feat.threshold)
+                block = vals > thresholds[:, None]
+            block &= np.isfinite(vals)
+        yield positions, block
+
+
+def _packed_rows(bits: np.ndarray) -> list[int]:
+    """One little-endian bitset int per row of a 2-D boolean array."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:
+    """Dense boolean matrix (n rows x len(catalog) columns) of the predicates."""
+    out = np.zeros((_row_count(model, table), len(model.catalog)), dtype=bool)
+    for positions, block in _predicate_blocks(model, table):
+        out[:, positions] = block.T
     return out
 
 
-def _pack_column(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _label_bits(labels: Sequence[int], n: int) -> int:
+    if len(labels) != n:
+        raise SchemaError("labels must have one entry per row")
+    return _packed_rows(np.array([[bool(y) for y in labels]], dtype=bool))[0]
 
 
 def transform(
@@ -249,24 +323,29 @@ def transform(
 ) -> BinaryDataset:
     """Binarize a raw table against the fitted catalog.
 
-    `labels` is an optional 0/1 vector (query windows have none).
+    `labels` is an optional 0/1 vector (query windows have none); see
+    relabel for deriving datasets that differ only in their labels.
+    Coverage is packed one (column, op) group at a time, so no n x d
+    matrix is built.
     """
-    matrix = feature_matrix(model, table)
-    n = matrix.shape[0]
-    coverage = tuple(_pack_column(matrix[:, k]) for k in range(matrix.shape[1]))
-    label_bits = 0
-    if labels is not None:
-        if len(labels) != n:
-            raise SchemaError("labels must have one entry per row")
-        label_bits = _pack_column(np.array([bool(y) for y in labels]))
+    n = _row_count(model, table)
+    coverage = [0] * len(model.catalog)
+    for positions, block in _predicate_blocks(model, table):
+        for k, bits in zip(positions, _packed_rows(block)):
+            coverage[k] = bits
+    label_bits = 0 if labels is None else _label_bits(labels, n)
     names = tuple(f.name for f in model.catalog)
-    return BinaryDataset(n, coverage, label_bits, names)
+    return BinaryDataset(n, tuple(coverage), label_bits, names)
+
+
+def relabel(dataset: BinaryDataset, labels: Sequence[int]) -> BinaryDataset:
+    """The same coverage under a new 0/1 label vector."""
+    return replace(dataset, labels=_label_bits(labels, dataset.n))
 
 
 def row_feature_masks(model: BinarizationModel, table: Mapping[str, Sequence]) -> list[int]:
     """Per-row bitmask over catalog feature indices (for query scoring)."""
-    matrix = feature_matrix(model, table)
-    return [_pack_column(matrix[i, :]) for i in range(matrix.shape[0])]
+    return _packed_rows(feature_matrix(model, table))
 
 
 def describe_rule(model: BinarizationModel, rule: Rule) -> str:

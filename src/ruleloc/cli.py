@@ -13,11 +13,9 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,8 +25,11 @@ from ruleloc.binarize import (
     DEFAULT_BINS,
     NUMERIC,
     FeatureSpec,
+    InvalidValueError,
     SchemaError,
     fit,
+    parse_numeric_columns,
+    relabel,
     row_feature_masks,
     transform,
 )
@@ -83,7 +84,12 @@ def _fail(category: str, message: str, code: int) -> CliError:
 
 
 def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
-    """Read an RFC-4180 CSV with header into a column-oriented table."""
+    """Read an RFC-4180 CSV with header into a column-oriented table.
+
+    A row with fewer fields than the header is padded with "" (a missing
+    value); a row with more fields is invalid data, reported with its
+    1-based line number.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -93,6 +99,13 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
                 raise _fail("invalid-data", f"{path}: empty CSV", EXIT_INVALID_DATA)
             columns: dict[str, list[str]] = {name: [] for name in header}
             for row in reader:
+                if len(row) > len(header):
+                    raise _fail(
+                        "invalid-data",
+                        f"{path}: line {reader.line_num}: {len(row)} fields,"
+                        f" header has {len(header)}",
+                        EXIT_INVALID_DATA,
+                    )
                 for name, value in zip(header, row):
                     columns[name].append(value)
                 for name in header[len(row) :]:
@@ -241,7 +254,6 @@ def cmd_train(args) -> int:
     max_len = int(_setting(args, cfg, "training", "l", "l"))
     bins = int(_setting(args, cfg, "training", "bins"))
     gamma = float(_setting(args, cfg, "training", "gamma"))
-    workers = args.workers or cfg.get("training", {}).get("workers") or os.cpu_count() or 1
     interval = float(_setting(args, cfg, "logs", "interval"))
     depth = int(_setting(args, cfg, "logs", "depth"))
     sim = float(_setting(args, cfg, "logs", "similarity"))
@@ -260,6 +272,10 @@ def cmd_train(args) -> int:
 
     role_columns = {fault_col, service_col, timestamp_col}
     specs = _feature_specs(table, role_columns, categorical, bins)
+    try:
+        parse_numeric_columns(table, specs)
+    except InvalidValueError as exc:
+        raise _fail("invalid-data", f"{args.data}: {exc}", EXIT_INVALID_DATA)
     model_bin = fit(table, specs)
 
     fault_values = table[fault_col]
@@ -281,9 +297,11 @@ def cmd_train(args) -> int:
     sel = SelectionConfig(max_rules=k, gamma=gamma, max_len=max_len)
     gen = GenerationConfig(max_len=max_len)
 
-    def train_one(fault_type: str):
-        labels = [1 if v == fault_type else 0 for v in fault_values]
-        dataset = transform(model_bin, table, labels)
+    # One binarization serves every fault type; only the labels differ.
+    unlabelled = transform(model_bin, table)
+    results = {}
+    for fault_type in fault_types:
+        dataset = relabel(unlabelled, [v == fault_type for v in fault_values])
         records: list = []
         mm_records: list = []
         rule_set = select_rule_set(
@@ -293,17 +311,7 @@ def cmd_train(args) -> int:
             trace=records.append if args.trace else None,
             gen_trace=mm_records.append if args.trace else None,
         )
-        return fault_type, rule_set, (records, mm_records)
-
-    results = {}
-    if workers > 1 and len(fault_types) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            for fault_type, rule_set, records in pool.map(train_one, fault_types):
-                results[fault_type] = (rule_set, records)
-    else:
-        for fault_type in fault_types:
-            fault_type, rule_set, records = train_one(fault_type)
-            results[fault_type] = (rule_set, records)
+        results[fault_type] = (rule_set, (records, mm_records))
 
     rule_sets = tuple((name, results[name][0]) for name in fault_types)
     model = FaultModel(
@@ -372,6 +380,7 @@ def _load_model(path: str) -> FaultModel:
 def _window_from_table(
     model: FaultModel,
     table: dict[str, list[str]],
+    path: str | Path,
     service_col: str,
     timestamp_col: str = "timestamp",
 ) -> QueryWindow:
@@ -389,6 +398,8 @@ def _window_from_table(
         masks = row_feature_masks(model.binarization, table)
     except SchemaError as exc:
         raise _fail("schema-error", str(exc), EXIT_SCHEMA)
+    except InvalidValueError as exc:
+        raise _fail("invalid-data", f"{path}: {exc}", EXIT_INVALID_DATA)
     timestamps = tuple(table.get(timestamp_col, ()))
     return QueryWindow(tuple(masks), tuple(table[service_col]), timestamps)
 
@@ -398,7 +409,7 @@ def cmd_localize(args) -> int:
     service_col = _setting(args, cfg, "columns", "service", "service_col")
     model = _load_model(args.model)
     table = read_csv_columns(args.data)
-    window = _window_from_table(model, table, service_col)
+    window = _window_from_table(model, table, args.data, service_col)
     report = localization_report(model, window)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -423,7 +434,7 @@ def cmd_eval(args) -> int:
     for entry in manifest.get("cases", []):
         window_path = base_dir / entry["window"]
         table = read_csv_columns(window_path)
-        window = _window_from_table(model, table, service_col)
+        window = _window_from_table(model, table, window_path, service_col)
         cases.append(IncidentCase(window, entry["true_fault"], entry["true_service"]))
     if not cases:
         raise _fail("invalid-data", f"{args.manifest}: no cases", EXIT_INVALID_DATA)
@@ -535,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("-l", type=int, dest="l", help="max features per rule")
     p_train.add_argument("--bins", type=int, help="quantile bins per numeric column")
     p_train.add_argument("--gamma", type=float, help="curvature of the weight schedule")
-    p_train.add_argument("--workers", type=int, help="parallel fault-type trainings")
+    p_train.add_argument(
+        "--workers", type=int, help="accepted for compatibility; has no effect"
+    )
     p_train.add_argument("--trace", action="store_true", help="selection diagnostics on stderr")
     p_train.add_argument("--fault-col", dest="fault_col")
     p_train.add_argument("--service-col", dest="service_col")

@@ -162,8 +162,17 @@ class FaultModel:
             else BinarizationModel.from_json_obj(obj["binarization"])
         )
         rule_sets = []
-        max_rules, max_len, gamma = 4, 6, 1.0
-        for entry in obj["fault_types"]:
+        entries = obj["fault_types"]
+        # Every entry stores the model-wide knobs; they must agree.
+        knobs = [(e["K"], e["l"], e["gamma"]) for e in entries]
+        for entry, entry_knobs in zip(entries, knobs):
+            if entry_knobs != knobs[0]:
+                raise ValueError(
+                    f"fault type {entry['fault_type']!r} has (K, l, gamma) = {entry_knobs},"
+                    f" the first fault type has {knobs[0]}"
+                )
+        max_rules, max_len, gamma = knobs[0] if knobs else (4, 6, 1.0)
+        for entry in entries:
             rules = []
             stats = []
             for r in entry["rules"]:
@@ -172,7 +181,6 @@ class FaultModel:
             rule_sets.append(
                 (entry["fault_type"], RuleSet(tuple(rules), tuple(stats)))
             )
-            max_rules, max_len, gamma = entry["K"], entry["l"], entry["gamma"]
         return cls(
             tuple(rule_sets),
             binarization,

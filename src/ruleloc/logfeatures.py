@@ -234,34 +234,3 @@ def match_and_aggregate(
         for start in sorted(totals)
     )
     return LogFeatureFrame(float(interval), rows, skipped)
-
-
-def cluster_count_reference(lines: Iterable[str], sim: float = DEFAULT_SIMILARITY) -> int:
-    """Index-free reference for the template count (test oracle).
-
-    Applies the same eligibility (same length, same first-token class),
-    similarity and merge rules as build_template_base, but scans a flat
-    template list instead of the grouped index.
-    """
-    clusters: list[list[str]] = []
-    for line in lines:
-        tokens = tokenize(line)
-        if not tokens:
-            continue
-        best = None
-        best_sim = -1.0
-        for template in clusters:
-            if len(template) != len(tokens):
-                continue
-            if template[0] != tokens[0] and template[0] != WILDCARD:
-                continue
-            s = similarity(tokens, template)
-            if s > best_sim or (s == best_sim and best is not None and template < best):
-                best_sim, best = s, template
-        if best is not None and best_sim >= sim:
-            for i, (x, y) in enumerate(zip(tokens, best)):
-                if x != y and y != WILDCARD:
-                    best[i] = WILDCARD
-        else:
-            clusters.append(list(tokens))
-    return len(clusters)

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ from hypothesis import strategies as st
 from ruleloc.binarize import (
     BinarizationModel,
     FeatureSpec,
+    InvalidValueError,
     SchemaError,
     describe_rule,
     feature_matrix,
     fit,
+    numeric_column,
+    parse_numeric_columns,
+    relabel,
     row_feature_masks,
     transform,
 )
@@ -248,3 +254,102 @@ def test_deterministic_given_same_bytes():
     m2 = fit(table, [FeatureSpec("a", bins=9)])
     assert m1.to_json() == m2.to_json()
     assert feature_matrix(m1, table).tobytes() == feature_matrix(m2, table).tobytes()
+
+
+def test_numeric_column_names_the_bad_cell():
+    with pytest.raises(InvalidValueError, match=r"^column 'a', row 3: .*'abc'$"):
+        numeric_column(["1", "", "abc"], "a")
+
+
+def test_relabel_equals_transform_with_labels():
+    table = {"x": [0.0, 1.0, 2.0, 3.0], "s": ["a", "b", "a", None]}
+    model = fit(
+        table, [FeatureSpec("x", bins=3), FeatureSpec("s", kind="categorical")]
+    )
+    labels = [0, 1, 1, 0]
+    assert relabel(transform(model, table), labels) == transform(model, table, labels)
+    with pytest.raises(SchemaError):
+        relabel(transform(model, table), [1])
+
+
+# -- column-wise binarization against a per-feature, per-cell reference --------
+
+
+def reference_float(value) -> float:
+    if value is None:
+        return math.nan
+    if isinstance(value, str):
+        value = value.strip()
+        if not value:
+            return math.nan
+    return float(value)
+
+
+def reference_matrix(model, table) -> np.ndarray:
+    """One catalog feature at a time, one cell at a time."""
+    n = max((len(table[c.name]) for c in model.columns), default=0)
+    out = np.zeros((n, len(model.catalog)), dtype=bool)
+    for k, feat in enumerate(model.catalog):
+        for i, value in enumerate(table[feat.column]):
+            if feat.op == "==":
+                out[i, k] = value is not None and str(value) == feat.category
+                continue
+            x = reference_float(value)
+            if math.isfinite(x):
+                out[i, k] = x <= feat.threshold if feat.op == "<=" else x > feat.threshold
+    return out
+
+
+def bits_of(column) -> int:
+    return sum(1 << i for i, bit in enumerate(column) if bit)
+
+
+numbers = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.5, 1.0, 2.5]),
+)
+numeric_cells = st.one_of(
+    numbers,
+    numbers.map(repr),
+    numbers.map(lambda x: f" {x!r} "),
+    st.sampled_from(["", " ", "nan", "inf", "-inf", None, math.inf, -math.inf, math.nan]),
+)
+category_cells = st.sampled_from(["a", "b", " a", "c", "", " ", None])
+
+
+@st.composite
+def tables(draw, n):
+    return {
+        "x": draw(st.lists(numeric_cells, min_size=n, max_size=n)),
+        "y": draw(st.lists(numeric_cells, min_size=n, max_size=n)),
+        "s": draw(st.lists(category_cells, min_size=n, max_size=n)),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=25), bins=st.integers(2, 8))
+def test_columnwise_binarization_matches_reference(data, n, bins):
+    train = data.draw(tables(n))
+    query = data.draw(tables(data.draw(st.integers(min_value=1, max_value=10))))
+    specs = [
+        FeatureSpec("x", bins=bins),
+        FeatureSpec("y", bins=bins),
+        FeatureSpec("s", kind="categorical"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fitted = fit(train, specs)
+        parsed = dict(train)
+        parse_numeric_columns(parsed, specs)
+        assert fit(parsed, specs) == fitted
+    # the catalog survives a JSON round trip in any order
+    obj = fitted.to_json_obj()
+    obj["feature_catalog"] = data.draw(st.permutations(obj["feature_catalog"]))
+    model = BinarizationModel.from_json(json.dumps(obj))
+    for table in (train, parsed, query):
+        expected = reference_matrix(model, table)
+        assert np.array_equal(feature_matrix(model, table), expected)
+        ds = transform(model, table)
+        assert ds.coverage == tuple(bits_of(expected[:, k]) for k in range(ds.d))
+        assert row_feature_masks(model, table) == [bits_of(row) for row in expected]

@@ -355,3 +355,89 @@ def test_bins_flag_changes_thresholds(tmp_path):
     th100 = next(c for c in t100 if c.name == "metric").thresholds
     assert th50 != th100
     assert len(th100) > len(th50)
+
+
+def write_text_csv(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_non_numeric_cell_names_file_column_and_row(tmp_path, capsys):
+    data = tmp_path / "bad_cell.csv"
+    write_text_csv(
+        data,
+        [
+            "timestamp,service,fault_type,a,b",
+            "2024-01-01T00:00:00,s,boom,1,2",
+            "2024-01-01T00:00:01,s,normal,,3",
+            "2024-01-01T00:00:02,s,normal,abc,4",
+        ],
+    )
+    code = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")])
+    assert code == 5
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        f"invalid-data: {data}: column 'a', row 3: could not convert string to float: 'abc'"
+    )
+
+
+def test_non_numeric_window_cell_names_file(trained, scenario, tmp_path, capsys):
+    _, _, model_path = trained
+    table, _, _ = scenario.windows[0]
+    bad = dict(table)
+    name = scenario.feature_names[0]
+    bad[name] = ["x?"] + list(table[name][1:])
+    window_csv = tmp_path / "bad_window.csv"
+    write_csv_columns(window_csv, bad)
+    code = main(["localize", "--model", str(model_path), "--data", str(window_csv)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid-data: {window_csv}: column {name!r}, row 1:")
+
+
+def test_row_longer_than_header_is_invalid_data(tmp_path, capsys):
+    data = tmp_path / "long_row.csv"
+    write_text_csv(
+        data,
+        [
+            "service,fault_type,a",
+            "s,boom,1",
+            "s,normal,2,99",
+            "s,normal,3",
+        ],
+    )
+    code = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")])
+    assert code == 5
+    err = capsys.readouterr().err.strip()
+    assert err == f"invalid-data: {data}: line 3: 4 fields, header has 3"
+
+
+def test_short_row_is_padded_with_missing_values(tmp_path):
+    data = tmp_path / "short_row.csv"
+    write_text_csv(data, ["a,b,c", "1,2,3", "4"])
+    assert read_csv_columns(data) == {"a": ["1", "4"], "b": ["2", ""], "c": ["3", ""]}
+
+
+def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
+    import ruleloc.cli
+
+    three = planted_fault_scenario(
+        seed=7, n=900, d=12, n_fault_types=3, n_services=3, n_windows=1,
+        imbalance_ratio=10.0, noise=0.0,
+    )
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, three.train_table)
+    calls = []
+    real = ruleloc.cli.transform
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ruleloc.cli, "transform", counting)
+    model_path = tmp_path / "model.json"
+    code = main(
+        ["train", "--data", str(data), "--model", str(model_path), "-K", "1", "-l", "2"]
+    )
+    assert code == 0
+    assert len(FaultModel.from_json(model_path.read_text()).fault_types()) == 3
+    assert len(calls) == 1

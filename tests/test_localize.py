@@ -178,3 +178,26 @@ def test_window_requires_alignment():
         QueryWindow((1, 2), ("only-one",))
     with pytest.raises(ValueError):
         QueryWindow((), ())
+
+
+def test_model_json_knobs_come_from_first_entry(model):
+    obj = json.loads(model.to_json())
+    obj["fault_types"][0].update(K=2, l=3, gamma=0.5)
+    with pytest.raises(ValueError, match="disagree|first fault type"):
+        FaultModel.from_json_obj(obj)
+    for entry in obj["fault_types"]:
+        entry.update(K=2, l=3, gamma=0.5)
+    restored = FaultModel.from_json_obj(obj)
+    assert (restored.max_rules, restored.max_len, restored.gamma) == (2, 3, 0.5)
+
+
+def test_model_with_disagreeing_knobs_is_schema_error(model, tmp_path, capsys):
+    from ruleloc.cli import main
+
+    obj = json.loads(model.to_json())
+    obj["fault_types"][1]["K"] = 9
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    assert main(["export-fingerprints", "--model", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("schema-error:") and "'disk'" in err
