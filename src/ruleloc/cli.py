@@ -87,8 +87,9 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
     """Read an RFC-4180 CSV with header into a column-oriented table.
 
     A row with fewer fields than the header is padded with "" (a missing
-    value); a row with more fields is invalid data, reported with its
-    1-based line number.
+    value); a row with more fields, or a blank line, is invalid data,
+    reported with its 1-based line number.  A header naming a column twice
+    is a schema error.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -97,8 +98,20 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
                 header = next(reader)
             except StopIteration:
                 raise _fail("invalid-data", f"{path}: empty CSV", EXIT_INVALID_DATA)
-            columns: dict[str, list[str]] = {name: [] for name in header}
+            columns: dict[str, list[str]] = {}
+            for name in header:
+                if name in columns:
+                    raise _fail(
+                        "schema-error", f"{path}: duplicate column {name!r}", EXIT_SCHEMA
+                    )
+                columns[name] = []
             for row in reader:
+                if not row:
+                    raise _fail(
+                        "invalid-data",
+                        f"{path}: line {reader.line_num}: blank line",
+                        EXIT_INVALID_DATA,
+                    )
                 if len(row) > len(header):
                     raise _fail(
                         "invalid-data",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 # Two objective values within this tolerance are considered tied and the
@@ -116,7 +117,9 @@ class BinaryDataset:
     """Immutable binary feature matrix with per-feature coverage bitsets.
 
     coverage[j] holds the set of sample indices where feature j is 1;
-    labels holds the set of positive sample indices.
+    labels holds the set of positive sample indices.  full_mask and
+    positives are computed once per object; a relabelled copy (made by
+    dataclasses.replace) is a new object and computes its own.
     """
 
     n: int
@@ -142,11 +145,11 @@ class BinaryDataset:
     def d(self) -> int:
         return len(self.coverage)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @property
+    @cached_property
     def positives(self) -> int:
         return self.labels.bit_count()
 

@@ -15,17 +15,23 @@ combined with the tangent-line upper bound on the log-denominator.  The
 surrogates are submodular, touch the true objective at the anchor, and are
 cheap: the bound part is modular, so only the denominator needs a fresh
 set operation per candidate feature.
+
+One replace/delete search serves both surrogate branches and the final
+polish on the true objective; only its value function differs.  Every
+scan scores candidates against masks built once per step: the rule's
+cover outside the current set cover (for the local search, the rule
+minus the dropped feature), so a candidate costs one AND plus one
+popcount per count its value needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ruleloc.core import (
     TIE_EPS,
-    BinaryDataset,
     ObjectiveContext,
     Rule,
     rule_objective,
@@ -71,14 +77,6 @@ class MMTraceRecord:
     objective: float
 
 
-def _num_count(dataset: BinaryDataset, cover: int, base_pos: int) -> int:
-    return ((cover & dataset.labels) | base_pos).bit_count()
-
-
-def _den_count(dataset: BinaryDataset, cover: int, base_cover: int) -> int:
-    return (cover | base_cover).bit_count() + dataset.positives
-
-
 @dataclass(frozen=True)
 class SurrogateState:
     """Surrogate ingredients anchored at the current rule estimate.
@@ -88,9 +86,12 @@ class SurrogateState:
 
     * drop_penalty[j]      num(j | anchor minus j)   for j in the anchor
     * drop_penalty_full[j] num(j | all features minus j)  for j in the anchor
-    * add_gain_empty[j]    num(j | empty rule)       for every feature
-    * add_gain_anchor[j]   num(j | anchor)           for every feature
+    * weights[0][j]        drop_penalty[j] in the anchor, else
+                           num(j | empty rule)
+    * weights[1][j]        drop_penalty_full[j] in the anchor, else
+                           num(j | anchor)
 
+    weights[kind - 1] is the per-feature weight list of bound `kind`.
     All marginals are <= 0 because adding a conjunct can only shrink the
     rule's cover.
     """
@@ -101,51 +102,50 @@ class SurrogateState:
     den_anchor: int
     drop_penalty: dict[int, int]
     drop_penalty_full: dict[int, int]
-    add_gain_empty: tuple[int, ...]
-    add_gain_anchor: tuple[int, ...]
+    weights: tuple[tuple[int, ...], tuple[int, ...]]
 
     @classmethod
     def build(cls, ctx: ObjectiveContext, anchor: Rule) -> "SurrogateState":
         ds = ctx.dataset
         cov = ds.coverage
-        full = ds.full_mask
-        anchor_cover = full
+        # Only positives outside the set cover move the numerator, so every
+        # count below is taken against them and the constant base dropped.
+        open_pos = ds.labels & ~ctx.cover_pos
+        anchor_cover = ds.full_mask
         for j in anchor.features:
             anchor_cover &= cov[j]
-        num_anchor = _num_count(ds, anchor_cover, ctx.cover_pos)
-        den_anchor = _den_count(ds, anchor_cover, ctx.cover)
-        num_empty = _num_count(ds, full, ctx.cover_pos)
+        anchor_pos = anchor_cover & open_pos
+        num_anchor = anchor_pos.bit_count() + ctx.cover_pos.bit_count()
+        den_anchor = (anchor_cover | ctx.cover).bit_count() + ds.positives
 
         drop_penalty: dict[int, int] = {}
         drop_penalty_full: dict[int, int] = {}
         if anchor.features:
-            # Intersection of all features, via prefix/suffix products so the
-            # leave-one-out cover costs O(d) set operations overall.
-            d = ds.d
-            prefix = [full] * (d + 1)
-            for j in range(d):
-                prefix[j + 1] = prefix[j] & cov[j]
-            suffix = [full] * (d + 1)
-            for j in range(d - 1, -1, -1):
-                suffix[j] = suffix[j + 1] & cov[j]
+            # All features minus j is (non-anchor features) & (anchor minus
+            # j); the non-anchor part is shared and usually empties early.
+            others = open_pos
+            for k in range(ds.d):
+                if k not in anchor.features:
+                    others &= cov[k]
+                    if not others:
+                        break
             for j in anchor.features:
-                rest = full
+                rest = open_pos
                 for k in anchor.features:
                     if k != j:
                         rest &= cov[k]
-                drop_penalty[j] = num_anchor - _num_count(ds, rest, ctx.cover_pos)
-                all_but_j = prefix[j] & suffix[j + 1]
-                drop_penalty_full[j] = _num_count(
-                    ds, all_but_j & cov[j], ctx.cover_pos
-                ) - _num_count(ds, all_but_j, ctx.cover_pos)
+                drop_penalty[j] = anchor_pos.bit_count() - rest.bit_count()
+                drop_penalty_full[j] = (others & anchor_pos).bit_count() - (
+                    others & rest
+                ).bit_count()
 
-        add_gain_empty = tuple(
-            _num_count(ds, cov[j], ctx.cover_pos) - num_empty for j in range(ds.d)
-        )
-        add_gain_anchor = tuple(
-            _num_count(ds, anchor_cover & cov[j], ctx.cover_pos) - num_anchor
-            for j in range(ds.d)
-        )
+        empty_count = open_pos.bit_count()
+        anchor_count = anchor_pos.bit_count()
+        weights1 = [(open_pos & c).bit_count() - empty_count for c in cov]
+        weights2 = [(anchor_pos & c).bit_count() - anchor_count for c in cov]
+        for j in anchor.features:
+            weights1[j] = drop_penalty[j]
+            weights2[j] = drop_penalty_full[j]
         return cls(
             ctx,
             anchor,
@@ -153,21 +153,14 @@ class SurrogateState:
             den_anchor,
             drop_penalty,
             drop_penalty_full,
-            add_gain_empty,
-            add_gain_anchor,
+            (tuple(weights1), tuple(weights2)),
         )
 
     def bound_weight(self, j: int, kind: int) -> int:
         """Additive contribution of feature j to the modular numerator bound."""
-        if kind == 1:
-            return self.drop_penalty[j] if j in self.drop_penalty else self.add_gain_empty[j]
-        if kind == 2:
-            return (
-                self.drop_penalty_full[j]
-                if j in self.drop_penalty_full
-                else self.add_gain_anchor[j]
-            )
-        raise ValueError("kind must be 1 or 2")
+        if kind not in (1, 2):
+            raise ValueError("kind must be 1 or 2")
+        return self.weights[kind - 1][j]
 
     def bound_base(self, kind: int) -> int:
         """Bound value of the empty rule (all anchor features dropped)."""
@@ -190,15 +183,11 @@ def surrogate_value(state: SurrogateState, rule: Rule, kind: int) -> float:
     -inf when the numerator bound is non-positive (the log-domain guard);
     at the anchor this equals alpha*log(num(anchor)) - 1.
     """
-    bound = numerator_lower_bound(state, rule, kind)
-    if bound <= 0:
-        return -math.inf
     ds = state.ctx.dataset
-    cover = ds.full_mask
+    new = ds.full_mask & ~state.ctx.cover
     for j in rule.features:
-        cover &= ds.coverage[j]
-    den = _den_count(ds, cover, state.ctx.cover)
-    return state.ctx.alpha * math.log(bound) - den / state.den_anchor
+        new &= ds.coverage[j]
+    return _surrogate_value_fn(state)(numerator_lower_bound(state, rule, kind), new)
 
 
 def surrogate_offset(state: SurrogateState) -> float:
@@ -220,123 +209,160 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     positive.
     """
     ds = ctx.dataset
-    rule_cover = ds.full_mask
+    cov = ds.coverage
+    new = ds.full_mask & ~ctx.cover  # the rule's cover outside the set cover
     chosen: list[int] = []
     for _ in range(max_len):
+        new_pos = new & ds.labels
         best_j = -1
         best_ratio = -1.0
         for j in range(ds.d):
             if j in chosen:
                 continue
-            cand = rule_cover & ds.coverage[j]
-            new = cand & ~ctx.cover
-            new_pos = new & ds.labels
-            if new_pos == 0:
+            cand_pos = new_pos & cov[j]
+            if cand_pos == 0:
                 continue
-            ratio = new_pos.bit_count() / new.bit_count()
+            ratio = cand_pos.bit_count() / (new & cov[j]).bit_count()
             if ratio > best_ratio + TIE_EPS:
                 best_ratio, best_j = ratio, j
         if best_j < 0:
             break
         chosen.append(best_j)
-        rule_cover &= ds.coverage[best_j]
+        new &= cov[best_j]
     return Rule(tuple(chosen))
 
 
-class _BranchSearch:
-    """Greedy insertion + replace/delete local search under one surrogate."""
+# A value function scores a rule from its modular numerator bound (0 when
+# the value ignores it) and `new`, the rule's cover minus the set cover.
+_ValueFn = Callable[[int, int], float]
 
-    def __init__(self, state: SurrogateState, kind: int, config: GenerationConfig):
-        self.state = state
-        self.kind = kind
-        self.config = config
-        self.ds = state.ctx.dataset
-        self.base_cover = state.ctx.cover
-        self.features: list[int] = []
-        self.cover = self.ds.full_mask
-        self.bound = float(state.bound_base(kind))
 
-    def _value_of(self, bound: float, cover: int) -> float:
+def _surrogate_value_fn(state: SurrogateState) -> _ValueFn:
+    """surrogate_value in (bound, new) form."""
+    alpha = state.ctx.alpha
+    den_base = state.ctx.cover.bit_count() + state.ctx.dataset.positives
+    den_anchor = state.den_anchor
+
+    def value(bound: int, new: int) -> float:
         if bound <= 0:
             return -math.inf
-        den = _den_count(self.ds, cover, self.base_cover)
-        return self.state.ctx.alpha * math.log(bound) - den / self.state.den_anchor
+        return alpha * math.log(bound) - (new.bit_count() + den_base) / den_anchor
 
-    def value(self) -> float:
-        return self._value_of(self.bound, self.cover)
+    return value
 
-    def greedy_insert(self) -> None:
-        current = self.value()
-        while len(self.features) < self.config.max_len:
-            best_j = -1
+
+def _objective_value_fn(ctx: ObjectiveContext) -> _ValueFn:
+    """rule_objective in (bound, new) form; the bound is ignored."""
+    alpha = ctx.alpha
+    labels = ctx.dataset.labels
+    num_base = ctx.cover_pos.bit_count()
+    den_base = ctx.cover.bit_count() + ctx.dataset.positives
+
+    def value(bound: int, new: int) -> float:
+        num = (new & labels).bit_count() + num_base
+        if num == 0:
+            return -math.inf
+        return alpha * math.log(num) - math.log(new.bit_count() + den_base)
+
+    return value
+
+
+def _replace_delete(
+    ctx: ObjectiveContext,
+    features: list[int],
+    weights: Sequence[int],
+    bound: int,
+    value: _ValueFn,
+    eps: float,
+) -> list[int]:
+    """Replace or delete single features while `value` improves by > eps.
+
+    For each feature i of the rule, the best move is deleting i (never down
+    to the empty rule) or replacing it with a feature j outside the rule;
+    value ties within TIE_EPS go to the lexicographically smaller feature
+    tuple (sorted for a replacement; for a deletion, the remaining features
+    in the rule's current order, which greedy insertion leaves unsorted).
+    `bound` is the rule's modular bound and weights[j] feature j's
+    share of it.  The rule's cover without i is built once per i, so a
+    candidate costs one AND plus the counts its value function takes.
+    """
+    cov = ctx.dataset.coverage
+    outside = ctx.dataset.full_mask & ~ctx.cover
+    new = outside
+    for k in features:
+        new &= cov[k]
+    current = value(bound, new)
+    changed = True
+    while changed:
+        changed = False
+        for i in list(features):
+            if i not in features:
+                continue
+            rest = [k for k in features if k != i]
+            rest_new = outside
+            for k in rest:
+                rest_new &= cov[k]
+            rest_bound = bound - weights[i]
+            taken = set(features)
             best_val = -math.inf
-            for j in range(self.ds.d):
-                if j in self.features:
+            best_j: Optional[int] = None  # None encodes "no move", -1 deletion
+            best_key: Optional[tuple[int, ...]] = ()  # None: not built yet
+            if rest:  # deletion allowed, but a rule never shrinks to empty
+                best_val, best_j, best_key = value(rest_bound, rest_new), -1, tuple(rest)
+            for j in range(len(cov)):
+                if j in taken:
                     continue
-                val = self._value_of(
-                    self.bound + self.state.bound_weight(j, self.kind),
-                    self.cover & self.ds.coverage[j],
-                )
+                val = value(rest_bound + weights[j], rest_new & cov[j])
                 if val > best_val + TIE_EPS:
-                    best_val, best_j = val, j
-            # Insert only while the surrogate marginal stays positive; padding
-            # a rule with zero-gain conjuncts only hurts interpretability.
-            if best_j < 0 or best_val - current <= 0.0:
-                break
-            self.features.append(best_j)
-            self.cover &= self.ds.coverage[best_j]
-            self.bound += self.state.bound_weight(best_j, self.kind)
-            current = best_val
-
-    def local_search(self) -> None:
-        eps = self.config.local_search_eps
-        changed = True
-        while changed:
-            changed = False
-            for i in list(self.features):
-                if i not in self.features:
-                    continue
-                rest = [k for k in self.features if k != i]
-                rest_cover = self.ds.full_mask
-                rest_bound = self.state.bound_base(self.kind)
-                for k in rest:
-                    rest_cover &= self.ds.coverage[k]
-                    rest_bound += self.state.bound_weight(k, self.kind)
-                current = self.value()
-                best_val = -math.inf
-                best_j: Optional[int] = None  # None encodes "no move"
-                best_key: tuple[int, ...] = ()
-                if rest:  # deletion allowed, but a rule never shrinks to empty
-                    val = self._value_of(rest_bound, rest_cover)
-                    best_val, best_j, best_key = val, -1, tuple(rest)
-                for j in range(self.ds.d):
-                    if j in self.features:
-                        continue
-                    val = self._value_of(
-                        rest_bound + self.state.bound_weight(j, self.kind),
-                        rest_cover & self.ds.coverage[j],
-                    )
+                    best_val, best_j, best_key = val, j, None
+                elif val > best_val - TIE_EPS:
                     key = tuple(sorted(rest + [j]))
-                    if val > best_val + TIE_EPS or (
-                        val > best_val - TIE_EPS and key < best_key
-                    ):
+                    if best_key is None:
+                        best_key = tuple(sorted(rest + [best_j]))
+                    if key < best_key:
                         best_val, best_j, best_key = val, j, key
-                if best_j is not None and best_val > current + eps:
-                    if best_j < 0:
-                        self.features = rest
-                        self.cover, self.bound = rest_cover, rest_bound
-                    else:
-                        self.features = sorted(rest + [best_j])
-                        self.cover = rest_cover & self.ds.coverage[best_j]
-                        self.bound = rest_bound + self.state.bound_weight(
-                            best_j, self.kind
-                        )
-                    changed = True
+            if best_j is not None and best_val > current + eps:
+                if best_j < 0:
+                    features, bound = rest, rest_bound
+                else:
+                    features = sorted(rest + [best_j])
+                    bound = rest_bound + weights[best_j]
+                current = best_val
+                changed = True
+    return features
 
-    def run(self) -> Rule:
-        self.greedy_insert()
-        self.local_search()
-        return Rule(tuple(self.features))
+
+def _branch_search(state: SurrogateState, kind: int, config: GenerationConfig) -> Rule:
+    """Greedy insertion, then replace/delete search, under surrogate `kind`."""
+    ctx = state.ctx
+    cov = ctx.dataset.coverage
+    weights = state.weights[kind - 1]
+    value = _surrogate_value_fn(state)
+    features: list[int] = []
+    bound = state.bound_base(kind)
+    new = ctx.dataset.full_mask & ~ctx.cover
+    current = value(bound, new)
+    while len(features) < config.max_len:
+        best_j = -1
+        best_val = -math.inf
+        for j in range(len(cov)):
+            if j in features:
+                continue
+            val = value(bound + weights[j], new & cov[j])
+            if val > best_val + TIE_EPS:
+                best_val, best_j = val, j
+        # Insert only while the surrogate marginal stays positive; padding
+        # a rule with zero-gain conjuncts only hurts interpretability.
+        if best_j < 0 or best_val - current <= 0.0:
+            break
+        features.append(best_j)
+        new &= cov[best_j]
+        bound += weights[best_j]
+        current = best_val
+    features = _replace_delete(
+        ctx, features, weights, bound, value, config.local_search_eps
+    )
+    return Rule(tuple(features))
 
 
 def _objective_polish(ctx: ObjectiveContext, rule: Rule, config: GenerationConfig) -> Rule:
@@ -347,34 +373,14 @@ def _objective_polish(ctx: ObjectiveContext, rule: Rule, config: GenerationConfi
     tangent-line denominator bound undervalues cover-growing moves, so a
     surrogate fixpoint can still admit an objective-improving swap).
     """
-    ds = ctx.dataset
-    features = list(rule.features)
-    current = rule_objective(ctx, rule)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(features):
-            if i not in features:
-                continue
-            rest = tuple(k for k in features if k != i)
-            best_val = -math.inf
-            best_j: Optional[int] = None
-            best_key: tuple[int, ...] = ()
-            if rest:
-                best_val, best_j, best_key = rule_objective(ctx, Rule(rest)), -1, rest
-            for j in range(ds.d):
-                if j in features:
-                    continue
-                cand = tuple(sorted(rest + (j,)))
-                val = rule_objective(ctx, Rule(cand))
-                if val > best_val + TIE_EPS or (
-                    val > best_val - TIE_EPS and cand < best_key
-                ):
-                    best_val, best_j, best_key = val, j, cand
-            if best_j is not None and best_val > current + config.local_search_eps:
-                features = list(best_key)
-                current = best_val
-                changed = True
+    features = _replace_delete(
+        ctx,
+        list(rule.features),
+        (0,) * ctx.dataset.d,
+        0,
+        _objective_value_fn(ctx),
+        config.local_search_eps,
+    )
     return Rule(tuple(features))
 
 
@@ -412,7 +418,7 @@ def generate_rule(
         state = SurrogateState.build(ctx, anchor)
         best, best_obj = anchor, anchor_obj
         for kind in (1, 2):
-            branch = _BranchSearch(state, kind, config).run()
+            branch = _branch_search(state, kind, config)
             if not branch.features:
                 continue
             obj = rule_objective(ctx, branch)

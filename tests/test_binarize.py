@@ -272,6 +272,17 @@ def test_relabel_equals_transform_with_labels():
         relabel(transform(model, table), [1])
 
 
+def test_relabel_reports_its_own_positives():
+    table = {"x": [0.0, 1.0, 2.0, 3.0, 4.0]}
+    model = fit(table, [FeatureSpec("x", bins=2)])
+    ds = transform(model, table, [1, 0, 0, 0, 0])
+    assert (ds.positives, ds.full_mask) == (1, 0b11111)  # computed and kept
+    again = relabel(ds, [0, 1, 1, 1, 0])
+    assert again.positives == 3
+    assert again.full_mask == 0b11111
+    assert ds.positives == 1
+
+
 # -- column-wise binarization against a per-feature, per-cell reference --------
 
 

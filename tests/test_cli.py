@@ -411,6 +411,24 @@ def test_row_longer_than_header_is_invalid_data(tmp_path, capsys):
     assert err == f"invalid-data: {data}: line 3: 4 fields, header has 3"
 
 
+def test_blank_line_is_invalid_data(tmp_path, capsys):
+    data = tmp_path / "blank_line.csv"
+    write_text_csv(data, ["service,fault_type,a", "s,boom,1", "", "s,normal,3"])
+    code = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")])
+    assert code == 5
+    err = capsys.readouterr().err.strip()
+    assert err == f"invalid-data: {data}: line 3: blank line"
+
+
+def test_duplicate_header_name_is_schema_error(tmp_path, capsys):
+    data = tmp_path / "dup_header.csv"
+    write_text_csv(data, ["service,fault_type,a,a", "s,boom,1,2", "s,normal,3,4"])
+    code = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err == f"schema-error: {data}: duplicate column 'a'"
+
+
 def test_short_row_is_padded_with_missing_values(tmp_path):
     data = tmp_path / "short_row.csv"
     write_text_csv(data, ["a,b,c", "1,2,3", "4"])
