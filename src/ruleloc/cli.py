@@ -36,14 +36,8 @@ from ruleloc.binarize import (
 from ruleloc.core import InvalidDatasetError
 from ruleloc.evaluate import IncidentCase, evaluate_cases
 from ruleloc.generate import GenerationConfig
-from ruleloc.localize import (
-    FaultModel,
-    QueryWindow,
-    UnknownFaultTypeError,
-    localization_report,
-)
+from ruleloc.localize import FaultModel, QueryWindow, localization_report
 from ruleloc.logfeatures import (
-    DEFAULT_DEPTH,
     DEFAULT_SIMILARITY,
     build_template_base,
     match_and_aggregate,
@@ -67,7 +61,6 @@ DEFAULTS = {
     "bins": DEFAULT_BINS,
     "gamma": 1.0,
     "interval": 60.0,
-    "depth": DEFAULT_DEPTH,
     "similarity": DEFAULT_SIMILARITY,
 }
 
@@ -189,7 +182,6 @@ def _log_feature_columns(
     timestamp_col: str,
     logs_dir: Path,
     interval: float,
-    depth: int,
     sim: float,
     timestamp_format: Optional[str],
 ) -> None:
@@ -199,7 +191,7 @@ def _log_feature_columns(
     if not online_lines:
         warnings.warn(f"no online* log files under {logs_dir}; skipping log features")
         return
-    base = build_template_base(normal_lines, depth=depth, sim=sim)
+    base = build_template_base(normal_lines, sim=sim)
     frame = match_and_aggregate(base, online_lines, interval, timestamp_format)
     counters = frame.counters()
     if timestamp_col not in table:
@@ -268,7 +260,6 @@ def cmd_train(args) -> int:
     bins = int(_setting(args, cfg, "training", "bins"))
     gamma = float(_setting(args, cfg, "training", "gamma"))
     interval = float(_setting(args, cfg, "logs", "interval"))
-    depth = int(_setting(args, cfg, "logs", "depth"))
     sim = float(_setting(args, cfg, "logs", "similarity"))
     ts_format = args.timestamp_format or cfg.get("logs", {}).get("timestamp_format")
 
@@ -280,7 +271,7 @@ def cmd_train(args) -> int:
         )
     if args.logs:
         _log_feature_columns(
-            table, timestamp_col, Path(args.logs), interval, depth, sim, ts_format
+            table, timestamp_col, Path(args.logs), interval, sim, ts_format
         )
 
     role_columns = {fault_col, service_col, timestamp_col}
@@ -414,7 +405,10 @@ def _window_from_table(
     except InvalidValueError as exc:
         raise _fail("invalid-data", f"{path}: {exc}", EXIT_INVALID_DATA)
     timestamps = tuple(table.get(timestamp_col, ()))
-    return QueryWindow(tuple(masks), tuple(table[service_col]), timestamps)
+    try:
+        return QueryWindow(tuple(masks), tuple(table[service_col]), timestamps)
+    except ValueError as exc:
+        raise _fail("invalid-data", f"{path}: {exc}", EXIT_INVALID_DATA)
 
 
 def cmd_localize(args) -> int:
@@ -432,6 +426,28 @@ def cmd_localize(args) -> int:
     return EXIT_NO_SIGNAL if report["no_signal"] else EXIT_OK
 
 
+def _manifest_entries(path: str, manifest) -> list[dict]:
+    """The manifest's cases, each checked to name its window and ground truths."""
+
+    def invalid(message: str) -> CliError:
+        return _fail("invalid-data", f"{path}: {message}", EXIT_INVALID_DATA)
+
+    if not isinstance(manifest, dict):
+        raise invalid("manifest must be a JSON object")
+    entries = manifest.get("cases", [])
+    if not isinstance(entries, list):
+        raise invalid("'cases' must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise invalid(f"cases[{i}] must be a JSON object")
+        for key in ("window", "true_fault", "true_service"):
+            if key not in entry:
+                raise invalid(f"cases[{i}]: missing key {key!r}")
+            if not isinstance(entry[key], str):
+                raise invalid(f"cases[{i}]: {key!r} must be a string")
+    return entries
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     service_col = _setting(args, cfg, "columns", "service", "service_col")
@@ -444,7 +460,7 @@ def cmd_eval(args) -> int:
         raise _fail("invalid-data", f"{args.manifest}: {exc}", EXIT_INVALID_DATA)
     base_dir = Path(args.manifest).parent
     cases = []
-    for entry in manifest.get("cases", []):
+    for entry in _manifest_entries(args.manifest, manifest):
         window_path = base_dir / entry["window"]
         table = read_csv_columns(window_path)
         window = _window_from_table(model, table, window_path, service_col)
@@ -514,7 +530,6 @@ def cmd_export_fingerprints(args) -> int:
 def cmd_parse_logs(args) -> int:
     cfg = _load_config(args.config)
     interval = float(_setting(args, cfg, "logs", "interval"))
-    depth = int(_setting(args, cfg, "logs", "depth"))
     sim = float(_setting(args, cfg, "logs", "similarity"))
     ts_format = args.timestamp_format or cfg.get("logs", {}).get("timestamp_format")
     logs_dir = Path(args.logs)
@@ -524,7 +539,7 @@ def cmd_parse_logs(args) -> int:
         raise _fail(
             "invalid-data", f"no online* log files under {logs_dir}", EXIT_INVALID_DATA
         )
-    base = build_template_base(normal_lines, depth=depth, sim=sim)
+    base = build_template_base(normal_lines, sim=sim)
     frame = match_and_aggregate(base, online_lines, interval, ts_format)
     text = frame.to_csv()
     if args.out:
@@ -598,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_logs)
     p_logs.add_argument("--logs", required=True)
     p_logs.add_argument("--interval", type=float)
-    p_logs.add_argument("--depth", type=int)
     p_logs.add_argument("--similarity", type=float, dest="similarity")
     p_logs.add_argument("--timestamp-format", dest="timestamp_format")
     p_logs.add_argument("--out")
@@ -615,7 +629,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)
         return exc.code
-    except (SchemaError, UnknownFaultTypeError) as exc:
+    except SchemaError as exc:
         print(f"schema-error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except InvalidDatasetError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ruleloc import SCHEMA_VERSION, __version__
 from ruleloc.core import BinaryDataset, InvalidDatasetError, Rule, RuleSet
-from ruleloc.localize import FaultModel, QueryWindow, rank_fault_types, rank_services
+from ruleloc.localize import FaultModel, QueryWindow, rank_window
 
 NO_SIGNAL_LABEL = "(no-signal)"
 
@@ -435,8 +435,7 @@ def evaluate_cases(
     service_rankings = []
     predictions = []
     for case in cases:
-        faults = rank_fault_types(model, case.window)
-        services = rank_services(model, case.window)
+        faults, services = rank_window(model, case.window)
         fault_rankings.append(faults.candidates())
         service_rankings.append(services.candidates())
         predictions.append(

@@ -5,18 +5,19 @@ same binary-feature catalog.  For a query window each sample votes for a
 fault type with the highest training precision among that type's rules
 covering it (zero if none covers); fault types are ranked by the vote sum
 over the window, services by the vote sum over their samples summed
-across fault types.
+across fault types.  `rank_window` computes both rankings, and the rule
+hits that explain them, in one pass over fault types x samples x rules.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from ruleloc import SCHEMA_VERSION, __version__
 from ruleloc.binarize import BinarizationModel, describe_rule
-from ruleloc.core import Rule, RuleSet, RuleStats
+from ruleloc.core import Rule, RuleSet, RuleStats, bitset_of
 
 
 class UnknownFaultTypeError(ValueError):
@@ -80,9 +81,20 @@ class FaultModel:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        d = None if self.binarization is None else len(self.binarization.catalog)
+        seen: set[str] = set()
         for name, rs in self.rule_sets:
             if not rs.annotated:
                 raise ValueError(f"rule set for {name!r} is not annotated")
+            if name in seen:
+                raise ValueError(f"duplicate fault type {name!r}")
+            seen.add(name)
+            for i, rule in enumerate(rs.rules):
+                if d is not None and rule.features and rule.features[-1] >= d:
+                    raise ValueError(
+                        f"fault type {name!r}, rule {i}: feature {rule.features[-1]}"
+                        f" outside the {d}-feature catalog"
+                    )
 
     def fault_types(self) -> list[str]:
         return [name for name, _ in self.rule_sets]
@@ -195,13 +207,6 @@ class FaultModel:
         return cls.from_json_obj(json.loads(text))
 
 
-def _rule_mask(rule: Rule) -> int:
-    mask = 0
-    for j in rule.features:
-        mask |= 1 << j
-    return mask
-
-
 def sample_vote(model: FaultModel, fault_type: str, sample_mask: int) -> float:
     """Vote of one sample for one fault type.
 
@@ -211,7 +216,7 @@ def sample_vote(model: FaultModel, fault_type: str, sample_mask: int) -> float:
     rule_set = model.rule_set(fault_type)
     best = 0.0
     for rule, stats in zip(rule_set.rules, rule_set.stats or ()):
-        mask = _rule_mask(rule)
+        mask = bitset_of(rule.features)
         if mask & sample_mask == mask and stats.precision > best:
             best = stats.precision
     return best
@@ -234,81 +239,63 @@ def _ranked(scores: dict[str, float], explanations) -> RankedResult:
     return RankedResult(ranking, no_signal, tuple(groups), explanations)
 
 
-def rank_fault_types(model: FaultModel, window: QueryWindow) -> RankedResult:
-    """Rank fault types by the sum of per-sample votes over the window.
+def rank_window(
+    model: FaultModel, window: QueryWindow
+) -> tuple[RankedResult, RankedResult]:
+    """Rank fault types and services by the window's votes, in one pass.
 
-    The full ranking is returned (descending score, ties by name) so that
-    top-k evaluation is possible; a window where no rule fires anywhere is
-    flagged no_signal and ranked lexicographically.
+    Both rankings are full (descending score, ties by name) so that top-k
+    evaluation is possible; a window where no rule fires anywhere is flagged
+    no_signal and ranked lexicographically.  A fault type is explained by its
+    fired rules in rule order with their hits over the window, a service by
+    the rules fired on its samples, sorted by (fault type, rule index).
     """
-    scores: dict[str, float] = {}
-    explanations: dict[str, tuple[Explanation, ...]] = {}
-    for fault_type, rule_set in model.rule_sets:
-        total = 0.0
-        hits = [0] * len(rule_set.rules)
-        masks = [_rule_mask(rule) for rule in rule_set.rules]
-        for sample in window.samples:
-            best = 0.0
-            best_rule = -1
-            for idx, (mask, stats) in enumerate(zip(masks, rule_set.stats or ())):
-                if mask & sample == mask:
-                    hits[idx] += 1
-                    if stats.precision > best:
-                        best, best_rule = stats.precision, idx
-            total += best
-        scores[fault_type] = total
-        explanations[fault_type] = tuple(
-            Explanation(
-                fault_type,
-                idx,
-                model.describe(rule_set.rules[idx]),
-                (rule_set.stats or ())[idx].precision,
-                hits[idx],
-            )
-            for idx in range(len(rule_set.rules))
-            if hits[idx] > 0
-        )
-    return _ranked(scores, explanations)
-
-
-def rank_services(model: FaultModel, window: QueryWindow) -> RankedResult:
-    """Rank services by summed votes of their samples across fault types."""
     services = sorted(set(window.services))
-    scores = {svc: 0.0 for svc in services}
-    hit_counts: dict[str, dict[tuple[str, int], int]] = {svc: {} for svc in services}
+    fault_scores, fault_expl = {}, {}
+    service_scores = {svc: 0.0 for svc in services}
+    service_expl: dict[str, list[Explanation]] = {svc: [] for svc in services}
     for fault_type, rule_set in model.rule_sets:
-        masks = [_rule_mask(rule) for rule in rule_set.rules]
+        rules = [
+            (idx, bitset_of(rule.features), stats.precision)
+            for idx, (rule, stats) in enumerate(zip(rule_set.rules, rule_set.stats or ()))
+        ]
+        hits = {svc: [0] * len(rules) for svc in services}
+        total = 0.0
         for sample, svc in zip(window.samples, window.services):
             best = 0.0
-            for idx, (mask, stats) in enumerate(zip(masks, rule_set.stats or ())):
+            row = hits[svc]
+            for idx, mask, precision in rules:
                 if mask & sample == mask:
-                    key = (fault_type, idx)
-                    hit_counts[svc][key] = hit_counts[svc].get(key, 0) + 1
-                    if stats.precision > best:
-                        best = stats.precision
-            scores[svc] += best
-    explanations = {
-        svc: tuple(
-            Explanation(
-                fault_type,
-                idx,
-                model.describe(model.rule_set(fault_type).rules[idx]),
-                (model.rule_set(fault_type).stats or ())[idx].precision,
-                count,
-            )
-            for (fault_type, idx), count in sorted(hit_counts[svc].items())
-        )
-        for svc in services
+                    row[idx] += 1
+                    if precision > best:
+                        best = precision
+            total += best
+            service_scores[svc] += best
+        fault_scores[fault_type] = total
+        entries = []
+        for idx, _, precision in rules:
+            count = sum(row[idx] for row in hits.values())
+            if count:
+                rule = rule_set.rules[idx]
+                entries.append(
+                    Explanation(fault_type, idx, model.describe(rule), precision, count)
+                )
+                for svc, row in hits.items():
+                    if row[idx]:
+                        service_expl[svc].append(replace(entries[-1], hits=row[idx]))
+        fault_expl[fault_type] = tuple(entries)
+    by_rule = {
+        svc: tuple(sorted(fired, key=lambda e: (e.fault_type, e.rule_index)))
+        for svc, fired in service_expl.items()
     }
-    return _ranked(scores, explanations)
+    return _ranked(fault_scores, fault_expl), _ranked(service_scores, by_rule)
 
 
 def localization_report(
     model: FaultModel, window: QueryWindow
 ) -> dict:
     """JSON-ready report with both rankings and vote explanations."""
-    faults = rank_fault_types(model, window)
-    services = rank_services(model, window)
+    faults, services = rank_window(model, window)
     def expl_obj(result: RankedResult) -> dict:
         return {
             name: [

@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Sequence
 
 WILDCARD = "<*>"
 
-DEFAULT_DEPTH = 4
 DEFAULT_SIMILARITY = 0.5
 
 
@@ -52,14 +51,11 @@ class TemplateBase:
     """Parsed message templates from a normal-period corpus."""
 
     similarity_threshold: float = DEFAULT_SIMILARITY
-    tree_depth: int = DEFAULT_DEPTH
     groups: dict[tuple[int, str], list[list[str]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.similarity_threshold <= 1.0:
             raise ValueError("similarity threshold must lie in (0, 1]")
-        if self.tree_depth < 2:
-            raise ValueError("tree depth must be >= 2")
 
     def __len__(self) -> int:
         return sum(len(g) for g in self.groups.values())
@@ -113,7 +109,6 @@ class TemplateBase:
 
 def build_template_base(
     lines: Iterable[str],
-    depth: int = DEFAULT_DEPTH,
     sim: float = DEFAULT_SIMILARITY,
 ) -> TemplateBase:
     """Parse a normal-period line stream into a template base.
@@ -124,7 +119,7 @@ def build_template_base(
     afterwards, because wildcard slots keep accepting the tokens they
     replaced.  Blank lines are ignored.
     """
-    base = TemplateBase(similarity_threshold=sim, tree_depth=depth)
+    base = TemplateBase(similarity_threshold=sim)
     for line in lines:
         tokens = tokenize(line)
         if tokens:

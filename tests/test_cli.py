@@ -459,3 +459,83 @@ def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
     assert code == 0
     assert len(FaultModel.from_json(model_path.read_text()).fault_types()) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["export-fingerprints", "localize"])
+def test_model_feature_outside_catalog_is_schema_error(
+    trained, scenario, tmp_path, capsys, command
+):
+    _, _, model_path = trained
+    obj = json.loads(model_path.read_text())
+    d = len(obj["binarization"]["feature_catalog"])
+    entry = obj["fault_types"][0]
+    entry["rules"][0]["predicates"][0]["feature"] = 9999
+    bad_model = tmp_path / "bad_model.json"
+    bad_model.write_text(json.dumps(obj))
+    table, _, _ = scenario.windows[0]
+    window_csv = tmp_path / "w.csv"
+    write_csv_columns(window_csv, table)
+    argv = [command, "--model", str(bad_model)]
+    if command == "localize":
+        argv += ["--data", str(window_csv)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {bad_model}: fault type {entry['fault_type']!r}, rule 0:"
+        f" feature 9999 outside the {d}-feature catalog\n"
+    )
+
+
+def _window_case(scenario, tmp_path):
+    table, fault, service = scenario.windows[0]
+    write_csv_columns(tmp_path / "w0.csv", table)
+    return {"window": "w0.csv", "true_fault": fault, "true_service": service}
+
+
+@pytest.mark.parametrize(
+    "manifest_of, message",
+    [
+        (lambda case: [case], "manifest must be a JSON object"),
+        (lambda case: {"schema_version": 1, "cases": 5}, "'cases' must be a list"),
+        (
+            lambda case: {
+                "schema_version": 1,
+                "cases": [case, {k: v for k, v in case.items() if k != "true_service"}],
+            },
+            "cases[1]: missing key 'true_service'",
+        ),
+    ],
+    ids=["top-level-list", "cases-not-a-list", "case-missing-key"],
+)
+def test_malformed_manifest_is_invalid_data(
+    trained, scenario, tmp_path, capsys, manifest_of, message
+):
+    _, _, model_path = trained
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps(manifest_of(_window_case(scenario, tmp_path))))
+    code = main(["eval", "--model", str(model_path), "--manifest", str(manifest)])
+    assert code == 5
+    assert capsys.readouterr().err == f"invalid-data: {manifest}: {message}\n"
+
+
+def test_header_only_window_names_its_file(trained, scenario, tmp_path, capsys):
+    _, _, model_path = trained
+    table, fault, service = scenario.windows[0]
+    empty = tmp_path / "empty.csv"
+    write_csv_columns(empty, {name: [] for name in table})
+    expected = f"invalid-data: {empty}: query window must contain at least one sample\n"
+    code = main(["localize", "--model", str(model_path), "--data", str(empty)])
+    assert code == 5
+    assert capsys.readouterr().err == expected
+
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "cases": [{"window": "empty.csv", "true_fault": fault, "true_service": service}],
+            }
+        )
+    )
+    code = main(["eval", "--model", str(model_path), "--manifest", str(manifest)])
+    assert code == 5
+    assert capsys.readouterr().err == expected

@@ -117,8 +117,6 @@ def test_similarity_definition():
 def test_base_parameter_validation():
     with pytest.raises(ValueError):
         TemplateBase(similarity_threshold=0.0)
-    with pytest.raises(ValueError):
-        TemplateBase(tree_depth=1)
 
 
 def test_empty_stream_is_valid():
