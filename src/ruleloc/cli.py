@@ -98,6 +98,7 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
                         "schema-error", f"{path}: duplicate column {name!r}", EXIT_SCHEMA
                     )
                 columns[name] = []
+            appends = [columns[name].append for name in header]
             for row in reader:
                 if not row:
                     raise _fail(
@@ -112,10 +113,10 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
                         f" header has {len(header)}",
                         EXIT_INVALID_DATA,
                     )
-                for name, value in zip(header, row):
-                    columns[name].append(value)
-                for name in header[len(row) :]:
-                    columns[name].append("")
+                for append, value in zip(appends, row):
+                    append(value)
+                for append in appends[len(row) :]:
+                    append("")
             return columns
     except OSError as exc:
         raise _fail("io-error", f"{path}: {exc}", EXIT_IO)
@@ -177,8 +178,12 @@ def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
     return lines
 
 
+LOG_COLUMNS = ("log_total", "log_unmatched", "log_distinct_new")
+
+
 def _log_feature_columns(
     table: dict[str, list[str]],
+    data_path: str | Path,
     timestamp_col: str,
     logs_dir: Path,
     interval: float,
@@ -186,6 +191,19 @@ def _log_feature_columns(
     timestamp_format: Optional[str],
 ) -> None:
     """Join per-interval log novelty counters onto the metric table."""
+    if timestamp_col not in table:
+        raise _fail(
+            "schema-error",
+            f"{data_path}: timestamp column {timestamp_col!r} required to join log features",
+            EXIT_SCHEMA,
+        )
+    for name in LOG_COLUMNS:
+        if name in table:
+            raise _fail(
+                "schema-error",
+                f"{data_path}: column {name!r} is reserved for the --logs features",
+                EXIT_SCHEMA,
+            )
     normal_lines = _collect_log_lines(logs_dir, "normal")
     online_lines = _collect_log_lines(logs_dir, "online")
     if not online_lines:
@@ -194,30 +212,27 @@ def _log_feature_columns(
     base = build_template_base(normal_lines, sim=sim)
     frame = match_and_aggregate(base, online_lines, interval, timestamp_format)
     counters = frame.counters()
-    if timestamp_col not in table:
-        raise _fail(
-            "schema-error",
-            f"timestamp column {timestamp_col!r} required to join log features",
-            EXIT_SCHEMA,
-        )
+    # Many rows share a stamp: parse and look up each distinct one once.
+    joined: dict[str, tuple[int, int, int]] = {}
     totals, unmatched, novel = [], [], []
-    for raw in table[timestamp_col]:
-        try:
-            epoch = parse_timestamp(raw, timestamp_format)
-        except ValueError:
-            raise _fail(
-                "invalid-data",
-                f"unparseable timestamp {raw!r} in column {timestamp_col!r}",
-                EXIT_INVALID_DATA,
-            )
-        start = (epoch // interval) * interval
-        t, u, dnew = counters.get(start, (0, 0, 0))
+    for i, raw in enumerate(table[timestamp_col], start=1):
+        if raw not in joined:
+            try:
+                epoch = parse_timestamp(raw, timestamp_format)
+            except ValueError:
+                raise _fail(
+                    "invalid-data",
+                    f"{data_path}: column {timestamp_col!r}, row {i}:"
+                    f" unparseable timestamp {raw!r}",
+                    EXIT_INVALID_DATA,
+                )
+            joined[raw] = counters.get((epoch // interval) * interval, (0, 0, 0))
+        t, u, dnew = joined[raw]
         totals.append(t)
         unmatched.append(u)
         novel.append(dnew)
-    table["log_total"] = totals
-    table["log_unmatched"] = unmatched
-    table["log_distinct_new"] = novel
+    for name, column in zip(LOG_COLUMNS, (totals, unmatched, novel)):
+        table[name] = column
 
 
 def _feature_specs(
@@ -271,7 +286,7 @@ def cmd_train(args) -> int:
         )
     if args.logs:
         _log_feature_columns(
-            table, timestamp_col, Path(args.logs), interval, sim, ts_format
+            table, args.data, timestamp_col, Path(args.logs), interval, sim, ts_format
         )
 
     role_columns = {fault_col, service_col, timestamp_col}
@@ -395,13 +410,13 @@ def _window_from_table(
     if service_col not in table:
         raise _fail(
             "schema-error",
-            f"service column {service_col!r} missing from window",
+            f"{path}: service column {service_col!r} missing from window",
             EXIT_SCHEMA,
         )
     try:
         masks = row_feature_masks(model.binarization, table)
     except SchemaError as exc:
-        raise _fail("schema-error", str(exc), EXIT_SCHEMA)
+        raise _fail("schema-error", f"{path}: {exc}", EXIT_SCHEMA)
     except InvalidValueError as exc:
         raise _fail("invalid-data", f"{path}: {exc}", EXIT_INVALID_DATA)
     timestamps = tuple(table.get(timestamp_col, ()))

@@ -6,12 +6,19 @@ and first-token class for cheap candidate lookup).  Online lines are then
 matched against the base; lines matching no stored template are "novel"
 and are counted per time interval, producing numeric columns that join
 the metric table.
+
+A line is split on whitespace (``str.split``) and every token holding a
+``str.isdigit`` character is a parameter, masked to the wildcard.  Work
+is done once per distinct value: the build inserts each distinct token
+sequence once, and matching parses each distinct stamp and matches each
+distinct token sequence once per call.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
@@ -21,12 +28,26 @@ WILDCARD = "<*>"
 DEFAULT_SIMILARITY = 0.5
 
 
+# A whitespace-delimited token holding an ASCII digit, anchored at the
+# token's start so a token without one is scanned once.  On an ASCII line
+# `\s` and str.split() agree on whitespace and str.isdigit is [0-9].
+_ASCII_PARAMETER = re.compile(r"(?<!\S)\S*?[0-9]\S*")
+
+
 def _mask_token(token: str) -> str:
     # Tokens carrying digits are treated as parameters, not message text.
     return WILDCARD if any(ch.isdigit() for ch in token) else token
 
 
 def tokenize(line: str) -> tuple[str, ...]:
+    """Whitespace tokens of a line, each one holding a digit masked.
+
+    A token holding any ``str.isdigit`` character (``7``, ``e²``, ``a٠``)
+    becomes the wildcard.  ASCII lines take one regex pass; any other line
+    is masked token by token, because ``isdigit`` accepts more than [0-9].
+    """
+    if line.isascii():
+        return tuple(_ASCII_PARAMETER.sub(WILDCARD, line).split())
     return tuple(_mask_token(tok) for tok in line.split())
 
 
@@ -118,11 +139,19 @@ def build_template_base(
     new template.  Every non-blank input line matches a stored template
     afterwards, because wildcard slots keep accepting the tokens they
     replaced.  Blank lines are ignored.
+
+    A line whose tokens were inserted before is skipped: once inserted,
+    the tokens keep a template of similarity 1 (templates only gain
+    wildcards, and a template's first slot stays the tokens' first token
+    or the wildcard, so it stays a candidate), and inserting tokens at
+    similarity 1 changes nothing.
     """
     base = TemplateBase(similarity_threshold=sim)
+    inserted: set[tuple[str, ...]] = set()
     for line in lines:
         tokens = tokenize(line)
-        if tokens:
+        if tokens and tokens not in inserted:
+            inserted.add(tokens)
             base._insert(tokens)
     return base
 
@@ -172,14 +201,19 @@ def parse_timestamp(raw: str, fmt: Optional[str] = None) -> float:
     return dt.timestamp()
 
 
-def split_timestamp(line: str, fmt: Optional[str] = None) -> tuple[float, str]:
-    """Split a timestamp-prefixed line into (epoch seconds, message)."""
+def _split_stamp(line: str, fmt: Optional[str]) -> tuple[str, str]:
     n_stamp = 1 if fmt is None else fmt.count(" ") + 1
     tokens = line.split(None, n_stamp)
     if len(tokens) < n_stamp:
         raise ValueError("line shorter than its timestamp")
     stamp = " ".join(tokens[:n_stamp])
     rest = tokens[n_stamp] if len(tokens) > n_stamp else ""
+    return stamp, rest
+
+
+def split_timestamp(line: str, fmt: Optional[str] = None) -> tuple[float, str]:
+    """Split a timestamp-prefixed line into (epoch seconds, message)."""
+    stamp, rest = _split_stamp(line, fmt)
     return parse_timestamp(stamp, fmt), rest
 
 
@@ -193,11 +227,15 @@ def match_and_aggregate(
 
     Interval boundaries are floor(epoch / interval) * interval.  Lines
     whose timestamp cannot be parsed (and blank lines) are skipped and
-    tallied; matching never mutates the base, so aggregate counts are
-    order-insensitive within an interval.
+    tallied, each one every time; matching never mutates the base, so
+    aggregate counts are order-insensitive within an interval, and each
+    distinct stamp is parsed and each distinct token sequence matched once
+    per call.
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
+    starts: dict[str, Optional[float]] = {}
+    matched: dict[tuple[str, ...], bool] = {}
     totals: dict[float, int] = {}
     unmatched: dict[float, int] = {}
     novel: dict[float, dict[tuple[str, ...], int]] = {}
@@ -207,14 +245,27 @@ def match_and_aggregate(
             skipped += 1
             continue
         try:
-            epoch, message = split_timestamp(line, timestamp_format)
+            stamp, message = _split_stamp(line, timestamp_format)
         except ValueError:
             skipped += 1
             continue
-        start = (epoch // interval) * interval
+        if stamp not in starts:
+            try:
+                epoch = parse_timestamp(stamp, timestamp_format)
+            except ValueError:
+                starts[stamp] = None
+            else:
+                starts[stamp] = (epoch // interval) * interval
+        start = starts[stamp]
+        if start is None:
+            skipped += 1
+            continue
         totals[start] = totals.get(start, 0) + 1
         tokens = tokenize(message)
-        if tokens and base.match(tokens) is not None:
+        hit = matched.get(tokens)
+        if hit is None:
+            hit = matched[tokens] = bool(tokens) and base.match(tokens) is not None
+        if hit:
             continue
         unmatched[start] = unmatched.get(start, 0) + 1
         shapes = novel.setdefault(start, {})

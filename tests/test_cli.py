@@ -539,3 +539,88 @@ def test_header_only_window_names_its_file(trained, scenario, tmp_path, capsys):
     code = main(["eval", "--model", str(model_path), "--manifest", str(manifest)])
     assert code == 5
     assert capsys.readouterr().err == expected
+
+
+def _logs_dir(tmp_path, stamps):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 ok\n")
+    (logs / "online.log").write_text("".join(f"{t} worker 2 ok\n" for t in stamps))
+    return logs
+
+
+def test_log_join_checks_timestamp_column_before_log_work(
+    tmp_path, scenario, capsys, monkeypatch
+):
+    import ruleloc.cli
+
+    def no_log_work(*args, **kwargs):
+        raise AssertionError("log work started before the schema check")
+
+    for name in ("_collect_log_lines", "build_template_base", "match_and_aggregate"):
+        monkeypatch.setattr(ruleloc.cli, name, no_log_work)
+    table = {k: v for k, v in scenario.train_table.items() if k != "timestamp"}
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {data}: timestamp column 'timestamp' required to join log features\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["log_total", "log_unmatched", "log_distinct_new"])
+def test_log_feature_column_clash_is_schema_error(tmp_path, scenario, capsys, name):
+    table = dict(scenario.train_table)
+    table[name] = ["1"] * len(table["timestamp"])
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {data}: column {name!r} is reserved for the --logs features\n"
+    )
+
+
+def test_unparseable_table_timestamp_names_file_column_and_row(tmp_path, scenario, capsys):
+    table = dict(scenario.train_table)
+    table["timestamp"] = list(table["timestamp"])
+    table["timestamp"][2] = "yesterday"
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == (
+        f"invalid-data: {data}: column 'timestamp', row 3: unparseable timestamp 'yesterday'\n"
+    )
+
+
+@pytest.mark.parametrize("drop", ["service", "feature"])
+def test_window_schema_error_names_its_file(trained, scenario, tmp_path, capsys, drop):
+    _, _, model_path = trained
+    model = FaultModel.from_json(model_path.read_text())
+    table, fault, service = scenario.windows[0]
+    column = "service" if drop == "service" else model.binarization.columns[0].name
+    write_csv_columns(tmp_path / "good.csv", table)
+    bad = tmp_path / "bad.csv"
+    write_csv_columns(bad, {k: v for k, v in table.items() if k != column})
+    case = {"true_fault": fault, "true_service": service}
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "cases": [{"window": "good.csv", **case}, {"window": "bad.csv", **case}],
+            }
+        )
+    )
+    message = (
+        "service column 'service' missing from window"
+        if drop == "service"
+        else f"table is missing fitted columns [{column!r}]"
+    )
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest)]) == 4
+    assert capsys.readouterr().err == f"schema-error: {bad}: {message}\n"

@@ -1,9 +1,18 @@
+import tempfile
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ruleloc.cli import CliError, _log_feature_columns
 from ruleloc.logfeatures import (
     DEFAULT_SIMILARITY,
     WILDCARD,
+    IntervalCounts,
+    LogFeatureFrame,
     TemplateBase,
     build_template_base,
     match_and_aggregate,
@@ -237,3 +246,225 @@ def test_interval_must_be_positive():
     base = build_template_base([])
     with pytest.raises(ValueError):
         match_and_aggregate(base, [], 0.0)
+
+
+# --- Per-line oracle: the log-feature path before it was memoized ----------
+# Copied verbatim (modulo the oracle_ prefix and `self` -> `base`), so the
+# memoized path must give the same tokens, templates, frames and columns.
+
+
+def _oracle_mask_token(token: str) -> str:
+    # Tokens carrying digits are treated as parameters, not message text.
+    return WILDCARD if any(ch.isdigit() for ch in token) else token
+
+
+def oracle_tokenize(line: str) -> tuple[str, ...]:
+    return tuple(_oracle_mask_token(tok) for tok in line.split())
+
+
+def _oracle_group_key(tokens: Sequence[str]) -> tuple[int, str]:
+    return len(tokens), tokens[0]
+
+
+def _oracle_insert(base: TemplateBase, tokens: Sequence[str]) -> None:
+    best, best_sim = base._best(tokens)
+    if best is not None and best_sim >= base.similarity_threshold:
+        old_key = _oracle_group_key(best)
+        for i, (x, y) in enumerate(zip(tokens, best)):
+            if x != y and y != WILDCARD:
+                best[i] = WILDCARD
+        new_key = _oracle_group_key(best)
+        if new_key != old_key:
+            base.groups[old_key].remove(best)
+            if not base.groups[old_key]:
+                del base.groups[old_key]
+            base.groups.setdefault(new_key, []).append(best)
+    else:
+        base.groups.setdefault(_oracle_group_key(tokens), []).append(list(tokens))
+
+
+def oracle_build_template_base(
+    lines: Iterable[str],
+    sim: float = DEFAULT_SIMILARITY,
+) -> TemplateBase:
+    base = TemplateBase(similarity_threshold=sim)
+    for line in lines:
+        tokens = oracle_tokenize(line)
+        if tokens:
+            _oracle_insert(base, tokens)
+    return base
+
+
+def oracle_split_timestamp(line: str, fmt: Optional[str] = None) -> tuple[float, str]:
+    """Split a timestamp-prefixed line into (epoch seconds, message)."""
+    n_stamp = 1 if fmt is None else fmt.count(" ") + 1
+    tokens = line.split(None, n_stamp)
+    if len(tokens) < n_stamp:
+        raise ValueError("line shorter than its timestamp")
+    stamp = " ".join(tokens[:n_stamp])
+    rest = tokens[n_stamp] if len(tokens) > n_stamp else ""
+    return parse_timestamp(stamp, fmt), rest
+
+
+def oracle_match_and_aggregate(
+    base: TemplateBase,
+    lines: Iterable[str],
+    interval: float,
+    timestamp_format: Optional[str] = None,
+) -> LogFeatureFrame:
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    totals: dict[float, int] = {}
+    unmatched: dict[float, int] = {}
+    novel: dict[float, dict[tuple[str, ...], int]] = {}
+    skipped = 0
+    for line in lines:
+        if not line.strip():
+            skipped += 1
+            continue
+        try:
+            epoch, message = oracle_split_timestamp(line, timestamp_format)
+        except ValueError:
+            skipped += 1
+            continue
+        start = (epoch // interval) * interval
+        totals[start] = totals.get(start, 0) + 1
+        tokens = oracle_tokenize(message)
+        if tokens and base.match(tokens) is not None:
+            continue
+        unmatched[start] = unmatched.get(start, 0) + 1
+        shapes = novel.setdefault(start, {})
+        shapes[tokens] = shapes.get(tokens, 0) + 1
+    rows = tuple(
+        IntervalCounts(
+            start,
+            totals[start],
+            unmatched.get(start, 0),
+            tuple(sorted(novel.get(start, {}).items())),
+        )
+        for start in sorted(totals)
+    )
+    return LogFeatureFrame(float(interval), rows, skipped)
+
+
+def oracle_join(table, timestamp_col, counters, interval, timestamp_format):
+    """The timestamp-join loop of the CLI; None where a stamp does not parse."""
+    totals, unmatched, novel = [], [], []
+    for raw in table[timestamp_col]:
+        try:
+            epoch = parse_timestamp(raw, timestamp_format)
+        except ValueError:
+            return None
+        start = (epoch // interval) * interval
+        t, u, dnew = counters.get(start, (0, 0, 0))
+        totals.append(t)
+        unmatched.append(u)
+        novel.append(dnew)
+    return {"log_total": totals, "log_unmatched": unmatched, "log_distinct_new": novel}
+
+
+# Words with ASCII digits, non-ASCII digits (str.isdigit accepts both),
+# a literal wildcard and plain text; separators include the ASCII
+# whitespace that str.split() and the regex `\s` both accept, and a
+# non-ASCII space.
+WORDS = ["alpha", "beta", "gamma", "ok", "x1", "42", "node-7", "e²", "a٠", "<*>", "é"]
+SEPARATORS = ["", " ", "  ", "\t", "\x0b", "\x1c", "\x1f", "\u3000"]
+FORMATS = [None, "%d/%m/%Y %H:%M:%S"]
+
+
+@st.composite
+def messages(draw):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(SEPARATORS), st.sampled_from(WORDS)),
+                          max_size=5))
+    return "".join(sep + word for sep, word in pairs) + draw(st.sampled_from(SEPARATORS))
+
+
+def stamp(second: int, fmt: Optional[str]) -> str:
+    if fmt is None:
+        return f"1970-01-01T00:{second // 60:02d}:{second % 60:02d}"
+    return f"01/01/1970 00:{second // 60:02d}:{second % 60:02d}"
+
+
+@st.composite
+def log_case(draw):
+    fmt = draw(st.sampled_from(FORMATS))
+    # A small pool of messages, drawn with repetition, makes repeated lines
+    # and lines that generalize a template some earlier line already fits.
+    pool = draw(st.lists(messages(), min_size=1, max_size=6))
+    normal = draw(st.lists(st.sampled_from(pool), max_size=25))
+    stamps = [stamp(s, fmt) for s in draw(st.lists(st.integers(0, 299), min_size=1,
+                                                    max_size=5))]
+    stamps += ["not-a-time", "1970-13-01T00:00:00", "99/99/1970 00:00:00"]
+    online = [
+        {"line": f"{raw} {message}", "blank": blank, "bare-stamp": raw}[kind]
+        for kind, raw, message, blank in draw(st.lists(st.tuples(
+            st.sampled_from(["line", "line", "line", "blank", "bare-stamp"]),
+            st.sampled_from(stamps),
+            st.one_of(st.sampled_from(pool), messages()),
+            st.sampled_from(["", "   ", "\t"]),
+        ), max_size=30))
+    ]
+    table_stamps = draw(st.lists(st.sampled_from(stamps), max_size=8))
+    interval = draw(st.sampled_from([1.0, 7.5, 60.0]))
+    sim = draw(st.sampled_from([0.3, 0.5, 0.75, 1.0]))
+    return fmt, normal, online, table_stamps, interval, sim
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_case())
+@example(
+    (None, ["a b c", "a b c", "a b d", "a b c", "a x d"],
+     ["1970-01-01T00:00:01 a b c", "1970-01-01T00:00:02 a x c",
+      "bogus a b c", "bogus a b c"],
+     ["1970-01-01T00:00:01", "1970-01-01T00:00:01"], 60.0, 0.5)
+)
+def test_memoized_log_path_matches_per_line_oracle(case):
+    fmt, normal, online, table_stamps, interval, sim = case
+    for line in normal + online:
+        assert tokenize(line) == oracle_tokenize(line)
+
+    base = build_template_base(normal, sim=sim)
+    oracle_base = oracle_build_template_base(normal, sim=sim)
+    assert list(base.groups.items()) == list(oracle_base.groups.items())
+    # What the build's skip relies on: every inserted line keeps a
+    # template of similarity 1.
+    for line in normal:
+        tokens = tokenize(line)
+        assert not tokens or base._best(tokens)[1] == 1.0
+
+    frame = match_and_aggregate(base, online, interval, fmt)
+    oracle_frame = oracle_match_and_aggregate(oracle_base, online, interval, fmt)
+    assert frame == oracle_frame
+    assert frame.skipped == oracle_frame.skipped
+    assert frame.to_csv() == oracle_frame.to_csv()
+
+    table = {"timestamp": list(table_stamps)}
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = Path(tmp)
+        (logs / "normal.log").write_text("\n".join(normal), encoding="utf-8")
+        (logs / "online.log").write_text("\n".join(online), encoding="utf-8")
+        # The CLI reads lines back with splitlines(), which also splits at
+        # \x0b and \x1c, so the oracle counts the lines read back.
+        normal_read = (logs / "normal.log").read_text(encoding="utf-8").splitlines()
+        online_read = (logs / "online.log").read_text(encoding="utf-8").splitlines()
+        if not online_read:
+            return
+        counters = oracle_match_and_aggregate(
+            oracle_build_template_base(normal_read, sim), online_read, interval, fmt
+        ).counters()
+        expected = oracle_join(table, "timestamp", counters, interval, fmt)
+        try:
+            _log_feature_columns(table, "train.csv", "timestamp", logs, interval, sim, fmt)
+        except CliError as exc:
+            assert expected is None
+            row = next(
+                i
+                for i, raw in enumerate(table_stamps, 1)
+                if oracle_join({"t": [raw]}, "t", {}, interval, fmt) is None
+            )
+            assert str(exc) == (
+                f"train.csv: column 'timestamp', row {row}:"
+                f" unparseable timestamp {table_stamps[row - 1]!r}"
+            )
+        else:
+            assert {name: table[name] for name in expected} == expected
