@@ -30,12 +30,20 @@ from typing import Mapping, MutableMapping, Optional, Sequence
 import numpy as np
 
 from ruleloc import SCHEMA_VERSION
-from ruleloc.core import BinaryDataset, FeatureIndexError, Rule
+from ruleloc.core import BinaryDataset, ColumnCodes, FeatureIndexError, Rule
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 DEFAULT_BINS = 100
+
+# transform gives a numeric column bin codes when its catalog holds at
+# least this many distinct thresholds.  A code histogram costs about the
+# same per sample whatever the column's ladder length, where the bitsets
+# cost one AND per feature, so short ladders stay cheaper on bitsets.
+_CODED_MIN_THRESHOLDS = 8
+# Codes are stored as uint16, so all coded columns share 2**16 codes.
+_CODE_SPACE = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -261,17 +269,21 @@ def _row_count(model: BinarizationModel, table: Mapping[str, Sequence]) -> int:
     return n
 
 
-def _predicate_blocks(model: BinarizationModel, table: Mapping[str, Sequence]):
+def _predicate_blocks(
+    model: BinarizationModel,
+    table: Mapping[str, Sequence],
+    parsed: MutableMapping[str, np.ndarray],
+):
     """Yield (catalog positions, block) for each (column, op) group of the catalog.
 
     block[r] holds, per row, whether the predicate at positions[r] is
     true, so a group costs one broadcast comparison.  Positions index the
-    catalog as given, so any catalog order works.
+    catalog as given, so any catalog order works.  Each numeric column a
+    threshold predicate reads is parsed once into `parsed`.
     """
     groups: dict[tuple[str, str], list[int]] = {}
     for k, feat in enumerate(model.catalog):
         groups.setdefault((feat.column, feat.op), []).append(k)
-    parsed: dict[str, np.ndarray] = {}
     for (column, op), positions in groups.items():
         raw = table[column]
         if op == "==":
@@ -305,7 +317,7 @@ def _packed_rows(bits: np.ndarray) -> list[int]:
 def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:
     """Dense boolean matrix (n rows x len(catalog) columns) of the predicates."""
     out = np.zeros((_row_count(model, table), len(model.catalog)), dtype=bool)
-    for positions, block in _predicate_blocks(model, table):
+    for positions, block in _predicate_blocks(model, table, {}):
         out[:, positions] = block.T
     return out
 
@@ -314,6 +326,53 @@ def _label_bits(labels: Sequence[int], n: int) -> int:
     if len(labels) != n:
         raise SchemaError("labels must have one entry per row")
     return _packed_rows(np.array([[bool(y) for y in labels]], dtype=bool))[0]
+
+
+def _column_codes(
+    model: BinarizationModel, parsed: Mapping[str, np.ndarray], n: int
+) -> Optional[ColumnCodes]:
+    """Bin codes of the numeric columns with long threshold ladders.
+
+    A column's steps are the sorted distinct thresholds of its catalog
+    entries, read from the catalog as given (any order, any duplicates).
+    A finite value x gets code k = searchsorted(steps, x, "left"), so
+    x <= steps[k'] iff k <= k'; a missing or infinite value gets code
+    len(steps) + 1, which no feature covers.  Columns that would push the
+    codes past uint16 stay on bitsets, and so does a column with a nan
+    threshold, whose predicates no code range expresses.
+    """
+    ladders: dict[str, list[int]] = {}
+    numeric = {c.name for c in model.columns if c.kind == NUMERIC}
+    for k, feat in enumerate(model.catalog):
+        if feat.op != "==" and feat.column in numeric:
+            ladders.setdefault(feat.column, []).append(k)
+    chosen = []
+    size = 0
+    for column, positions in ladders.items():
+        thresholds = np.array([model.catalog[k].threshold for k in positions], dtype=float)
+        steps = np.unique(thresholds)
+        m = len(steps)
+        if m < _CODED_MIN_THRESHOLDS or np.isnan(steps).any() or size + m + 2 > _CODE_SPACE:
+            continue
+        chosen.append((column, positions, thresholds, steps, size))
+        size += m + 2
+    if not chosen:
+        return None
+    bins = np.empty((n, len(chosen)), dtype=np.uint16)
+    features, lo, stop = [], [], []
+    for c, (column, positions, thresholds, steps, offset) in enumerate(chosen):
+        m = len(steps)
+        vals = parsed[column]
+        finite = np.isfinite(vals)
+        bins[:, c] = np.where(finite, np.searchsorted(steps, vals, "left"), m + 1) + offset
+        k = np.searchsorted(steps, thresholds, "left")
+        le = np.array([model.catalog[p].op == "<=" for p in positions])
+        features.extend(positions)
+        lo.append(offset + np.where(le, 0, k + 1))
+        stop.append(offset + np.where(le, k + 1, m + 1))
+    return ColumnCodes(
+        bins, size, np.array(features, dtype=np.intp), np.concatenate(lo), np.concatenate(stop)
+    )
 
 
 def transform(
@@ -326,16 +385,19 @@ def transform(
     `labels` is an optional 0/1 vector (query windows have none); see
     relabel for deriving datasets that differ only in their labels.
     Coverage is packed one (column, op) group at a time, so no n x d
-    matrix is built.
+    matrix is built.  Numeric columns with long threshold ladders also
+    get bin codes (see _column_codes) for the learner's count scans.
     """
     n = _row_count(model, table)
     coverage = [0] * len(model.catalog)
-    for positions, block in _predicate_blocks(model, table):
+    parsed: dict[str, np.ndarray] = {}
+    for positions, block in _predicate_blocks(model, table, parsed):
         for k, bits in zip(positions, _packed_rows(block)):
             coverage[k] = bits
     label_bits = 0 if labels is None else _label_bits(labels, n)
     names = tuple(f.name for f in model.catalog)
-    return BinaryDataset(n, tuple(coverage), label_bits, names)
+    codes = _column_codes(model, parsed, n)
+    return BinaryDataset(n, tuple(coverage), label_bits, names, codes)
 
 
 def relabel(dataset: BinaryDataset, labels: Sequence[int]) -> BinaryDataset:

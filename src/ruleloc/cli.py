@@ -163,9 +163,12 @@ def _setting(args, cfg: dict, section: str, key: str, arg_name: Optional[str] = 
 
 
 def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
-    """Lines of every file under logs_dir whose top-level name starts with stem.
+    r"""Lines of every file under logs_dir whose top-level name starts with stem.
 
-    Both layouts work: logs/normal.log and logs/normal/anything.log.
+    Both layouts work: logs/normal.log and logs/normal/anything.log.  A
+    line ends only at \n, \r\n or \r (read_text turns the last two into
+    \n); characters that str.splitlines also breaks at, such as \x1c or
+    U+2028, stay inside their line.  A final line ending starts no line.
     """
     lines: list[str] = []
     candidates = sorted(
@@ -174,7 +177,10 @@ def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
         if p.is_file() and p.relative_to(logs_dir).parts[0].startswith(stem)
     )
     for path in candidates:
-        lines.extend(path.read_text(encoding="utf-8").splitlines())
+        file_lines = path.read_text(encoding="utf-8").split("\n")
+        if file_lines[-1] == "":
+            file_lines.pop()
+        lines.extend(file_lines)
     return lines
 
 

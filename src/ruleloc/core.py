@@ -5,14 +5,23 @@ is in the set), so every set operation is word-parallel, hashable and
 immutable.  A rule is a conjunction of binary features and covers the
 intersection of their coverage sets; a rule set predicts positive on the
 union of its rules' covers.
+
+Next to the bitsets, a dataset may carry column bin codes (ColumnCodes):
+per sample, the bin of each threshold-ladder column, so that a feature
+of such a column covers one contiguous range of codes.  They serve
+BinaryDataset.counts, the learner's scan primitive: |mask & coverage[j]|
+for every j at once, from one histogram of the mask's codes instead of
+one AND and popcount per feature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 # Two objective values within this tolerance are considered tied and the
 # tie is broken by the lexicographically smaller sorted feature tuple.
@@ -113,19 +122,47 @@ class RuleSet:
 
 
 @dataclass(frozen=True)
+class ColumnCodes:
+    """Per-sample bin codes of the columns whose features form threshold ladders.
+
+    bins[i, c] is the code of sample i in coded column c.  Each column's
+    codes are shifted by an offset so that all columns share one code
+    range 0..size-1; a column's missing values take a code of their own
+    that no feature covers.  Feature features[r] covers exactly the
+    samples whose code in its column lies in lo[r]..stop[r]-1.
+    """
+
+    bins: np.ndarray  # (n, coded columns), uint16
+    size: int
+    features: np.ndarray  # catalog positions of the coded features
+    lo: np.ndarray
+    stop: np.ndarray
+
+    def counts(self, indices: np.ndarray) -> np.ndarray:
+        """|samples in `indices` covered by features[r]| for every r."""
+        hist = np.bincount(self.bins[indices].ravel(), minlength=self.size)
+        cum = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(hist, out=cum[1:])
+        return cum[self.stop] - cum[self.lo]
+
+
+@dataclass(frozen=True)
 class BinaryDataset:
     """Immutable binary feature matrix with per-feature coverage bitsets.
 
     coverage[j] holds the set of sample indices where feature j is 1;
     labels holds the set of positive sample indices.  full_mask and
     positives are computed once per object; a relabelled copy (made by
-    dataclasses.replace) is a new object and computes its own.
+    dataclasses.replace) is a new object and computes its own.  codes,
+    when present, describes the same coverage of some features as bin
+    code ranges (see ColumnCodes); it only makes counts faster.
     """
 
     n: int
     coverage: tuple[int, ...]
     labels: int
     feature_names: tuple[str, ...] = ()
+    codes: Optional[ColumnCodes] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -140,6 +177,15 @@ class BinaryDataset:
                 )
         if self.feature_names and len(self.feature_names) != len(self.coverage):
             raise InvalidDatasetError("feature_names must align with coverage")
+        codes = self.codes
+        if codes is not None:
+            if codes.bins.ndim != 2 or codes.bins.shape[0] != self.n:
+                raise InvalidDatasetError("codes must hold one row per sample")
+            if not len(codes.features) == len(codes.lo) == len(codes.stop):
+                raise InvalidDatasetError("code ranges must align with coded features")
+            features = codes.features
+            if len(features) and not 0 <= features.min() <= features.max() < self.d:
+                raise InvalidDatasetError("coded features must lie in 0..d-1")
 
     @property
     def d(self) -> int:
@@ -180,14 +226,29 @@ class BinaryDataset:
             return self.feature_names[j]
         return f"f{j}"
 
-    def row_masks(self) -> list[int]:
-        """Per-sample active-feature bitmasks (transpose of coverage)."""
-        masks = [0] * self.n
-        for j, cov in enumerate(self.coverage):
-            bit = 1 << j
-            for i in indices_of(cov):
-                masks[i] |= bit
-        return masks
+    @cached_property
+    def _uncoded(self) -> list[int]:
+        """Features outside the codes, which counts takes by popcount."""
+        return np.setdiff1d(np.arange(self.d), self.codes.features).tolist()
+
+    def counts(self, mask: int) -> np.ndarray:
+        """|mask & coverage[j]| for every feature j, as an int64 array.
+
+        Coded features are counted from one histogram of the codes of the
+        mask's samples; the rest by one AND and popcount each.
+        """
+        coverage = self.coverage
+        if self.codes is None:
+            return np.fromiter(
+                ((mask & c).bit_count() for c in coverage), dtype=np.int64, count=self.d
+            )
+        uncoded = self._uncoded
+        out = np.empty(self.d, dtype=np.int64)
+        bits = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        indices = np.flatnonzero(np.unpackbits(bits, count=self.n, bitorder="little"))
+        out[self.codes.features] = self.codes.counts(indices)
+        out[uncoded] = [(mask & coverage[j]).bit_count() for j in uncoded]
+        return out
 
 
 def cover_of_rule(dataset: BinaryDataset, rule: Rule) -> int:
@@ -314,8 +375,3 @@ def rule_objective(ctx: ObjectiveContext, rule: Rule) -> float:
     num = objective_num(ctx, rule)
     den = objective_den(ctx, rule)
     return ctx.alpha * _log_or_neg_inf(num) - math.log(den)
-
-
-def prefer_rule(candidate: Rule, incumbent: Rule) -> bool:
-    """Deterministic tie-break: lexicographically smaller feature tuple wins."""
-    return candidate.features < incumbent.features

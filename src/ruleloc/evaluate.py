@@ -348,25 +348,6 @@ def planted_fault_scenario(
     )
 
 
-def stratified_fold_assignments(
-    fault_types: Sequence[str], n_folds: int = 5, seed: int = 0
-) -> list[int]:
-    """Seeded fold ids (0..n_folds-1), stratified by fault type."""
-    if n_folds < 2:
-        raise ValueError("need at least 2 folds")
-    rng = np.random.default_rng(seed)
-    folds = [0] * len(fault_types)
-    by_type: dict[str, list[int]] = {}
-    for i, ft in enumerate(fault_types):
-        by_type.setdefault(ft, []).append(i)
-    for ft in sorted(by_type):
-        members = by_type[ft]
-        order = rng.permutation(len(members))
-        for pos, idx in enumerate(order):
-            folds[members[idx]] = pos % n_folds
-    return folds
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Aggregate evaluation metrics over a case list."""

@@ -14,21 +14,28 @@ lower bounds on the (supermodular, non-increasing) numerator count, both
 combined with the tangent-line upper bound on the log-denominator.  The
 surrogates are submodular, touch the true objective at the anchor, and are
 cheap: the bound part is modular, so only the denominator needs a fresh
-set operation per candidate feature.
+count per candidate feature.
 
 One replace/delete search serves both surrogate branches and the final
 polish on the true objective; only its value function differs.  Every
-scan scores candidates against masks built once per step: the rule's
-cover outside the current set cover (for the local search, the rule
-minus the dropped feature), so a candidate costs one AND plus one
-popcount per count its value needs.
+scan over candidate features is a count scan: one BinaryDataset.counts
+call gives |mask & coverage[j]| for every j, where the mask is built once
+per step (the rule's cover outside the current set cover; for the local
+search, the rule minus the dropped feature, and its positive part when
+the value needs it).  A numpy twin of the value function then estimates
+every candidate's value, and only the candidates that can change the
+scan's outcome are scored exactly, in scan order, with the scalar
+math.log code (see _scan).  Every decision is taken on those exact
+values, so the result is the same as scoring every candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
+
+import numpy as np
 
 from ruleloc.core import (
     TIE_EPS,
@@ -91,9 +98,9 @@ class SurrogateState:
     * weights[1][j]        drop_penalty_full[j] in the anchor, else
                            num(j | anchor)
 
-    weights[kind - 1] is the per-feature weight list of bound `kind`.
-    All marginals are <= 0 because adding a conjunct can only shrink the
-    rule's cover.
+    weights[kind - 1] is the per-feature weight array (read-only int64)
+    of bound `kind`.  All marginals are <= 0 because adding a conjunct can
+    only shrink the rule's cover.
     """
 
     ctx: ObjectiveContext
@@ -102,7 +109,7 @@ class SurrogateState:
     den_anchor: int
     drop_penalty: dict[int, int]
     drop_penalty_full: dict[int, int]
-    weights: tuple[tuple[int, ...], tuple[int, ...]]
+    weights: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def build(cls, ctx: ObjectiveContext, anchor: Rule) -> "SurrogateState":
@@ -139,13 +146,12 @@ class SurrogateState:
                     others & rest
                 ).bit_count()
 
-        empty_count = open_pos.bit_count()
-        anchor_count = anchor_pos.bit_count()
-        weights1 = [(open_pos & c).bit_count() - empty_count for c in cov]
-        weights2 = [(anchor_pos & c).bit_count() - anchor_count for c in cov]
+        weights1 = ds.counts(open_pos) - open_pos.bit_count()
+        weights2 = ds.counts(anchor_pos) - anchor_pos.bit_count()
         for j in anchor.features:
             weights1[j] = drop_penalty[j]
             weights2[j] = drop_penalty_full[j]
+        weights1.flags.writeable = weights2.flags.writeable = False
         return cls(
             ctx,
             anchor,
@@ -153,14 +159,14 @@ class SurrogateState:
             den_anchor,
             drop_penalty,
             drop_penalty_full,
-            (tuple(weights1), tuple(weights2)),
+            (weights1, weights2),
         )
 
     def bound_weight(self, j: int, kind: int) -> int:
         """Additive contribution of feature j to the modular numerator bound."""
         if kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
-        return self.weights[kind - 1][j]
+        return int(self.weights[kind - 1][j])
 
     def bound_base(self, kind: int) -> int:
         """Bound value of the empty rule (all anchor features dropped)."""
@@ -187,7 +193,8 @@ def surrogate_value(state: SurrogateState, rule: Rule, kind: int) -> float:
     new = ds.full_mask & ~state.ctx.cover
     for j in rule.features:
         new &= ds.coverage[j]
-    return _surrogate_value_fn(state)(numerator_lower_bound(state, rule, kind), new)
+    bound = numerator_lower_bound(state, rule, kind)
+    return _SurrogateValue(state)(bound, new.bit_count(), 0)
 
 
 def surrogate_offset(state: SurrogateState) -> float:
@@ -213,18 +220,13 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     new = ds.full_mask & ~ctx.cover  # the rule's cover outside the set cover
     chosen: list[int] = []
     for _ in range(max_len):
-        new_pos = new & ds.labels
-        best_j = -1
-        best_ratio = -1.0
-        for j in range(ds.d):
-            if j in chosen:
-                continue
-            cand_pos = new_pos & cov[j]
-            if cand_pos == 0:
-                continue
-            ratio = cand_pos.bit_count() / (new & cov[j]).bit_count()
-            if ratio > best_ratio + TIE_EPS:
-                best_ratio, best_j = ratio, j
+        counts = ds.counts(new)
+        pos = ds.counts(new & ds.labels)
+        hit = pos > 0
+        hit[chosen] = False
+        approx = np.full(ds.d, -math.inf)
+        approx[hit] = pos[hit] / counts[hit]
+        _, best_j = _scan(approx, lambda j: int(pos[j]) / int(counts[j]), -1.0, -1)
         if best_j < 0:
             break
         chosen.append(best_j)
@@ -232,45 +234,130 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     return Rule(tuple(chosen))
 
 
-# A value function scores a rule from its modular numerator bound (0 when
-# the value ignores it) and `new`, the rule's cover minus the set cover.
-_ValueFn = Callable[[int, int], float]
+# The smallest gap below the best value seen that keeps a candidate out of
+# an exact scan, relative to that value's magnitude plus one.  It covers
+# twice TIE_EPS (a candidate must come within TIE_EPS of the scan's best,
+# which lies within TIE_EPS of the best value seen) plus the last-place
+# error of np.log against math.log on both values, with a wide margin.
+_SLACK = 1e-9
 
 
-def _surrogate_value_fn(state: SurrogateState) -> _ValueFn:
-    """surrogate_value in (bound, new) form."""
-    alpha = state.ctx.alpha
-    den_base = state.ctx.cover.bit_count() + state.ctx.dataset.positives
-    den_anchor = state.den_anchor
+def _visits(approx: np.ndarray, init: float) -> np.ndarray:
+    """Positions j with approx[j] > max(init, approx[:j]) - slack, in order."""
+    prior = np.maximum.accumulate(np.concatenate(([init], approx[:-1])))
+    return np.flatnonzero(approx > prior - _SLACK * (1.0 + np.abs(prior)))
 
-    def value(bound: int, new: int) -> float:
+
+def _scan(
+    approx: np.ndarray,
+    score: Callable[[int], float],
+    best_val: float,
+    best_j: Optional[int],
+    key_of: Optional[Callable[[int], tuple[int, ...]]] = None,
+    best_key: Optional[tuple[int, ...]] = None,
+) -> tuple[float, Optional[int]]:
+    """Outcome (best value, position) of a best-so-far scan of positions 0..d-1.
+
+    The scan starts from (best_val, best_j).  Position j takes the lead
+    when its exact value score(j) beats the best by more than TIE_EPS;
+    with key_of, one within TIE_EPS of the best takes it when key_of(j)
+    is smaller than the best's key (best_key for the starting position,
+    or None to compute it with key_of).  approx[j] estimates score(j) to
+    within a few ulps of its magnitude and is -inf exactly where the scan
+    skips j or score(j) is -inf.
+
+    Only the positions _visits keeps are scored: any other one lies more
+    than 2 * TIE_EPS below the best value seen, which stays within
+    TIE_EPS of the scan's best, so it can neither lead nor tie.  A tie
+    move can lower the best; if it falls more than TIE_EPS below the
+    best value seen, that reasoning fails and the scan is redone over
+    every position.
+    """
+    start = (best_val, best_j, best_key)
+
+    def run(positions: np.ndarray, guard: bool):
+        best_val, best_j, best_key = start
+        top = best_val
+        for j in positions.tolist():
+            val = score(j)
+            if val > top:
+                top = val
+            if val > best_val + TIE_EPS:
+                best_val, best_j, best_key = val, j, None
+            elif key_of is not None and val > best_val - TIE_EPS:
+                key = key_of(j)
+                if best_key is None:
+                    best_key = key_of(best_j)
+                if key < best_key:
+                    best_val, best_j, best_key = val, j, key
+                    if guard and best_val < top - TIE_EPS:
+                        return None
+        return best_val, best_j
+
+    outcome = run(_visits(approx, best_val), True)
+    if outcome is None:
+        outcome = run(np.flatnonzero(approx > -math.inf), False)
+    return outcome
+
+
+class _SurrogateValue:
+    """surrogate_value from (bound, count of new, count of new positives).
+
+    `new` is the rule's cover minus the set cover; the positive count is
+    not used.  batch is the numpy twin, for choosing candidates only.
+    """
+
+    uses_pos = False
+
+    def __init__(self, state: SurrogateState) -> None:
+        self.alpha = state.ctx.alpha
+        self.den_base = state.ctx.cover.bit_count() + state.ctx.dataset.positives
+        self.den_anchor = state.den_anchor
+
+    def __call__(self, bound: int, count: int, pos: int) -> float:
         if bound <= 0:
             return -math.inf
-        return alpha * math.log(bound) - (new.bit_count() + den_base) / den_anchor
+        return self.alpha * math.log(bound) - (count + self.den_base) / self.den_anchor
 
-    return value
+    def batch(self, bounds: np.ndarray, counts: np.ndarray, pos) -> np.ndarray:
+        logs = np.log(np.maximum(bounds, 1))
+        vals = self.alpha * logs - (counts + self.den_base) / self.den_anchor
+        return np.where(bounds > 0, vals, -math.inf)
 
 
-def _objective_value_fn(ctx: ObjectiveContext) -> _ValueFn:
-    """rule_objective in (bound, new) form; the bound is ignored."""
-    alpha = ctx.alpha
-    labels = ctx.dataset.labels
-    num_base = ctx.cover_pos.bit_count()
-    den_base = ctx.cover.bit_count() + ctx.dataset.positives
+class _ObjectiveValue:
+    """rule_objective from (bound, count of new, count of new positives).
 
-    def value(bound: int, new: int) -> float:
-        num = (new & labels).bit_count() + num_base
+    The bound is not used.  batch is the numpy twin, for choosing
+    candidates only.
+    """
+
+    uses_pos = True
+
+    def __init__(self, ctx: ObjectiveContext) -> None:
+        self.alpha = ctx.alpha
+        self.num_base = ctx.cover_pos.bit_count()
+        self.den_base = ctx.cover.bit_count() + ctx.dataset.positives
+
+    def __call__(self, bound: int, count: int, pos: int) -> float:
+        num = pos + self.num_base
         if num == 0:
             return -math.inf
-        return alpha * math.log(num) - math.log(new.bit_count() + den_base)
+        return self.alpha * math.log(num) - math.log(count + self.den_base)
 
-    return value
+    def batch(self, bounds: np.ndarray, counts: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        num = pos + self.num_base
+        vals = self.alpha * np.log(np.maximum(num, 1)) - np.log(counts + self.den_base)
+        return np.where(num > 0, vals, -math.inf)
+
+
+_ValueFn = _SurrogateValue | _ObjectiveValue
 
 
 def _replace_delete(
     ctx: ObjectiveContext,
     features: list[int],
-    weights: Sequence[int],
+    weights: np.ndarray,
     bound: int,
     value: _ValueFn,
     eps: float,
@@ -282,16 +369,19 @@ def _replace_delete(
     value ties within TIE_EPS go to the lexicographically smaller feature
     tuple (sorted for a replacement; for a deletion, the remaining features
     in the rule's current order, which greedy insertion leaves unsorted).
-    `bound` is the rule's modular bound and weights[j] feature j's
-    share of it.  The rule's cover without i is built once per i, so a
-    candidate costs one AND plus the counts its value function takes.
+    `bound` is the rule's modular bound and weights[j] (an int64 array)
+    feature j's share of it.  The rule's cover without i is built once per i, and one
+    count scan of it (two when the value needs positives) scores every
+    replacement.
     """
-    cov = ctx.dataset.coverage
-    outside = ctx.dataset.full_mask & ~ctx.cover
+    ds = ctx.dataset
+    cov = ds.coverage
+    labels = ds.labels
+    outside = ds.full_mask & ~ctx.cover
     new = outside
     for k in features:
         new &= cov[k]
-    current = value(bound, new)
+    current = value(bound, new.bit_count(), (new & labels).bit_count())
     changed = True
     while changed:
         changed = False
@@ -302,31 +392,33 @@ def _replace_delete(
             rest_new = outside
             for k in rest:
                 rest_new &= cov[k]
-            rest_bound = bound - weights[i]
-            taken = set(features)
+            rest_bound = bound - int(weights[i])
             best_val = -math.inf
             best_j: Optional[int] = None  # None encodes "no move", -1 deletion
-            best_key: Optional[tuple[int, ...]] = ()  # None: not built yet
+            best_key: Optional[tuple[int, ...]] = ()
             if rest:  # deletion allowed, but a rule never shrinks to empty
-                best_val, best_j, best_key = value(rest_bound, rest_new), -1, tuple(rest)
-            for j in range(len(cov)):
-                if j in taken:
-                    continue
-                val = value(rest_bound + weights[j], rest_new & cov[j])
-                if val > best_val + TIE_EPS:
-                    best_val, best_j, best_key = val, j, None
-                elif val > best_val - TIE_EPS:
-                    key = tuple(sorted(rest + [j]))
-                    if best_key is None:
-                        best_key = tuple(sorted(rest + [best_j]))
-                    if key < best_key:
-                        best_val, best_j, best_key = val, j, key
+                count, pos = rest_new.bit_count(), (rest_new & labels).bit_count()
+                best_val, best_j, best_key = value(rest_bound, count, pos), -1, tuple(rest)
+            counts = ds.counts(rest_new)
+            pos_counts = ds.counts(rest_new & labels) if value.uses_pos else counts
+            approx = value.batch(rest_bound + weights, counts, pos_counts)
+            approx[features] = -math.inf
+            best_val, best_j = _scan(
+                approx,
+                lambda j: value(
+                    rest_bound + int(weights[j]), int(counts[j]), int(pos_counts[j])
+                ),
+                best_val,
+                best_j,
+                lambda j: tuple(sorted(rest + [j])),
+                best_key,
+            )
             if best_j is not None and best_val > current + eps:
                 if best_j < 0:
                     features, bound = rest, rest_bound
                 else:
                     features = sorted(rest + [best_j])
-                    bound = rest_bound + weights[best_j]
+                    bound = rest_bound + int(weights[best_j])
                 current = best_val
                 changed = True
     return features
@@ -335,29 +427,30 @@ def _replace_delete(
 def _branch_search(state: SurrogateState, kind: int, config: GenerationConfig) -> Rule:
     """Greedy insertion, then replace/delete search, under surrogate `kind`."""
     ctx = state.ctx
-    cov = ctx.dataset.coverage
+    ds = ctx.dataset
     weights = state.weights[kind - 1]
-    value = _surrogate_value_fn(state)
+    value = _SurrogateValue(state)
     features: list[int] = []
     bound = state.bound_base(kind)
-    new = ctx.dataset.full_mask & ~ctx.cover
-    current = value(bound, new)
+    new = ds.full_mask & ~ctx.cover
+    current = value(bound, new.bit_count(), 0)
     while len(features) < config.max_len:
-        best_j = -1
-        best_val = -math.inf
-        for j in range(len(cov)):
-            if j in features:
-                continue
-            val = value(bound + weights[j], new & cov[j])
-            if val > best_val + TIE_EPS:
-                best_val, best_j = val, j
+        counts = ds.counts(new)
+        approx = value.batch(bound + weights, counts, None)
+        approx[features] = -math.inf
+        best_val, best_j = _scan(
+            approx,
+            lambda j: value(bound + int(weights[j]), int(counts[j]), 0),
+            -math.inf,
+            -1,
+        )
         # Insert only while the surrogate marginal stays positive; padding
         # a rule with zero-gain conjuncts only hurts interpretability.
         if best_j < 0 or best_val - current <= 0.0:
             break
         features.append(best_j)
-        new &= cov[best_j]
-        bound += weights[best_j]
+        new &= ds.coverage[best_j]
+        bound += int(weights[best_j])
         current = best_val
     features = _replace_delete(
         ctx, features, weights, bound, value, config.local_search_eps
@@ -376,9 +469,9 @@ def _objective_polish(ctx: ObjectiveContext, rule: Rule, config: GenerationConfi
     features = _replace_delete(
         ctx,
         list(rule.features),
-        (0,) * ctx.dataset.d,
+        np.zeros(ctx.dataset.d, dtype=np.int64),
         0,
-        _objective_value_fn(ctx),
+        _ObjectiveValue(ctx),
         config.local_search_eps,
     )
     return Rule(tuple(features))

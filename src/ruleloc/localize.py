@@ -207,21 +207,6 @@ class FaultModel:
         return cls.from_json_obj(json.loads(text))
 
 
-def sample_vote(model: FaultModel, fault_type: str, sample_mask: int) -> float:
-    """Vote of one sample for one fault type.
-
-    The highest training precision among the type's rules covering the
-    sample, or 0 when no rule covers it.
-    """
-    rule_set = model.rule_set(fault_type)
-    best = 0.0
-    for rule, stats in zip(rule_set.rules, rule_set.stats or ()):
-        mask = bitset_of(rule.features)
-        if mask & sample_mask == mask and stats.precision > best:
-            best = stats.precision
-    return best
-
-
 def _ranked(scores: dict[str, float], explanations) -> RankedResult:
     no_signal = all(score == 0.0 for score in scores.values())
     ranking = tuple(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruleloc import binarize
 from ruleloc.binarize import (
     BinarizationModel,
     FeatureSpec,
@@ -364,3 +365,55 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
         ds = transform(model, table)
         assert ds.coverage == tuple(bits_of(expected[:, k]) for k in range(ds.d))
         assert row_feature_masks(model, table) == [bits_of(row) for row in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=40),
+    bins=st.integers(2, 12),
+    cutoff=st.sampled_from([1, 2, 3]),
+    code_space=st.sampled_from([6, 12, 1 << 16]),
+)
+def test_code_counts_equal_popcounts(data, n, bins, cutoff, code_space):
+    """counts(mask) equals the per-feature popcounts on transformed tables:
+    nan, inf and blank cells, tied values and duplicate quantiles, a
+    categorical column, a shuffled catalog with repeated entries, and
+    columns that overflow a small code space and stay on bitsets."""
+    table = data.draw(tables(n))
+    specs = [
+        FeatureSpec("x", bins=bins),
+        FeatureSpec("y", bins=bins),
+        FeatureSpec("s", kind="categorical"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fitted = fit(table, specs)
+    catalog = list(fitted.catalog)
+    if catalog:
+        catalog += data.draw(st.lists(st.sampled_from(catalog), max_size=4))
+    model = BinarizationModel(fitted.columns, tuple(data.draw(st.permutations(catalog))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binarize, "_CODED_MIN_THRESHOLDS", cutoff)
+        mp.setattr(binarize, "_CODE_SPACE", code_space)
+        ds = transform(model, table)
+    ladders: dict[str, set] = {}
+    for feat in model.catalog:
+        if feat.op != "==":
+            ladders.setdefault(feat.column, set()).add(feat.threshold)
+    coded = any(cutoff <= len(steps) <= code_space - 2 for steps in ladders.values())
+    assert (ds.codes is not None) == coded
+    if coded:
+        assert ds.codes.size <= code_space
+        assert int(ds.codes.bins.max(initial=0)) < ds.codes.size
+    full = ds.full_mask
+    masks = [0, full, data.draw(st.integers(0, full)), ds.labels]
+    if ds.d:
+        picks = data.draw(st.lists(st.integers(0, ds.d - 1), max_size=3))
+        masks += [ds.coverage[k] for k in picks]
+    masks += [full ^ (1 << data.draw(st.integers(0, n - 1)))]
+    for mask in masks:
+        counts = ds.counts(mask)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [(mask & c).bit_count() for c in ds.coverage]
+    assert relabel(ds, [1] * n).codes is ds.codes

@@ -283,6 +283,23 @@ def test_parse_logs_accepts_subdirectory_layout(tmp_path):
     assert out.read_text().strip().split("\n")[1] == "0,1,0,0"
 
 
+def test_log_lines_split_at_line_endings_only(tmp_path, capsys):
+    """\x1c and U+2028 end a line for str.splitlines, not for a log file."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1\x1cheartbeat ok\n", encoding="utf-8")
+    (logs / "online.log").write_text(
+        "1970-01-01T00:00:05 worker 3\x1cheartbeat ok\r\n"
+        "1970-01-01T00:00:09 worker 4\u2028heartbeat ok",
+        encoding="utf-8",
+    )
+    out = tmp_path / "frame.csv"
+    code = main(["parse-logs", "--logs", str(logs), "--interval", "60", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().strip().split("\n")[1] == "0,2,0,0"
+    assert capsys.readouterr().err == "templates=1 intervals=1 skipped=0\n"
+
+
 def test_missing_fault_column_is_schema_error(tmp_path, capsys):
     data = tmp_path / "no_label.csv"
     write_csv_columns(data, {"m0": ["1", "0"], "service": ["a", "b"]})

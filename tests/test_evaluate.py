@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,30 @@ from ruleloc.evaluate import (
     cohen_kappa,
     planted_dataset,
     planted_fault_scenario,
-    stratified_fold_assignments,
     top_k_accuracy,
 )
 from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
+
+
+def stratified_fold_assignments(
+    fault_types: Sequence[str], n_folds: int = 5, seed: int = 0
+) -> list[int]:
+    """Seeded fold ids (0..n_folds-1), stratified by fault type."""
+    if n_folds < 2:
+        raise ValueError("need at least 2 folds")
+    rng = np.random.default_rng(seed)
+    folds = [0] * len(fault_types)
+    by_type: dict[str, list[int]] = {}
+    for i, ft in enumerate(fault_types):
+        by_type.setdefault(ft, []).append(i)
+    for ft in sorted(by_type):
+        members = by_type[ft]
+        order = rng.permutation(len(members))
+        for pos, idx in enumerate(order):
+            folds[members[idx]] = pos % n_folds
+    return folds
 
 
 def test_top_k_all_first():

@@ -1,11 +1,14 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ruleloc import binarize, select
+from ruleloc.binarize import CATEGORICAL, BinarizationModel, FeatureSpec, fit, relabel, transform
 from ruleloc.core import (
     TIE_EPS,
     BinaryDataset,
@@ -22,13 +25,16 @@ from ruleloc.generate import (
     _branch_search,
     _objective_polish,
     _replace_delete,
-    _surrogate_value_fn,
+    _SurrogateValue,
+    _scan,
+    _visits,
     generate_rule,
     greedy_ratio_seed,
     numerator_lower_bound,
     surrogate_offset,
     surrogate_value,
 )
+from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
 
@@ -709,7 +715,7 @@ def test_search_pieces_match_pre_merge_loops(instance, data):
             list(start),
             weights,
             state.bound_base(kind) + sum(weights[j] for j in start),
-            _surrogate_value_fn(state),
+            _SurrogateValue(state),
             config.local_search_eps,
         )
         assert got == _reference_local_search(ref_state, kind, config, start)
@@ -741,7 +747,7 @@ def test_replace_delete_matches_pre_merge_loop_on_seeded_draws():
                 list(start),
                 weights,
                 state.bound_base(kind) + sum(weights[j] for j in start),
-                _surrogate_value_fn(state),
+                _SurrogateValue(state),
                 config.local_search_eps,
             )
             assert got == _reference_local_search(ref_state, kind, config, start)
@@ -762,3 +768,136 @@ def test_generate_rule_matches_pre_merge_search_on_seeded_draws():
         assert got == _outcome(reference_generate_rule, ctx, config)
         compared += isinstance(got, Rule) and ctx.cover != 0 and ctx.alpha < 1
     assert compared >= 5
+
+
+# -- the learner on column bin codes -------------------------------------------
+
+
+coded_cells = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-3.0, 3.0).map(lambda x: round(x, 1)),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def coded_datasets(draw):
+    """Transformed tables whose ladders are counted from bin codes: tied and
+    missing cells, a categorical column on bitsets, a shuffled catalog, and
+    a cutoff low enough that short ladders get codes too."""
+    n = draw(st.integers(8, 60))
+    table = {c: draw(st.lists(coded_cells, min_size=n, max_size=n)) for c in "xyz"}
+    table["s"] = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    bins = draw(st.integers(3, 8))
+    specs = [FeatureSpec(c, bins=bins) for c in "xyz"] + [FeatureSpec("s", CATEGORICAL)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fitted = fit(table, specs)
+    model = BinarizationModel(fitted.columns, tuple(draw(st.permutations(fitted.catalog))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binarize, "_CODED_MIN_THRESHOLDS", draw(st.sampled_from([1, 2])))
+        unlabelled = transform(model, table)
+    assume(unlabelled.codes is not None)
+    labels = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=n, max_size=n))
+    assume(any(labels))
+    return relabel(unlabelled, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coded_datasets(), st.data())
+def test_generate_rule_on_codes_matches_pre_merge_search(ds, data):
+    cover = data.draw(st.integers(0, ds.full_mask))
+    alpha = data.draw(st.sampled_from([0.3, 0.55, 0.8, 1.0]))
+    ctx = ObjectiveContext(ds, cover, cover & ds.labels, alpha)
+    config = GenerationConfig(max_len=data.draw(st.integers(1, 4)), alpha=alpha)
+    assert _outcome(generate_rule, ctx, config) == _outcome(
+        reference_generate_rule, ctx, config
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(coded_datasets(), st.integers(1, 4), st.integers(1, 4))
+def test_select_rule_set_on_codes_matches_pre_merge_search(ds, max_rules, max_len):
+    sel = SelectionConfig(max_rules=max_rules, max_len=max_len)
+    got = select_rule_set(ds, sel)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(select, "generate_rule", lambda ctx, cfg, trace: reference_generate_rule(ctx, cfg))
+        expected = select_rule_set(ds, sel)
+    assert got == expected
+
+
+# -- the candidate filter --------------------------------------------------------
+
+
+def brute_force_scan(values, best_val, best_j, key_of=None, best_key=None):
+    """Every non-skipped position in order (-inf marks a skipped one)."""
+    for j, val in enumerate(values):
+        if val == -math.inf:
+            continue
+        if val > best_val + TIE_EPS:
+            best_val, best_j, best_key = val, j, None
+        elif key_of is not None and val > best_val - TIE_EPS:
+            key = key_of(j)
+            if best_key is None:
+                best_key = key_of(best_j)
+            if key < best_key:
+                best_val, best_j, best_key = val, j, key
+    return best_val, best_j
+
+
+def _ulp_noise(values, steps):
+    """values moved by up to `steps` ulps each, as np.log may be off by."""
+    out = values.copy()
+    for j, k in enumerate(steps):
+        for _ in range(abs(k)):
+            out[j] = np.nextafter(out[j], math.copysign(math.inf, k))
+    return out
+
+
+def test_scan_redoes_a_tie_chain_that_drifts_below_the_filter():
+    """2,000 ties, each 0.9 * TIE_EPS below the last and with a smaller key,
+    walk the best about 1.8e-9 below the best value seen.  A later value
+    beats that best yet lies below what the filter keeps, so only the
+    rerun finds it."""
+    chain = [-k * 0.9 * TIE_EPS for k in range(2000)]
+    values = np.array(chain + [-1.5e-9, -3.0])
+    decisive = len(chain)
+    key_of = lambda j: (-j,)  # noqa: E731
+    assert decisive not in _visits(values, -math.inf)
+    wobbled = _ulp_noise(values, [(-1) ** j * 2 for j in range(len(values))])
+    for approx in (values, wobbled):
+        got = _scan(approx, lambda j: float(values[j]), -math.inf, None, key_of, ())
+        assert got == brute_force_scan(values, -math.inf, None, key_of, ())
+        assert got == (-1.5e-9, decisive)
+
+
+@st.composite
+def scan_cases(draw):
+    """Values from a few levels plus sub-TIE_EPS offsets, so that exact ties,
+    near ties and downward tie chains are common; some positions skipped."""
+    d = draw(st.integers(1, 60))
+    levels = draw(st.lists(st.sampled_from([-2.0, 0.0, 1e-9, 3.5, 4e4]), min_size=1, max_size=3))
+    values = np.array([
+        draw(st.sampled_from(levels)) - draw(st.integers(0, 3000)) * 0.4 * TIE_EPS
+        if draw(st.integers(0, 9))
+        else -math.inf
+        for _ in range(d)
+    ])
+    keys = draw(st.lists(st.integers(0, 5), min_size=d, max_size=d))
+    steps = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return values, keys, steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_cases(), st.sampled_from(["none", "value", "ties"]))
+def test_scan_matches_brute_force_scan(case, start):
+    values, keys, steps = case
+    approx = _ulp_noise(values, steps)
+    approx[values == -math.inf] = -math.inf
+    key_of = (lambda j: (keys[j], j)) if start == "ties" else None
+    best_val, best_j, best_key = -math.inf, None, ()
+    if start != "none":
+        best_val = float(values[0]) if values[0] > -math.inf else 0.0
+        best_j, best_key = -1, (3, -1)
+    got = _scan(approx, lambda j: float(values[j]), best_val, best_j, key_of, best_key)
+    assert got == brute_force_scan(values, best_val, best_j, key_of, best_key)

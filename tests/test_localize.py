@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleloc.core import Rule, RuleSet, RuleStats
+from ruleloc.core import Rule, RuleSet, RuleStats, bitset_of
 from ruleloc.localize import (
     Explanation,
     FaultModel,
@@ -16,8 +16,22 @@ from ruleloc.localize import (
     _ranked,
     localization_report,
     rank_window,
-    sample_vote,
 )
+
+
+def sample_vote(model: FaultModel, fault_type: str, sample_mask: int) -> float:
+    """Vote of one sample for one fault type.
+
+    The highest training precision among the type's rules covering the
+    sample, or 0 when no rule covers it.
+    """
+    rule_set = model.rule_set(fault_type)
+    best = 0.0
+    for rule, stats in zip(rule_set.rules, rule_set.stats or ()):
+        mask = bitset_of(rule.features)
+        if mask & sample_mask == mask and stats.precision > best:
+            best = stats.precision
+    return best
 
 
 def annotated(rules_with_precision):
