@@ -20,5 +20,5 @@ from ruleloc.core import (  # noqa: E402,F401
     cover_of_set,
     f1_score,
 )
-from ruleloc.generate import GenerationConfig, NoRuleFound, generate_rule  # noqa: E402,F401
+from ruleloc.generate import NoRuleFound, generate_rule  # noqa: E402,F401
 from ruleloc.select import SelectionConfig, alpha_schedule, select_rule_set  # noqa: E402,F401

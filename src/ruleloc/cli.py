@@ -33,9 +33,7 @@ from ruleloc.binarize import (
     row_feature_masks,
     transform,
 )
-from ruleloc.core import InvalidDatasetError
 from ruleloc.evaluate import IncidentCase, evaluate_cases
-from ruleloc.generate import GenerationConfig
 from ruleloc.localize import FaultModel, QueryWindow, localization_report
 from ruleloc.logfeatures import (
     DEFAULT_SIMILARITY,
@@ -65,15 +63,20 @@ DEFAULTS = {
 }
 
 
+EXIT_CODES = {
+    "schema-error": EXIT_SCHEMA,
+    "invalid-data": EXIT_INVALID_DATA,
+    "io-error": EXIT_IO,
+}
+
+
 class CliError(Exception):
-    def __init__(self, category: str, message: str, code: int):
+    """An error that main prints as "category: message", exiting with
+    EXIT_CODES[category]."""
+
+    def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
-        self.code = code
-
-
-def _fail(category: str, message: str, code: int) -> CliError:
-    return CliError(category, message, code)
 
 
 def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
@@ -90,28 +93,24 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
             try:
                 header = next(reader)
             except StopIteration:
-                raise _fail("invalid-data", f"{path}: empty CSV", EXIT_INVALID_DATA)
+                raise CliError("invalid-data", f"{path}: empty CSV")
             columns: dict[str, list[str]] = {}
             for name in header:
                 if name in columns:
-                    raise _fail(
-                        "schema-error", f"{path}: duplicate column {name!r}", EXIT_SCHEMA
-                    )
+                    raise CliError("schema-error", f"{path}: duplicate column {name!r}")
                 columns[name] = []
             appends = [columns[name].append for name in header]
             for row in reader:
                 if not row:
-                    raise _fail(
+                    raise CliError(
                         "invalid-data",
                         f"{path}: line {reader.line_num}: blank line",
-                        EXIT_INVALID_DATA,
                     )
                 if len(row) > len(header):
-                    raise _fail(
+                    raise CliError(
                         "invalid-data",
                         f"{path}: line {reader.line_num}: {len(row)} fields,"
                         f" header has {len(header)}",
-                        EXIT_INVALID_DATA,
                     )
                 for append, value in zip(appends, row):
                     append(value)
@@ -119,7 +118,7 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
                     append("")
             return columns
     except OSError as exc:
-        raise _fail("io-error", f"{path}: {exc}", EXIT_IO)
+        raise CliError("io-error", f"{path}: {exc}")
 
 
 def write_csv_columns(path: str | Path, table: dict[str, list]) -> None:
@@ -139,27 +138,54 @@ def _load_config(path: Optional[str]) -> dict:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise _fail("io-error", f"{path}: {exc}", EXIT_IO)
+        raise CliError("io-error", f"{path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail("invalid-data", f"{path}: bad JSON config: {exc}", EXIT_INVALID_DATA)
+        raise CliError("invalid-data", f"{path}: bad JSON config: {exc}")
+    if not isinstance(cfg, dict):
+        raise CliError("invalid-data", f"{path}: config must be a JSON object")
     if cfg.get("schema_version") not in (None, SCHEMA_VERSION):
-        raise _fail(
-            "schema-error",
-            f"{path}: unsupported config schema version",
-            EXIT_SCHEMA,
-        )
+        raise CliError("schema-error", f"{path}: unsupported config schema version")
     return cfg
 
 
-def _setting(args, cfg: dict, section: str, key: str, arg_name: Optional[str] = None):
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {json.dumps(value)}")
+    return value
+
+
+def _texts(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of strings, got {json.dumps(value)}")
+    return value
+
+
+def _config_value(args, cfg: dict, path: str, kind):
+    """The config value at dotted path converted by kind, None if absent.
+
+    A value that kind rejects, null included, is invalid data naming the
+    config file and the path.
+    """
+    *sections, key = path.split(".")
+    for section in sections:
+        cfg = cfg.get(section, {})
+        if not isinstance(cfg, dict):
+            raise CliError("invalid-data", f"{args.config}: {section}: must be a JSON object")
+    if key not in cfg:
+        return None
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise CliError("invalid-data", f"{args.config}: {path}: {exc}")
+
+
+def _setting(args, cfg: dict, path: str, kind, arg_name: Optional[str] = None):
     """Flag wins over config file wins over built-in default."""
+    key = path.rsplit(".", 1)[-1]
     value = getattr(args, arg_name or key, None)
-    if value is not None:
-        return value
-    sect = cfg.get(section, {})
-    if key in sect:
-        return sect[key]
-    return DEFAULTS.get(key)
+    if value is None:
+        value = _config_value(args, cfg, path, kind)
+    return DEFAULTS.get(key) if value is None else value
 
 
 def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
@@ -198,17 +224,15 @@ def _log_feature_columns(
 ) -> None:
     """Join per-interval log novelty counters onto the metric table."""
     if timestamp_col not in table:
-        raise _fail(
+        raise CliError(
             "schema-error",
             f"{data_path}: timestamp column {timestamp_col!r} required to join log features",
-            EXIT_SCHEMA,
         )
     for name in LOG_COLUMNS:
         if name in table:
-            raise _fail(
+            raise CliError(
                 "schema-error",
                 f"{data_path}: column {name!r} is reserved for the --logs features",
-                EXIT_SCHEMA,
             )
     normal_lines = _collect_log_lines(logs_dir, "normal")
     online_lines = _collect_log_lines(logs_dir, "online")
@@ -226,11 +250,10 @@ def _log_feature_columns(
             try:
                 epoch = parse_timestamp(raw, timestamp_format)
             except ValueError:
-                raise _fail(
+                raise CliError(
                     "invalid-data",
                     f"{data_path}: column {timestamp_col!r}, row {i}:"
                     f" unparseable timestamp {raw!r}",
-                    EXIT_INVALID_DATA,
                 )
             joined[raw] = counters.get((epoch // interval) * interval, (0, 0, 0))
         t, u, dnew = joined[raw]
@@ -266,30 +289,30 @@ def _dataset_sha256(path: str | Path) -> str:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    fault_col = _setting(args, cfg, "columns", "fault_type", "fault_col")
-    service_col = _setting(args, cfg, "columns", "service", "service_col")
-    timestamp_col = _setting(args, cfg, "columns", "timestamp", "timestamp_col")
-    normal_label = _setting(args, cfg, "columns", "normal_label")
+    fault_col = _setting(args, cfg, "columns.fault_type", _text, "fault_col")
+    service_col = _setting(args, cfg, "columns.service", _text, "service_col")
+    timestamp_col = _setting(args, cfg, "columns.timestamp", _text, "timestamp_col")
+    normal_label = _setting(args, cfg, "columns.normal_label", _text)
     categorical = set(
         args.categorical.split(",")
         if args.categorical
-        else cfg.get("columns", {}).get("categorical", [])
+        else _config_value(args, cfg, "columns.categorical", _texts) or []
     )
     categorical.discard("")
-    k = int(_setting(args, cfg, "training", "K", "K"))
-    max_len = int(_setting(args, cfg, "training", "l", "l"))
-    bins = int(_setting(args, cfg, "training", "bins"))
-    gamma = float(_setting(args, cfg, "training", "gamma"))
-    interval = float(_setting(args, cfg, "logs", "interval"))
-    sim = float(_setting(args, cfg, "logs", "similarity"))
-    ts_format = args.timestamp_format or cfg.get("logs", {}).get("timestamp_format")
+    k = _setting(args, cfg, "training.K", int)
+    max_len = _setting(args, cfg, "training.l", int)
+    bins = _setting(args, cfg, "training.bins", int)
+    gamma = _setting(args, cfg, "training.gamma", float)
+    interval = _setting(args, cfg, "logs.interval", float)
+    sim = _setting(args, cfg, "logs.similarity", float)
+    ts_format = args.timestamp_format or _config_value(
+        args, cfg, "logs.timestamp_format", _text
+    )
 
     started = time.perf_counter()
     table = read_csv_columns(args.data)
     if fault_col not in table:
-        raise _fail(
-            "schema-error", f"fault-type column {fault_col!r} not in {args.data}", EXIT_SCHEMA
-        )
+        raise CliError("schema-error", f"fault-type column {fault_col!r} not in {args.data}")
     if args.logs:
         _log_feature_columns(
             table, args.data, timestamp_col, Path(args.logs), interval, sim, ts_format
@@ -300,27 +323,25 @@ def cmd_train(args) -> int:
     try:
         parse_numeric_columns(table, specs)
     except InvalidValueError as exc:
-        raise _fail("invalid-data", f"{args.data}: {exc}", EXIT_INVALID_DATA)
+        raise CliError("invalid-data", f"{args.data}: {exc}")
     model_bin = fit(table, specs)
 
     fault_values = table[fault_col]
     negatives = {normal_label, ""}
     fault_types = sorted({v for v in fault_values if v not in negatives})
-    declared = cfg.get("fault_types")
+    declared = _config_value(args, cfg, "fault_types", _texts)
     if declared:
         for name in declared:
             if name not in fault_types:
                 warnings.warn(f"fault type {name!r} has zero positive rows; skipped")
         fault_types = [t for t in fault_types if t in declared]
     if not fault_types:
-        raise _fail(
+        raise CliError(
             "invalid-data",
             f"no positive rows under any fault type in column {fault_col!r}",
-            EXIT_INVALID_DATA,
         )
 
     sel = SelectionConfig(max_rules=k, gamma=gamma, max_len=max_len)
-    gen = GenerationConfig(max_len=max_len)
 
     # One binarization serves every fault type; only the labels differ.
     unlabelled = transform(model_bin, table)
@@ -328,15 +349,10 @@ def cmd_train(args) -> int:
     for fault_type in fault_types:
         dataset = relabel(unlabelled, [v == fault_type for v in fault_values])
         records: list = []
-        mm_records: list = []
         rule_set = select_rule_set(
-            dataset,
-            sel,
-            gen,
-            trace=records.append if args.trace else None,
-            gen_trace=mm_records.append if args.trace else None,
+            dataset, sel, trace=records.append if args.trace else None
         )
-        results[fault_type] = (rule_set, (records, mm_records))
+        results[fault_type] = (rule_set, records)
 
     rule_sets = tuple((name, results[name][0]) for name in fault_types)
     model = FaultModel(
@@ -356,7 +372,6 @@ def cmd_train(args) -> int:
                 "service_col": service_col,
                 "timestamp_col": timestamp_col,
                 "categorical": sorted(categorical),
-                "seed": args.seed,
             },
         },
     )
@@ -371,22 +386,20 @@ def cmd_train(args) -> int:
                 f"  [precision={stats.precision:.3f} recall={stats.recall:.3f}"
                 f" covered={stats.covered}]"
             )
-        if args.trace:
-            selection_records, mm_records = results[name][1]
-            for rec in selection_records:
+        for rec in results[name][1]:
+            for mm in rec.mm:
                 print(
-                    f"trace: type={name} i={rec.iteration} alpha={rec.alpha:.6f}"
-                    f" rule={None if rec.rule is None else rec.rule.features}"
-                    f" accepted={rec.accepted} reason={rec.reason}",
+                    f"trace: type={name} mm t={mm.iteration} branch={mm.branch}"
+                    f" size={len(mm.rule.features)} V={mm.surrogate:.6g}"
+                    f" W={mm.objective:.6g}",
                     file=sys.stderr,
                 )
-            for rec in mm_records:
-                print(
-                    f"trace: type={name} mm t={rec.iteration} branch={rec.branch}"
-                    f" size={len(rec.rule.features)} V={rec.surrogate:.6g}"
-                    f" W={rec.objective:.6g}",
-                    file=sys.stderr,
-                )
+            print(
+                f"trace: type={name} i={rec.iteration} alpha={rec.alpha:.6f}"
+                f" rule={None if rec.rule is None else rec.rule.features}"
+                f" accepted={rec.accepted} reason={rec.reason}",
+                file=sys.stderr,
+            )
     print(f"trained {len(rule_sets)} fault type(s) in {elapsed:.2f} s")
     return EXIT_OK
 
@@ -395,11 +408,11 @@ def _load_model(path: str) -> FaultModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail("io-error", f"{path}: {exc}", EXIT_IO)
+        raise CliError("io-error", f"{path}: {exc}")
     try:
         return FaultModel.from_json(text)
     except (KeyError, ValueError) as exc:
-        raise _fail("schema-error", f"{path}: {exc}", EXIT_SCHEMA)
+        raise CliError("schema-error", f"{path}: {exc}")
 
 
 def _window_from_table(
@@ -407,34 +420,29 @@ def _window_from_table(
     table: dict[str, list[str]],
     path: str | Path,
     service_col: str,
-    timestamp_col: str = "timestamp",
 ) -> QueryWindow:
     if model.binarization is None:
-        raise _fail(
-            "schema-error", "model carries no binarization catalog", EXIT_SCHEMA
-        )
+        raise CliError("schema-error", "model carries no binarization catalog")
     if service_col not in table:
-        raise _fail(
+        raise CliError(
             "schema-error",
             f"{path}: service column {service_col!r} missing from window",
-            EXIT_SCHEMA,
         )
     try:
         masks = row_feature_masks(model.binarization, table)
     except SchemaError as exc:
-        raise _fail("schema-error", f"{path}: {exc}", EXIT_SCHEMA)
+        raise CliError("schema-error", f"{path}: {exc}")
     except InvalidValueError as exc:
-        raise _fail("invalid-data", f"{path}: {exc}", EXIT_INVALID_DATA)
-    timestamps = tuple(table.get(timestamp_col, ()))
+        raise CliError("invalid-data", f"{path}: {exc}")
     try:
-        return QueryWindow(tuple(masks), tuple(table[service_col]), timestamps)
+        return QueryWindow(tuple(masks), tuple(table[service_col]))
     except ValueError as exc:
-        raise _fail("invalid-data", f"{path}: {exc}", EXIT_INVALID_DATA)
+        raise CliError("invalid-data", f"{path}: {exc}")
 
 
 def cmd_localize(args) -> int:
     cfg = _load_config(args.config)
-    service_col = _setting(args, cfg, "columns", "service", "service_col")
+    service_col = _setting(args, cfg, "columns.service", _text, "service_col")
     model = _load_model(args.model)
     table = read_csv_columns(args.data)
     window = _window_from_table(model, table, args.data, service_col)
@@ -451,7 +459,7 @@ def _manifest_entries(path: str, manifest) -> list[dict]:
     """The manifest's cases, each checked to name its window and ground truths."""
 
     def invalid(message: str) -> CliError:
-        return _fail("invalid-data", f"{path}: {message}", EXIT_INVALID_DATA)
+        return CliError("invalid-data", f"{path}: {message}")
 
     if not isinstance(manifest, dict):
         raise invalid("manifest must be a JSON object")
@@ -471,14 +479,14 @@ def _manifest_entries(path: str, manifest) -> list[dict]:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    service_col = _setting(args, cfg, "columns", "service", "service_col")
+    service_col = _setting(args, cfg, "columns.service", _text, "service_col")
     model = _load_model(args.model)
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise _fail("io-error", f"{args.manifest}: {exc}", EXIT_IO)
+        raise CliError("io-error", f"{args.manifest}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail("invalid-data", f"{args.manifest}: {exc}", EXIT_INVALID_DATA)
+        raise CliError("invalid-data", f"{args.manifest}: {exc}")
     base_dir = Path(args.manifest).parent
     cases = []
     for entry in _manifest_entries(args.manifest, manifest):
@@ -487,7 +495,7 @@ def cmd_eval(args) -> int:
         window = _window_from_table(model, table, window_path, service_col)
         cases.append(IncidentCase(window, entry["true_fault"], entry["true_service"]))
     if not cases:
-        raise _fail("invalid-data", f"{args.manifest}: no cases", EXIT_INVALID_DATA)
+        raise CliError("invalid-data", f"{args.manifest}: no cases")
     report = evaluate_cases(model, cases)
     sys.stdout.write(report.to_table())
     if args.out:
@@ -498,18 +506,14 @@ def cmd_eval(args) -> int:
 def cmd_export_fingerprints(args) -> int:
     model = _load_model(args.model)
     if not model.rule_sets:
-        raise _fail("invalid-data", "model contains no fault types", EXIT_INVALID_DATA)
+        raise CliError("invalid-data", "model contains no fault types")
     fingerprints = []
     for name, rule_set in model.rule_sets:
         entries = set()
         for rule in rule_set.rules:
             for j in rule.features:
                 if model.binarization is None:
-                    raise _fail(
-                        "schema-error",
-                        "model carries no binarization catalog",
-                        EXIT_SCHEMA,
-                    )
+                    raise CliError("schema-error", "model carries no binarization catalog")
                 feat = model.binarization.catalog[j]
                 if feat.op == ">":
                     entries.add((feat.column, "high", feat.threshold))
@@ -550,16 +554,16 @@ def cmd_export_fingerprints(args) -> int:
 
 def cmd_parse_logs(args) -> int:
     cfg = _load_config(args.config)
-    interval = float(_setting(args, cfg, "logs", "interval"))
-    sim = float(_setting(args, cfg, "logs", "similarity"))
-    ts_format = args.timestamp_format or cfg.get("logs", {}).get("timestamp_format")
+    interval = _setting(args, cfg, "logs.interval", float)
+    sim = _setting(args, cfg, "logs.similarity", float)
+    ts_format = args.timestamp_format or _config_value(
+        args, cfg, "logs.timestamp_format", _text
+    )
     logs_dir = Path(args.logs)
     normal_lines = _collect_log_lines(logs_dir, "normal")
     online_lines = _collect_log_lines(logs_dir, "online")
     if not online_lines:
-        raise _fail(
-            "invalid-data", f"no online* log files under {logs_dir}", EXIT_INVALID_DATA
-        )
+        raise CliError("invalid-data", f"no online* log files under {logs_dir}")
     base = build_template_base(normal_lines, sim=sim)
     frame = match_and_aggregate(base, online_lines, interval, ts_format)
     text = frame.to_csv()
@@ -584,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags win over it")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
 
     p_train = sub.add_parser("train", help="learn per-fault-type rule sets")
     common(p_train)
@@ -648,20 +651,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"{exc.category}: {exc}", file=sys.stderr)
-        return exc.code
+        error = exc
     except SchemaError as exc:
-        print(f"schema-error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except InvalidDatasetError as exc:
-        print(f"invalid-data: {exc}", file=sys.stderr)
-        return EXIT_INVALID_DATA
+        error = CliError("schema-error", str(exc))
     except OSError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError) as exc:
-        print(f"invalid-data: {exc}", file=sys.stderr)
-        return EXIT_INVALID_DATA
+        error = CliError("io-error", str(exc))
+    except (ValueError, KeyError) as exc:  # InvalidDatasetError among them
+        error = CliError("invalid-data", str(exc))
+    print(f"{error.category}: {error}", file=sys.stderr)
+    return EXIT_CODES[error.category]
 
 
 if __name__ == "__main__":

@@ -83,12 +83,6 @@ class Rule:
     def __contains__(self, j: int) -> bool:
         return j in self.features
 
-    def with_feature(self, j: int) -> "Rule":
-        return Rule(self.features + (j,))
-
-    def without_feature(self, j: int) -> "Rule":
-        return Rule(tuple(k for k in self.features if k != j))
-
 
 @dataclass(frozen=True)
 class RuleStats:

@@ -26,7 +26,13 @@ the value needs it).  A numpy twin of the value function then estimates
 every candidate's value, and only the candidates that can change the
 scan's outcome are scored exactly, in scan order, with the scalar
 math.log code (see _scan).  Every decision is taken on those exact
-values, so the result is the same as scoring every candidate.
+values, so the result is the same as scoring every candidate.  The
+greedy seed's precision ratios are exact in numpy already, so it
+compares only the ratios that rise above every earlier one.
+
+The solver takes two settings: the rule length cap, passed to
+generate_rule, and the distortion weight alpha, carried by the
+ObjectiveContext.  Its iteration cap and stopping tolerances are fixed.
 """
 
 from __future__ import annotations
@@ -49,28 +55,12 @@ class NoRuleFound(Exception):
     """No rule can improve the current cover (stop signal for selection)."""
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Knobs of the subproblem solver.
-
-    max_len caps rule length; alpha is the distortion weight; the eps
-    values implement early stopping (a surrogate step must beat the
-    incumbent by more than local_search_eps to commit).
-    """
-
-    max_len: int = 6
-    alpha: float = 1.0
-    max_mm_iters: int = 50
-    improvement_eps: float = 1e-9
-    local_search_eps: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.improvement_eps <= 0 or self.local_search_eps <= 0:
-            raise ValueError("eps values must be positive")
+# The MM loop stops after this many iterations, or once an iteration gains
+# no more than _IMPROVEMENT_EPS in objective; a replace/delete move commits
+# only when it beats the current value by more than _LOCAL_SEARCH_EPS.
+_MAX_MM_ITERS = 50
+_IMPROVEMENT_EPS = 1e-9
+_LOCAL_SEARCH_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -214,6 +204,12 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     when no feature keeps the newly covered positive mass non-empty; may
     return the empty rule if no single feature covers an uncovered
     positive.
+
+    A feature takes the lead when its ratio beats the best by more than
+    TIE_EPS, so ties go to the smaller index.  The numpy ratios are exact
+    (one IEEE division of counts below 2**53, as int / int), and the best
+    never falls more than TIE_EPS below the largest ratio seen, so only a
+    ratio above every earlier one is compared.
     """
     ds = ctx.dataset
     cov = ds.coverage
@@ -224,9 +220,13 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
         pos = ds.counts(new & ds.labels)
         hit = pos > 0
         hit[chosen] = False
-        approx = np.full(ds.d, -math.inf)
-        approx[hit] = pos[hit] / counts[hit]
-        _, best_j = _scan(approx, lambda j: int(pos[j]) / int(counts[j]), -1.0, -1)
+        ratio = np.full(ds.d, -1.0)
+        ratio[hit] = pos[hit] / counts[hit]
+        prior = np.maximum.accumulate(np.concatenate(([-1.0], ratio[:-1])))
+        best_ratio, best_j = -1.0, -1
+        for j in np.flatnonzero(ratio > prior).tolist():
+            if ratio[j] > best_ratio + TIE_EPS:
+                best_ratio, best_j = ratio[j], j
         if best_j < 0:
             break
         chosen.append(best_j)
@@ -360,9 +360,8 @@ def _replace_delete(
     weights: np.ndarray,
     bound: int,
     value: _ValueFn,
-    eps: float,
 ) -> list[int]:
-    """Replace or delete single features while `value` improves by > eps.
+    """Replace or delete single features while `value` improves by > _LOCAL_SEARCH_EPS.
 
     For each feature i of the rule, the best move is deleting i (never down
     to the empty rule) or replacing it with a feature j outside the rule;
@@ -413,7 +412,7 @@ def _replace_delete(
                 lambda j: tuple(sorted(rest + [j])),
                 best_key,
             )
-            if best_j is not None and best_val > current + eps:
+            if best_j is not None and best_val > current + _LOCAL_SEARCH_EPS:
                 if best_j < 0:
                     features, bound = rest, rest_bound
                 else:
@@ -424,7 +423,7 @@ def _replace_delete(
     return features
 
 
-def _branch_search(state: SurrogateState, kind: int, config: GenerationConfig) -> Rule:
+def _branch_search(state: SurrogateState, kind: int, max_len: int) -> Rule:
     """Greedy insertion, then replace/delete search, under surrogate `kind`."""
     ctx = state.ctx
     ds = ctx.dataset
@@ -434,7 +433,7 @@ def _branch_search(state: SurrogateState, kind: int, config: GenerationConfig) -
     bound = state.bound_base(kind)
     new = ds.full_mask & ~ctx.cover
     current = value(bound, new.bit_count(), 0)
-    while len(features) < config.max_len:
+    while len(features) < max_len:
         counts = ds.counts(new)
         approx = value.batch(bound + weights, counts, None)
         approx[features] = -math.inf
@@ -452,13 +451,11 @@ def _branch_search(state: SurrogateState, kind: int, config: GenerationConfig) -
         new &= ds.coverage[best_j]
         bound += int(weights[best_j])
         current = best_val
-    features = _replace_delete(
-        ctx, features, weights, bound, value, config.local_search_eps
-    )
+    features = _replace_delete(ctx, features, weights, bound, value)
     return Rule(tuple(features))
 
 
-def _objective_polish(ctx: ObjectiveContext, rule: Rule, config: GenerationConfig) -> Rule:
+def _objective_polish(ctx: ObjectiveContext, rule: Rule) -> Rule:
     """Replace/delete single features while the true objective improves.
 
     Run once on the MM result, this makes the returned rule a 1-swap local
@@ -472,7 +469,6 @@ def _objective_polish(ctx: ObjectiveContext, rule: Rule, config: GenerationConfi
         np.zeros(ctx.dataset.d, dtype=np.int64),
         0,
         _ObjectiveValue(ctx),
-        config.local_search_eps,
     )
     return Rule(tuple(features))
 
@@ -482,23 +478,28 @@ TraceSink = Callable[[MMTraceRecord], None]
 
 def generate_rule(
     ctx: ObjectiveContext,
-    config: GenerationConfig,
+    max_len: int,
     trace: Optional[TraceSink] = None,
 ) -> Rule:
-    """Approximately maximize the single-rule objective.
+    """Approximately maximize the single-rule objective over rules of at
+    most max_len features, at the distortion weight ctx.alpha.
 
     Seeds with the precision-ratio greedy rule, then alternates surrogate
     construction and surrogate maximization; each iteration keeps the best
     of the two branch results and the previous anchor under the true
     objective, so the objective trace is non-decreasing.  A final
     replace/delete pass on the true objective makes the returned rule a
-    1-swap local optimum.  Raises NoRuleFound when every positive is
+    1-swap local optimum.  trace, if given, receives one MMTraceRecord per
+    seed, branch, anchor and changing polish, in that order.  Raises
+    ValueError when max_len < 1, and NoRuleFound when every positive is
     already covered or no feature covers a new positive.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     ds = ctx.dataset
     if ds.labels & ~ctx.cover_pos == 0:
         raise NoRuleFound("every positive sample is already covered")
-    seed = greedy_ratio_seed(ctx, config.max_len)
+    seed = greedy_ratio_seed(ctx, max_len)
     if not seed.features:
         raise NoRuleFound("no feature covers an uncovered positive sample")
 
@@ -507,11 +508,11 @@ def generate_rule(
     if trace:
         trace(MMTraceRecord(0, "seed", anchor, math.nan, anchor_obj))
 
-    for t in range(1, config.max_mm_iters + 1):
+    for t in range(1, _MAX_MM_ITERS + 1):
         state = SurrogateState.build(ctx, anchor)
         best, best_obj = anchor, anchor_obj
         for kind in (1, 2):
-            branch = _branch_search(state, kind, config)
+            branch = _branch_search(state, kind, max_len)
             if not branch.features:
                 continue
             obj = rule_objective(ctx, branch)
@@ -529,15 +530,15 @@ def generate_rule(
             trace(MMTraceRecord(t, "anchor", best, math.nan, best_obj))
         if best == anchor:
             break
-        stalled = best_obj - anchor_obj <= config.improvement_eps
+        stalled = best_obj - anchor_obj <= _IMPROVEMENT_EPS
         anchor, anchor_obj = best, best_obj
         if stalled:  # early stop: the iteration no longer improves materially
             break
-    polished = _objective_polish(ctx, anchor, config)
+    polished = _objective_polish(ctx, anchor)
     if trace and polished != anchor:
         trace(
             MMTraceRecord(
-                config.max_mm_iters + 1,
+                _MAX_MM_ITERS + 1,
                 "polish",
                 polished,
                 math.nan,

@@ -34,13 +34,10 @@ class QueryWindow:
 
     samples: tuple[int, ...]
     services: tuple[str, ...]
-    timestamps: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.samples) != len(self.services):
             raise ValueError("each sample needs a service id")
-        if self.timestamps and len(self.timestamps) != len(self.samples):
-            raise ValueError("timestamps must align with samples")
         if not self.samples:
             raise ValueError("query window must contain at least one sample")
 

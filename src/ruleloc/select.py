@@ -11,7 +11,7 @@ objective against the accumulated cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ruleloc.core import (
@@ -25,7 +25,7 @@ from ruleloc.core import (
     cover_of_rule,
     pos_log_gain,
 )
-from ruleloc.generate import GenerationConfig, NoRuleFound, generate_rule
+from ruleloc.generate import MMTraceRecord, NoRuleFound, generate_rule
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,11 @@ def alpha_schedule(max_rules: int, gamma: float) -> list[float]:
 
 @dataclass(frozen=True)
 class SelectionTraceRecord:
-    """Diagnostics for one outer iteration."""
+    """Diagnostics for one outer iteration.
+
+    mm holds the MM records of the generate_rule call that produced this
+    iteration's rule (empty when it found none).
+    """
 
     iteration: int
     alpha: float
@@ -69,6 +73,7 @@ class SelectionTraceRecord:
     reason: str
     pos_gain: float
     cover_gain: float
+    mm: tuple[MMTraceRecord, ...]
 
 
 SelectionTraceSink = Callable[[SelectionTraceRecord], None]
@@ -77,9 +82,7 @@ SelectionTraceSink = Callable[[SelectionTraceRecord], None]
 def select_rule_set(
     dataset: BinaryDataset,
     sel: Optional[SelectionConfig] = None,
-    gen: Optional[GenerationConfig] = None,
     trace: Optional[SelectionTraceSink] = None,
-    gen_trace=None,
 ) -> RuleSet:
     """Assemble and annotate a rule set for one positive class.
 
@@ -88,10 +91,11 @@ def select_rule_set(
     positive sample: the positive-coverage term of an empty set is log(0),
     so any positive coverage is an infinite improvement.  Later rules use
     the exact finite marginals.  A duplicate of an already selected rule
-    is always rejected (its true marginal cover is empty).
+    is always rejected (its true marginal cover is empty).  trace, if
+    given, receives one record per iteration; MM records are built only
+    then.
     """
     sel = sel or SelectionConfig()
-    gen = gen or GenerationConfig()
     if dataset.positives == 0:
         raise InvalidDatasetError("training requires at least one positive sample")
 
@@ -100,38 +104,27 @@ def select_rule_set(
     cover_pos = 0
     for i, alpha in enumerate(alpha_schedule(sel.max_rules, sel.gamma)):
         ctx = ObjectiveContext(dataset, cover, cover_pos, alpha)
-        gcfg = replace(gen, alpha=alpha, max_len=sel.max_len)
+        mm: list[MMTraceRecord] = []
+        gain_pos = gain_cover = math.nan
+        accepted = False
         try:
-            rule = generate_rule(ctx, gcfg, trace=gen_trace)
+            rule = generate_rule(ctx, sel.max_len, trace=mm.append if trace else None)
+            reason = "duplicate rule" if rule in rules else None
         except NoRuleFound as stop:
-            if trace:
-                trace(
-                    SelectionTraceRecord(
-                        i, alpha, None, False, str(stop), math.nan, math.nan
-                    )
-                )
-            continue
-        if rule in rules:
-            if trace:
-                trace(
-                    SelectionTraceRecord(
-                        i, alpha, rule, False, "duplicate rule", math.nan, math.nan
-                    )
-                )
-            continue
-        gain_pos = pos_log_gain(ctx, rule)
-        gain_cover = cover_log_gain(ctx, rule)
-        if not rules:
-            new_pos = cover_of_rule(dataset, rule) & dataset.labels
-            accepted = new_pos != 0
-            reason = "first rule covers positives" if accepted else "covers no positive"
-        else:
-            accepted = alpha * gain_pos - gain_cover > 0.0
-            reason = "positive distorted gain" if accepted else "non-positive distorted gain"
+            rule, reason = None, str(stop)
+        if reason is None:
+            gain_pos = pos_log_gain(ctx, rule)
+            gain_cover = cover_log_gain(ctx, rule)
+            if not rules:
+                accepted = (cover_of_rule(dataset, rule) & dataset.labels) != 0
+                reason = "first rule covers positives" if accepted else "covers no positive"
+            else:
+                accepted = alpha * gain_pos - gain_cover > 0.0
+                reason = "positive distorted gain" if accepted else "non-positive distorted gain"
         if trace:
             trace(
                 SelectionTraceRecord(
-                    i, alpha, rule, accepted, reason, gain_pos, gain_cover
+                    i, alpha, rule, accepted, reason, gain_pos, gain_cover, tuple(mm)
                 )
             )
         if accepted:

@@ -37,7 +37,6 @@ from ruleloc.evaluate import (
     top_k_accuracy,
 )
 from ruleloc.generate import (
-    GenerationConfig,
     NoRuleFound,
     SurrogateState,
     generate_rule,
@@ -110,7 +109,7 @@ def test_criterion_02_mm_monotonicity():
         try:
             generate_rule(
                 ObjectiveContext(ds, alpha=alpha),
-                GenerationConfig(max_len=int(rng.integers(2, 7)), alpha=alpha),
+                int(rng.integers(2, 7)),
                 trace=records.append,
             )
         except NoRuleFound:
@@ -361,7 +360,7 @@ def test_criterion_07_determinism(pipeline, tmp_path):
         records = []
         generate_rule(
             ObjectiveContext(inst, alpha=0.6),
-            GenerationConfig(max_len=4, alpha=0.6),
+            4,
             trace=records.append,
         )
         traces.append(records)

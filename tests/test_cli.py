@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from ruleloc import cli
+from ruleloc.binarize import SchemaError
 from ruleloc.cli import main, read_csv_columns, write_csv_columns
+from ruleloc.core import InvalidDatasetError
 from ruleloc.evaluate import planted_fault_scenario
 from ruleloc.localize import FaultModel
 
@@ -269,6 +272,11 @@ def test_train_trace_emits_diagnostics(tmp_path, scenario, capsys):
     err = capsys.readouterr().err
     assert "trace: type=" in err
     assert " mm t=" in err
+    lines = err.splitlines()
+    # each produced rule's MM lines come right before its selection line
+    for before, line in zip([""] + lines, lines):
+        if " i=" in line and " rule=None " not in line:
+            assert before.startswith(line.split(" i=")[0] + " mm t=")
 
 
 def test_parse_logs_accepts_subdirectory_layout(tmp_path):
@@ -314,6 +322,67 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     )
     assert code == 6
     assert capsys.readouterr().err.startswith("io-error:")
+
+
+def _tiny_train_csv(tmp_path):
+    data = tmp_path / "train.csv"
+    data.write_text("service,fault_type,a\ns1,f,1\ns2,normal,0\ns1,normal,0\n")
+    return data
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"training": {"K": [1]}}, "training.K: int() argument must be"),
+        ({"training": {"gamma": None}}, "training.gamma: float() argument must be"),
+        ({"training": {"K": "x"}}, "training.K: invalid literal for int()"),
+        ([1], "config must be a JSON object"),
+        ({"logs": [1]}, "logs: must be a JSON object"),
+        ({"columns": {"service": 3}}, "columns.service: expected a string, got 3"),
+        ({"columns": {"categorical": "a"}}, "columns.categorical: expected a list of strings"),
+        ({"fault_types": 5}, "fault_types: expected a list of strings, got 5"),
+    ],
+    ids=[
+        "K-list", "gamma-null", "K-text", "top-level-list", "section-list",
+        "column-number", "categorical-text", "fault-types-number",
+    ],
+)
+def test_bad_config_value_names_file_and_key(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["train", "--data", str(_tiny_train_csv(tmp_path)), "--model", str(tmp_path / "m.json")]
+    assert main(argv + ["--config", str(cfg)]) == 5
+    assert capsys.readouterr().err.startswith(f"invalid-data: {cfg}: {message}")
+
+
+def test_unwritable_model_path_is_io_error(tmp_path, capsys):
+    model = tmp_path / "absent" / "m.json"
+    argv = ["train", "--data", str(_tiny_train_csv(tmp_path)), "--model", str(model)]
+    assert main(argv) == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"io-error: [Errno 2] No such file or directory: '{model}'")
+
+
+@pytest.mark.parametrize(
+    "raised, line, code",
+    [
+        (SchemaError("no such column"), "schema-error: no such column", 4),
+        (InvalidDatasetError("no positives"), "invalid-data: no positives", 5),
+        (ValueError("bad value"), "invalid-data: bad value", 5),
+        (KeyError("k"), "invalid-data: 'k'", 5),
+    ],
+    ids=["SchemaError", "InvalidDatasetError", "ValueError", "KeyError"],
+)
+def test_uncaught_library_errors_map_to_their_exit_codes(
+    tmp_path, capsys, monkeypatch, raised, line, code
+):
+    def fail(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(cli, "select_rule_set", fail)
+    argv = ["train", "--data", str(_tiny_train_csv(tmp_path)), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_config_file_supplies_knobs_and_flags_win(tmp_path, scenario):

@@ -19,7 +19,6 @@ from ruleloc.core import (
     rule_objective,
 )
 from ruleloc.generate import (
-    GenerationConfig,
     NoRuleFound,
     SurrogateState,
     _branch_search,
@@ -232,6 +231,18 @@ def test_greedy_ratio_first_pick_matches_exhaustive_scan():
             assert seed.features == (best_j,)
 
 
+def test_greedy_ratio_all_ties_first_index_wins():
+    # Every feature has the same ratio at every step, so each step takes
+    # the smallest index not yet chosen.
+    ds = BinaryDataset(6, (0b111111,) * 5, 0b010101)
+    ctx = ObjectiveContext(ds)
+    assert greedy_ratio_seed(ctx, 3) == Rule((0, 1, 2)) == _reference_ratio_seed(ctx, 3)
+    # Ties below a strictly better ratio: the first of the best wins.
+    ds = BinaryDataset(6, (0b000011, 0b000101, 0b000101, 0b000011, 0b000101), 0b000101)
+    ctx = ObjectiveContext(ds)
+    assert greedy_ratio_seed(ctx, 1) == Rule((1,)) == _reference_ratio_seed(ctx, 1)
+
+
 def test_generate_rule_finds_perfect_separator():
     from ruleloc.core import BinaryDataset
 
@@ -239,13 +250,13 @@ def test_generate_rule_finds_perfect_separator():
     noise = [int(rng.integers(0, 1 << 40)) for _ in range(5)]
     labels = 0b1111 << 18
     ds = BinaryDataset(40, tuple(noise) + (labels,), labels)
-    rule = generate_rule(ObjectiveContext(ds), GenerationConfig(max_len=3))
+    rule = generate_rule(ObjectiveContext(ds), 3)
     assert rule.features == (5,)
 
 
 def test_generate_rule_toy_prefers_precise_rules(toy_dataset):
     ctx = ObjectiveContext(toy_dataset, alpha=0.5)
-    rule = generate_rule(ctx, GenerationConfig(max_len=1, alpha=0.5))
+    rule = generate_rule(ctx, 1)
     assert rule.features in ((0,), (1,))
 
 
@@ -255,9 +266,7 @@ def test_generate_rule_respects_length_cap():
         ds = random_dataset(rng, 80, 12)
         for max_len in (1, 2, 3):
             try:
-                rule = generate_rule(
-                    ObjectiveContext(ds, alpha=0.5), GenerationConfig(max_len=max_len)
-                )
+                rule = generate_rule(ObjectiveContext(ds, alpha=0.5), max_len)
             except NoRuleFound:
                 continue
             assert 1 <= len(rule.features) <= max_len
@@ -271,7 +280,7 @@ def test_generate_rule_monotone_trace():
         try:
             generate_rule(
                 ObjectiveContext(ds, alpha=0.6),
-                GenerationConfig(max_len=4),
+                4,
                 trace=records.append,
             )
         except NoRuleFound:
@@ -291,7 +300,7 @@ def test_generate_rule_never_below_seed():
         seed = greedy_ratio_seed(ctx, 3)
         if not seed.features:
             continue
-        rule = generate_rule(ctx, GenerationConfig(max_len=3, alpha=0.8))
+        rule = generate_rule(ctx, 3)
         assert rule_objective(ctx, rule) >= rule_objective(ctx, seed) - 1e-9
 
 
@@ -301,7 +310,7 @@ def test_generate_rule_is_one_swap_local_optimum():
         ds = random_dataset(rng, 80, 9)
         ctx = ObjectiveContext(ds, alpha=0.7)
         try:
-            rule = generate_rule(ctx, GenerationConfig(max_len=3, alpha=0.7))
+            rule = generate_rule(ctx, 3)
         except NoRuleFound:
             continue
         best = rule_objective(ctx, rule)
@@ -319,7 +328,7 @@ def test_generate_rule_is_one_swap_local_optimum():
 def test_generate_rule_signals_when_saturated(toy_dataset):
     ctx = ObjectiveContext.from_rules(toy_dataset, [Rule.of(0), Rule.of(1)])
     with pytest.raises(NoRuleFound):
-        generate_rule(ctx, GenerationConfig(max_len=2))
+        generate_rule(ctx, 2)
 
 
 def test_generate_rule_signals_without_positive_coverage():
@@ -328,16 +337,14 @@ def test_generate_rule_signals_without_positive_coverage():
     # the only positive (sample 0) is covered by no feature
     ds = BinaryDataset(4, (0b1110, 0b0100), 0b0001)
     with pytest.raises(NoRuleFound):
-        generate_rule(ObjectiveContext(ds), GenerationConfig(max_len=2))
+        generate_rule(ObjectiveContext(ds), 2)
 
 
-def test_config_validation():
+def test_config_validation(toy_dataset):
     with pytest.raises(ValueError):
-        GenerationConfig(max_len=0)
+        generate_rule(ObjectiveContext(toy_dataset), 0)
     with pytest.raises(ValueError):
-        GenerationConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        GenerationConfig(improvement_eps=0.0)
+        ObjectiveContext(toy_dataset, alpha=0.0)
 
 
 def test_surrogate_build_drop_penalty_full_matches_brute_force():
@@ -373,6 +380,25 @@ def test_surrogate_build_drop_penalty_full_matches_brute_force():
 
 
 # -- the pre-change search loops, kept verbatim as the equivalence oracle ------
+
+
+@dataclass(frozen=True)
+class GenerationConfig:
+    """The solver's former settings object; the oracles below read it."""
+
+    max_len: int = 6
+    alpha: float = 1.0
+    max_mm_iters: int = 50
+    improvement_eps: float = 1e-9
+    local_search_eps: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if self.improvement_eps <= 0 or self.local_search_eps <= 0:
+            raise ValueError("eps values must be positive")
 
 
 def _ref_num_count(dataset, cover, base_pos):
@@ -659,9 +685,9 @@ def search_instances(draw):
     return ctx, GenerationConfig(max_len=max_len, alpha=alpha)
 
 
-def _outcome(solver, ctx, config):
+def _outcome(solver, ctx, setting):
     try:
-        return solver(ctx, config)
+        return solver(ctx, setting)
     except NoRuleFound as stop:
         return str(stop)
 
@@ -670,7 +696,7 @@ def _outcome(solver, ctx, config):
 @given(search_instances())
 def test_generate_rule_matches_pre_merge_search(instance):
     ctx, config = instance
-    assert _outcome(generate_rule, ctx, config) == _outcome(
+    assert _outcome(generate_rule, ctx, config.max_len) == _outcome(
         reference_generate_rule, ctx, config
     )
 
@@ -700,13 +726,13 @@ def test_search_pieces_match_pre_merge_loops(instance, data):
     assert greedy_ratio_seed(ctx, config.max_len) == _reference_ratio_seed(
         ctx, config.max_len
     )
-    assert _objective_polish(ctx, rule, config) == _reference_objective_polish(
+    assert _objective_polish(ctx, rule) == _reference_objective_polish(
         ctx, rule, config
     )
     state = SurrogateState.build(ctx, rule)
     ref_state = _ReferenceState.build(ctx, rule)
     for kind in (1, 2):
-        assert _branch_search(state, kind, config) == _ReferenceBranchSearch(
+        assert _branch_search(state, kind, config.max_len) == _ReferenceBranchSearch(
             ref_state, kind, config
         ).run()
         weights = state.weights[kind - 1]
@@ -716,7 +742,6 @@ def test_search_pieces_match_pre_merge_loops(instance, data):
             weights,
             state.bound_base(kind) + sum(weights[j] for j in start),
             _SurrogateValue(state),
-            config.local_search_eps,
         )
         assert got == _reference_local_search(ref_state, kind, config, start)
 
@@ -748,7 +773,6 @@ def test_replace_delete_matches_pre_merge_loop_on_seeded_draws():
                 weights,
                 state.bound_base(kind) + sum(weights[j] for j in start),
                 _SurrogateValue(state),
-                config.local_search_eps,
             )
             assert got == _reference_local_search(ref_state, kind, config, start)
 
@@ -764,7 +788,7 @@ def test_generate_rule_matches_pre_merge_search_on_seeded_draws():
         ds = BinaryDataset(ds.n, tuple(cov), ds.labels)
         ctx = random_context_on(rng, ds, alpha=float(rng.choice([0.4, 0.7, 1.0])))
         config = GenerationConfig(max_len=4, alpha=ctx.alpha)
-        got = _outcome(generate_rule, ctx, config)
+        got = _outcome(generate_rule, ctx, config.max_len)
         assert got == _outcome(reference_generate_rule, ctx, config)
         compared += isinstance(got, Rule) and ctx.cover != 0 and ctx.alpha < 1
     assert compared >= 5
@@ -810,7 +834,7 @@ def test_generate_rule_on_codes_matches_pre_merge_search(ds, data):
     alpha = data.draw(st.sampled_from([0.3, 0.55, 0.8, 1.0]))
     ctx = ObjectiveContext(ds, cover, cover & ds.labels, alpha)
     config = GenerationConfig(max_len=data.draw(st.integers(1, 4)), alpha=alpha)
-    assert _outcome(generate_rule, ctx, config) == _outcome(
+    assert _outcome(generate_rule, ctx, config.max_len) == _outcome(
         reference_generate_rule, ctx, config
     )
 
@@ -821,7 +845,13 @@ def test_select_rule_set_on_codes_matches_pre_merge_search(ds, max_rules, max_le
     sel = SelectionConfig(max_rules=max_rules, max_len=max_len)
     got = select_rule_set(ds, sel)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(select, "generate_rule", lambda ctx, cfg, trace: reference_generate_rule(ctx, cfg))
+        mp.setattr(
+            select,
+            "generate_rule",
+            lambda ctx, max_len, trace: reference_generate_rule(
+                ctx, GenerationConfig(max_len=max_len, alpha=ctx.alpha)
+            ),
+        )
         expected = select_rule_set(ds, sel)
     assert got == expected
 
