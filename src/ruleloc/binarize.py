@@ -6,6 +6,11 @@ threshold t yields the pair of directional predicates (x <= t) and
 one-hot encoded.  The fitted model renders learned rules back into
 human-readable predicate strings and serializes to JSON.
 
+The fitted columns are the model: the feature catalog is derived from
+them in fit's order, (<= t, > t) per numeric threshold and (== c) per
+category.  The model JSON writes that catalog out for readers, and
+loading rejects a file whose stored catalog differs from it.
+
 Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
 the column maximum are dropped (they would produce an always-true and a
@@ -24,8 +29,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Mapping, MutableMapping, Optional, Sequence
+from functools import cached_property
+from itertools import accumulate, islice, zip_longest
+from typing import Iterator, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,10 +45,10 @@ CATEGORICAL = "categorical"
 
 DEFAULT_BINS = 100
 
-# transform gives a numeric column bin codes when its catalog holds at
-# least this many distinct thresholds.  A code histogram costs about the
-# same per sample whatever the column's ladder length, where the bitsets
-# cost one AND per feature, so short ladders stay cheaper on bitsets.
+# transform gives a numeric column bin codes when it has at least this
+# many thresholds.  A code histogram costs about the same per sample
+# whatever the column's ladder length, where the bitsets cost one AND per
+# feature, so short ladders stay cheaper on bitsets.
 _CODED_MIN_THRESHOLDS = 8
 # Codes are stored as uint16, so all coded columns share 2**16 codes.
 _CODE_SPACE = 1 << 16
@@ -65,12 +73,11 @@ class FeatureSpec:
             raise ValueError("numeric columns need bins >= 2")
 
 
-@dataclass(frozen=True)
-class ColumnModel:
-    name: str
-    kind: str
-    thresholds: tuple[float, ...] = ()
-    categories: tuple[str, ...] = ()
+def _feature_obj(column: str, op: str, threshold=None, category=None) -> dict:
+    """JSON form of one feature: a catalog entry, and the body of a rule predicate."""
+    if op == "==":
+        return {"column": column, "op": op, "category": category}
+    return {"column": column, "op": op, "threshold": threshold}
 
 
 @dataclass(frozen=True)
@@ -88,43 +95,88 @@ class BinaryFeature:
             return f"{self.column} == {self.category}"
         return f"{self.column} {self.op} {self.threshold!r}"
 
+    def to_json_obj(self) -> dict:
+        return _feature_obj(self.column, self.op, self.threshold, self.category)
+
+
+@dataclass(frozen=True)
+class ColumnModel:
+    name: str
+    kind: str
+    thresholds: tuple[float, ...] = ()
+    categories: tuple[str, ...] = ()
+
+    def to_json_obj(self) -> dict:
+        if self.kind == NUMERIC:
+            return {"name": self.name, "kind": self.kind, "thresholds": list(self.thresholds)}
+        return {"name": self.name, "kind": self.kind, "categories": list(self.categories)}
+
+    @property
+    def width(self) -> int:
+        """How many catalog features the column gives."""
+        return 2 * len(self.thresholds) if self.kind == NUMERIC else len(self.categories)
+
+    def predicates(self) -> Iterator[tuple]:
+        """(op, threshold, category) of each of the column's features, in catalog order."""
+        if self.kind == NUMERIC:
+            return ((op, t, None) for t in self.thresholds for op in ("<=", ">"))
+        return (("==", None, c) for c in self.categories)
+
+
+def _column_from_json(obj: Mapping) -> ColumnModel:
+    """A column as to_json_obj writes it, checked to give a well-formed catalog."""
+    name, kind = obj["name"], obj["kind"]
+    if kind == NUMERIC:
+        thresholds = tuple(obj.get("thresholds", ()))
+        if not all(type(t) in (int, float) and math.isfinite(t) for t in thresholds):
+            raise SchemaError(f"column {name!r}: thresholds must be finite numbers")
+        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+            raise SchemaError(f"column {name!r}: thresholds must be strictly increasing")
+        return ColumnModel(name, NUMERIC, thresholds)
+    if kind == CATEGORICAL:
+        cats = tuple(obj.get("categories", ()))
+        if not all(isinstance(c, str) for c in cats) or len(set(cats)) < len(cats):
+            raise SchemaError(f"column {name!r}: categories must be distinct strings")
+        return ColumnModel(name, CATEGORICAL, (), cats)
+    raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class BinarizationModel:
+    """The fitted columns, from which the feature catalog is derived."""
+
     columns: tuple[ColumnModel, ...]
-    catalog: tuple[BinaryFeature, ...]
+
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """Catalog position of each column's first feature, then the feature count."""
+        return (0, *accumulate(c.width for c in self.columns))
 
     @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+    def n_features(self) -> int:
+        return self._starts[-1]
+
+    @cached_property
+    def catalog(self) -> tuple[BinaryFeature, ...]:
+        """Every feature, the columns' predicates in column order."""
+        return tuple(BinaryFeature(c.name, *p) for c in self.columns for p in c.predicates())
+
+    def feature(self, j: int) -> BinaryFeature:
+        """catalog[j], found from its column without building the catalog."""
+        if not 0 <= j < self.n_features:
+            raise FeatureIndexError(f"feature {j} outside the {self.n_features}-feature catalog")
+        c = bisect_right(self._starts, j) - 1
+        column, k = self.columns[c], j - self._starts[c]
+        return BinaryFeature(column.name, *next(islice(column.predicates(), k, None)))
+
+    def _catalog_objs(self) -> Iterator[dict]:
+        return (_feature_obj(c.name, *p) for c in self.columns for p in c.predicates())
 
     def to_json_obj(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "columns": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    **(
-                        {"thresholds": list(c.thresholds)}
-                        if c.kind == NUMERIC
-                        else {"categories": list(c.categories)}
-                    ),
-                }
-                for c in self.columns
-            ],
-            "feature_catalog": [
-                {
-                    "column": f.column,
-                    "op": f.op,
-                    **(
-                        {"threshold": f.threshold}
-                        if f.op != "=="
-                        else {"category": f.category}
-                    ),
-                }
-                for f in self.catalog
-            ],
+            "columns": [c.to_json_obj() for c in self.columns],
+            "feature_catalog": list(self._catalog_objs()),
         }
 
     def to_json(self) -> str:
@@ -132,26 +184,24 @@ class BinarizationModel:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":
+        """The model of obj["columns"], whose stored feature_catalog must equal the
+        derived one; a SchemaError names the first position where they differ."""
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(
                 f"unsupported binarization schema version {obj.get('schema_version')!r}"
             )
-        columns = tuple(
-            ColumnModel(
-                c["name"],
-                c["kind"],
-                tuple(c.get("thresholds", ())),
-                tuple(c.get("categories", ())),
-            )
-            for c in obj["columns"]
-        )
-        catalog = tuple(
-            BinaryFeature(
-                f["column"], f["op"], f.get("threshold"), f.get("category")
-            )
-            for f in obj["feature_catalog"]
-        )
-        return cls(columns, catalog)
+        model = cls(tuple(_column_from_json(c) for c in obj["columns"]))
+        names = [c.name for c in model.columns]
+        if len(set(names)) < len(names):
+            raise SchemaError(f"duplicate column {next(n for n in names if names.count(n) > 1)!r}")
+        stored = obj["feature_catalog"]
+        if not isinstance(stored, list):
+            raise SchemaError("feature_catalog must be a list")
+        for j, pair in enumerate(zip_longest(stored, model._catalog_objs())):
+            if pair[0] != pair[1]:
+                a, b = (json.dumps(x, sort_keys=True) for x in pair)
+                raise SchemaError(f"feature_catalog[{j}] is {a}, the columns give {b}")
+        return model
 
     @classmethod
     def from_json(cls, text: str) -> "BinarizationModel":
@@ -222,7 +272,6 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
     if not table or not any(len(col) for col in table.values()):
         raise ValueError("cannot fit a binarizer on an empty table")
     columns: list[ColumnModel] = []
-    catalog: list[BinaryFeature] = []
     for spec in specs:
         if spec.name not in table:
             raise SchemaError(f"column {spec.name!r} not present in table")
@@ -242,9 +291,6 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
                 top = float(finite.max())
                 thresholds = tuple(float(t) for t in cand if t < top)
             columns.append(ColumnModel(spec.name, NUMERIC, thresholds))
-            for t in thresholds:
-                catalog.append(BinaryFeature(spec.name, "<=", t))
-                catalog.append(BinaryFeature(spec.name, ">", t))
         else:
             cats = sorted({str(v) for v in raw if v is not None and str(v).strip()})
             if not cats:
@@ -253,9 +299,7 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
                     stacklevel=2,
                 )
             columns.append(ColumnModel(spec.name, CATEGORICAL, (), tuple(cats)))
-            for c in cats:
-                catalog.append(BinaryFeature(spec.name, "==", category=c))
-    return BinarizationModel(tuple(columns), tuple(catalog))
+    return BinarizationModel(tuple(columns))
 
 
 def _row_count(model: BinarizationModel, table: Mapping[str, Sequence]) -> int:
@@ -263,9 +307,9 @@ def _row_count(model: BinarizationModel, table: Mapping[str, Sequence]) -> int:
     if missing:
         raise SchemaError(f"table is missing fitted columns {missing}")
     n = max((len(table[c.name]) for c in model.columns), default=0)
-    for name in dict.fromkeys(f.column for f in model.catalog):
-        if len(table[name]) != n:
-            raise SchemaError(f"column {name!r} has inconsistent length")
+    for c in model.columns:
+        if c.width and len(table[c.name]) != n:
+            raise SchemaError(f"column {c.name!r} has inconsistent length")
     return n
 
 
@@ -274,38 +318,32 @@ def _predicate_blocks(
     table: Mapping[str, Sequence],
     parsed: MutableMapping[str, np.ndarray],
 ):
-    """Yield (catalog positions, block) for each (column, op) group of the catalog.
+    """Yield (catalog positions, block), one broadcast comparison per column and op.
 
-    block[r] holds, per row, whether the predicate at positions[r] is
-    true, so a group costs one broadcast comparison.  Positions index the
-    catalog as given, so any catalog order works.  Each numeric column a
-    threshold predicate reads is parsed once into `parsed`.
+    block[r, i] is whether row i satisfies the feature at positions[r]; a
+    column's (<= t) features take the even, its (> t) features the odd
+    positions of its catalog range.  Each numeric column is parsed once
+    into `parsed`.
     """
-    groups: dict[tuple[str, str], list[int]] = {}
-    for k, feat in enumerate(model.catalog):
-        groups.setdefault((feat.column, feat.op), []).append(k)
-    for (column, op), positions in groups.items():
-        raw = table[column]
-        if op == "==":
-            cats = [model.catalog[k].category for k in positions]
-            slot = {c: i for i, c in enumerate(dict.fromkeys(cats))}
+    for column, start in zip(model.columns, model._starts):
+        if not column.width:
+            continue
+        raw = table[column.name]
+        stop = start + column.width
+        if column.kind == CATEGORICAL:
+            slot = {c: k for k, c in enumerate(column.categories)}
             codes = np.fromiter(
-                (-1 if v is None else slot.get(str(v), -1) for v in raw),
-                dtype=np.intp,
-                count=len(raw),
+                (-1 if v is None else slot.get(str(v), -1) for v in raw), np.intp, len(raw)
             )
-            block = codes == np.array([slot[c] for c in cats])[:, None]
-        else:
-            if column not in parsed:
-                parsed[column] = numeric_column(raw, column)
-            vals = parsed[column]
-            thresholds = np.array([model.catalog[k].threshold for k in positions], dtype=float)
-            if op == "<=":
-                block = vals <= thresholds[:, None]
-            else:
-                block = vals > thresholds[:, None]
-            block &= np.isfinite(vals)
-        yield positions, block
+            yield slice(start, stop), codes == np.arange(column.width)[:, None]
+            continue
+        vals = parsed[column.name] = numeric_column(raw, column.name)
+        finite = np.isfinite(vals)
+        thresholds = np.array(column.thresholds, dtype=float)[:, None]
+        for first, compare in ((start, np.less_equal), (start + 1, np.greater)):
+            block = compare(vals, thresholds)
+            block &= finite
+            yield slice(first, stop, 2), block
 
 
 def _packed_rows(bits: np.ndarray) -> list[int]:
@@ -316,7 +354,7 @@ def _packed_rows(bits: np.ndarray) -> list[int]:
 
 def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:
     """Dense boolean matrix (n rows x len(catalog) columns) of the predicates."""
-    out = np.zeros((_row_count(model, table), len(model.catalog)), dtype=bool)
+    out = np.zeros((_row_count(model, table), model.n_features), dtype=bool)
     for positions, block in _predicate_blocks(model, table, {}):
         out[:, positions] = block.T
     return out
@@ -333,46 +371,33 @@ def _column_codes(
 ) -> Optional[ColumnCodes]:
     """Bin codes of the numeric columns with long threshold ladders.
 
-    A column's steps are the sorted distinct thresholds of its catalog
-    entries, read from the catalog as given (any order, any duplicates).
+    A column's steps are its thresholds, which are sorted and distinct.
     A finite value x gets code k = searchsorted(steps, x, "left"), so
     x <= steps[k'] iff k <= k'; a missing or infinite value gets code
-    len(steps) + 1, which no feature covers.  Columns that would push the
-    codes past uint16 stay on bitsets, and so does a column with a nan
-    threshold, whose predicates no code range expresses.
+    len(steps) + 1, which no feature covers.  The features (<= t_k, > t_k)
+    then cover codes 0..k and k+1..len(steps).  Columns that would push
+    the codes past uint16 stay on bitsets.
     """
-    ladders: dict[str, list[int]] = {}
-    numeric = {c.name for c in model.columns if c.kind == NUMERIC}
-    for k, feat in enumerate(model.catalog):
-        if feat.op != "==" and feat.column in numeric:
-            ladders.setdefault(feat.column, []).append(k)
-    chosen = []
-    size = 0
-    for column, positions in ladders.items():
-        thresholds = np.array([model.catalog[k].threshold for k in positions], dtype=float)
-        steps = np.unique(thresholds)
-        m = len(steps)
-        if m < _CODED_MIN_THRESHOLDS or np.isnan(steps).any() or size + m + 2 > _CODE_SPACE:
-            continue
-        chosen.append((column, positions, thresholds, steps, size))
-        size += m + 2
+    chosen, size = [], 0
+    for column, start in zip(model.columns, model._starts):
+        m = len(column.thresholds)
+        if column.kind == NUMERIC and m >= _CODED_MIN_THRESHOLDS and size + m + 2 <= _CODE_SPACE:
+            chosen.append((column, start, size))
+            size += m + 2
     if not chosen:
         return None
     bins = np.empty((n, len(chosen)), dtype=np.uint16)
     features, lo, stop = [], [], []
-    for c, (column, positions, thresholds, steps, offset) in enumerate(chosen):
-        m = len(steps)
-        vals = parsed[column]
-        finite = np.isfinite(vals)
-        bins[:, c] = np.where(finite, np.searchsorted(steps, vals, "left"), m + 1) + offset
-        k = np.searchsorted(steps, thresholds, "left")
-        le = np.array([model.catalog[p].op == "<=" for p in positions])
-        features.extend(positions)
-        lo.append(offset + np.where(le, 0, k + 1))
-        stop.append(offset + np.where(le, k + 1, m + 1))
-    return ColumnCodes(
-        bins, size, np.array(features, dtype=np.intp), np.concatenate(lo), np.concatenate(stop)
-    )
+    for c, (column, start, offset) in enumerate(chosen):
+        m = len(column.thresholds)
+        vals = parsed[column.name]
+        code = np.searchsorted(np.array(column.thresholds, dtype=float), vals, "left")
+        bins[:, c] = np.where(np.isfinite(vals), code, m + 1) + offset
+        past = np.arange(1, m + 1)  # per threshold, the first code above it
+        features.append(np.arange(start, start + 2 * m))
+        lo.append(offset + np.column_stack((np.zeros_like(past), past)).ravel())
+        stop.append(offset + np.column_stack((past, np.full_like(past, m + 1))).ravel())
+    return ColumnCodes(bins, size, *(np.concatenate(a) for a in (features, lo, stop)))
 
 
 def transform(
@@ -384,16 +409,15 @@ def transform(
 
     `labels` is an optional 0/1 vector (query windows have none); see
     relabel for deriving datasets that differ only in their labels.
-    Coverage is packed one (column, op) group at a time, so no n x d
-    matrix is built.  Numeric columns with long threshold ladders also
-    get bin codes (see _column_codes) for the learner's count scans.
+    Coverage is packed one block at a time, so no n x d matrix is built.
+    Numeric columns with long threshold ladders also get bin codes (see
+    _column_codes) for the learner's count scans.
     """
     n = _row_count(model, table)
-    coverage = [0] * len(model.catalog)
     parsed: dict[str, np.ndarray] = {}
+    coverage = [0] * model.n_features
     for positions, block in _predicate_blocks(model, table, parsed):
-        for k, bits in zip(positions, _packed_rows(block)):
-            coverage[k] = bits
+        coverage[positions] = _packed_rows(block)
     label_bits = 0 if labels is None else _label_bits(labels, n)
     names = tuple(f.name for f in model.catalog)
     codes = _column_codes(model, parsed, n)
@@ -416,36 +440,16 @@ def describe_rule(model: BinarizationModel, rule: Rule) -> str:
     Directional predicates on the same column merge into interval notation
     ("100 < x <= 200"); the empty rule renders as "TRUE".
     """
-    if not rule.features:
-        return "TRUE"
-    if rule.features[-1] >= len(model.catalog):
-        raise FeatureIndexError(
-            f"rule {rule.features} references a feature outside the catalog"
-        )
-    by_column: dict[str, dict] = {}
-    order: list[str] = []
-    for j in rule.features:
-        feat = model.catalog[j]
-        if feat.column not in by_column:
-            by_column[feat.column] = {"lo": None, "hi": None, "cats": []}
-            order.append(feat.column)
-        slot = by_column[feat.column]
-        if feat.op == ">":
-            slot["lo"] = feat.threshold if slot["lo"] is None else max(slot["lo"], feat.threshold)
-        elif feat.op == "<=":
-            slot["hi"] = feat.threshold if slot["hi"] is None else min(slot["hi"], feat.threshold)
-        else:
-            slot["cats"].append(feat.category)
+    by_column: dict[str, list[BinaryFeature]] = {}
+    for feat in map(model.feature, rule.features):
+        by_column.setdefault(feat.column, []).append(feat)
     parts = []
-    for column in order:
-        slot = by_column[column]
-        for cat in slot["cats"]:
-            parts.append(f"{column} == {cat}")
-        lo, hi = slot["lo"], slot["hi"]
-        if lo is not None and hi is not None:
-            parts.append(f"{lo!r} < {column} <= {hi!r}")
-        elif lo is not None:
-            parts.append(f"{column} > {lo!r}")
+    for column, feats in by_column.items():
+        parts += [f"{column} == {f.category}" for f in feats if f.op == "=="]
+        lo = max((f.threshold for f in feats if f.op == ">"), default=None)
+        hi = min((f.threshold for f in feats if f.op == "<="), default=None)
+        if lo is not None:
+            parts.append(f"{column} > {lo!r}" if hi is None else f"{lo!r} < {column} <= {hi!r}")
         elif hi is not None:
             parts.append(f"{column} <= {hi!r}")
-    return " ∧ ".join(parts)
+    return " ∧ ".join(parts) or "TRUE"

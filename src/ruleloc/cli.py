@@ -164,7 +164,8 @@ def _config_value(args, cfg: dict, path: str, kind):
     """The config value at dotted path converted by kind, None if absent.
 
     A value that kind rejects, null included, is invalid data naming the
-    config file and the path.
+    config file and the path; for int and float so is a boolean, and for
+    int a number with a fraction.
     """
     *sections, key = path.split(".")
     for section in sections:
@@ -173,8 +174,13 @@ def _config_value(args, cfg: dict, path: str, kind):
             raise CliError("invalid-data", f"{args.config}: {section}: must be a JSON object")
     if key not in cfg:
         return None
+    value = cfg[key]
     try:
-        return kind(cfg[key])
+        if kind in (int, float) and isinstance(value, bool):
+            raise ValueError(f"expected a number, got {json.dumps(value)}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected a whole number, got {json.dumps(value)}")
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise CliError("invalid-data", f"{args.config}: {path}: {exc}")
 
@@ -410,9 +416,12 @@ def _load_model(path: str) -> FaultModel:
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
     try:
-        return FaultModel.from_json(text)
+        model = FaultModel.from_json(text)
     except (KeyError, ValueError) as exc:
         raise CliError("schema-error", f"{path}: {exc}")
+    if model.binarization is None:
+        raise CliError("schema-error", f"{path}: model carries no binarization catalog")
+    return model
 
 
 def _window_from_table(
@@ -421,8 +430,6 @@ def _window_from_table(
     path: str | Path,
     service_col: str,
 ) -> QueryWindow:
-    if model.binarization is None:
-        raise CliError("schema-error", "model carries no binarization catalog")
     if service_col not in table:
         raise CliError(
             "schema-error",
@@ -512,15 +519,9 @@ def cmd_export_fingerprints(args) -> int:
         entries = set()
         for rule in rule_set.rules:
             for j in rule.features:
-                if model.binarization is None:
-                    raise CliError("schema-error", "model carries no binarization catalog")
-                feat = model.binarization.catalog[j]
-                if feat.op == ">":
-                    entries.add((feat.column, "high", feat.threshold))
-                elif feat.op == "<=":
-                    entries.add((feat.column, "low", feat.threshold))
-                else:
-                    entries.add((feat.column, "equals", feat.category))
+                f = model.binarization.feature(j)
+                direction = {">": "high", "<=": "low", "==": "equals"}[f.op]
+                entries.add((f.column, direction, f.category if f.op == "==" else f.threshold))
         fingerprints.append(
             {
                 "fault_type": name,

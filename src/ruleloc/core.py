@@ -215,11 +215,6 @@ class BinaryDataset:
         label_bits = bitset_of(i for i, y in enumerate(labels) if y)
         return cls(n, tuple(coverage), label_bits, tuple(feature_names))
 
-    def feature_name(self, j: int) -> str:
-        if self.feature_names:
-            return self.feature_names[j]
-        return f"f{j}"
-
     @cached_property
     def _uncoded(self) -> list[int]:
         """Features outside the codes, which counts takes by popcount."""

@@ -78,7 +78,7 @@ class FaultModel:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        d = None if self.binarization is None else len(self.binarization.catalog)
+        d = None if self.binarization is None else self.binarization.n_features
         seen: set[str] = set()
         for name, rs in self.rule_sets:
             if not rs.annotated:
@@ -127,21 +127,9 @@ class FaultModel:
     def _rule_set_obj(self, name: str, rs: RuleSet) -> dict:
         rules = []
         for rule, stats in zip(rs.rules, rs.stats or ()):
-            predicates = []
-            for j in rule.features:
-                pred: dict[str, object] = {"feature": j}
-                if self.binarization is not None:
-                    feat = self.binarization.catalog[j]
-                    pred["column"] = feat.column
-                    pred["op"] = feat.op
-                    if feat.op == "==":
-                        pred["category"] = feat.category
-                    else:
-                        pred["threshold"] = feat.threshold
-                predicates.append(pred)
             rules.append(
                 {
-                    "predicates": predicates,
+                    "predicates": [self._predicate_obj(j) for j in rule.features],
                     "description": self.describe(rule),
                     "precision": stats.precision,
                     "recall": stats.recall,
@@ -155,6 +143,12 @@ class FaultModel:
             "gamma": self.gamma,
             "rules": rules,
         }
+
+    def _predicate_obj(self, j: int) -> dict:
+        """Feature j as a rule predicate: its index, then its catalog entry."""
+        if self.binarization is None:
+            return {"feature": j}
+        return {"feature": j, **self.binarization.feature(j).to_json_obj()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
@@ -190,14 +184,19 @@ class FaultModel:
             rule_sets.append(
                 (entry["fault_type"], RuleSet(tuple(rules), tuple(stats)))
             )
-        return cls(
-            tuple(rule_sets),
-            binarization,
-            max_rules,
-            max_len,
-            gamma,
-            dict(obj.get("metadata", {})),
-        )
+        metadata = dict(obj.get("metadata", {}))
+        model = cls(tuple(rule_sets), binarization, max_rules, max_len, gamma, metadata)
+        if binarization is not None:
+            # A predicate restates its catalog entry, so it must agree with it.
+            for entry in entries:
+                for i, r in enumerate(entry["rules"]):
+                    for p in r["predicates"]:
+                        if p != model._predicate_obj(p["feature"]):
+                            raise ValueError(
+                                f"fault type {entry['fault_type']!r}, rule {i}:"
+                                f" predicate disagrees with feature {p['feature']}"
+                            )
+        return model
 
     @classmethod
     def from_json(cls, text: str) -> "FaultModel":

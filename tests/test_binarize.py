@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ruleloc import binarize
 from ruleloc.binarize import (
     BinarizationModel,
+    ColumnModel,
     FeatureSpec,
     InvalidValueError,
     SchemaError,
@@ -22,7 +23,7 @@ from ruleloc.binarize import (
     row_feature_masks,
     transform,
 )
-from ruleloc.core import Rule
+from ruleloc.core import FeatureIndexError, Rule
 
 
 def uniform_table(lo=100.0, hi=500.0, n=4001):
@@ -228,6 +229,85 @@ def test_json_roundtrip():
     assert obj["schema_version"] == 1
 
 
+def small_model():
+    table = {
+        "a": [0.0, 1.0, 2.0, 3.0, 4.0],
+        "flat": [1.0] * 5,
+        "s": ["x", "y", "x", "z", "y"],
+    }
+    specs = [FeatureSpec("a", bins=3), FeatureSpec("flat"), FeatureSpec("s", kind="categorical")]
+    return fit(table, specs)
+
+
+def test_catalog_is_derived_from_columns():
+    model = small_model()
+    t0, t1 = model.columns[0].thresholds
+    assert [f.name for f in model.catalog] == [
+        f"a <= {t0!r}", f"a > {t0!r}", f"a <= {t1!r}", f"a > {t1!r}",
+        "s == x", "s == y", "s == z",
+    ]
+    assert model.n_features == len(model.catalog) == 7
+    assert [model.feature(j) for j in range(7)] == list(model.catalog)
+    led = BinarizationModel((ColumnModel("e", "numeric"), *model.columns))
+    assert [led.feature(j) for j in range(7)] == list(led.catalog) == list(model.catalog)
+    assert model.to_json_obj()["feature_catalog"] == [f.to_json_obj() for f in model.catalog]
+    for j in (-1, 7):
+        with pytest.raises(FeatureIndexError):
+            model.feature(j)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cat: cat.insert(0, cat.pop(1)), r"feature_catalog\[0\] is .*\">\".*, the columns give .*\"<=\""),
+        (lambda cat: cat.insert(2, dict(cat[2])), r"feature_catalog\[3\] is .*\"<=\".*, the columns give .*\">\""),
+        (lambda cat: cat.append(dict(cat[-1])), r"feature_catalog\[7\] is .*, the columns give null$"),
+        (lambda cat: cat.pop(), r"feature_catalog\[6\] is null, the columns give .*\"z\""),
+        (lambda cat: cat[5].update(category="w"), r"feature_catalog\[5\] is .*\"w\""),
+        (lambda cat: cat[1].update(threshold=9.5), r"feature_catalog\[1\] is .*9\.5"),
+        (lambda cat: cat[0].update(note="x"), r"feature_catalog\[0\] is .*\"note\""),
+    ],
+    ids=["permuted", "duplicated", "extra", "missing", "category", "threshold", "extra-key"],
+)
+def test_stored_catalog_that_differs_from_the_columns_is_rejected(edit, message):
+    obj = small_model().to_json_obj()
+    edit(obj["feature_catalog"])
+    with pytest.raises(SchemaError, match=message):
+        BinarizationModel.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ({"thresholds": [2.0, 1.0]}, "column 'a': thresholds must be strictly increasing"),
+        ({"thresholds": [1.0, 1.0]}, "column 'a': thresholds must be strictly increasing"),
+        ({"thresholds": [1.0, math.nan]}, "column 'a': thresholds must be finite numbers"),
+        ({"thresholds": [-math.inf, 1.0]}, "column 'a': thresholds must be finite numbers"),
+        ({"thresholds": ["1.0"]}, "column 'a': thresholds must be finite numbers"),
+        ({"kind": "ordinal"}, "column 'a': unknown kind 'ordinal'"),
+        ({"kind": "categorical", "categories": ["u", "u"]}, "column 'a': categories must be distinct strings"),
+        ({"name": "s"}, "duplicate column 's'"),
+    ],
+    ids=["unsorted", "repeated", "nan", "infinite", "text", "kind", "category", "name"],
+)
+def test_columns_that_give_no_well_formed_catalog_are_rejected(column, message):
+    obj = small_model().to_json_obj()
+    obj["columns"][0].update(column)
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        BinarizationModel.from_json_obj(obj)
+
+
+def test_transform_reads_only_columns_that_give_features():
+    model = small_model()
+    table = {"a": [0.5, 3.5], "flat": ["x", "not a number"], "s": ["y", None]}
+    ds = transform(model, table)
+    assert ds.coverage == (0b01, 0b10, 0b01, 0b10, 0b00, 0b01, 0b00)
+    with pytest.raises(SchemaError, match="^column 's' has inconsistent length$"):
+        transform(model, {**table, "s": ["y"]})
+    # a featureless column may differ in length: it is not read
+    assert transform(model, {**table, "flat": []}).coverage == ds.coverage
+
+
 def test_transform_missing_column_is_schema_error():
     model = fit({"x": [1.0, 2.0]}, [FeatureSpec("x", bins=2)])
     with pytest.raises(SchemaError):
@@ -355,10 +435,9 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
         parsed = dict(train)
         parse_numeric_columns(parsed, specs)
         assert fit(parsed, specs) == fitted
-    # the catalog survives a JSON round trip in any order
-    obj = fitted.to_json_obj()
-    obj["feature_catalog"] = data.draw(st.permutations(obj["feature_catalog"]))
-    model = BinarizationModel.from_json(json.dumps(obj))
+    # the catalog survives a JSON round trip
+    model = BinarizationModel.from_json(fitted.to_json())
+    assert model == fitted
     for table in (train, parsed, query):
         expected = reference_matrix(model, table)
         assert np.array_equal(feature_matrix(model, table), expected)
@@ -378,8 +457,8 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
 def test_code_counts_equal_popcounts(data, n, bins, cutoff, code_space):
     """counts(mask) equals the per-feature popcounts on transformed tables:
     nan, inf and blank cells, tied values and duplicate quantiles, a
-    categorical column, a shuffled catalog with repeated entries, and
-    columns that overflow a small code space and stay on bitsets."""
+    categorical column, and columns that overflow a small code space and
+    stay on bitsets."""
     table = data.draw(tables(n))
     specs = [
         FeatureSpec("x", bins=bins),
@@ -388,11 +467,7 @@ def test_code_counts_equal_popcounts(data, n, bins, cutoff, code_space):
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fitted = fit(table, specs)
-    catalog = list(fitted.catalog)
-    if catalog:
-        catalog += data.draw(st.lists(st.sampled_from(catalog), max_size=4))
-    model = BinarizationModel(fitted.columns, tuple(data.draw(st.permutations(catalog))))
+        model = fit(table, specs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binarize, "_CODED_MIN_THRESHOLDS", cutoff)
         mp.setattr(binarize, "_CODE_SPACE", code_space)

@@ -341,10 +341,16 @@ def _tiny_train_csv(tmp_path):
         ({"columns": {"service": 3}}, "columns.service: expected a string, got 3"),
         ({"columns": {"categorical": "a"}}, "columns.categorical: expected a list of strings"),
         ({"fault_types": 5}, "fault_types: expected a list of strings, got 5"),
+        ({"training": {"K": 2.7}}, "training.K: expected a whole number, got 2.7"),
+        ({"training": {"l": True}}, "training.l: expected a number, got true"),
+        ({"training": {"bins": 10.5}}, "training.bins: expected a whole number, got 10.5"),
+        ({"training": {"gamma": True}}, "training.gamma: expected a number, got true"),
+        ({"logs": {"interval": False}}, "logs.interval: expected a number, got false"),
     ],
     ids=[
         "K-list", "gamma-null", "K-text", "top-level-list", "section-list",
         "column-number", "categorical-text", "fault-types-number",
+        "K-fraction", "l-boolean", "bins-fraction", "gamma-boolean", "interval-boolean",
     ],
 )
 def test_bad_config_value_names_file_and_key(tmp_path, capsys, config, message):
@@ -568,6 +574,67 @@ def test_model_feature_outside_catalog_is_schema_error(
     assert capsys.readouterr().err == (
         f"schema-error: {bad_model}: fault type {entry['fault_type']!r}, rule 0:"
         f" feature 9999 outside the {d}-feature catalog\n"
+    )
+
+
+def _run_on_model(command, obj, scenario, tmp_path):
+    """main(command) on a model file holding obj, with a window or manifest as needed."""
+    model = tmp_path / "edited_model.json"
+    model.write_text(json.dumps(obj))
+    argv = [command, "--model", str(model)]
+    if command == "localize":
+        write_csv_columns(tmp_path / "w.csv", scenario.windows[0][0])
+        argv += ["--data", str(tmp_path / "w.csv")]
+    elif command == "eval":
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps({"cases": [_window_case(scenario, tmp_path)]}))
+        argv += ["--manifest", str(manifest)]
+    return main(argv), model
+
+
+@pytest.mark.parametrize("command", ["localize", "eval", "export-fingerprints"])
+def test_model_without_catalog_is_schema_error(trained, scenario, tmp_path, capsys, command):
+    _, _, model_path = trained
+    obj = json.loads(model_path.read_text())
+    obj["binarization"] = None
+    code, model = _run_on_model(command, obj, scenario, tmp_path)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {model}: model carries no binarization catalog\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value", [("column", "other"), ("op", "=="), ("threshold", 1e9), ("category", "x")]
+)
+def test_predicate_that_disagrees_with_its_feature_is_schema_error(
+    trained, scenario, tmp_path, capsys, key, value
+):
+    _, _, model_path = trained
+    obj = json.loads(model_path.read_text())
+    entry = obj["fault_types"][-1]
+    pred = entry["rules"][0]["predicates"][-1]
+    pred[key] = value
+    code, model = _run_on_model("localize", obj, scenario, tmp_path)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {model}: fault type {entry['fault_type']!r}, rule 0:"
+        f" predicate disagrees with feature {pred['feature']}\n"
+    )
+
+
+def test_stored_catalog_that_disagrees_with_columns_is_schema_error(
+    trained, scenario, tmp_path, capsys
+):
+    _, _, model_path = trained
+    obj = json.loads(model_path.read_text())
+    catalog = obj["binarization"]["feature_catalog"]
+    catalog[2], catalog[3] = catalog[3], catalog[2]
+    code, model = _run_on_model("eval", obj, scenario, tmp_path)
+    assert code == 4
+    shown = [json.dumps(entry, sort_keys=True) for entry in catalog[2:4]]
+    assert capsys.readouterr().err == (
+        f"schema-error: {model}: feature_catalog[2] is {shown[0]}, the columns give {shown[1]}\n"
     )
 
 

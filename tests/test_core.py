@@ -38,6 +38,30 @@ def test_bitset_roundtrip():
     assert indices_of(0) == []
 
 
+def test_from_rows_runs_the_readme_example():
+    from ruleloc import SelectionConfig, select_rule_set
+
+    rows = [[1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    labels = [1, 1, 0, 0, 1, 0]
+    ds = BinaryDataset.from_rows(rows, labels, ("a", "b", "c"))
+    assert (ds.n, ds.d, ds.labels) == (6, 3, 0b010011)
+    assert ds.coverage == (0b010011, 0b100110, 0b001101)
+    assert ds.feature_names == ("a", "b", "c")
+    records = []
+    rs = select_rule_set(ds, SelectionConfig(max_rules=4, max_len=6), trace=records.append)
+    assert f1_score(ds, rs) == 1.0
+    assert [r.features for r in rs.rules] == [(0,)]
+    assert records[0].accepted and records[0].rule == rs.rules[0] and records[0].mm
+
+
+def test_from_rows_rejects_ragged_rows_and_misaligned_labels():
+    assert BinaryDataset.from_rows([], []).d == 0
+    with pytest.raises(InvalidDatasetError, match="^ragged rows$"):
+        BinaryDataset.from_rows([[1, 0], [1]], [1, 0])
+    with pytest.raises(InvalidDatasetError, match="^labels must have one entry per row$"):
+        BinaryDataset.from_rows([[1, 0], [0, 1]], [1])
+
+
 def test_empty_rule_covers_everything():
     ds = BinaryDataset(5, (0b10101,), 0b1)
     assert cover_of_rule(ds, Rule()) == (1 << 5) - 1

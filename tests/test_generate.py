@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ruleloc import binarize, select
-from ruleloc.binarize import CATEGORICAL, BinarizationModel, FeatureSpec, fit, relabel, transform
+from ruleloc.binarize import CATEGORICAL, FeatureSpec, fit, relabel, transform
 from ruleloc.core import (
     TIE_EPS,
     BinaryDataset,
@@ -807,8 +807,8 @@ coded_cells = st.one_of(
 @st.composite
 def coded_datasets(draw):
     """Transformed tables whose ladders are counted from bin codes: tied and
-    missing cells, a categorical column on bitsets, a shuffled catalog, and
-    a cutoff low enough that short ladders get codes too."""
+    missing cells, a categorical column on bitsets, and a cutoff low enough
+    that short ladders get codes too."""
     n = draw(st.integers(8, 60))
     table = {c: draw(st.lists(coded_cells, min_size=n, max_size=n)) for c in "xyz"}
     table["s"] = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
@@ -816,8 +816,7 @@ def coded_datasets(draw):
     specs = [FeatureSpec(c, bins=bins) for c in "xyz"] + [FeatureSpec("s", CATEGORICAL)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fitted = fit(table, specs)
-    model = BinarizationModel(fitted.columns, tuple(draw(st.permutations(fitted.catalog))))
+        model = fit(table, specs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binarize, "_CODED_MIN_THRESHOLDS", draw(st.sampled_from([1, 2])))
         unlabelled = transform(model, table)
