@@ -85,10 +85,11 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
     A row with fewer fields than the header is padded with "" (a missing
     value); a row with more fields, or a blank line, is invalid data,
     reported with its 1-based line number.  A header naming a column twice
-    is a schema error.
+    is a schema error.  The file is UTF-8, with or without a byte-order
+    mark; any other bytes are invalid data naming the file.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -119,6 +120,8 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
             return columns
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError("invalid-data", f"{path}: {exc}")
 
 
 def write_csv_columns(path: str | Path, table: dict[str, list]) -> None:
@@ -139,7 +142,7 @@ def _load_config(path: Optional[str]) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or not UTF-8
         raise CliError("invalid-data", f"{path}: bad JSON config: {exc}")
     if not isinstance(cfg, dict):
         raise CliError("invalid-data", f"{path}: config must be a JSON object")
@@ -209,7 +212,10 @@ def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
         if p.is_file() and p.relative_to(logs_dir).parts[0].startswith(stem)
     )
     for path in candidates:
-        file_lines = path.read_text(encoding="utf-8").split("\n")
+        try:
+            file_lines = path.read_text(encoding="utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise CliError("invalid-data", f"{path}: {exc}")
         if file_lines[-1] == "":
             file_lines.pop()
         lines.extend(file_lines)
@@ -411,13 +417,13 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: str) -> FaultModel:
+    """The model at path; a file that is not UTF-8 JSON of the model's shape
+    is a schema error naming it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        model = FaultModel.from_json(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
-    try:
-        model = FaultModel.from_json(text)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CliError("schema-error", f"{path}: {exc}")
     if model.binarization is None:
         raise CliError("schema-error", f"{path}: model carries no binarization catalog")
@@ -492,7 +498,7 @@ def cmd_eval(args) -> int:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError("io-error", f"{args.manifest}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or not UTF-8
         raise CliError("invalid-data", f"{args.manifest}: {exc}")
     base_dir = Path(args.manifest).parent
     cases = []

@@ -22,13 +22,10 @@ scan over candidate features is a count scan: one BinaryDataset.counts
 call gives |mask & coverage[j]| for every j, where the mask is built once
 per step (the rule's cover outside the current set cover; for the local
 search, the rule minus the dropped feature, and its positive part when
-the value needs it).  A numpy twin of the value function then estimates
-every candidate's value, and only the candidates that can change the
-scan's outcome are scored exactly, in scan order, with the scalar
-math.log code (see _scan).  Every decision is taken on those exact
-values, so the result is the same as scoring every candidate.  The
-greedy seed's precision ratios are exact in numpy already, so it
-compares only the ratios that rise above every earlier one.
+the value needs it).  One numpy value function per objective scores every
+candidate of a scan at once, and the same function scores the single
+rules the scan is compared against.  A scan picks the first candidate
+within TIE_EPS of its largest value (see _first_best).
 
 The solver takes two settings: the rule length cap, passed to
 generate_rule, and the distortion weight alpha, carried by the
@@ -39,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,12 +79,10 @@ class SurrogateState:
     Caches the anchor's numerator/denominator counts and the per-feature
     numerator marginals that the two modular bounds need:
 
-    * drop_penalty[j]      num(j | anchor minus j)   for j in the anchor
-    * drop_penalty_full[j] num(j | all features minus j)  for j in the anchor
-    * weights[0][j]        drop_penalty[j] in the anchor, else
-                           num(j | empty rule)
-    * weights[1][j]        drop_penalty_full[j] in the anchor, else
-                           num(j | anchor)
+    * weights[0][j]  num(j | anchor minus j) in the anchor, else
+                     num(j | empty rule)
+    * weights[1][j]  num(j | all features minus j) in the anchor, else
+                     num(j | anchor)
 
     weights[kind - 1] is the per-feature weight array (read-only int64)
     of bound `kind`.  All marginals are <= 0 because adding a conjunct can
@@ -97,8 +93,6 @@ class SurrogateState:
     anchor: Rule
     num_anchor: int
     den_anchor: int
-    drop_penalty: dict[int, int]
-    drop_penalty_full: dict[int, int]
     weights: tuple[np.ndarray, np.ndarray]
 
     @classmethod
@@ -115,8 +109,8 @@ class SurrogateState:
         num_anchor = anchor_pos.bit_count() + ctx.cover_pos.bit_count()
         den_anchor = (anchor_cover | ctx.cover).bit_count() + ds.positives
 
-        drop_penalty: dict[int, int] = {}
-        drop_penalty_full: dict[int, int] = {}
+        weights1 = ds.counts(open_pos) - open_pos.bit_count()
+        weights2 = ds.counts(anchor_pos) - anchor_pos.bit_count()
         if anchor.features:
             # All features minus j is (non-anchor features) & (anchor minus
             # j); the non-anchor part is shared and usually empties early.
@@ -131,26 +125,10 @@ class SurrogateState:
                 for k in anchor.features:
                     if k != j:
                         rest &= cov[k]
-                drop_penalty[j] = anchor_pos.bit_count() - rest.bit_count()
-                drop_penalty_full[j] = (others & anchor_pos).bit_count() - (
-                    others & rest
-                ).bit_count()
-
-        weights1 = ds.counts(open_pos) - open_pos.bit_count()
-        weights2 = ds.counts(anchor_pos) - anchor_pos.bit_count()
-        for j in anchor.features:
-            weights1[j] = drop_penalty[j]
-            weights2[j] = drop_penalty_full[j]
+                weights1[j] = anchor_pos.bit_count() - rest.bit_count()
+                weights2[j] = (others & anchor_pos).bit_count() - (others & rest).bit_count()
         weights1.flags.writeable = weights2.flags.writeable = False
-        return cls(
-            ctx,
-            anchor,
-            num_anchor,
-            den_anchor,
-            drop_penalty,
-            drop_penalty_full,
-            (weights1, weights2),
-        )
+        return cls(ctx, anchor, num_anchor, den_anchor, (weights1, weights2))
 
     def bound_weight(self, j: int, kind: int) -> int:
         """Additive contribution of feature j to the modular numerator bound."""
@@ -162,8 +140,8 @@ class SurrogateState:
         """Bound value of the empty rule (all anchor features dropped)."""
         if kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
-        penalties = self.drop_penalty if kind == 1 else self.drop_penalty_full
-        return self.num_anchor - sum(penalties[j] for j in self.anchor.features)
+        weights = self.weights[kind - 1]
+        return self.num_anchor - int(sum(weights[j] for j in self.anchor.features))
 
 
 def numerator_lower_bound(state: SurrogateState, rule: Rule, kind: int) -> float:
@@ -184,7 +162,7 @@ def surrogate_value(state: SurrogateState, rule: Rule, kind: int) -> float:
     for j in rule.features:
         new &= ds.coverage[j]
     bound = numerator_lower_bound(state, rule, kind)
-    return _SurrogateValue(state)(bound, new.bit_count(), 0)
+    return float(_surrogate_of(state, bound, new.bit_count()))
 
 
 def surrogate_offset(state: SurrogateState) -> float:
@@ -196,6 +174,20 @@ def surrogate_offset(state: SurrogateState) -> float:
     return 1.0 - math.log(state.den_anchor)
 
 
+def _first_best(values: np.ndarray) -> int:
+    """First position within TIE_EPS of the largest value; -1 if all are -inf.
+
+    On values derived from counts, two values within TIE_EPS of each other
+    are the same value up to rounding, so this is the position a
+    best-so-far scan keeps when a later value must beat the best by more
+    than TIE_EPS to take the lead.
+    """
+    top = values.max(initial=-math.inf)
+    if top == -math.inf:
+        return -1
+    return int(np.argmax(values >= top - TIE_EPS))
+
+
 def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     """Initial rule: repeatedly add the feature with the best precision ratio.
 
@@ -203,13 +195,7 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     whole candidate rule relative to the current set cover.  Stops early
     when no feature keeps the newly covered positive mass non-empty; may
     return the empty rule if no single feature covers an uncovered
-    positive.
-
-    A feature takes the lead when its ratio beats the best by more than
-    TIE_EPS, so ties go to the smaller index.  The numpy ratios are exact
-    (one IEEE division of counts below 2**53, as int / int), and the best
-    never falls more than TIE_EPS below the largest ratio seen, so only a
-    ratio above every earlier one is compared.
+    positive.  Ties within TIE_EPS go to the smaller index.
     """
     ds = ctx.dataset
     cov = ds.coverage
@@ -220,13 +206,9 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
         pos = ds.counts(new & ds.labels)
         hit = pos > 0
         hit[chosen] = False
-        ratio = np.full(ds.d, -1.0)
+        ratio = np.full(ds.d, -math.inf)
         ratio[hit] = pos[hit] / counts[hit]
-        prior = np.maximum.accumulate(np.concatenate(([-1.0], ratio[:-1])))
-        best_ratio, best_j = -1.0, -1
-        for j in np.flatnonzero(ratio > prior).tolist():
-            if ratio[j] > best_ratio + TIE_EPS:
-                best_ratio, best_j = ratio[j], j
+        best_j = _first_best(ratio)
         if best_j < 0:
             break
         chosen.append(best_j)
@@ -234,124 +216,27 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     return Rule(tuple(chosen))
 
 
-# The smallest gap below the best value seen that keeps a candidate out of
-# an exact scan, relative to that value's magnitude plus one.  It covers
-# twice TIE_EPS (a candidate must come within TIE_EPS of the scan's best,
-# which lies within TIE_EPS of the best value seen) plus the last-place
-# error of np.log against math.log on both values, with a wide margin.
-_SLACK = 1e-9
+# A value function maps (bound, count, pos) to rule values, elementwise over
+# arrays or on scalars: `bound` is the rule's modular numerator bound,
+# `count` the size of its cover outside the set cover and `pos` the
+# positives among them.  Each objective reads only the parts it needs.
+_ValueFn = Callable[..., np.ndarray]
 
 
-def _visits(approx: np.ndarray, init: float) -> np.ndarray:
-    """Positions j with approx[j] > max(init, approx[:j]) - slack, in order."""
-    prior = np.maximum.accumulate(np.concatenate(([init], approx[:-1])))
-    return np.flatnonzero(approx > prior - _SLACK * (1.0 + np.abs(prior)))
+def _surrogate_of(state: SurrogateState, bound, count, pos=None) -> np.ndarray:
+    """surrogate_value from the bound and the count; pos is not used."""
+    ctx = state.ctx
+    den = count + ctx.cover.bit_count() + ctx.dataset.positives
+    vals = ctx.alpha * np.log(np.maximum(bound, 1)) - den / state.den_anchor
+    return np.where(bound > 0, vals, -math.inf)
 
 
-def _scan(
-    approx: np.ndarray,
-    score: Callable[[int], float],
-    best_val: float,
-    best_j: Optional[int],
-    key_of: Optional[Callable[[int], tuple[int, ...]]] = None,
-    best_key: Optional[tuple[int, ...]] = None,
-) -> tuple[float, Optional[int]]:
-    """Outcome (best value, position) of a best-so-far scan of positions 0..d-1.
-
-    The scan starts from (best_val, best_j).  Position j takes the lead
-    when its exact value score(j) beats the best by more than TIE_EPS;
-    with key_of, one within TIE_EPS of the best takes it when key_of(j)
-    is smaller than the best's key (best_key for the starting position,
-    or None to compute it with key_of).  approx[j] estimates score(j) to
-    within a few ulps of its magnitude and is -inf exactly where the scan
-    skips j or score(j) is -inf.
-
-    Only the positions _visits keeps are scored: any other one lies more
-    than 2 * TIE_EPS below the best value seen, which stays within
-    TIE_EPS of the scan's best, so it can neither lead nor tie.  A tie
-    move can lower the best; if it falls more than TIE_EPS below the
-    best value seen, that reasoning fails and the scan is redone over
-    every position.
-    """
-    start = (best_val, best_j, best_key)
-
-    def run(positions: np.ndarray, guard: bool):
-        best_val, best_j, best_key = start
-        top = best_val
-        for j in positions.tolist():
-            val = score(j)
-            if val > top:
-                top = val
-            if val > best_val + TIE_EPS:
-                best_val, best_j, best_key = val, j, None
-            elif key_of is not None and val > best_val - TIE_EPS:
-                key = key_of(j)
-                if best_key is None:
-                    best_key = key_of(best_j)
-                if key < best_key:
-                    best_val, best_j, best_key = val, j, key
-                    if guard and best_val < top - TIE_EPS:
-                        return None
-        return best_val, best_j
-
-    outcome = run(_visits(approx, best_val), True)
-    if outcome is None:
-        outcome = run(np.flatnonzero(approx > -math.inf), False)
-    return outcome
-
-
-class _SurrogateValue:
-    """surrogate_value from (bound, count of new, count of new positives).
-
-    `new` is the rule's cover minus the set cover; the positive count is
-    not used.  batch is the numpy twin, for choosing candidates only.
-    """
-
-    uses_pos = False
-
-    def __init__(self, state: SurrogateState) -> None:
-        self.alpha = state.ctx.alpha
-        self.den_base = state.ctx.cover.bit_count() + state.ctx.dataset.positives
-        self.den_anchor = state.den_anchor
-
-    def __call__(self, bound: int, count: int, pos: int) -> float:
-        if bound <= 0:
-            return -math.inf
-        return self.alpha * math.log(bound) - (count + self.den_base) / self.den_anchor
-
-    def batch(self, bounds: np.ndarray, counts: np.ndarray, pos) -> np.ndarray:
-        logs = np.log(np.maximum(bounds, 1))
-        vals = self.alpha * logs - (counts + self.den_base) / self.den_anchor
-        return np.where(bounds > 0, vals, -math.inf)
-
-
-class _ObjectiveValue:
-    """rule_objective from (bound, count of new, count of new positives).
-
-    The bound is not used.  batch is the numpy twin, for choosing
-    candidates only.
-    """
-
-    uses_pos = True
-
-    def __init__(self, ctx: ObjectiveContext) -> None:
-        self.alpha = ctx.alpha
-        self.num_base = ctx.cover_pos.bit_count()
-        self.den_base = ctx.cover.bit_count() + ctx.dataset.positives
-
-    def __call__(self, bound: int, count: int, pos: int) -> float:
-        num = pos + self.num_base
-        if num == 0:
-            return -math.inf
-        return self.alpha * math.log(num) - math.log(count + self.den_base)
-
-    def batch(self, bounds: np.ndarray, counts: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        num = pos + self.num_base
-        vals = self.alpha * np.log(np.maximum(num, 1)) - np.log(counts + self.den_base)
-        return np.where(num > 0, vals, -math.inf)
-
-
-_ValueFn = _SurrogateValue | _ObjectiveValue
+def _objective_of(ctx: ObjectiveContext, bound, count, pos) -> np.ndarray:
+    """rule_objective from the count and the positives; bound is not used."""
+    num = pos + ctx.cover_pos.bit_count()
+    den = count + ctx.cover.bit_count() + ctx.dataset.positives
+    vals = ctx.alpha * np.log(np.maximum(num, 1)) - np.log(den)
+    return np.where(num > 0, vals, -math.inf)
 
 
 def _replace_delete(
@@ -360,6 +245,7 @@ def _replace_delete(
     weights: np.ndarray,
     bound: int,
     value: _ValueFn,
+    uses_pos: bool = False,
 ) -> list[int]:
     """Replace or delete single features while `value` improves by > _LOCAL_SEARCH_EPS.
 
@@ -368,10 +254,12 @@ def _replace_delete(
     value ties within TIE_EPS go to the lexicographically smaller feature
     tuple (sorted for a replacement; for a deletion, the remaining features
     in the rule's current order, which greedy insertion leaves unsorted).
-    `bound` is the rule's modular bound and weights[j] (an int64 array)
-    feature j's share of it.  The rule's cover without i is built once per i, and one
-    count scan of it (two when the value needs positives) scores every
-    replacement.
+    sorted(rest + [j]) rises with j for j outside the rule, so the first
+    best replacement has the smallest key of the tied ones, and only it is
+    compared with the deletion.  `bound` is the rule's modular bound and
+    weights[j] (an int64 array) feature j's share of it.  The rule's cover
+    without i is built once per i, and one count scan of it (two when
+    uses_pos says the value needs positives) scores every replacement.
     """
     ds = ctx.dataset
     cov = ds.coverage
@@ -392,27 +280,22 @@ def _replace_delete(
             for k in rest:
                 rest_new &= cov[k]
             rest_bound = bound - int(weights[i])
-            best_val = -math.inf
-            best_j: Optional[int] = None  # None encodes "no move", -1 deletion
-            best_key: Optional[tuple[int, ...]] = ()
-            if rest:  # deletion allowed, but a rule never shrinks to empty
-                count, pos = rest_new.bit_count(), (rest_new & labels).bit_count()
-                best_val, best_j, best_key = value(rest_bound, count, pos), -1, tuple(rest)
             counts = ds.counts(rest_new)
-            pos_counts = ds.counts(rest_new & labels) if value.uses_pos else counts
-            approx = value.batch(rest_bound + weights, counts, pos_counts)
-            approx[features] = -math.inf
-            best_val, best_j = _scan(
-                approx,
-                lambda j: value(
-                    rest_bound + int(weights[j]), int(counts[j]), int(pos_counts[j])
-                ),
-                best_val,
-                best_j,
-                lambda j: tuple(sorted(rest + [j])),
-                best_key,
-            )
-            if best_j is not None and best_val > current + _LOCAL_SEARCH_EPS:
+            pos = ds.counts(rest_new & labels) if uses_pos else None
+            vals = value(rest_bound + weights, counts, pos)
+            vals[features] = -math.inf
+            best_j = _first_best(vals)
+            best_val = vals[best_j] if best_j >= 0 else -math.inf
+            if rest:  # deletion allowed, but a rule never shrinks to empty
+                drop_val = value(
+                    rest_bound, rest_new.bit_count(), (rest_new & labels).bit_count()
+                )
+                if not (
+                    best_val > drop_val + TIE_EPS
+                    or (best_val > drop_val - TIE_EPS and sorted(rest + [best_j]) < rest)
+                ):
+                    best_j, best_val = -1, drop_val  # -1 encodes the deletion
+            if best_val > current + _LOCAL_SEARCH_EPS:
                 if best_j < 0:
                     features, bound = rest, rest_bound
                 else:
@@ -428,29 +311,23 @@ def _branch_search(state: SurrogateState, kind: int, max_len: int) -> Rule:
     ctx = state.ctx
     ds = ctx.dataset
     weights = state.weights[kind - 1]
-    value = _SurrogateValue(state)
+    value = partial(_surrogate_of, state)
     features: list[int] = []
     bound = state.bound_base(kind)
     new = ds.full_mask & ~ctx.cover
-    current = value(bound, new.bit_count(), 0)
+    current = value(bound, new.bit_count())
     while len(features) < max_len:
-        counts = ds.counts(new)
-        approx = value.batch(bound + weights, counts, None)
-        approx[features] = -math.inf
-        best_val, best_j = _scan(
-            approx,
-            lambda j: value(bound + int(weights[j]), int(counts[j]), 0),
-            -math.inf,
-            -1,
-        )
+        vals = value(bound + weights, ds.counts(new))
+        vals[features] = -math.inf
+        best_j = _first_best(vals)
         # Insert only while the surrogate marginal stays positive; padding
         # a rule with zero-gain conjuncts only hurts interpretability.
-        if best_j < 0 or best_val - current <= 0.0:
+        if best_j < 0 or vals[best_j] - current <= 0.0:
             break
         features.append(best_j)
         new &= ds.coverage[best_j]
         bound += int(weights[best_j])
-        current = best_val
+        current = vals[best_j]
     features = _replace_delete(ctx, features, weights, bound, value)
     return Rule(tuple(features))
 
@@ -468,7 +345,8 @@ def _objective_polish(ctx: ObjectiveContext, rule: Rule) -> Rule:
         list(rule.features),
         np.zeros(ctx.dataset.d, dtype=np.int64),
         0,
-        _ObjectiveValue(ctx),
+        partial(_objective_of, ctx),
+        uses_pos=True,
     )
     return Rule(tuple(features))
 

@@ -777,3 +777,80 @@ def test_window_schema_error_names_its_file(trained, scenario, tmp_path, capsys,
     )
     assert main(["eval", "--model", str(model_path), "--manifest", str(manifest)]) == 4
     assert capsys.readouterr().err == f"schema-error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj["binarization"]["columns"].__setitem__(0, 5),
+        lambda obj: obj.__setitem__("binarization", []),
+        lambda obj: obj["fault_types"].__setitem__(0, 7),
+    ],
+    ids=["column-number", "binarization-list", "fault-type-number"],
+)
+def test_model_of_the_wrong_json_shape_is_schema_error(
+    trained, scenario, tmp_path, capsys, edit
+):
+    _, _, model_path = trained
+    obj = json.loads(model_path.read_text())
+    edit(obj)
+    code, model = _run_on_model("localize", obj, scenario, tmp_path)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema-error: {model}: ") and err.count("\n") == 1
+
+
+LATIN1 = "fault_type,service,a\nf,caf\xe9,1\n".encode("latin-1")
+
+
+def _non_utf8_input(reader, trained, scenario, tmp_path):
+    """(argv, path) of a call whose `reader` input holds the byte 0xe9."""
+    _, data, model_path = trained
+    bad = tmp_path / f"bad-{reader}"
+    if reader in ("config", "model", "manifest"):
+        bad.write_bytes(b'{"schema_version": 1, "x": "caf\xe9"}')
+    else:
+        bad.write_bytes(LATIN1)
+    out = str(tmp_path / "m.json")
+    if reader == "data":
+        return ["train", "--data", str(bad), "--model", out], bad
+    if reader == "window":
+        return ["localize", "--model", str(model_path), "--data", str(bad)], bad
+    if reader == "config":
+        return ["train", "--data", str(data), "--model", out, "--config", str(bad)], bad
+    if reader == "model":
+        return ["export-fingerprints", "--model", str(bad)], bad
+    if reader == "manifest":
+        return ["eval", "--model", str(model_path), "--manifest", str(bad)], bad
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 ok\n")
+    (logs / "online.log").write_bytes(b"2024-01-01T00:00:00 caf\xe9\n")
+    return ["parse-logs", "--logs", str(logs)], logs / "online.log"
+
+
+@pytest.mark.parametrize(
+    "reader, category",
+    [
+        ("data", "invalid-data"),
+        ("window", "invalid-data"),
+        ("config", "invalid-data"),
+        ("model", "schema-error"),
+        ("manifest", "invalid-data"),
+        ("log", "invalid-data"),
+    ],
+)
+def test_non_utf8_input_names_its_file(trained, scenario, tmp_path, capsys, reader, category):
+    argv, path = _non_utf8_input(reader, trained, scenario, tmp_path)
+    assert main(argv) == cli.EXIT_CODES[category]
+    err = capsys.readouterr().err
+    assert err.startswith(f"{category}: {path}: ")
+    assert "'utf-8' codec can't decode byte 0xe9" in err
+
+
+def test_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys):
+    plain = _tiny_train_csv(tmp_path)
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_csv_columns(data) == read_csv_columns(plain)
+    assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 0

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ from ruleloc.generate import (
     NoRuleFound,
     SurrogateState,
     _branch_search,
+    _first_best,
     _objective_polish,
     _replace_delete,
-    _SurrogateValue,
-    _scan,
-    _visits,
+    _surrogate_of,
     generate_rule,
     greedy_ratio_seed,
     numerator_lower_bound,
@@ -372,7 +372,6 @@ def test_surrogate_build_drop_penalty_full_matches_brute_force():
             expected = num_reference(ctx, all_but_j + (j,)) - num_reference(
                 ctx, all_but_j
             )
-            assert state.drop_penalty_full[j] == expected
             assert state.bound_weight(j, 2) == expected
             nonzero += expected != 0
     assert scanned >= 10
@@ -741,7 +740,7 @@ def test_search_pieces_match_pre_merge_loops(instance, data):
             list(start),
             weights,
             state.bound_base(kind) + sum(weights[j] for j in start),
-            _SurrogateValue(state),
+            partial(_surrogate_of, state),
         )
         assert got == _reference_local_search(ref_state, kind, config, start)
 
@@ -772,7 +771,7 @@ def test_replace_delete_matches_pre_merge_loop_on_seeded_draws():
                 list(start),
                 weights,
                 state.bound_base(kind) + sum(weights[j] for j in start),
-                _SurrogateValue(state),
+                partial(_surrogate_of, state),
             )
             assert got == _reference_local_search(ref_state, kind, config, start)
 
@@ -855,78 +854,32 @@ def test_select_rule_set_on_codes_matches_pre_merge_search(ds, max_rules, max_le
     assert got == expected
 
 
-# -- the candidate filter --------------------------------------------------------
+# -- the tie rule ----------------------------------------------------------------
 
 
-def brute_force_scan(values, best_val, best_j, key_of=None, best_key=None):
-    """Every non-skipped position in order (-inf marks a skipped one)."""
-    for j, val in enumerate(values):
-        if val == -math.inf:
-            continue
-        if val > best_val + TIE_EPS:
-            best_val, best_j, best_key = val, j, None
-        elif key_of is not None and val > best_val - TIE_EPS:
-            key = key_of(j)
-            if best_key is None:
-                best_key = key_of(best_j)
-            if key < best_key:
-                best_val, best_j, best_key = val, j, key
-    return best_val, best_j
+def test_first_best_takes_the_first_index_of_a_tie():
+    assert _first_best(np.array([1.0, 3.0, 2.0, 3.0])) == 1
+    assert _first_best(np.array([-math.inf, 0.5, 0.5])) == 1
 
 
-def _ulp_noise(values, steps):
-    """values moved by up to `steps` ulps each, as np.log may be off by."""
-    out = values.copy()
-    for j, k in enumerate(steps):
-        for _ in range(abs(k)):
-            out[j] = np.nextafter(out[j], math.copysign(math.inf, k))
-    return out
+def test_first_best_counts_a_value_within_tie_eps_as_a_tie():
+    values = np.array([0.0, 2.0 - 0.5 * TIE_EPS, 2.0, 2.0 - 3 * TIE_EPS])
+    assert _first_best(values) == 1
+    assert _first_best(np.array([2.0 - 3 * TIE_EPS, 2.0])) == 1
 
 
-def test_scan_redoes_a_tie_chain_that_drifts_below_the_filter():
-    """2,000 ties, each 0.9 * TIE_EPS below the last and with a smaller key,
-    walk the best about 1.8e-9 below the best value seen.  A later value
-    beats that best yet lies below what the filter keeps, so only the
-    rerun finds it."""
-    chain = [-k * 0.9 * TIE_EPS for k in range(2000)]
-    values = np.array(chain + [-1.5e-9, -3.0])
-    decisive = len(chain)
-    key_of = lambda j: (-j,)  # noqa: E731
-    assert decisive not in _visits(values, -math.inf)
-    wobbled = _ulp_noise(values, [(-1) ** j * 2 for j in range(len(values))])
-    for approx in (values, wobbled):
-        got = _scan(approx, lambda j: float(values[j]), -math.inf, None, key_of, ())
-        assert got == brute_force_scan(values, -math.inf, None, key_of, ())
-        assert got == (-1.5e-9, decisive)
+def test_first_best_of_all_minus_inf_is_minus_one():
+    assert _first_best(np.full(4, -math.inf)) == -1
+    assert _first_best(np.array([])) == -1
 
 
-@st.composite
-def scan_cases(draw):
-    """Values from a few levels plus sub-TIE_EPS offsets, so that exact ties,
-    near ties and downward tie chains are common; some positions skipped."""
-    d = draw(st.integers(1, 60))
-    levels = draw(st.lists(st.sampled_from([-2.0, 0.0, 1e-9, 3.5, 4e4]), min_size=1, max_size=3))
-    values = np.array([
-        draw(st.sampled_from(levels)) - draw(st.integers(0, 3000)) * 0.4 * TIE_EPS
-        if draw(st.integers(0, 9))
-        else -math.inf
-        for _ in range(d)
-    ])
-    keys = draw(st.lists(st.integers(0, 5), min_size=d, max_size=d))
-    steps = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-    return values, keys, steps
-
-
-@settings(max_examples=400, deadline=None)
-@given(scan_cases(), st.sampled_from(["none", "value", "ties"]))
-def test_scan_matches_brute_force_scan(case, start):
-    values, keys, steps = case
-    approx = _ulp_noise(values, steps)
-    approx[values == -math.inf] = -math.inf
-    key_of = (lambda j: (keys[j], j)) if start == "ties" else None
-    best_val, best_j, best_key = -math.inf, None, ()
-    if start != "none":
-        best_val = float(values[0]) if values[0] > -math.inf else 0.0
-        best_j, best_key = -1, (3, -1)
-    got = _scan(approx, lambda j: float(values[j]), best_val, best_j, key_of, best_key)
-    assert got == brute_force_scan(values, best_val, best_j, key_of, best_key)
+@given(
+    st.lists(st.integers(0, 30), max_size=6, unique=True),
+    st.integers(0, 30),
+    st.integers(0, 30),
+)
+def test_replacement_key_rises_with_the_replacement(rest, j, k):
+    """sorted(rest + [j]) < sorted(rest + [k]) for j < k outside rest, so the
+    first tied replacement has the smallest tie key."""
+    assume(j < k and j not in rest and k not in rest)
+    assert sorted(rest + [j]) < sorted(rest + [k])
