@@ -9,7 +9,10 @@ human-readable predicate strings and serializes to JSON.
 The fitted columns are the model: the feature catalog is derived from
 them in fit's order, (<= t, > t) per numeric threshold and (== c) per
 category.  The model JSON writes that catalog out for readers, and
-loading rejects a file whose stored catalog differs from it.
+loading rejects a file whose stored catalog differs from it.  Loading
+compares the stored catalog one column slice at a time in C (itemgetter
+against zip/repeat/cycle of the column's values), and walks it entry by
+entry only to name the first difference of a catalog that fails.
 
 Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
@@ -32,7 +35,8 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, chain, cycle, repeat, zip_longest
+from operator import itemgetter, lt
 from typing import Iterator, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
@@ -58,6 +62,47 @@ class SchemaError(ValueError):
     """Input columns do not match the fitted catalog."""
 
 
+class ShapeError(SchemaError):
+    """A model JSON value of the wrong type; the message starts with its key path."""
+
+
+# The JSON types a model's values must have, by the name messages give them.
+# Booleans are JSON's own type: no number, fraction or count.
+OBJECT, LIST, STRING = "an object", "a list", "a string"
+NUMBER, FRACTION, COUNT = "a number", "a number in [0, 1]", "a non-negative integer"
+_JSON_KINDS = {
+    OBJECT: lambda v: isinstance(v, dict),
+    LIST: lambda v: isinstance(v, list),
+    STRING: lambda v: isinstance(v, str),
+    NUMBER: lambda v: type(v) in (int, float),
+    FRACTION: lambda v: type(v) in (int, float) and 0 <= v <= 1,
+    COUNT: lambda v: type(v) is int and v >= 0,
+}
+
+
+def _shown(value) -> str:
+    """A JSON value as a message shows it: a container by its type, a scalar as text."""
+    if isinstance(value, (dict, list)):
+        return OBJECT if isinstance(value, dict) else LIST
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def checked(value, kind: str, path: str):
+    """value, if it is of the JSON kind; a ShapeError naming path otherwise."""
+    if not _JSON_KINDS[kind](value):
+        raise ShapeError(f"{path}: expected {kind}, got {_shown(value)}")
+    return value
+
+
+def checked_field(obj: Mapping, key: str, kind: str, path: str = ""):
+    """obj[key], checked to be of the JSON kind; path is obj's own key path."""
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise ShapeError(f"{where}: missing")
+    return checked(obj[key], kind, where)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Declares how one raw column is binarized."""
@@ -71,13 +116,6 @@ class FeatureSpec:
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.kind == NUMERIC and self.bins < 2:
             raise ValueError("numeric columns need bins >= 2")
-
-
-def _feature_obj(column: str, op: str, threshold=None, category=None) -> dict:
-    """JSON form of one feature: a catalog entry, and the body of a rule predicate."""
-    if op == "==":
-        return {"column": column, "op": op, "category": category}
-    return {"column": column, "op": op, "threshold": threshold}
 
 
 @dataclass(frozen=True)
@@ -96,7 +134,10 @@ class BinaryFeature:
         return f"{self.column} {self.op} {self.threshold!r}"
 
     def to_json_obj(self) -> dict:
-        return _feature_obj(self.column, self.op, self.threshold, self.category)
+        """JSON form of the feature: its catalog entry, and the body of a rule predicate."""
+        if self.op == "==":
+            return {"column": self.column, "op": self.op, "category": self.category}
+        return {"column": self.column, "op": self.op, "threshold": self.threshold}
 
 
 @dataclass(frozen=True)
@@ -116,26 +157,43 @@ class ColumnModel:
         """How many catalog features the column gives."""
         return 2 * len(self.thresholds) if self.kind == NUMERIC else len(self.categories)
 
-    def predicates(self) -> Iterator[tuple]:
-        """(op, threshold, category) of each of the column's features, in catalog order."""
+    def entry_values(self) -> Iterator[tuple]:
+        """(column, op, threshold or category): the values of the catalog entry
+        of each of the column's features, in catalog order."""
         if self.kind == NUMERIC:
-            return ((op, t, None) for t in self.thresholds for op in ("<=", ">"))
-        return (("==", None, c) for c in self.categories)
+            doubled = chain.from_iterable(zip(self.thresholds, self.thresholds))
+            return zip(repeat(self.name), cycle(("<=", ">")), doubled)
+        return zip(repeat(self.name), repeat("=="), self.categories)
 
 
-def _column_from_json(obj: Mapping) -> ColumnModel:
-    """A column as to_json_obj writes it, checked to give a well-formed catalog."""
-    name, kind = obj["name"], obj["kind"]
+# The key of the value of a catalog entry of a numeric or a categorical
+# column, after "column" and "op"; _ENTRY_VALUES reads entry_values back.
+_VALUE_KEY = {NUMERIC: "threshold", CATEGORICAL: "category"}
+_ENTRY_VALUES = {kind: itemgetter("column", "op", key) for kind, key in _VALUE_KEY.items()}
+
+
+def _column_from_json(obj, path: str) -> ColumnModel:
+    """A column as to_json_obj writes it, checked to give a well-formed catalog;
+    path is its key path."""
+    checked(obj, OBJECT, path)
+    name = checked_field(obj, "name", STRING, path)
+    kind = checked_field(obj, "kind", STRING, path)
     if kind == NUMERIC:
-        thresholds = tuple(obj.get("thresholds", ()))
-        if not all(type(t) in (int, float) and math.isfinite(t) for t in thresholds):
+        thresholds = tuple(checked(obj.get("thresholds", []), LIST, f"{path}.thresholds"))
+        try:
+            finite = set(map(type, thresholds)) <= {int, float} and all(
+                map(math.isfinite, thresholds)
+            )
+        except OverflowError as exc:  # an integer too large for a float
+            raise ShapeError(f"{path}.thresholds: {exc}") from None
+        if not finite:
             raise SchemaError(f"column {name!r}: thresholds must be finite numbers")
-        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+        if not all(map(lt, thresholds, thresholds[1:])):
             raise SchemaError(f"column {name!r}: thresholds must be strictly increasing")
         return ColumnModel(name, NUMERIC, thresholds)
     if kind == CATEGORICAL:
-        cats = tuple(obj.get("categories", ()))
-        if not all(isinstance(c, str) for c in cats) or len(set(cats)) < len(cats):
+        cats = tuple(checked(obj.get("categories", []), LIST, f"{path}.categories"))
+        if not set(map(type, cats)) <= {str} or len(set(cats)) < len(cats):
             raise SchemaError(f"column {name!r}: categories must be distinct strings")
         return ColumnModel(name, CATEGORICAL, (), cats)
     raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
@@ -159,7 +217,11 @@ class BinarizationModel:
     @cached_property
     def catalog(self) -> tuple[BinaryFeature, ...]:
         """Every feature, the columns' predicates in column order."""
-        return tuple(BinaryFeature(c.name, *p) for c in self.columns for p in c.predicates())
+        return tuple(
+            BinaryFeature(name, op, v) if c.kind == NUMERIC else BinaryFeature(name, op, None, v)
+            for c in self.columns
+            for name, op, v in c.entry_values()
+        )
 
     def feature(self, j: int) -> BinaryFeature:
         """catalog[j], found from its column without building the catalog."""
@@ -167,10 +229,36 @@ class BinarizationModel:
             raise FeatureIndexError(f"feature {j} outside the {self.n_features}-feature catalog")
         c = bisect_right(self._starts, j) - 1
         column, k = self.columns[c], j - self._starts[c]
-        return BinaryFeature(column.name, *next(islice(column.predicates(), k, None)))
+        if column.kind == NUMERIC:
+            return BinaryFeature(column.name, ("<=", ">")[k % 2], column.thresholds[k // 2])
+        return BinaryFeature(column.name, "==", None, column.categories[k])
 
     def _catalog_objs(self) -> Iterator[dict]:
-        return (_feature_obj(c.name, *p) for c in self.columns for p in c.predicates())
+        return (
+            {"column": name, "op": op, _VALUE_KEY[c.kind]: value}
+            for c in self.columns
+            for name, op, value in c.entry_values()
+        )
+
+    def _catalog_equals(self, stored: list) -> bool:
+        """Whether stored is the derived catalog, as to_json_obj writes it.
+
+        Every entry must be a dict of exactly three keys whose values, read
+        by _ENTRY_VALUES per column slice, equal the column's entry_values:
+        the same test as comparing each entry with its derived dict.
+        """
+        if len(stored) != self.n_features or not set(map(type, stored)) <= {dict}:
+            return False
+        if not set(map(len, stored)) <= {3}:
+            return False
+        try:
+            return all(
+                list(map(_ENTRY_VALUES[c.kind], stored[start : start + c.width]))
+                == list(c.entry_values())
+                for c, start in zip(self.columns, self._starts)
+            )
+        except KeyError:  # an entry of three keys, not the three of its kind
+            return False
 
     def to_json_obj(self) -> dict:
         return {
@@ -185,18 +273,22 @@ class BinarizationModel:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":
         """The model of obj["columns"], whose stored feature_catalog must equal the
-        derived one; a SchemaError names the first position where they differ."""
+        derived one; a SchemaError names the first position where they differ,
+        and a ShapeError the key path of a value of the wrong JSON type."""
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(
                 f"unsupported binarization schema version {obj.get('schema_version')!r}"
             )
-        model = cls(tuple(_column_from_json(c) for c in obj["columns"]))
+        columns = checked_field(obj, "columns", LIST)
+        model = cls(tuple(_column_from_json(c, f"columns[{i}]") for i, c in enumerate(columns)))
         names = [c.name for c in model.columns]
         if len(set(names)) < len(names):
             raise SchemaError(f"duplicate column {next(n for n in names if names.count(n) > 1)!r}")
-        stored = obj["feature_catalog"]
+        stored = obj.get("feature_catalog")
         if not isinstance(stored, list):
             raise SchemaError("feature_catalog must be a list")
+        if model._catalog_equals(stored):
+            return model
         for j, pair in enumerate(zip_longest(stored, model._catalog_objs())):
             if pair[0] != pair[1]:
                 a, b = (json.dumps(x, sort_keys=True) for x in pair)

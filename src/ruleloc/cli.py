@@ -138,7 +138,7 @@ def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
@@ -420,10 +420,10 @@ def _load_model(path: str) -> FaultModel:
     """The model at path; a file that is not UTF-8 JSON of the model's shape
     is a schema error naming it."""
     try:
-        model = FaultModel.from_json(Path(path).read_text(encoding="utf-8"))
+        model = FaultModel.from_json(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except ValueError as exc:  # bad JSON, not UTF-8, or a model of the wrong shape
         raise CliError("schema-error", f"{path}: {exc}")
     if model.binarization is None:
         raise CliError("schema-error", f"{path}: model carries no binarization catalog")
@@ -495,7 +495,7 @@ def cmd_eval(args) -> int:
     service_col = _setting(args, cfg, "columns.service", _text, "service_col")
     model = _load_model(args.model)
     try:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise CliError("io-error", f"{args.manifest}: {exc}")
     except ValueError as exc:  # bad JSON or not UTF-8

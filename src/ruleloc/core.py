@@ -43,18 +43,6 @@ def bitset_of(indices: Iterable[int]) -> int:
     return bits
 
 
-def indices_of(bits: int) -> list[int]:
-    out = []
-    i = 0
-    while bits:
-        tz = (bits & -bits).bit_length() - 1
-        i += tz
-        out.append(i)
-        bits >>= tz + 1
-        i += 1
-    return out
-
-
 @dataclass(frozen=True)
 class Rule:
     """A conjunction of binary feature indices.

@@ -16,8 +16,24 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from ruleloc import SCHEMA_VERSION, __version__
-from ruleloc.binarize import BinarizationModel, describe_rule
+from ruleloc.binarize import (
+    COUNT,
+    FRACTION,
+    LIST,
+    NUMBER,
+    OBJECT,
+    STRING,
+    BinarizationModel,
+    ShapeError,
+    checked,
+    checked_field,
+    describe_rule,
+)
 from ruleloc.core import Rule, RuleSet, RuleStats, bitset_of
+
+# The JSON kinds of a fault type's knobs and of a rule's stats, in field order.
+_KNOB_KINDS = (("K", COUNT), ("l", COUNT), ("gamma", NUMBER))
+_STATS_KINDS = (("precision", FRACTION), ("recall", FRACTION), ("covered", COUNT))
 
 
 class UnknownFaultTypeError(ValueError):
@@ -155,36 +171,50 @@ class FaultModel:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "FaultModel":
+        """The model as to_json_obj writes it.  A value of the wrong JSON type
+        fails as a ShapeError naming its key path, such as
+        fault_types[0].rules[1].precision."""
+        checked(obj, OBJECT, "the model")
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported model schema version {obj.get('schema_version')!r}"
             )
-        binarization = (
-            None
-            if obj.get("binarization") is None
-            else BinarizationModel.from_json_obj(obj["binarization"])
-        )
-        rule_sets = []
-        entries = obj["fault_types"]
+        binarization = obj.get("binarization")
+        if binarization is not None:
+            checked(binarization, OBJECT, "binarization")
+            try:
+                binarization = BinarizationModel.from_json_obj(binarization)
+            except ShapeError as exc:
+                raise ShapeError(f"binarization.{exc}") from None
+        rule_sets, knobs = [], []
+        entries = checked_field(obj, "fault_types", LIST)
+        for i, entry in enumerate(entries):
+            at = f"fault_types[{i}]"
+            checked(entry, OBJECT, at)
+            name = checked_field(entry, "fault_type", STRING, at)
+            knobs.append(tuple(checked_field(entry, k, kind, at) for k, kind in _KNOB_KINDS))
+            rules, stats = [], []
+            for r, rule in enumerate(checked_field(entry, "rules", LIST, at)):
+                where = f"{at}.rules[{r}]"
+                checked(rule, OBJECT, where)
+                features = []
+                for q, p in enumerate(checked_field(rule, "predicates", LIST, where)):
+                    pat = f"{where}.predicates[{q}]"
+                    features.append(checked_field(checked(p, OBJECT, pat), "feature", COUNT, pat))
+                rules.append(Rule(tuple(features)))
+                stats.append(
+                    RuleStats(*(checked_field(rule, k, kind, where) for k, kind in _STATS_KINDS))
+                )
+            rule_sets.append((name, RuleSet(tuple(rules), tuple(stats))))
         # Every entry stores the model-wide knobs; they must agree.
-        knobs = [(e["K"], e["l"], e["gamma"]) for e in entries]
-        for entry, entry_knobs in zip(entries, knobs):
+        for (name, _), entry_knobs in zip(rule_sets, knobs):
             if entry_knobs != knobs[0]:
                 raise ValueError(
-                    f"fault type {entry['fault_type']!r} has (K, l, gamma) = {entry_knobs},"
+                    f"fault type {name!r} has (K, l, gamma) = {entry_knobs},"
                     f" the first fault type has {knobs[0]}"
                 )
         max_rules, max_len, gamma = knobs[0] if knobs else (4, 6, 1.0)
-        for entry in entries:
-            rules = []
-            stats = []
-            for r in entry["rules"]:
-                rules.append(Rule(tuple(p["feature"] for p in r["predicates"])))
-                stats.append(RuleStats(r["precision"], r["recall"], r["covered"]))
-            rule_sets.append(
-                (entry["fault_type"], RuleSet(tuple(rules), tuple(stats)))
-            )
-        metadata = dict(obj.get("metadata", {}))
+        metadata = dict(checked(obj.get("metadata", {}), OBJECT, "metadata"))
         model = cls(tuple(rule_sets), binarization, max_rules, max_len, gamma, metadata)
         if binarization is not None:
             # A predicate restates its catalog entry, so it must agree with it.

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -492,3 +493,173 @@ def test_code_counts_equal_popcounts(data, n, bins, cutoff, code_space):
         assert counts.dtype == np.int64
         assert counts.tolist() == [(mask & c).bit_count() for c in ds.coverage]
     assert relabel(ds, [1] * n).codes is ds.codes
+
+
+# -- the per-entry loader that the column-slice catalog check replaced ---------
+# Kept verbatim as it stood (with its column parser, and the catalog order of
+# the ColumnModel.predicates it walked), so that BinarizationModel.from_json_obj
+# is checked to accept and reject exactly the same objects, with the same text.
+
+
+def reference_predicates(column):
+    """(op, threshold, category) of each of the column's features, in catalog order."""
+    if column.kind == "numeric":
+        return ((op, t, None) for t in column.thresholds for op in ("<=", ">"))
+    return (("==", None, c) for c in column.categories)
+
+
+def reference_feature_obj(column, op, threshold=None, category=None):
+    if op == "==":
+        return {"column": column, "op": op, "category": category}
+    return {"column": column, "op": op, "threshold": threshold}
+
+
+def reference_column_from_json(obj):
+    """A column as to_json_obj writes it, checked to give a well-formed catalog."""
+    name, kind = obj["name"], obj["kind"]
+    if kind == "numeric":
+        thresholds = tuple(obj.get("thresholds", ()))
+        if not all(type(t) in (int, float) and math.isfinite(t) for t in thresholds):
+            raise SchemaError(f"column {name!r}: thresholds must be finite numbers")
+        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+            raise SchemaError(f"column {name!r}: thresholds must be strictly increasing")
+        return ColumnModel(name, "numeric", thresholds)
+    if kind == "categorical":
+        cats = tuple(obj.get("categories", ()))
+        if not all(isinstance(c, str) for c in cats) or len(set(cats)) < len(cats):
+            raise SchemaError(f"column {name!r}: categories must be distinct strings")
+        return ColumnModel(name, "categorical", (), cats)
+    raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
+
+
+def reference_from_json_obj(obj):
+    """The model of obj["columns"], whose stored feature_catalog must equal the
+    derived one; a SchemaError names the first position where they differ."""
+    if obj.get("schema_version") != 1:
+        raise SchemaError(
+            f"unsupported binarization schema version {obj.get('schema_version')!r}"
+        )
+    model = BinarizationModel(tuple(reference_column_from_json(c) for c in obj["columns"]))
+    names = [c.name for c in model.columns]
+    if len(set(names)) < len(names):
+        raise SchemaError(f"duplicate column {next(n for n in names if names.count(n) > 1)!r}")
+    stored = obj["feature_catalog"]
+    if not isinstance(stored, list):
+        raise SchemaError("feature_catalog must be a list")
+    derived = (
+        reference_feature_obj(c.name, *p) for c in model.columns for p in reference_predicates(c)
+    )
+    for j, pair in enumerate(zip_longest(stored, derived)):
+        if pair[0] != pair[1]:
+            a, b = (json.dumps(x, sort_keys=True) for x in pair)
+            raise SchemaError(f"feature_catalog[{j}] is {a}, the columns give {b}")
+    return model
+
+
+def load_outcome(load, obj):
+    """("model", the model) or ("error", the SchemaError text) of load(obj)."""
+    try:
+        return "model", load(obj)
+    except SchemaError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def fitted_models(draw):
+    """Fitted models over two numeric columns and one categorical column, any of
+    which may give no features; small integer cells make integral thresholds."""
+    table = draw(tables(draw(st.integers(min_value=1, max_value=25))))
+    specs = [
+        FeatureSpec("x", bins=draw(st.integers(2, 8))),
+        FeatureSpec("y", bins=draw(st.integers(2, 8))),
+        FeatureSpec("s", kind="categorical"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit(table, draw(st.permutations(specs)))
+
+
+def _mutate_catalog(data, cat: list) -> None:
+    """One edit of the kinds a hand-edited or foreign catalog may carry."""
+    i = data.draw(st.integers(0, len(cat)))  # len(cat): past the end
+    entry = cat[i] if i < len(cat) else None
+    edits = ["extend"]
+    if i < len(cat):
+        edits += ["swap", "truncate", "non-dict"]
+    if isinstance(entry, dict):
+        edits += ["int", "true", "extra-key", "missing-key", "op", "categorical"]
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "extend":
+        copy = dict(entry) if isinstance(entry, dict) else {}
+        cat.append(data.draw(st.sampled_from([copy, None])))
+    elif edit == "int" and "threshold" in entry:
+        entry["threshold"] = int(entry["threshold"])  # 1 for 1.0 loads, 1 for 1.5 does not
+    elif edit == "true" and "threshold" in entry:
+        entry["threshold"] = True
+    elif edit == "extra-key":
+        entry[data.draw(st.sampled_from(["note", "category", "threshold"]))] = "x"
+    elif edit == "missing-key" and entry:
+        del entry[data.draw(st.sampled_from(sorted(entry)))]
+    elif edit == "op":
+        entry["op"] = data.draw(st.sampled_from(["<=", ">", "==", "<"]))
+    elif edit == "swap":
+        k = data.draw(st.integers(0, len(cat) - 1))
+        cat[i], cat[k] = cat[k], cat[i]
+    elif edit == "truncate":
+        del cat[i:]
+    elif edit == "non-dict":
+        values = list(entry.values()) if isinstance(entry, dict) else []
+        cat[i] = data.draw(st.sampled_from([[], values, "abc", None]))
+    elif edit == "categorical":
+        cat[i] = {"column": entry.get("column"), "op": "==", "category": "a"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), model=fitted_models(), n_edits=st.integers(0, 2))
+def test_catalog_check_accepts_and_rejects_like_the_per_entry_walk(data, model, n_edits):
+    obj = json.loads(model.to_json())
+    for _ in range(n_edits):
+        _mutate_catalog(data, obj["feature_catalog"])
+    outcome = load_outcome(BinarizationModel.from_json_obj, obj)
+    assert outcome == load_outcome(reference_from_json_obj, obj)
+    if n_edits == 0:
+        assert outcome == ("model", model)
+
+
+@pytest.mark.parametrize("stored, columns", [(1, 1.0), (1.0, 1), (2, 2)])
+def test_stored_catalog_equal_in_value_loads(stored, columns):
+    obj = {
+        "schema_version": 1,
+        "columns": [{"name": "x", "kind": "numeric", "thresholds": [0.5, columns]}],
+        "feature_catalog": [
+            {"column": "x", "op": "<=", "threshold": 0.5},
+            {"column": "x", "op": ">", "threshold": 0.5},
+            {"column": "x", "op": "<=", "threshold": stored},
+            {"column": "x", "op": ">", "threshold": stored},
+        ],
+    }
+    model = BinarizationModel.from_json_obj(obj)
+    assert model.columns[0].thresholds == (0.5, columns)
+    assert load_outcome(reference_from_json_obj, obj) == ("model", model)
+
+
+def test_a_catalog_equal_to_the_columns_is_accepted_without_the_walk(monkeypatch):
+    model = small_model()
+
+    def no_walk(*args):
+        raise AssertionError("the per-entry walk ran on a catalog equal to the columns")
+
+    monkeypatch.setattr(binarize, "zip_longest", no_walk)
+    assert BinarizationModel.from_json(model.to_json()) == model
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=fitted_models(), leading=st.booleans())
+def test_feature_is_the_catalog_entry(model, leading):
+    if leading:  # a featureless column ahead of the rest shifts no index
+        model = BinarizationModel((ColumnModel("e", "numeric"), *model.columns))
+    assert [model.feature(j) for j in range(model.n_features)] == list(model.catalog)
+    assert [f.to_json_obj() for f in model.catalog] == model.to_json_obj()["feature_catalog"]
+    for j in (-1, model.n_features):
+        with pytest.raises(FeatureIndexError):
+            model.feature(j)

@@ -779,25 +779,75 @@ def test_window_schema_error_names_its_file(trained, scenario, tmp_path, capsys,
     assert capsys.readouterr().err == f"schema-error: {bad}: {message}\n"
 
 
+def _first_rule(obj) -> dict:
+    return obj["fault_types"][0]["rules"][0]
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda obj: obj["binarization"]["columns"].__setitem__(0, 5),
-        lambda obj: obj.__setitem__("binarization", []),
-        lambda obj: obj["fault_types"].__setitem__(0, 7),
+        (
+            lambda obj: obj["binarization"]["columns"].__setitem__(0, 5),
+            "binarization.columns[0]: expected an object, got 5",
+        ),
+        (
+            lambda obj: obj.__setitem__("binarization", []),
+            "binarization: expected an object, got a list",
+        ),
+        (
+            lambda obj: obj["fault_types"].__setitem__(0, 7),
+            "fault_types[0]: expected an object, got 7",
+        ),
+        (lambda obj: [], "the model: expected an object, got a list"),
+        (
+            lambda obj: obj["binarization"]["columns"][2].__setitem__("thresholds", 3),
+            "binarization.columns[2].thresholds: expected a list, got 3",
+        ),
+        (
+            lambda obj: obj["binarization"]["columns"][2]["thresholds"].insert(0, 10**400),
+            "binarization.columns[2].thresholds: int too large to convert to float",
+        ),
+        (
+            lambda obj: _first_rule(obj).__setitem__("precision", "high"),
+            'fault_types[0].rules[0].precision: expected a number in [0, 1], got "high"',
+        ),
+        (
+            lambda obj: _first_rule(obj).__setitem__("recall", True),
+            "fault_types[0].rules[0].recall: expected a number in [0, 1], got true",
+        ),
+        (
+            lambda obj: _first_rule(obj).__setitem__("covered", -1),
+            "fault_types[0].rules[0].covered: expected a non-negative integer, got -1",
+        ),
+        (
+            lambda obj: _first_rule(obj).__setitem__("covered", False),
+            "fault_types[0].rules[0].covered: expected a non-negative integer, got false",
+        ),
+        (
+            lambda obj: _first_rule(obj)["predicates"][0].__setitem__("feature", True),
+            "fault_types[0].rules[0].predicates[0].feature:"
+            " expected a non-negative integer, got true",
+        ),
+        (
+            lambda obj: _first_rule(obj).__delitem__("covered"),
+            "fault_types[0].rules[0].covered: missing",
+        ),
     ],
-    ids=["column-number", "binarization-list", "fault-type-number"],
+    ids=[
+        "column-number", "binarization-list", "fault-type-number", "model-list",
+        "thresholds-number", "threshold-too-large", "precision-text", "recall-boolean",
+        "covered-negative", "covered-boolean", "feature-boolean", "covered-missing",
+    ],
 )
 def test_model_of_the_wrong_json_shape_is_schema_error(
-    trained, scenario, tmp_path, capsys, edit
+    trained, scenario, tmp_path, capsys, edit, message
 ):
     _, _, model_path = trained
     obj = json.loads(model_path.read_text())
-    edit(obj)
-    code, model = _run_on_model("localize", obj, scenario, tmp_path)
+    replaced = edit(obj)  # None where edit changed obj in place
+    code, model = _run_on_model("localize", obj if replaced is None else replaced, scenario, tmp_path)
     assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"schema-error: {model}: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"schema-error: {model}: {message}\n"
 
 
 LATIN1 = "fault_type,service,a\nf,caf\xe9,1\n".encode("latin-1")
@@ -854,3 +904,31 @@ def test_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys):
     data.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert read_csv_columns(data) == read_csv_columns(plain)
     assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 0
+
+
+@pytest.mark.parametrize("reader", ["config", "model", "manifest"])
+def test_json_input_may_start_with_a_byte_order_mark(trained, scenario, tmp_path, capsys, reader):
+    _, data, model_path = trained
+    if reader == "config":
+        plain = tmp_path / "cfg.json"
+        plain.write_text(json.dumps({"training": {"K": 1, "l": 2}}))
+    elif reader == "model":
+        plain = model_path
+    else:
+        plain = tmp_path / "cases.json"
+        plain.write_text(json.dumps({"cases": [_window_case(scenario, tmp_path)]}))
+    marked = tmp_path / f"bom-{plain.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        out = tmp_path / f"out-{path.name}"
+        if reader == "config":
+            argv = ["train", "--data", str(data), "--model", str(out), "--config", str(path)]
+        elif reader == "model":
+            argv = ["export-fingerprints", "--model", str(path), "--out", str(out)]
+        else:
+            argv = ["eval", "--model", str(model_path), "--manifest", str(path), "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1]

@@ -18,7 +18,6 @@ from ruleloc.core import (
     cover_of_set,
     distorted_gain,
     f1_score,
-    indices_of,
     objective_den,
     objective_num,
     pos_log_gain,
@@ -26,6 +25,19 @@ from ruleloc.core import (
 )
 
 from conftest import random_dataset
+
+
+def indices_of(bits: int) -> list[int]:
+    """The set bits of a bitset, lowest first."""
+    out = []
+    i = 0
+    while bits:
+        tz = (bits & -bits).bit_length() - 1
+        i += tz
+        out.append(i)
+        bits >>= tz + 1
+        i += 1
+    return out
 
 
 def brute_cover(rows, rule):

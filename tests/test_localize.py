@@ -221,6 +221,54 @@ def test_model_with_disagreeing_knobs_is_schema_error(model, tmp_path, capsys):
     assert err.startswith("schema-error:") and "'disk'" in err
 
 
+def _small_fitted_model() -> FaultModel:
+    from ruleloc.binarize import FeatureSpec, fit
+
+    table = {"a": [0.0, 1.0, 2.0, 3.0], "s": ["x", "y", "x", "y"]}
+    binarization = fit(table, [FeatureSpec("a", bins=3), FeatureSpec("s", kind="categorical")])
+    return FaultModel(
+        (("cpu", annotated([((0, 5), 0.9), ((3,), 0.5)])), ("disk", annotated([((4,), 1)]))),
+        binarization,
+    )
+
+
+def _key_paths(value, path=()):
+    """The key path of every value inside a JSON value, itself first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _key_paths(inner, (*path, key))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value=json_values, drop=st.booleans())
+def test_model_of_any_json_shape_loads_or_raises_value_error(data, value, drop):
+    """Replace or drop any one value of a model's JSON: loading either works or
+    raises a ValueError (which the CLI reports as a schema error), never a
+    TypeError, KeyError, AttributeError or OverflowError."""
+    obj = _small_fitted_model().to_json_obj()
+    *path, key = data.draw(st.sampled_from(list(_key_paths(obj))[1:]))
+    parent = obj
+    for step in path:
+        parent = parent[step]
+    if drop and isinstance(parent, dict):
+        del parent[key]
+    else:
+        parent[key] = value
+    try:
+        FaultModel.from_json_obj(json.loads(json.dumps(obj)))
+    except ValueError:
+        pass
+
+
 def test_model_rejects_duplicate_fault_types(model):
     with pytest.raises(ValueError, match="duplicate fault type 'cpu'"):
         FaultModel(model.rule_sets + (model.rule_sets[0],))
