@@ -10,14 +10,19 @@ localize exits 0 when any rule fired and 3 on a no-signal window.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import hashlib
 import json
 import sys
 import time
 import warnings
+from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from ruleloc import SCHEMA_VERSION, __version__
 from ruleloc.binarize import (
@@ -79,15 +84,105 @@ class CliError(Exception):
         self.category = category
 
 
-def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
-    """Read an RFC-4180 CSV with header into a column-oriented table.
+def read_csv_columns(
+    path: str | Path, numeric: Callable[[str], bool] = lambda name: False
+) -> dict[str, Sequence]:
+    r"""Read an RFC-4180 CSV with header into a column-oriented table.
 
     A row with fewer fields than the header is padded with "" (a missing
     value); a row with more fields, or a blank line, is invalid data,
     reported with its 1-based line number.  A header naming a column twice
     is a schema error.  The file is UTF-8, with or without a byte-order
     mark; any other bytes are invalid data naming the file.
+
+    Columns are lists of cell strings, except that on a plain comma grid
+    the columns `numeric` accepts by name come back as C-contiguous
+    float64 arrays parsed in C by np.loadtxt.  A plain comma grid is a
+    seekable file holding, after an optional byte-order mark, only
+    printable ASCII other than '"' and \n line ends, with at least one
+    data row, no duplicate header name, no blank line, and as many commas
+    on every line as in the header.  Any other file, and a grid with a
+    numeric cell that loadtxt rejects (an empty or blank one, "1_0"), is
+    read by the exact reader, whose string columns binarize.numeric_column
+    parses later, with its messages.  Every numeric cell of a grid that
+    loadtxt accepts parses to the same float there, so both paths give the
+    same values and raise the same errors in the same order.
     """
+    try:
+        table = _grid_table(path, numeric)
+    except (OSError, ValueError):  # unreadable, or a numeric cell loadtxt rejects
+        table = None
+    return _read_csv_cells(path) if table is None else table
+
+
+# The bytes of a plain comma grid line after the byte-order mark.
+_GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# Rows per loadtxt call.  Larger chunks leave more freed heap behind, as
+# glibc serves blocks below its adaptive mmap threshold from the heap: on a
+# 100k x 63 table, 8192 rows per call raised the peak RSS of train by 5 MB.
+_GRID_CHUNK_ROWS = 2048
+
+
+def _grid_lines_ok(lines: list[bytes], commas: int) -> bool:
+    """Whether lines are plain comma grid lines with `commas` commas each."""
+    return not (
+        any(map(bytes.translate, lines, repeat(None), repeat(_GRID_BYTES)))
+        or b"\n" in lines
+        or set(map(bytes.count, lines, repeat(b","))) != {commas}
+    )
+
+
+def _grid_table(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict]:
+    """The table of a plain comma grid parsed by np.loadtxt, else None.
+
+    The file is read twice, so that no copy of it is held whole: in blocks
+    to count its rows, then in chunks of lines, each checked before
+    loadtxt reads it.
+    """
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe can be read only once
+            return None
+        newlines, last = 0, b"\n"
+        for block in iter(partial(fh.read, 1 << 16), b""):
+            newlines += block.count(b"\n")
+            last = block[-1:]
+        n = newlines - (last == b"\n")
+        fh.seek(0)
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        line = fh.readline()
+        commas = line.count(b",")
+        if n < 1 or not _grid_lines_ok([line], commas):
+            return None
+        header = line.rstrip(b"\n").decode().split(",")
+        if len(set(header)) != len(header):
+            return None
+        is_numeric = [bool(numeric(name)) for name in header]
+        num = [i for i, flag in enumerate(is_numeric) if flag]
+        txt = [i for i, flag in enumerate(is_numeric) if not flag]
+        values = np.empty((len(num), n))
+        texts: list[list[str]] = [[] for _ in txt]
+        for lo in range(0, n, _GRID_CHUNK_ROWS):
+            chunk = list(islice(fh, _GRID_CHUNK_ROWS))
+            if len(chunk) != min(_GRID_CHUNK_ROWS, n - lo) or not _grid_lines_ok(chunk, commas):
+                return None
+            if num:
+                cells = np.loadtxt(chunk, delimiter=",", comments=None, usecols=num, ndmin=2)
+                values[:, lo : lo + len(chunk)] = cells.T
+            if txt:
+                cells = np.loadtxt(
+                    chunk, object, delimiter=",", comments=None, usecols=txt, ndmin=2
+                )
+                for column, cell_column in zip(texts, cells.T):
+                    column.extend(cell_column.tolist())
+        if fh.read(1):  # the file grew after its rows were counted
+            return None
+    rows, cells = iter(values), iter(texts)
+    return {name: next(rows) if flag else next(cells) for name, flag in zip(header, is_numeric)}
+
+
+def _read_csv_cells(path: str | Path) -> dict[str, list[str]]:
+    """read_csv_columns with every column a list of cell strings."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -203,7 +298,8 @@ def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
     Both layouts work: logs/normal.log and logs/normal/anything.log.  A
     line ends only at \n, \r\n or \r (read_text turns the last two into
     \n); characters that str.splitlines also breaks at, such as \x1c or
-    U+2028, stay inside their line.  A final line ending starts no line.
+    U+2028, stay inside their line.  A final line ending starts no line,
+    and a byte-order mark at the start of a file is dropped.
     """
     lines: list[str] = []
     candidates = sorted(
@@ -213,7 +309,7 @@ def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
     )
     for path in candidates:
         try:
-            file_lines = path.read_text(encoding="utf-8").split("\n")
+            file_lines = path.read_text(encoding="utf-8-sig").split("\n")
         except UnicodeDecodeError as exc:
             raise CliError("invalid-data", f"{path}: {exc}")
         if file_lines[-1] == "":
@@ -322,7 +418,10 @@ def cmd_train(args) -> int:
     )
 
     started = time.perf_counter()
-    table = read_csv_columns(args.data)
+    role_columns = {fault_col, service_col, timestamp_col}
+    table = read_csv_columns(
+        args.data, lambda name: name not in role_columns and name not in categorical
+    )
     if fault_col not in table:
         raise CliError("schema-error", f"fault-type column {fault_col!r} not in {args.data}")
     if args.logs:
@@ -330,7 +429,6 @@ def cmd_train(args) -> int:
             table, args.data, timestamp_col, Path(args.logs), interval, sim, ts_format
         )
 
-    role_columns = {fault_col, service_col, timestamp_col}
     specs = _feature_specs(table, role_columns, categorical, bins)
     try:
         parse_numeric_columns(table, specs)
@@ -430,6 +528,16 @@ def _load_model(path: str) -> FaultModel:
     return model
 
 
+def _window_numeric(model: FaultModel, service_col: str) -> Callable[[str], bool]:
+    """Which window columns to read as numbers: the model's numeric columns
+    with thresholds, service_col excepted."""
+    names = {
+        c.name for c in model.binarization.columns if c.kind == NUMERIC and c.width
+    }
+    names.discard(service_col)
+    return names.__contains__
+
+
 def _window_from_table(
     model: FaultModel,
     table: dict[str, list[str]],
@@ -457,7 +565,7 @@ def cmd_localize(args) -> int:
     cfg = _load_config(args.config)
     service_col = _setting(args, cfg, "columns.service", _text, "service_col")
     model = _load_model(args.model)
-    table = read_csv_columns(args.data)
+    table = read_csv_columns(args.data, _window_numeric(model, service_col))
     window = _window_from_table(model, table, args.data, service_col)
     report = localization_report(model, window)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -501,10 +609,11 @@ def cmd_eval(args) -> int:
     except ValueError as exc:  # bad JSON or not UTF-8
         raise CliError("invalid-data", f"{args.manifest}: {exc}")
     base_dir = Path(args.manifest).parent
+    numeric = _window_numeric(model, service_col)
     cases = []
     for entry in _manifest_entries(args.manifest, manifest):
         window_path = base_dir / entry["window"]
-        table = read_csv_columns(window_path)
+        table = read_csv_columns(window_path, numeric)
         window = _window_from_table(model, table, window_path, service_col)
         cases.append(IncidentCase(window, entry["true_fault"], entry["true_service"]))
     if not cases:

@@ -326,11 +326,6 @@ def cover_log_gain(ctx: ObjectiveContext, rule: Rule) -> float:
     return math.log(merged.bit_count() + pos_total) - base
 
 
-def distorted_gain(ctx: ObjectiveContext, rule: Rule) -> float:
-    """alpha-weighted difference of the two marginal log gains."""
-    return ctx.alpha * pos_log_gain(ctx, rule) - cover_log_gain(ctx, rule)
-
-
 def objective_num(ctx: ObjectiveContext, rule: Rule) -> int:
     """Numerator count: |rule's positive cover union current positive cover|."""
     rule_pos = cover_of_rule(ctx.dataset, rule) & ctx.dataset.labels

@@ -165,15 +165,6 @@ def surrogate_value(state: SurrogateState, rule: Rule, kind: int) -> float:
     return float(_surrogate_of(state, bound, new.bit_count()))
 
 
-def surrogate_offset(state: SurrogateState) -> float:
-    """Constant by which the true objective dominates the surrogate.
-
-    objective(r) >= surrogate(r) + (1 - log den(anchor)) for every rule,
-    with equality at the anchor.
-    """
-    return 1.0 - math.log(state.den_anchor)
-
-
 def _first_best(values: np.ndarray) -> int:
     """First position within TIE_EPS of the largest value; -1 if all are -inf.
 

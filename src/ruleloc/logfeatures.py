@@ -211,12 +211,6 @@ def _split_stamp(line: str, fmt: Optional[str]) -> tuple[str, str]:
     return stamp, rest
 
 
-def split_timestamp(line: str, fmt: Optional[str] = None) -> tuple[float, str]:
-    """Split a timestamp-prefixed line into (epoch seconds, message)."""
-    stamp, rest = _split_stamp(line, fmt)
-    return parse_timestamp(stamp, fmt), rest
-
-
 def match_and_aggregate(
     base: TemplateBase,
     lines: Iterable[str],

@@ -25,7 +25,6 @@ from ruleloc.core import (
     RuleSet,
     bitset_of,
     cover_of_set,
-    distorted_gain,
     f1_score,
     rule_objective,
 )
@@ -41,13 +40,13 @@ from ruleloc.generate import (
     SurrogateState,
     generate_rule,
     numerator_lower_bound,
-    surrogate_offset,
     surrogate_value,
 )
 from ruleloc.localize import FaultModel
 from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
+from objectives import distorted_gain, surrogate_offset
 
 
 def report(criterion: int, text: str) -> None:

@@ -308,6 +308,21 @@ def test_log_lines_split_at_line_endings_only(tmp_path, capsys):
     assert capsys.readouterr().err == "templates=1 intervals=1 skipped=0\n"
 
 
+def test_log_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 heartbeat ok\n", encoding="utf-8")
+    (logs / "online.log").write_bytes(
+        b"\xef\xbb\xbf1970-01-01T00:00:05 worker 3 heartbeat ok\n"
+        b"1970-01-01T00:00:09 worker 4 heartbeat ok\n"
+    )
+    out = tmp_path / "frame.csv"
+    code = main(["parse-logs", "--logs", str(logs), "--interval", "60", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().strip().split("\n")[1] == "0,2,0,0"
+    assert capsys.readouterr().err == "templates=1 intervals=1 skipped=0\n"
+
+
 def test_missing_fault_column_is_schema_error(tmp_path, capsys):
     data = tmp_path / "no_label.csv"
     write_csv_columns(data, {"m0": ["1", "0"], "service": ["a", "b"]})

@@ -16,7 +16,6 @@ from ruleloc.core import (
     cover_log_gain,
     cover_of_rule,
     cover_of_set,
-    distorted_gain,
     f1_score,
     objective_den,
     objective_num,
@@ -25,6 +24,7 @@ from ruleloc.core import (
 )
 
 from conftest import random_dataset
+from objectives import distorted_gain
 
 
 def indices_of(bits: int) -> list[int]:

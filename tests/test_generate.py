@@ -30,12 +30,12 @@ from ruleloc.generate import (
     generate_rule,
     greedy_ratio_seed,
     numerator_lower_bound,
-    surrogate_offset,
     surrogate_value,
 )
 from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
+from objectives import surrogate_offset
 
 
 def num_reference(ctx, features):

@@ -18,7 +18,6 @@ from ruleloc.logfeatures import (
     match_and_aggregate,
     parse_timestamp,
     similarity,
-    split_timestamp,
     tokenize,
 )
 
@@ -140,11 +139,11 @@ def test_parse_timestamp_iso_and_custom():
 
 
 def test_split_timestamp_custom_format_with_space():
-    epoch, rest = split_timestamp(
-        "01/01/1970 00:02:00 job 7 done", "%d/%m/%Y %H:%M:%S"
+    frame = match_and_aggregate(
+        TemplateBase(), ["01/01/1970 00:02:00 job 7 done"], 60.0, "%d/%m/%Y %H:%M:%S"
     )
-    assert epoch == 120.0
-    assert rest == "job 7 done"
+    assert frame.skipped == 0
+    assert frame.rows == (IntervalCounts(120.0, 1, 1, ((("job", WILDCARD, "done"), 1),)),)
 
 
 def timestamped(lines, start=0, step=10):
