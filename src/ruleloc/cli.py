@@ -33,6 +33,7 @@ from ruleloc.binarize import (
     InvalidValueError,
     SchemaError,
     fit,
+    numeric_column,
     parse_numeric_columns,
     relabel,
     row_feature_masks,
@@ -97,20 +98,22 @@ def read_csv_columns(
 
     Columns are lists of cell strings, except that on a plain comma grid
     the columns `numeric` accepts by name come back as C-contiguous
-    float64 arrays parsed in C by np.loadtxt.  A plain comma grid is a
-    seekable file holding, after an optional byte-order mark, only
-    printable ASCII other than '"' and \n line ends, with at least one
-    data row, no duplicate header name, no blank line, and as many commas
-    on every line as in the header.  Any other file, and a grid with a
-    numeric cell that loadtxt rejects (an empty or blank one, "1_0"), is
-    read by the exact reader, whose string columns binarize.numeric_column
-    parses later, with its messages.  Every numeric cell of a grid that
-    loadtxt accepts parses to the same float there, so both paths give the
-    same values and raise the same errors in the same order.
+    float64 arrays.  A plain comma grid is a seekable file holding, after
+    an optional byte-order mark, only printable ASCII other than '"' and
+    \n line ends, with at least one data row, no duplicate header name,
+    no blank line, and as many commas on every line as in the header.  Its
+    numeric cells are parsed in C by np.loadtxt, chunk by chunk; a chunk
+    that loadtxt rejects (a blank cell, "1_0") is parsed by
+    binarize.numeric_column, which reads blanks as missing.  Any other
+    file, and a grid with a cell numeric_column rejects, is read by the
+    exact reader, whose string columns numeric_column parses later, with
+    its messages.  loadtxt and numeric_column read every grid cell that
+    loadtxt accepts alike, so both paths give the same values and raise
+    the same errors in the same order.
     """
     try:
         table = _grid_table(path, numeric)
-    except (OSError, ValueError):  # unreadable, or a numeric cell loadtxt rejects
+    except (OSError, ValueError):  # unreadable, or a numeric cell that does not parse
         table = None
     return _read_csv_cells(path) if table is None else table
 
@@ -167,8 +170,15 @@ def _grid_table(path: str | Path, numeric: Callable[[str], bool]) -> Optional[di
             if len(chunk) != min(_GRID_CHUNK_ROWS, n - lo) or not _grid_lines_ok(chunk, commas):
                 return None
             if num:
-                cells = np.loadtxt(chunk, delimiter=",", comments=None, usecols=num, ndmin=2)
-                values[:, lo : lo + len(chunk)] = cells.T
+                block = values[:, lo : lo + len(chunk)]
+                try:
+                    block[:] = np.loadtxt(
+                        chunk, delimiter=",", comments=None, usecols=num, ndmin=2
+                    ).T
+                except ValueError:  # a blank cell, or one only float() reads
+                    fields = [text.rstrip(b"\n").decode().split(",") for text in chunk]
+                    for out, i in zip(block, num):
+                        out[:] = numeric_column([row[i] for row in fields], header[i])
             if txt:
                 cells = np.loadtxt(
                     chunk, object, delimiter=",", comments=None, usecols=txt, ndmin=2

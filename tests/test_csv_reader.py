@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ruleloc.binarize import NUMERIC, FeatureSpec, InvalidValueError, fit, numeric_column
+from ruleloc import cli
 from ruleloc.cli import CliError, main, read_csv_columns
 
 
@@ -117,7 +118,10 @@ def took_grid_path(path: Path, numeric) -> bool:
 # -- generated tables -----------------------------------------------------------
 
 PLAIN_NUMBERS = ["0", "1", "-2.5", "3e2", "1e-400", "1e999", ".5", "7.", " 4 ", "+1",
-                 "nan", "NaN", "-nan", "inf", "-Infinity", "+inf", "0.1", "123456789012345678901"]
+                 "nan", "NaN", "-nan", "inf", "-Infinity", "+inf", "0.1", "123456789012345678901",
+                 "", "  ", "1_0", "1E+05", " -0 ", "InFiNiTy", "1.5e-3"]
+# Printable cells that no parser reads as a number.
+BAD_NUMBERS = ["1__0", "_1", "+-1", "nan(1)", "0b1", "1j", "-.e1", "abc"]
 ODD_CELLS = ["", " ", "1_0", "１", "#", "#1", "5#", "7\x1c", "\x00", "1\x0b", "\x0b2", "0x10",
              "abc", "1 2", "é", '"a,b"', '"x""y"', '"l1\nl2"', '"3"', "\x7f", "\t5"]
 TEXTS = ["svc0", "normal", "", "2024-01-01T00:00:01", "a b", "#x", "x#", "-"]
@@ -136,7 +140,9 @@ def csv_files(draw):
     if plain:
         names = list(dict.fromkeys(names))
     numeric_names = set(draw(st.lists(st.sampled_from(names), max_size=len(names))))
-    cells_numeric = st.sampled_from(PLAIN_NUMBERS if plain else PLAIN_NUMBERS + ODD_CELLS)
+    cells_numeric = st.sampled_from(
+        PLAIN_NUMBERS * 8 + BAD_NUMBERS if plain else PLAIN_NUMBERS + BAD_NUMBERS + ODD_CELLS
+    )
     cells_text = st.sampled_from(TEXTS if plain else TEXTS + ODD_CELLS)
     n_rows = draw(st.integers(0, 6))
     lines = [",".join(names)]
@@ -241,10 +247,29 @@ def test_short_row_is_padded_and_long_row_fails(tmp_path, data, message):
 @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("１", 1.0), ("", math.nan),
                                          ("  ", math.nan), (" 4 ", 4.0)])
 def test_cells_loadtxt_rejects_parse_as_float_does(tmp_path, cell, value):
+    """loadtxt rejects these; on a grid, numeric_column parses their chunk."""
     path = tmp_path / "cells.csv"
     path.write_bytes(f"a,b\n1,{cell}\n".encode())
     table = assert_same_as_oracle(path, {"a", "b"}.__contains__)
-    assert np.array_equal(numeric_column(table["b"], "b"), [value], equal_nan=True)
+    assert np.array_equal(table["b"], [value], equal_nan=True)
+    assert took_grid_path(path, {"a", "b"}.__contains__) == cell.isascii()
+
+
+def test_a_chunk_with_a_blank_cell_keeps_the_grid_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_GRID_CHUNK_ROWS", 2)
+    path = tmp_path / "gaps.csv"
+    path.write_bytes(b"a,b\n1,x\n2,y\n,z\n4,w\n5,\n")
+    table = assert_same_as_oracle(path, {"a"}.__contains__)
+    assert np.array_equal(table["a"], [1, 2, math.nan, 4, 5], equal_nan=True)
+    assert table["b"] == ["x", "y", "z", "w", ""]
+    assert took_grid_path(path, {"a"}.__contains__)
+    # A cell no parser reads sends the whole file to the exact reader, so
+    # numeric_column later names its row in the whole column.
+    path.write_bytes(b"a,b\n1,x\n2,y\n3,z\n4,w\n5x,v\n")
+    column = read_csv_columns(path, {"a"}.__contains__)["a"]
+    assert column == ["1", "2", "3", "4", "5x"]
+    with pytest.raises(InvalidValueError, match="column 'a', row 5: could not convert"):
+        numeric_column(column, "a")
 
 
 def test_duplicate_header_name_still_fails(tmp_path):
