@@ -10,19 +10,14 @@ localize exits 0 when any rule fired and 3 on a no-signal window.
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import hashlib
 import json
 import sys
 import time
 import warnings
-from functools import partial
-from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from ruleloc import SCHEMA_VERSION, __version__
 from ruleloc.binarize import (
@@ -33,12 +28,12 @@ from ruleloc.binarize import (
     InvalidValueError,
     SchemaError,
     fit,
-    numeric_column,
     parse_numeric_columns,
     relabel,
     row_feature_masks,
     transform,
 )
+from ruleloc.csvgrid import read_grid
 from ruleloc.evaluate import IncidentCase, evaluate_cases
 from ruleloc.localize import FaultModel, QueryWindow, localization_report
 from ruleloc.logfeatures import (
@@ -88,7 +83,7 @@ class CliError(Exception):
 def read_csv_columns(
     path: str | Path, numeric: Callable[[str], bool] = lambda name: False
 ) -> dict[str, Sequence]:
-    r"""Read an RFC-4180 CSV with header into a column-oriented table.
+    """Read an RFC-4180 CSV with header into a column-oriented table.
 
     A row with fewer fields than the header is padded with "" (a missing
     value); a row with more fields, or a blank line, is invalid data,
@@ -97,98 +92,18 @@ def read_csv_columns(
     mark; any other bytes are invalid data naming the file.
 
     Columns are lists of cell strings, except that on a plain comma grid
-    the columns `numeric` accepts by name come back as C-contiguous
-    float64 arrays.  A plain comma grid is a seekable file holding, after
-    an optional byte-order mark, only printable ASCII other than '"' and
-    \n line ends, with at least one data row, no duplicate header name,
-    no blank line, and as many commas on every line as in the header.  Its
-    numeric cells are parsed in C by np.loadtxt, chunk by chunk; a chunk
-    that loadtxt rejects (a blank cell, "1_0") is parsed by
-    binarize.numeric_column, which reads blanks as missing.  Any other
-    file, and a grid with a cell numeric_column rejects, is read by the
-    exact reader, whose string columns numeric_column parses later, with
-    its messages.  loadtxt and numeric_column read every grid cell that
-    loadtxt accepts alike, so both paths give the same values and raise
-    the same errors in the same order.
+    (see ruleloc.csvgrid) the columns `numeric` accepts by name come back
+    as C-contiguous float64 arrays parsed in C.  Any other file, and a grid
+    with a numeric cell that does not parse, is read by the exact reader,
+    whose string columns binarize.numeric_column parses later, with its
+    messages.  Both paths give the same values and raise the same errors
+    in the same order.
     """
     try:
-        table = _grid_table(path, numeric)
+        table = read_grid(path, numeric)
     except (OSError, ValueError):  # unreadable, or a numeric cell that does not parse
         table = None
     return _read_csv_cells(path) if table is None else table
-
-
-# The bytes of a plain comma grid line after the byte-order mark.
-_GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
-# Rows per loadtxt call.  Larger chunks leave more freed heap behind, as
-# glibc serves blocks below its adaptive mmap threshold from the heap: on a
-# 100k x 63 table, 8192 rows per call raised the peak RSS of train by 5 MB.
-_GRID_CHUNK_ROWS = 2048
-
-
-def _grid_lines_ok(lines: list[bytes], commas: int) -> bool:
-    """Whether lines are plain comma grid lines with `commas` commas each."""
-    return not (
-        any(map(bytes.translate, lines, repeat(None), repeat(_GRID_BYTES)))
-        or b"\n" in lines
-        or set(map(bytes.count, lines, repeat(b","))) != {commas}
-    )
-
-
-def _grid_table(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict]:
-    """The table of a plain comma grid parsed by np.loadtxt, else None.
-
-    The file is read twice, so that no copy of it is held whole: in blocks
-    to count its rows, then in chunks of lines, each checked before
-    loadtxt reads it.
-    """
-    with open(path, "rb") as fh:
-        if not fh.seekable():  # a pipe can be read only once
-            return None
-        newlines, last = 0, b"\n"
-        for block in iter(partial(fh.read, 1 << 16), b""):
-            newlines += block.count(b"\n")
-            last = block[-1:]
-        n = newlines - (last == b"\n")
-        fh.seek(0)
-        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            fh.seek(0)
-        line = fh.readline()
-        commas = line.count(b",")
-        if n < 1 or not _grid_lines_ok([line], commas):
-            return None
-        header = line.rstrip(b"\n").decode().split(",")
-        if len(set(header)) != len(header):
-            return None
-        is_numeric = [bool(numeric(name)) for name in header]
-        num = [i for i, flag in enumerate(is_numeric) if flag]
-        txt = [i for i, flag in enumerate(is_numeric) if not flag]
-        values = np.empty((len(num), n))
-        texts: list[list[str]] = [[] for _ in txt]
-        for lo in range(0, n, _GRID_CHUNK_ROWS):
-            chunk = list(islice(fh, _GRID_CHUNK_ROWS))
-            if len(chunk) != min(_GRID_CHUNK_ROWS, n - lo) or not _grid_lines_ok(chunk, commas):
-                return None
-            if num:
-                block = values[:, lo : lo + len(chunk)]
-                try:
-                    block[:] = np.loadtxt(
-                        chunk, delimiter=",", comments=None, usecols=num, ndmin=2
-                    ).T
-                except ValueError:  # a blank cell, or one only float() reads
-                    fields = [text.rstrip(b"\n").decode().split(",") for text in chunk]
-                    for out, i in zip(block, num):
-                        out[:] = numeric_column([row[i] for row in fields], header[i])
-            if txt:
-                cells = np.loadtxt(
-                    chunk, object, delimiter=",", comments=None, usecols=txt, ndmin=2
-                )
-                for column, cell_column in zip(texts, cells.T):
-                    column.extend(cell_column.tolist())
-        if fh.read(1):  # the file grew after its rows were counted
-            return None
-    rows, cells = iter(values), iter(texts)
-    return {name: next(rows) if flag else next(cells) for name, flag in zip(header, is_numeric)}
 
 
 def _read_csv_cells(path: str | Path) -> dict[str, list[str]]:

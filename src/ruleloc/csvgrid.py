@@ -1,0 +1,100 @@
+r"""Plain comma grids: CSV tables whose numeric columns parse in C.
+
+A plain comma grid is a seekable file holding, after an optional UTF-8
+byte-order mark, only printable ASCII other than '"' and \n line ends,
+with at least one data row, no duplicate header name, no blank line, and
+as many commas on every line as in the header.  The csv module splits
+such a line at its commas and nowhere else, so np.loadtxt with no quote
+and no comment character reads the same cells.  loadtxt parses a numeric
+cell with the rules of float() but rejects some cells float() reads
+(blank ones, "1_0"); a chunk holding one is parsed by
+binarize.numeric_column instead, so the values are the ones
+numeric_column gives the same cells as strings.
+"""
+
+from __future__ import annotations
+
+import codecs
+from functools import partial
+from itertools import islice, repeat
+from pathlib import Path
+from typing import Callable, Optional
+
+import numpy as np
+
+from ruleloc.binarize import numeric_column
+
+# The bytes of a plain comma grid line after the byte-order mark.
+_GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# Rows per loadtxt call.  Larger chunks leave more freed heap behind, as
+# glibc serves blocks below its adaptive mmap threshold from the heap: on a
+# 100k x 63 table, 8192 rows per call raised the peak RSS of train by 5 MB.
+_CHUNK_ROWS = 2048
+
+
+def _lines_ok(lines: list[bytes], commas: int) -> bool:
+    """Whether lines are plain comma grid lines with `commas` commas each."""
+    return not (
+        any(map(bytes.translate, lines, repeat(None), repeat(_GRID_BYTES)))
+        or b"\n" in lines
+        or set(map(bytes.count, lines, repeat(b","))) != {commas}
+    )
+
+
+def read_grid(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict]:
+    """The table of the file at path if it is a plain comma grid, else None.
+
+    Columns that `numeric` accepts by name are rows of one float64 array,
+    the others lists of cell strings.  The file is read twice, so that no
+    copy of it is held whole: in blocks to count its rows, then in chunks
+    of lines, each checked before loadtxt reads it.  Raises OSError if the
+    file cannot be read and ValueError (InvalidValueError) for a numeric
+    cell that binarize.numeric_column rejects.
+    """
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe can be read only once
+            return None
+        newlines, last = 0, b"\n"
+        for block in iter(partial(fh.read, 1 << 16), b""):
+            newlines += block.count(b"\n")
+            last = block[-1:]
+        n = newlines - (last == b"\n")
+        fh.seek(0)
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        line = fh.readline()
+        commas = line.count(b",")
+        if n < 1 or not _lines_ok([line], commas):
+            return None
+        header = line.rstrip(b"\n").decode().split(",")
+        if len(set(header)) != len(header):
+            return None
+        is_numeric = [bool(numeric(name)) for name in header]
+        num = [i for i, flag in enumerate(is_numeric) if flag]
+        txt = [i for i, flag in enumerate(is_numeric) if not flag]
+        values = np.empty((len(num), n))
+        texts: list[list[str]] = [[] for _ in txt]
+        for lo in range(0, n, _CHUNK_ROWS):
+            chunk = list(islice(fh, _CHUNK_ROWS))
+            if len(chunk) != min(_CHUNK_ROWS, n - lo) or not _lines_ok(chunk, commas):
+                return None
+            if num:
+                block = values[:, lo : lo + len(chunk)]
+                try:
+                    block[:] = np.loadtxt(
+                        chunk, delimiter=",", comments=None, usecols=num, ndmin=2
+                    ).T
+                except ValueError:  # a blank cell, or one only float() reads
+                    fields = [text.rstrip(b"\n").decode().split(",") for text in chunk]
+                    for out, i in zip(block, num):
+                        out[:] = numeric_column([row[i] for row in fields], header[i])
+            if txt:
+                cells = np.loadtxt(
+                    chunk, object, delimiter=",", comments=None, usecols=txt, ndmin=2
+                )
+                for column, cell_column in zip(texts, cells.T):
+                    column.extend(cell_column.tolist())
+        if fh.read(1):  # the file grew after its rows were counted
+            return None
+    rows, cells = iter(values), iter(texts)
+    return {name: next(rows) if flag else next(cells) for name, flag in zip(header, is_numeric)}

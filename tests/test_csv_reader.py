@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ruleloc.binarize import NUMERIC, FeatureSpec, InvalidValueError, fit, numeric_column
-from ruleloc import cli
+from ruleloc import csvgrid
 from ruleloc.cli import CliError, main, read_csv_columns
 
 
@@ -256,7 +256,7 @@ def test_cells_loadtxt_rejects_parse_as_float_does(tmp_path, cell, value):
 
 
 def test_a_chunk_with_a_blank_cell_keeps_the_grid_path(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_GRID_CHUNK_ROWS", 2)
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
     path = tmp_path / "gaps.csv"
     path.write_bytes(b"a,b\n1,x\n2,y\n,z\n4,w\n5,\n")
     table = assert_same_as_oracle(path, {"a"}.__contains__)
