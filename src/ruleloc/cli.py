@@ -247,7 +247,7 @@ LOG_COLUMNS = ("log_total", "log_unmatched", "log_distinct_new")
 
 
 def _log_feature_columns(
-    table: dict[str, list[str]],
+    table: dict[str, Sequence],
     data_path: str | Path,
     timestamp_col: str,
     logs_dir: Path,
@@ -298,7 +298,7 @@ def _log_feature_columns(
 
 
 def _feature_specs(
-    table: dict[str, list[str]],
+    table: dict[str, Sequence],
     role_columns: set[str],
     categorical: set[str],
     bins: int,
@@ -465,7 +465,7 @@ def _window_numeric(model: FaultModel, service_col: str) -> Callable[[str], bool
 
 def _window_from_table(
     model: FaultModel,
-    table: dict[str, list[str]],
+    table: dict[str, Sequence],
     path: str | Path,
     service_col: str,
 ) -> QueryWindow:
