@@ -15,7 +15,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ruleloc.binarize import relabel, row_feature_masks, transform
+from ruleloc.binarize import feature_matrix, relabel, transform
 from ruleloc.cli import main as cli_main
 from ruleloc.cli import write_csv_columns
 from ruleloc.core import f1_score
@@ -67,8 +67,7 @@ def main() -> int:
 
     cases = []
     for table, fault, service in scenario.windows:
-        masks = row_feature_masks(model.binarization, table)
-        window = QueryWindow(tuple(masks), tuple(table["service"]))
+        window = QueryWindow(feature_matrix(model.binarization, table), tuple(table["service"]))
         cases.append(IncidentCase(window, fault, service))
     report = evaluate_cases(model, cases, train_seconds=t2 - t1)
     t3 = time.perf_counter()

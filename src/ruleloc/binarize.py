@@ -21,6 +21,9 @@ never-true predicate, and they are all a constant column would produce).
 A numeric cell is missing when it is None, empty or whitespace only, or
 when it parses to nan, inf or -inf: infinities count as missing, so they
 satisfy neither (x <= t) nor (x > t) and never move a threshold.
+Whitespace is what str.strip removes, which besides space, tab and line
+ends includes U+001C-U+001F, U+0085 and U+2028: "7" followed by U+001C
+parses as 7.0, and a cell holding only U+0085 is missing.
 
 Numeric cells parse with Python's float() rules.  A table whose numeric
 columns already hold float arrays (see parse_numeric_columns) is used as
@@ -519,11 +522,6 @@ def transform(
 def relabel(dataset: BinaryDataset, labels: Sequence[int]) -> BinaryDataset:
     """The same coverage under a new 0/1 label vector."""
     return replace(dataset, labels=_label_bits(labels, dataset.n))
-
-
-def row_feature_masks(model: BinarizationModel, table: Mapping[str, Sequence]) -> list[int]:
-    """Per-row bitmask over catalog feature indices (for query scoring)."""
-    return _packed_rows(feature_matrix(model, table))
 
 
 def describe_rule(model: BinarizationModel, rule: Rule) -> str:

@@ -27,10 +27,10 @@ from ruleloc.binarize import (
     FeatureSpec,
     InvalidValueError,
     SchemaError,
+    feature_matrix,
     fit,
     parse_numeric_columns,
     relabel,
-    row_feature_masks,
     transform,
 )
 from ruleloc.csvgrid import read_grid
@@ -475,14 +475,10 @@ def _window_from_table(
             f"{path}: service column {service_col!r} missing from window",
         )
     try:
-        masks = row_feature_masks(model.binarization, table)
+        return QueryWindow(feature_matrix(model.binarization, table), tuple(table[service_col]))
     except SchemaError as exc:
         raise CliError("schema-error", f"{path}: {exc}")
-    except InvalidValueError as exc:
-        raise CliError("invalid-data", f"{path}: {exc}")
-    try:
-        return QueryWindow(tuple(masks), tuple(table[service_col]))
-    except ValueError as exc:
+    except ValueError as exc:  # a bad numeric cell, or an empty window
         raise CliError("invalid-data", f"{path}: {exc}")
 
 

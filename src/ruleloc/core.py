@@ -205,7 +205,10 @@ class BinaryDataset:
 
     @cached_property
     def _uncoded(self) -> list[int]:
-        """Features outside the codes, which counts takes by popcount."""
+        """Features outside the codes (every feature without codes), which
+        counts takes by popcount."""
+        if self.codes is None:
+            return list(range(self.d))
         return np.setdiff1d(np.arange(self.d), self.codes.features).tolist()
 
     def counts(self, mask: int) -> np.ndarray:
@@ -214,16 +217,12 @@ class BinaryDataset:
         Coded features are counted from one histogram of the codes of the
         mask's samples; the rest by one AND and popcount each.
         """
-        coverage = self.coverage
-        if self.codes is None:
-            return np.fromiter(
-                ((mask & c).bit_count() for c in coverage), dtype=np.int64, count=self.d
-            )
-        uncoded = self._uncoded
+        coverage, uncoded = self.coverage, self._uncoded
         out = np.empty(self.d, dtype=np.int64)
-        bits = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
-        indices = np.flatnonzero(np.unpackbits(bits, count=self.n, bitorder="little"))
-        out[self.codes.features] = self.codes.counts(indices)
+        if self.codes is not None:
+            bits = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+            indices = np.flatnonzero(np.unpackbits(bits, count=self.n, bitorder="little"))
+            out[self.codes.features] = self.codes.counts(indices)
         out[uncoded] = [(mask & coverage[j]).bit_count() for j in uncoded]
         return out
 

@@ -5,8 +5,10 @@ same binary-feature catalog.  For a query window each sample votes for a
 fault type with the highest training precision among that type's rules
 covering it (zero if none covers); fault types are ranked by the vote sum
 over the window, services by the vote sum over their samples summed
-across fault types.  `rank_window` computes both rankings, and the rule
-hits that explain them, in one pass over fault types x samples x rules.
+across fault types.  A window is its boolean feature matrix, so
+`rank_window` scores it with array operations: per fault type one firing
+row per rule, one max of fired precisions per sample, and one bincount of
+service codes per fired rule for the hits that explain the rankings.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
+
+import numpy as np
 
 from ruleloc import SCHEMA_VERSION, __version__
 from ruleloc.binarize import (
@@ -29,7 +33,7 @@ from ruleloc.binarize import (
     checked_field,
     describe_rule,
 )
-from ruleloc.core import Rule, RuleSet, RuleStats, bitset_of
+from ruleloc.core import Rule, RuleSet, RuleStats
 
 # The JSON kinds of a fault type's knobs and of a rule's stats, in field order.
 _KNOB_KINDS = (("K", COUNT), ("l", COUNT), ("gamma", NUMBER))
@@ -40,21 +44,22 @@ class UnknownFaultTypeError(ValueError):
     """Queried fault type is not part of the model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryWindow:
     """Binarized samples of one incident window.
 
-    Each sample is a bitmask over catalog feature indices; services align
-    one-to-one with samples.
+    matrix[i, j] is whether sample i satisfies catalog feature j (the
+    samples x features bool array of binarize.feature_matrix); services
+    align one-to-one with samples.
     """
 
-    samples: tuple[int, ...]
+    matrix: np.ndarray
     services: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.samples) != len(self.services):
-            raise ValueError("each sample needs a service id")
-        if not self.samples:
+        if np.ndim(self.matrix) != 2 or len(self.matrix) != len(self.services):
+            raise ValueError("each sample needs a row of features and a service id")
+        if not self.services:
             raise ValueError("query window must contain at least one sample")
 
 
@@ -250,10 +255,19 @@ def _ranked(scores: dict[str, float], explanations) -> RankedResult:
     return RankedResult(ranking, no_signal, tuple(groups), explanations)
 
 
+def _added_in_order(votes: np.ndarray) -> float:
+    """0.0 + votes[0] + votes[1] + ... in row-major order, as a running += adds.
+
+    cumsum keeps the order, where np.sum adds pairwise and can round
+    differently; the leading 0.0 turns a -0.0 vote, or no vote, into 0.0.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], votes.ravel())))[-1])
+
+
 def rank_window(
     model: FaultModel, window: QueryWindow
 ) -> tuple[RankedResult, RankedResult]:
-    """Rank fault types and services by the window's votes, in one pass.
+    """Rank fault types and services by the window's votes.
 
     Both rankings are full (descending score, ties by name) so that top-k
     evaluation is possible; a window where no rule fires anywhere is flagged
@@ -262,39 +276,31 @@ def rank_window(
     the rules fired on its samples, sorted by (fault type, rule index).
     """
     services = sorted(set(window.services))
+    code = {svc: k for k, svc in enumerate(services)}
+    codes = np.fromiter(map(code.__getitem__, window.services), np.intp, len(window.services))
+    votes = np.empty((len(model.rule_sets), len(codes)))
     fault_scores, fault_expl = {}, {}
-    service_scores = {svc: 0.0 for svc in services}
     service_expl: dict[str, list[Explanation]] = {svc: [] for svc in services}
-    for fault_type, rule_set in model.rule_sets:
-        rules = [
-            (idx, bitset_of(rule.features), stats.precision)
-            for idx, (rule, stats) in enumerate(zip(rule_set.rules, rule_set.stats or ()))
-        ]
-        hits = {svc: [0] * len(rules) for svc in services}
-        total = 0.0
-        for sample, svc in zip(window.samples, window.services):
-            best = 0.0
-            row = hits[svc]
-            for idx, mask, precision in rules:
-                if mask & sample == mask:
-                    row[idx] += 1
-                    if precision > best:
-                        best = precision
-            total += best
-            service_scores[svc] += best
-        fault_scores[fault_type] = total
+    for t, (fault_type, rule_set) in enumerate(model.rule_sets):
+        stats = rule_set.stats or ()
+        fire = np.empty((len(rule_set.rules), len(codes)), dtype=bool)
+        for r, rule in enumerate(rule_set.rules):
+            fire[r] = window.matrix[:, rule.features].all(axis=1)
+        precision = np.array([s.precision for s in stats], dtype=float)
+        votes[t] = np.where(fire, precision[:, None], 0.0).max(axis=0, initial=0.0)
+        fault_scores[fault_type] = _added_in_order(votes[t])
         entries = []
-        for idx, _, precision in rules:
-            count = sum(row[idx] for row in hits.values())
-            if count:
-                rule = rule_set.rules[idx]
-                entries.append(
-                    Explanation(fault_type, idx, model.describe(rule), precision, count)
-                )
-                for svc, row in hits.items():
-                    if row[idx]:
-                        service_expl[svc].append(replace(entries[-1], hits=row[idx]))
+        for r in np.flatnonzero(fire.any(axis=1)).tolist():
+            hits = np.bincount(codes[fire[r]], minlength=len(services))
+            entry = Explanation(
+                fault_type, r, model.describe(rule_set.rules[r]), stats[r].precision, int(hits.sum())
+            )
+            entries.append(entry)
+            for k in np.flatnonzero(hits).tolist():
+                service_expl[services[k]].append(replace(entry, hits=int(hits[k])))
         fault_expl[fault_type] = tuple(entries)
+    # A service's votes add fault type by fault type, each in sample order.
+    service_scores = {svc: _added_in_order(votes[:, codes == k]) for k, svc in enumerate(services)}
     by_rule = {
         svc: tuple(sorted(fired, key=lambda e: (e.fault_type, e.rule_index)))
         for svc, fired in service_expl.items()

@@ -28,13 +28,7 @@ from ruleloc.core import (
     f1_score,
     rule_objective,
 )
-from ruleloc.evaluate import (
-    brute_force_best_ruleset,
-    cohen_kappa,
-    planted_dataset,
-    planted_fault_scenario,
-    top_k_accuracy,
-)
+from ruleloc.evaluate import cohen_kappa, planted_fault_scenario, top_k_accuracy
 from ruleloc.generate import (
     NoRuleFound,
     SurrogateState,
@@ -47,6 +41,7 @@ from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
 from objectives import distorted_gain, surrogate_offset
+from oracle import brute_force_best_ruleset, planted_dataset
 
 
 def report(criterion: int, text: str) -> None:

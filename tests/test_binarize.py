@@ -21,7 +21,6 @@ from ruleloc.binarize import (
     numeric_column,
     parse_numeric_columns,
     relabel,
-    row_feature_masks,
     transform,
 )
 from ruleloc.core import FeatureIndexError, Rule
@@ -315,20 +314,6 @@ def test_transform_missing_column_is_schema_error():
         transform(model, {"y": [1.0]})
 
 
-def test_row_feature_masks_match_transform():
-    rng = np.random.default_rng(5)
-    table = {"a": rng.normal(size=30).tolist()}
-    model = fit(table, [FeatureSpec("a", bins=4)])
-    ds = transform(model, table)
-    masks = row_feature_masks(model, table)
-    for i in range(30):
-        expected = 0
-        for j in range(ds.d):
-            if ds.coverage[j] >> i & 1:
-                expected |= 1 << j
-        assert masks[i] == expected
-
-
 def test_deterministic_given_same_bytes():
     rng = np.random.default_rng(6)
     table = {"a": rng.normal(size=64).tolist()}
@@ -341,6 +326,14 @@ def test_deterministic_given_same_bytes():
 def test_numeric_column_names_the_bad_cell():
     with pytest.raises(InvalidValueError, match=r"^column 'a', row 3: .*'abc'$"):
         numeric_column(["1", "", "abc"], "a")
+
+
+def test_numeric_column_strips_what_str_strip_strips():
+    # U+001C-U+001F, U+0085 and U+2028 pad a number or make a blank cell.
+    out = numeric_column(["7\x1c", "\x1c", "\x85", "1"], "x")
+    assert np.array_equal(out, [7, math.nan, math.nan, 1], equal_nan=True)
+    out = numeric_column(["\u2028", " 2\u2028\x1f"], "x")
+    assert np.array_equal(out, [math.nan, 2], equal_nan=True)
 
 
 def test_relabel_equals_transform_with_labels():
@@ -444,7 +437,6 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
         assert np.array_equal(feature_matrix(model, table), expected)
         ds = transform(model, table)
         assert ds.coverage == tuple(bits_of(expected[:, k]) for k in range(ds.d))
-        assert row_feature_masks(model, table) == [bits_of(row) for row in expected]
 
 
 @settings(max_examples=200, deadline=None)

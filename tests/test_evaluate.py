@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruleloc.core import Rule, RuleSet, f1_score
-from ruleloc.evaluate import (
-    BudgetExceededError,
-    brute_force_best_ruleset,
-    cohen_kappa,
-    planted_dataset,
-    planted_fault_scenario,
-    top_k_accuracy,
-)
+from ruleloc.evaluate import cohen_kappa, planted_fault_scenario, top_k_accuracy
 from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
+from oracle import BudgetExceededError, brute_force_best_ruleset, planted_dataset
 
 
 def stratified_fold_assignments(
@@ -202,8 +196,8 @@ def test_evaluate_cases_counts_no_signal_as_distinct_label():
         (("cpu", RuleSet((Rule.of(0),), (RuleStats(0.9, 0.5, 10),))),
          ("net", RuleSet((Rule.of(1),), (RuleStats(0.8, 0.5, 10),)))),
     )
-    hit = QueryWindow((0b01,), ("svc-a",))
-    quiet = QueryWindow((0b100,), ("svc-a",))
+    hit = QueryWindow(np.array([[True, False, False]]), ("svc-a",))
+    quiet = QueryWindow(np.array([[False, False, True]]), ("svc-a",))
     cases = [
         IncidentCase(hit, "cpu", "svc-a"),
         IncidentCase(quiet, "net", "svc-a"),

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -58,6 +59,12 @@ def mask(*features):
     return out
 
 
+def window_of(samples, services, width=10) -> QueryWindow:
+    """The window of int sample masks: bit j of samples[i] is matrix[i, j]."""
+    bits = [[sample >> j & 1 for j in range(width)] for sample in samples]
+    return QueryWindow(np.array(bits, dtype=bool).reshape(-1, width), tuple(services))
+
+
 def test_sample_vote_no_rule_hits(model):
     assert sample_vote(model, "cpu", mask(3, 4)) == 0.0
 
@@ -76,7 +83,7 @@ def test_sample_vote_unknown_type(model):
 def test_rank_fault_types_votes_add_up(model):
     # 3 samples hit cpu rule (2,) at 0.7; 2 samples hit disk (3,) at 0.8
     samples = (mask(2), mask(2), mask(2, 3), mask(3), mask(9))
-    window = QueryWindow(samples, ("s1",) * 5)
+    window = window_of(samples, ("s1",) * 5)
     result, _ = rank_window(model, window)
     scores = dict(result.ranking)
     assert scores["cpu"] == pytest.approx(0.7 * 3)
@@ -87,14 +94,14 @@ def test_rank_fault_types_votes_add_up(model):
 
 
 def test_rank_fault_types_single_type_fires(model):
-    window = QueryWindow((mask(3), mask(3)), ("a", "b"))
+    window = window_of((mask(3), mask(3)), ("a", "b"))
     result, _ = rank_window(model, window)
     assert result.candidates()[0] == "disk"
     assert dict(result.ranking)["cpu"] == 0.0
 
 
 def test_no_signal_window_is_flagged_and_lexicographic(model):
-    window = QueryWindow((mask(9), mask(8)), ("a", "b"))
+    window = window_of((mask(9), mask(8)), ("a", "b"))
     result, _ = rank_window(model, window)
     assert result.no_signal
     assert result.candidates() == ["cpu", "disk", "net"]
@@ -103,7 +110,7 @@ def test_no_signal_window_is_flagged_and_lexicographic(model):
 def test_rank_services_planted_service_wins(model):
     samples = (mask(0, 1), mask(0, 1), mask(9), mask(9))
     services = ("svc-a", "svc-a", "svc-b", "svc-b")
-    _, result = rank_window(model, QueryWindow(samples, services))
+    _, result = rank_window(model, window_of(samples, services))
     assert result.candidates()[0] == "svc-a"
     assert dict(result.ranking)["svc-b"] == 0.0
 
@@ -111,7 +118,7 @@ def test_rank_services_planted_service_wins(model):
 def test_rank_services_tie_flagged(model):
     samples = (mask(3), mask(3))
     services = ("beta", "alpha")
-    _, result = rank_window(model, QueryWindow(samples, services))
+    _, result = rank_window(model, window_of(samples, services))
     assert result.candidates() == ["alpha", "beta"]
     assert ("alpha", "beta") in result.tie_groups
 
@@ -120,7 +127,7 @@ def test_scores_equal_sample_vote_sum(model):
     rng = np.random.default_rng(0)
     samples = tuple(int(rng.integers(0, 1 << 6)) for _ in range(40))
     services = tuple(f"s{int(rng.integers(0, 4))}" for _ in range(40))
-    window = QueryWindow(samples, services)
+    window = window_of(samples, services)
     faults, by_service = rank_window(model, window)
     for fault_type, score in faults.ranking:
         assert score == pytest.approx(
@@ -138,9 +145,9 @@ def test_scores_equal_sample_vote_sum(model):
 
 def test_adding_hit_sample_never_decreases_score(model):
     samples = (mask(2),)
-    window = QueryWindow(samples, ("a",))
+    window = window_of(samples, ("a",))
     before = dict(rank_window(model, window)[0].ranking)["cpu"]
-    bigger = QueryWindow(samples + (mask(2),), ("a", "a"))
+    bigger = window_of(samples + (mask(2),), ("a", "a"))
     after = dict(rank_window(model, bigger)[0].ranking)["cpu"]
     assert after >= before
 
@@ -148,7 +155,7 @@ def test_adding_hit_sample_never_decreases_score(model):
 def test_precision_scaling_keeps_order(model):
     rng = np.random.default_rng(1)
     samples = tuple(int(rng.integers(0, 1 << 6)) for _ in range(30))
-    window = QueryWindow(samples, ("a",) * 30)
+    window = window_of(samples, ("a",) * 30)
     order_before = rank_window(model, window)[0].candidates()
     scaled = FaultModel(
         tuple(
@@ -169,7 +176,7 @@ def test_precision_scaling_keeps_order(model):
 
 
 def test_explanations_only_list_covering_rules(model):
-    window = QueryWindow((mask(2), mask(3)), ("a", "a"))
+    window = window_of((mask(2), mask(3)), ("a", "a"))
     faults, _ = rank_window(model, window)
     assert [e.rule_index for e in faults.explanations["cpu"]] == [1]
     assert [e.hits for e in faults.explanations["cpu"]] == [1]
@@ -177,7 +184,7 @@ def test_explanations_only_list_covering_rules(model):
 
 
 def test_report_shape(model):
-    window = QueryWindow((mask(2),), ("a",))
+    window = window_of((mask(2),), ("a",))
     report = localization_report(model, window)
     assert report["schema_version"] == 1
     assert not report["no_signal"]
@@ -193,9 +200,11 @@ def test_model_json_roundtrip(model):
 
 def test_window_requires_alignment():
     with pytest.raises(ValueError):
-        QueryWindow((1, 2), ("only-one",))
+        window_of((1, 2), ("only-one",))
     with pytest.raises(ValueError):
-        QueryWindow((), ())
+        window_of((), ())
+    with pytest.raises(ValueError):
+        QueryWindow(np.zeros(2, dtype=bool), ("a", "b"))
 
 
 def test_model_json_knobs_come_from_first_entry(model):
@@ -357,8 +366,10 @@ def rank_services(model: FaultModel, window: QueryWindow) -> RankedResult:
 
 N_FEATURES = 6
 # Repeated values make tied rule precisions and tied scores; 0.1 and 0.3
-# make float sums whose value depends on the order of the additions.
-PRECISIONS = (0.1, 0.3, 0.5, 0.5, 1.0)
+# make float sums whose value depends on the order of the additions; a
+# rule of precision 0.0 or -0.0 (which a model file may hold) fires
+# without voting.
+PRECISIONS = (0.1, 0.3, 0.5, 0.5, 1.0, 0.0, -0.0)
 
 
 @st.composite
@@ -369,7 +380,7 @@ def oracle_models(draw):
     # Rules drawn from a small pool repeat within and across rule sets.
     pool = draw(
         st.lists(
-            st.frozensets(st.integers(0, N_FEATURES - 1), min_size=1, max_size=3),
+            st.frozensets(st.integers(0, N_FEATURES - 1), min_size=0, max_size=3),
             min_size=1,
             max_size=5,
         )
@@ -401,13 +412,14 @@ def oracle_windows(draw):
         st.lists(st.sampled_from(["s2", "s0", "s1", "s3"]), min_size=n, max_size=n)
     )
     if draw(st.booleans()):
-        # Only features no rule uses: nothing fires.
+        # Only a feature no rule uses: nothing but the empty rule fires.
         samples = [1 << N_FEATURES] * n
     else:
         samples = draw(
             st.lists(st.integers(0, (1 << N_FEATURES) - 1), min_size=n, max_size=n)
         )
-    return QueryWindow(tuple(samples), tuple(services))
+    # The oracles read int masks; rank_window reads the matrix built from them.
+    return SimpleNamespace(samples=tuple(samples), services=tuple(services))
 
 
 def _explanation_items(result: RankedResult):
@@ -416,21 +428,23 @@ def _explanation_items(result: RankedResult):
 
 @settings(max_examples=300, deadline=None)
 @given(oracle_models(), oracle_windows())
-def test_rank_window_matches_two_pass_oracle(model, window):
+def test_rank_window_matches_two_pass_oracle(model, masks):
+    window = window_of(masks.samples, masks.services, N_FEATURES + 1)
     faults, services = rank_window(model, window)
-    expected_faults = rank_fault_types(model, window)
-    expected_services = rank_services(model, window)
+    expected_faults = rank_fault_types(model, masks)
+    expected_services = rank_services(model, masks)
     for got, want in ((faults, expected_faults), (services, expected_services)):
         assert got.ranking == want.ranking  # floats compared with ==
         assert got.tie_groups == want.tie_groups
         assert got.no_signal == want.no_signal
         assert _explanation_items(got) == _explanation_items(want)
-    if all(sample == 1 << N_FEATURES for sample in window.samples):
+    rules = [rule for _, rule_set in model.rule_sets for rule in rule_set.rules]
+    if all(sample == 1 << N_FEATURES for sample in masks.samples) and all(rules):
         assert faults.no_signal and not any(faults.explanations.values())
 
     report = json.dumps(localization_report(model, window))
     with mock.patch(
         "ruleloc.localize.rank_window",
-        lambda m, w: (rank_fault_types(m, w), rank_services(m, w)),
+        lambda m, w: (rank_fault_types(m, masks), rank_services(m, masks)),
     ):
         assert json.dumps(localization_report(model, window)) == report
