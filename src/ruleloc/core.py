@@ -10,8 +10,10 @@ Next to the bitsets, a dataset may carry column bin codes (ColumnCodes):
 per sample, the bin of each threshold-ladder column, so that a feature
 of such a column covers one contiguous range of codes.  They serve
 BinaryDataset.counts, the learner's scan primitive: |mask & coverage[j]|
-for every j at once, from one histogram of the mask's codes instead of
-one AND and popcount per feature.
+for every j at once, from one histogram of the mask's codes.  The other
+features' covers are also kept as rows of packed little-endian 64-bit
+words, which counts ANDs with the mask's words and popcounts in one
+np.bitwise_count call.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ class InvalidDatasetError(ValueError):
 
 class FeatureIndexError(ValueError):
     """Raised when a rule references a feature index outside the dataset."""
+
+
+def _word_bytes(n: int) -> int:
+    """Bytes of a bitset of n samples packed into whole 64-bit words."""
+    return (n + 63) // 64 * 8
 
 
 def bitset_of(indices: Iterable[int]) -> int:
@@ -149,11 +156,11 @@ class BinaryDataset:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InvalidDatasetError("sample count must be non-negative")
-        mask = self.full_mask
-        if self.labels & ~mask:
+        outside = ~self.full_mask
+        if self.labels & outside:
             raise InvalidDatasetError("labels reference samples outside 0..n-1")
         for j, cov in enumerate(self.coverage):
-            if cov & ~mask:
+            if cov & outside:
                 raise InvalidDatasetError(
                     f"coverage of feature {j} references samples outside 0..n-1"
                 )
@@ -204,26 +211,38 @@ class BinaryDataset:
         return cls(n, tuple(coverage), label_bits, tuple(feature_names))
 
     @cached_property
-    def _uncoded(self) -> list[int]:
+    def _uncoded(self) -> np.ndarray:
         """Features outside the codes (every feature without codes), which
-        counts takes by popcount."""
+        counts takes from the packed words."""
         if self.codes is None:
-            return list(range(self.d))
-        return np.setdiff1d(np.arange(self.d), self.codes.features).tolist()
+            return np.arange(self.d)
+        return np.setdiff1d(np.arange(self.d), self.codes.features)
+
+    @cached_property
+    def _uncoded_words(self) -> np.ndarray:
+        """(len(_uncoded), ceil(n / 64)) little-endian uint64 words of the
+        uncoded features' covers: bit i of a cover is bit i % 64 of word i // 64."""
+        size = _word_bytes(self.n)
+        packed = b"".join(self.coverage[j].to_bytes(size, "little") for j in self._uncoded)
+        return np.frombuffer(packed, dtype="<u8").reshape(len(self._uncoded), size // 8)
 
     def counts(self, mask: int) -> np.ndarray:
-        """|mask & coverage[j]| for every feature j, as an int64 array.
+        """|mask & coverage[j]| for every feature j, as an int64 array; mask
+        is a set of samples in 0..n-1.
 
         Coded features are counted from one histogram of the codes of the
-        mask's samples; the rest by one AND and popcount each.
+        mask's samples; the rest by one AND of their packed words with the
+        mask's words and one popcount of the result.
         """
-        coverage, uncoded = self.coverage, self._uncoded
         out = np.empty(self.d, dtype=np.int64)
+        m = np.frombuffer(mask.to_bytes(_word_bytes(self.n), "little"), dtype="<u8")
         if self.codes is not None:
-            bits = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
-            indices = np.flatnonzero(np.unpackbits(bits, count=self.n, bitorder="little"))
-            out[self.codes.features] = self.codes.counts(indices)
-        out[uncoded] = [(mask & coverage[j]).bit_count() for j in uncoded]
+            bits = np.unpackbits(m.view(np.uint8), count=self.n, bitorder="little")
+            out[self.codes.features] = self.codes.counts(np.flatnonzero(bits))
+        if len(self._uncoded):
+            out[self._uncoded] = np.bitwise_count(self._uncoded_words & m).sum(
+                axis=1, dtype=np.int64
+            )
         return out
 
 

@@ -6,9 +6,10 @@ fault type with the highest training precision among that type's rules
 covering it (zero if none covers); fault types are ranked by the vote sum
 over the window, services by the vote sum over their samples summed
 across fault types.  A window is its boolean feature matrix, so
-`rank_window` scores it with array operations: per fault type one firing
-row per rule, one max of fired precisions per sample, and one bincount of
-service codes per fired rule for the hits that explain the rankings.
+`rank_window` scores it with array operations: one gather of every rule's
+columns and one firing row per rule, then per fault type one max of fired
+precisions per sample, and one bincount of service codes per fired rule
+for the hits that explain the rankings.
 """
 
 from __future__ import annotations
@@ -264,6 +265,25 @@ def _added_in_order(votes: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], votes.ravel())))[-1])
 
 
+def _fired(matrix: np.ndarray, rules: list[Rule]) -> np.ndarray:
+    """fired[r, i] is whether rules[r] fires on sample i, from one gather of
+    all the rules' columns and one AND per rule over its slice of them.
+
+    The empty rule gets no slice (reduceat would hand it its neighbour's
+    first column) and fires on every sample.
+    """
+    columns, starts, kept = [], [], []
+    for r, rule in enumerate(rules):
+        if rule.features:
+            kept.append(r)
+            starts.append(len(columns))
+            columns += rule.features
+    fired = np.ones((len(rules), len(matrix)), dtype=bool)
+    if columns:
+        fired[kept] = np.logical_and.reduceat(matrix[:, columns], starts, axis=1).T
+    return fired
+
+
 def rank_window(
     model: FaultModel, window: QueryWindow
 ) -> tuple[RankedResult, RankedResult]:
@@ -279,13 +299,14 @@ def rank_window(
     code = {svc: k for k, svc in enumerate(services)}
     codes = np.fromiter(map(code.__getitem__, window.services), np.intp, len(window.services))
     votes = np.empty((len(model.rule_sets), len(codes)))
+    fired = _fired(window.matrix, [rule for _, rs in model.rule_sets for rule in rs.rules])
     fault_scores, fault_expl = {}, {}
     service_expl: dict[str, list[Explanation]] = {svc: [] for svc in services}
+    first = 0
     for t, (fault_type, rule_set) in enumerate(model.rule_sets):
         stats = rule_set.stats or ()
-        fire = np.empty((len(rule_set.rules), len(codes)), dtype=bool)
-        for r, rule in enumerate(rule_set.rules):
-            fire[r] = window.matrix[:, rule.features].all(axis=1)
+        fire = fired[first : first + len(rule_set.rules)]
+        first += len(rule_set.rules)
         precision = np.array([s.precision for s in stats], dtype=float)
         votes[t] = np.where(fire, precision[:, None], 0.0).max(axis=0, initial=0.0)
         fault_scores[fault_type] = _added_in_order(votes[t])

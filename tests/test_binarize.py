@@ -442,7 +442,8 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    n=st.integers(min_value=1, max_value=40),
+    # Masks of one to four 64-bit words, and n on either side of a boundary.
+    n=st.integers(min_value=1, max_value=200) | st.sampled_from([63, 64, 65, 128]),
     bins=st.integers(2, 12),
     cutoff=st.sampled_from([1, 2, 3]),
     code_space=st.sampled_from([6, 12, 1 << 16]),

@@ -294,3 +294,28 @@ def test_set_cover_is_union_of_rule_covers(seed):
     for rule in rules:
         union |= cover_of_rule(ds, rule)
     assert cover_of_set(ds, rules) == union
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    # Masks of zero to four 64-bit words, and n on either side of a boundary.
+    n=st.integers(0, 200) | st.sampled_from([0, 63, 64, 65, 128]),
+    d=st.integers(0, 6),
+)
+def test_counts_equal_popcounts_across_words(data, n, d):
+    """counts(mask) of a dataset without codes equals the per-feature
+    popcounts, with padding bits in the last word and n = 0 or d = 0."""
+    covers = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=d, max_size=d))
+    labels = data.draw(st.integers(0, (1 << n) - 1))
+    rows = [[(c >> i) & 1 for c in covers] for i in range(n)]
+    ds = BinaryDataset.from_rows(rows, [(labels >> i) & 1 for i in range(n)])
+    if n:
+        assert ds.coverage == tuple(covers)
+    masks = [0, ds.full_mask, ds.labels, data.draw(st.integers(0, ds.full_mask))]
+    if n:
+        masks += [1 << (n - 1), ds.full_mask ^ (1 << (n - 1))]
+    for mask in masks:
+        counts = ds.counts(mask)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [(mask & c).bit_count() for c in ds.coverage]
