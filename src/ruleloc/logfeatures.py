@@ -9,9 +9,13 @@ the metric table.
 
 A line is split on whitespace (``str.split``) and every token holding a
 ``str.isdigit`` character is a parameter, masked to the wildcard.  Work
-is done once per distinct value: the build inserts each distinct token
-sequence once, and matching parses each distinct stamp and matches each
-distinct token sequence once per call.
+in Python is done once per distinct **shape**: the line with every ASCII
+digit 1-9 translated to ``0``.  A token holds a digit exactly when its
+shape does, and a token without one does not change, so a line and its
+shape give the same tokens.  Lines are shaped in chunks, one
+``translate`` per chunk; the build tokenizes each distinct shape once and
+inserts each distinct token sequence once, and matching tokenizes and
+matches each distinct shape and parses each distinct stamp once per call.
 """
 
 from __future__ import annotations
@@ -19,13 +23,25 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from itertools import chain, compress, islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 WILDCARD = "<*>"
 
 DEFAULT_SIMILARITY = 0.5
+
+# A line's shape: every ASCII digit becomes "0".  Only digits change, so
+# the shape splits at the same places as the line, and tokenize gives
+# both the same tokens.
+_SHAPE = str.maketrans("123456789", "000000000")
+
+# Lines shaped per translate pass.  Large enough that the per-chunk
+# Python work is small next to the C passes; small enough that the
+# joined copy of a chunk adds little to the memory peak.
+_CHUNK = 4096
 
 
 # A whitespace-delimited token holding an ASCII digit, anchored at the
@@ -49,6 +65,21 @@ def tokenize(line: str) -> tuple[str, ...]:
     if line.isascii():
         return tuple(_ASCII_PARAMETER.sub(WILDCARD, line).split())
     return tuple(_mask_token(tok) for tok in line.split())
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[list[str]]:
+    it = iter(lines)
+    while chunk := list(islice(it, _CHUNK)):
+        yield chunk
+
+
+def _shapes(chunk: list[str]) -> list[str]:
+    """The shape of each line of a chunk, from one translate of the joined chunk."""
+    shapes = "\n".join(chunk).translate(_SHAPE).split("\n")
+    if len(shapes) != len(chunk):
+        # Some line holds "\n" itself, so the joined chunk splits elsewhere.
+        shapes = [line.translate(_SHAPE) for line in chunk]
+    return shapes
 
 
 def similarity(tokens: Sequence[str], template: Sequence[str]) -> float:
@@ -144,12 +175,14 @@ def build_template_base(
     the tokens keep a template of similarity 1 (templates only gain
     wildcards, and a template's first slot stays the tokens' first token
     or the wildcard, so it stays a candidate), and inserting tokens at
-    similarity 1 changes nothing.
+    similarity 1 changes nothing.  Each distinct line shape is tokenized
+    once, in order of first occurrence, which is also the order in which
+    each distinct token sequence first occurs.
     """
     base = TemplateBase(similarity_threshold=sim)
     inserted: set[tuple[str, ...]] = set()
-    for line in lines:
-        tokens = tokenize(line)
+    for shape in dict.fromkeys(chain.from_iterable(map(_shapes, _chunks(lines)))):
+        tokens = tokenize(shape)
         if tokens and tokens not in inserted:
             inserted.add(tokens)
             base._insert(tokens)
@@ -201,16 +234,6 @@ def parse_timestamp(raw: str, fmt: Optional[str] = None) -> float:
     return dt.timestamp()
 
 
-def _split_stamp(line: str, fmt: Optional[str]) -> tuple[str, str]:
-    n_stamp = 1 if fmt is None else fmt.count(" ") + 1
-    tokens = line.split(None, n_stamp)
-    if len(tokens) < n_stamp:
-        raise ValueError("line shorter than its timestamp")
-    stamp = " ".join(tokens[:n_stamp])
-    rest = tokens[n_stamp] if len(tokens) > n_stamp else ""
-    return stamp, rest
-
-
 def match_and_aggregate(
     base: TemplateBase,
     lines: Iterable[str],
@@ -222,53 +245,59 @@ def match_and_aggregate(
     Interval boundaries are floor(epoch / interval) * interval.  Lines
     whose timestamp cannot be parsed (and blank lines) are skipped and
     tallied, each one every time; matching never mutates the base, so
-    aggregate counts are order-insensitive within an interval, and each
-    distinct stamp is parsed and each distinct token sequence matched once
-    per call.
+    aggregate counts are order-insensitive within an interval.  Each
+    distinct stamp is parsed once and each distinct line shape tokenized
+    and matched once per call; its message is the shape past the stamp.
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
-    starts: dict[str, Optional[float]] = {}
-    matched: dict[tuple[str, ...], bool] = {}
-    totals: dict[float, int] = {}
-    unmatched: dict[float, int] = {}
-    novel: dict[float, dict[tuple[str, ...], int]] = {}
+    n_stamp = 1 if timestamp_format is None else timestamp_format.count(" ") + 1
+    head = slice(0, n_stamp)
+    stamp_counts: Counter[str] = Counter()
+    miss_counts: Counter[tuple[str, str]] = Counter()
+    known: set[str] = set()
+    misses: dict[str, tuple[str, ...]] = {}
+    for chunk in _chunks(lines):
+        shapes = _shapes(chunk)
+        # A line's stamp is its first n_stamp whitespace tokens joined by
+        # one space; a line with fewer (a blank one too) is skipped below.
+        splits = map(str.split, chunk, repeat(None), repeat(n_stamp))
+        stamps = list(map(" ".join, map(list.__getitem__, splits, repeat(head))))
+        stamp_counts.update(stamps)
+        for shape in set(shapes).difference(known):
+            known.add(shape)
+            parts = shape.split(None, n_stamp)
+            tokens = tokenize(parts[n_stamp]) if len(parts) > n_stamp else ()
+            if not tokens or base.match(tokens) is None:
+                misses[shape] = tokens
+        miss_counts.update(compress(zip(stamps, shapes), map(misses.__contains__, shapes)))
+
+    starts: dict[str, float] = {}
+    totals: Counter[float] = Counter()
     skipped = 0
-    for line in lines:
-        if not line.strip():
-            skipped += 1
-            continue
-        try:
-            stamp, message = _split_stamp(line, timestamp_format)
-        except ValueError:
-            skipped += 1
-            continue
-        if stamp not in starts:
+    for stamp, count in stamp_counts.items():
+        if stamp and stamp.count(" ") == n_stamp - 1:
             try:
                 epoch = parse_timestamp(stamp, timestamp_format)
             except ValueError:
-                starts[stamp] = None
+                pass
             else:
-                starts[stamp] = (epoch // interval) * interval
-        start = starts[stamp]
-        if start is None:
-            skipped += 1
-            continue
-        totals[start] = totals.get(start, 0) + 1
-        tokens = tokenize(message)
-        hit = matched.get(tokens)
-        if hit is None:
-            hit = matched[tokens] = bool(tokens) and base.match(tokens) is not None
-        if hit:
-            continue
-        unmatched[start] = unmatched.get(start, 0) + 1
-        shapes = novel.setdefault(start, {})
-        shapes[tokens] = shapes.get(tokens, 0) + 1
+                start = starts[stamp] = (epoch // interval) * interval
+                totals[start] += count
+                continue
+        skipped += count
+    unmatched: Counter[float] = Counter()
+    novel: dict[float, Counter[tuple[str, ...]]] = {}
+    for (stamp, shape), count in miss_counts.items():
+        if stamp in starts:
+            start = starts[stamp]
+            unmatched[start] += count
+            novel.setdefault(start, Counter())[misses[shape]] += count
     rows = tuple(
         IntervalCounts(
             start,
             totals[start],
-            unmatched.get(start, 0),
+            unmatched[start],
             tuple(sorted(novel.get(start, {}).items())),
         )
         for start in sorted(totals)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ruleloc import logfeatures
 from ruleloc.cli import CliError, _log_feature_columns
 from ruleloc.logfeatures import (
+    _SHAPE,
     DEFAULT_SIMILARITY,
     WILDCARD,
     IntervalCounts,
@@ -73,6 +75,20 @@ def synthetic_corpus(rng, n_lines=100):
 def test_tokenize_masks_numeric_tokens():
     assert tokenize("conn from 10.0.0.1") == ("conn", "from", "<*>")
     assert tokenize("plain words only") == ("plain", "words", "only")
+
+
+# Digits that str.isdigit accepts beyond ASCII ones, and whitespace that
+# str.split() splits at beyond space, tab and line breaks: the separators
+# \x1c-\x1f, NEL, LINE SEPARATOR and the ideographic space.
+UNICODE_DIGITS = "0123456789²٣۷０𝟘"
+SPLIT_WHITESPACE = "\x1c\x1d\x1e\x1f\x85\u2028\u3000"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(
+    UNICODE_DIGITS + SPLIT_WHITESPACE + " ab<*>"))))
+def test_a_line_and_its_shape_give_the_same_tokens(line):
+    assert tokenize(line.translate(_SHAPE)) == tokenize(line)
 
 
 def test_numeric_variants_collapse_to_one_template():
@@ -363,12 +379,17 @@ def oracle_join(table, timestamp_col, counters, interval, timestamp_format):
 
 
 # Words with ASCII digits, non-ASCII digits (str.isdigit accepts both),
-# a literal wildcard and plain text; separators include the ASCII
-# whitespace that str.split() and the regex `\s` both accept, and a
-# non-ASCII space.
-WORDS = ["alpha", "beta", "gamma", "ok", "x1", "42", "node-7", "e²", "a٠", "<*>", "é"]
+# a literal wildcard and plain text, words whose shapes differ but give
+# the same tokens (v7, v77) and tokens that already hold a 0 (v0, 10);
+# separators include the ASCII whitespace that str.split() and the regex
+# `\s` both accept, and a non-ASCII space.
+WORDS = ["alpha", "beta", "gamma", "ok", "x1", "42", "node-7", "e²", "a٠", "<*>", "é",
+         "v7", "v77", "v0", "10", "²", "x٣"]
 SEPARATORS = ["", " ", "  ", "\t", "\x0b", "\x1c", "\x1f", "\u3000"]
-FORMATS = [None, "%d/%m/%Y %H:%M:%S"]
+# Two spaces count as two stamp tokens, but strptime lets them match one,
+# so a line shorter than its stamp could still parse as one; and the empty
+# format parses the empty stamp of a blank line.
+FORMATS = [None, "%d/%m/%Y %H:%M:%S", "%d/%m/%Y  %H:%M:%S", ""]
 
 
 @st.composite
@@ -424,7 +445,27 @@ def _read_lines(path: Path) -> list[str]:
       "bogus a b c", "bogus a b c"],
      ["1970-01-01T00:00:01", "1970-01-01T00:00:01"], 60.0, 0.5)
 )
+@example(
+    # Lines holding "\n" themselves, as the API (not the CLI) can pass them.
+    (None, ["a 1\nb c", "a 2 b c", "a\n"],
+     ["1970-01-01T00:00:01 a 7\nb c", "1970-01-01T00:00:02\nx y", "\n",
+      "1970-01-01T00:00:03 a 7 b c"],
+     ["1970-01-01T00:00:01"], 60.0, 0.5)
+)
 def test_memoized_log_path_matches_per_line_oracle(case):
+    # Once at the default chunk size and once with chunk boundaries inside
+    # every call.  Set here, not by a fixture: hypothesis's health check
+    # rejects a function-scoped fixture, which would not reset per example.
+    default = logfeatures._CHUNK
+    try:
+        for chunk in (default, 2):
+            logfeatures._CHUNK = chunk
+            _check_log_case(case)
+    finally:
+        logfeatures._CHUNK = default
+
+
+def _check_log_case(case):
     fmt, normal, online, table_stamps, interval, sim = case
     for line in normal + online:
         assert tokenize(line) == oracle_tokenize(line)
