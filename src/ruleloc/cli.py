@@ -16,8 +16,9 @@ import json
 import sys
 import time
 import warnings
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ruleloc import SCHEMA_VERSION, __version__
 from ruleloc.binarize import (
@@ -38,6 +39,8 @@ from ruleloc.evaluate import IncidentCase, evaluate_cases
 from ruleloc.localize import FaultModel, QueryWindow, localization_report
 from ruleloc.logfeatures import (
     DEFAULT_SIMILARITY,
+    LogFeatureFrame,
+    TemplateBase,
     build_template_base,
     match_and_aggregate,
     parse_timestamp,
@@ -217,30 +220,47 @@ def _setting(args, cfg: dict, path: str, kind, arg_name: Optional[str] = None):
     return DEFAULTS.get(key) if value is None else value
 
 
-def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
+def _log_lines(logs_dir: Path, stem: str) -> Iterator[str]:
     r"""Lines of every file under logs_dir whose top-level name starts with stem.
 
-    Both layouts work: logs/normal.log and logs/normal/anything.log.  A
-    line ends only at \n, \r\n or \r (read_text turns the last two into
-    \n); characters that str.splitlines also breaks at, such as \x1c or
-    U+2028, stay inside their line.  A final line ending starts no line,
-    and a byte-order mark at the start of a file is dropped.
+    Both layouts work: logs/normal.log and logs/normal/anything.log.  Files
+    are read one at a time, in sorted order, line by line.  A line ends
+    only at \n, \r\n or \r; characters that str.splitlines also breaks at,
+    such as \x1c or U+2028, stay inside their line.  A final line ending
+    starts no line, and a byte-order mark at the start of a file is dropped.
     """
-    lines: list[str] = []
     candidates = sorted(
         p
         for p in logs_dir.rglob("*")
         if p.is_file() and p.relative_to(logs_dir).parts[0].startswith(stem)
     )
     for path in candidates:
-        try:
-            file_lines = path.read_text(encoding="utf-8-sig").split("\n")
-        except UnicodeDecodeError as exc:
-            raise CliError("invalid-data", f"{path}: {exc}")
-        if file_lines[-1] == "":
-            file_lines.pop()
-        lines.extend(file_lines)
-    return lines
+        with open(path, encoding="utf-8-sig") as fh:
+            try:
+                yield from map(str.rstrip, fh, repeat("\n"))
+            except UnicodeDecodeError as exc:
+                # The stream counts positions from its decode block; decoding
+                # the whole file names the position in the file.
+                try:
+                    path.read_text(encoding="utf-8-sig")
+                except UnicodeDecodeError as whole:
+                    exc = whole
+                raise CliError("invalid-data", f"{path}: {exc}")
+
+
+def _log_frame(
+    logs_dir: Path, interval: float, sim: float, timestamp_format: Optional[str]
+) -> Optional[tuple[TemplateBase, LogFeatureFrame]]:
+    """The template base of the normal* logs and the novelty counters of the
+    online* logs, or None when no online* file holds a line."""
+    if not logs_dir.is_dir():
+        raise CliError("io-error", f"{logs_dir}: not a directory")
+    base = build_template_base(_log_lines(logs_dir, "normal"), sim=sim)
+    online = _log_lines(logs_dir, "online")
+    first = next(online, None)
+    if first is None:
+        return None
+    return base, match_and_aggregate(base, chain((first,), online), interval, timestamp_format)
 
 
 LOG_COLUMNS = ("log_total", "log_unmatched", "log_distinct_new")
@@ -267,13 +287,11 @@ def _log_feature_columns(
                 "schema-error",
                 f"{data_path}: column {name!r} is reserved for the --logs features",
             )
-    normal_lines = _collect_log_lines(logs_dir, "normal")
-    online_lines = _collect_log_lines(logs_dir, "online")
-    if not online_lines:
+    logs = _log_frame(logs_dir, interval, sim, timestamp_format)
+    if logs is None:
         warnings.warn(f"no online* log files under {logs_dir}; skipping log features")
         return
-    base = build_template_base(normal_lines, sim=sim)
-    frame = match_and_aggregate(base, online_lines, interval, timestamp_format)
+    _, frame = logs
     counters = frame.counters()
     # Many rows share a stamp: parse and look up each distinct one once.
     joined: dict[str, tuple[int, int, int]] = {}
@@ -443,14 +461,11 @@ def _load_model(path: str) -> FaultModel:
     """The model at path; a file that is not UTF-8 JSON of the model's shape
     is a schema error naming it."""
     try:
-        model = FaultModel.from_json(Path(path).read_text(encoding="utf-8-sig"))
+        return FaultModel.from_json(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
     except ValueError as exc:  # bad JSON, not UTF-8, or a model of the wrong shape
         raise CliError("schema-error", f"{path}: {exc}")
-    if model.binarization is None:
-        raise CliError("schema-error", f"{path}: model carries no binarization catalog")
-    return model
 
 
 def _window_numeric(model: FaultModel, service_col: str) -> Callable[[str], bool]:
@@ -597,12 +612,10 @@ def cmd_parse_logs(args) -> int:
         args, cfg, "logs.timestamp_format", _text
     )
     logs_dir = Path(args.logs)
-    normal_lines = _collect_log_lines(logs_dir, "normal")
-    online_lines = _collect_log_lines(logs_dir, "online")
-    if not online_lines:
+    logs = _log_frame(logs_dir, interval, sim, ts_format)
+    if logs is None:
         raise CliError("invalid-data", f"no online* log files under {logs_dir}")
-    base = build_template_base(normal_lines, sim=sim)
-    frame = match_and_aggregate(base, online_lines, interval, ts_format)
+    base, frame = logs
     text = frame.to_csv()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -306,12 +306,6 @@ class ObjectiveContext:
         cover = cover_of_set(dataset, rules)
         return cls(dataset, cover, cover & dataset.labels, alpha)
 
-    def extend(self, rule: Rule) -> "ObjectiveContext":
-        cover = self.cover | cover_of_rule(self.dataset, rule)
-        return ObjectiveContext(
-            self.dataset, cover, cover & self.dataset.labels, self.alpha
-        )
-
 
 def _log_or_neg_inf(count: int) -> float:
     return math.log(count) if count > 0 else -math.inf

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -93,14 +93,14 @@ class FaultModel:
     """Per-fault-type annotated rule sets plus the shared feature catalog."""
 
     rule_sets: tuple[tuple[str, RuleSet], ...]
-    binarization: Optional[BinarizationModel] = None
+    binarization: BinarizationModel
     max_rules: int = 4
     max_len: int = 6
     gamma: float = 1.0
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        d = None if self.binarization is None else self.binarization.n_features
+        d = self.binarization.n_features
         seen: set[str] = set()
         for name, rs in self.rule_sets:
             if not rs.annotated:
@@ -109,7 +109,7 @@ class FaultModel:
                 raise ValueError(f"duplicate fault type {name!r}")
             seen.add(name)
             for i, rule in enumerate(rs.rules):
-                if d is not None and rule.features and rule.features[-1] >= d:
+                if rule.features and rule.features[-1] >= d:
                     raise ValueError(
                         f"fault type {name!r}, rule {i}: feature {rule.features[-1]}"
                         f" outside the {d}-feature catalog"
@@ -125,11 +125,7 @@ class FaultModel:
         raise UnknownFaultTypeError(f"unknown fault type {fault_type!r}")
 
     def describe(self, rule: Rule) -> str:
-        if self.binarization is not None:
-            return describe_rule(self.binarization, rule)
-        if not rule.features:
-            return "TRUE"
-        return " ∧ ".join(f"f{j}" for j in rule.features)
+        return describe_rule(self.binarization, rule)
 
     # -- serialization -------------------------------------------------
 
@@ -137,9 +133,7 @@ class FaultModel:
         return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
-            "binarization": None
-            if self.binarization is None
-            else self.binarization.to_json_obj(),
+            "binarization": self.binarization.to_json_obj(),
             "fault_types": [
                 self._rule_set_obj(name, rs) for name, rs in self.rule_sets
             ],
@@ -168,8 +162,6 @@ class FaultModel:
 
     def _predicate_obj(self, j: int) -> dict:
         """Feature j as a rule predicate: its index, then its catalog entry."""
-        if self.binarization is None:
-            return {"feature": j}
         return {"feature": j, **self.binarization.feature(j).to_json_obj()}
 
     def to_json(self) -> str:
@@ -185,13 +177,11 @@ class FaultModel:
             raise ValueError(
                 f"unsupported model schema version {obj.get('schema_version')!r}"
             )
-        binarization = obj.get("binarization")
-        if binarization is not None:
-            checked(binarization, OBJECT, "binarization")
-            try:
-                binarization = BinarizationModel.from_json_obj(binarization)
-            except ShapeError as exc:
-                raise ShapeError(f"binarization.{exc}") from None
+        binarization = checked_field(obj, "binarization", OBJECT)
+        try:
+            binarization = BinarizationModel.from_json_obj(binarization)
+        except ShapeError as exc:
+            raise ShapeError(f"binarization.{exc}") from None
         rule_sets, knobs = [], []
         entries = checked_field(obj, "fault_types", LIST)
         for i, entry in enumerate(entries):
@@ -222,16 +212,15 @@ class FaultModel:
         max_rules, max_len, gamma = knobs[0] if knobs else (4, 6, 1.0)
         metadata = dict(checked(obj.get("metadata", {}), OBJECT, "metadata"))
         model = cls(tuple(rule_sets), binarization, max_rules, max_len, gamma, metadata)
-        if binarization is not None:
-            # A predicate restates its catalog entry, so it must agree with it.
-            for entry in entries:
-                for i, r in enumerate(entry["rules"]):
-                    for p in r["predicates"]:
-                        if p != model._predicate_obj(p["feature"]):
-                            raise ValueError(
-                                f"fault type {entry['fault_type']!r}, rule {i}:"
-                                f" predicate disagrees with feature {p['feature']}"
-                            )
+        # A predicate restates its catalog entry, so it must agree with it.
+        for entry in entries:
+            for i, r in enumerate(entry["rules"]):
+                for p in r["predicates"]:
+                    if p != model._predicate_obj(p["feature"]):
+                        raise ValueError(
+                            f"fault type {entry['fault_type']!r}, rule {i}:"
+                            f" predicate disagrees with feature {p['feature']}"
+                        )
         return model
 
     @classmethod

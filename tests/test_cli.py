@@ -615,7 +615,7 @@ def test_model_without_catalog_is_schema_error(trained, scenario, tmp_path, caps
     code, model = _run_on_model(command, obj, scenario, tmp_path)
     assert code == 4
     assert capsys.readouterr().err == (
-        f"schema-error: {model}: model carries no binarization catalog\n"
+        f"schema-error: {model}: binarization: expected an object, got null\n"
     )
 
 
@@ -725,7 +725,7 @@ def test_log_join_checks_timestamp_column_before_log_work(
     def no_log_work(*args, **kwargs):
         raise AssertionError("log work started before the schema check")
 
-    for name in ("_collect_log_lines", "build_template_base", "match_and_aggregate"):
+    for name in ("_log_lines", "build_template_base", "match_and_aggregate"):
         monkeypatch.setattr(ruleloc.cli, name, no_log_work)
     table = {k: v for k, v in scenario.train_table.items() if k != "timestamp"}
     data = tmp_path / "train.csv"
@@ -736,6 +736,65 @@ def test_log_join_checks_timestamp_column_before_log_work(
     assert capsys.readouterr().err == (
         f"schema-error: {data}: timestamp column 'timestamp' required to join log features\n"
     )
+
+
+@pytest.mark.parametrize("kind", ["missing", "regular-file"])
+@pytest.mark.parametrize("command", ["train", "parse-logs"])
+def test_logs_path_that_is_not_a_directory_is_io_error(
+    tmp_path, scenario, capsys, monkeypatch, command, kind
+):
+    def no_log_work(*args, **kwargs):
+        raise AssertionError("a log line was read before the directory check")
+
+    monkeypatch.setattr(cli, "_log_lines", no_log_work)
+    logs = tmp_path / "logs"
+    if kind == "regular-file":
+        logs.write_text("worker 1 ok\n")
+    model = tmp_path / "m.json"
+    argv = ["parse-logs", "--logs", str(logs)]
+    if command == "train":
+        data = tmp_path / "train.csv"
+        write_csv_columns(data, scenario.train_table)
+        argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(model)]
+    assert main(argv) == 6
+    assert capsys.readouterr().err == f"io-error: {logs}: not a directory\n"
+    assert not model.exists()
+
+
+def test_logs_directory_is_checked_after_the_table_schema(tmp_path, capsys):
+    data = _tiny_train_csv(tmp_path)
+    argv = ["train", "--data", str(data), "--logs", str(tmp_path / "missing"),
+            "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {data}: timestamp column 'timestamp' required to join log features\n"
+    )
+
+
+def test_log_commands_pass_line_streams(tmp_path, scenario, monkeypatch):
+    """Both commands hand the template build and the matcher lazy iterators,
+    never a list of a file's lines."""
+    streams = []
+
+    def spy(function, position):
+        def call(*args, **kwargs):
+            lines = args[position]
+            streams.append(lines)
+            assert iter(lines) is lines
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli, "build_template_base", spy(cli.build_template_base, 0))
+    monkeypatch.setattr(cli, "match_and_aggregate", spy(cli.match_and_aggregate, 1))
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+    out = tmp_path / "frame.csv"
+    assert main(["parse-logs", "--logs", str(logs), "--out", str(out)]) == 0
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    assert len(streams) == 4
 
 
 @pytest.mark.parametrize("name", ["log_total", "log_unmatched", "log_distinct_new"])
@@ -890,7 +949,12 @@ def _non_utf8_input(reader, trained, scenario, tmp_path):
     logs = tmp_path / "logs"
     logs.mkdir()
     (logs / "normal.log").write_text("worker 1 ok\n")
-    (logs / "online.log").write_bytes(b"2024-01-01T00:00:00 caf\xe9\n")
+    online = b"2024-01-01T00:00:00 caf\xe9\n"
+    if reader == "log-past-first-block":
+        # The bad byte lies at 32023, past the line stream's first 8 KB
+        # decode block; the message still counts from the file's start.
+        online = b"2024-01-01T00:00:00 worker 2 ok\n" * 1000 + online
+    (logs / "online.log").write_bytes(online)
     return ["parse-logs", "--logs", str(logs)], logs / "online.log"
 
 
@@ -903,6 +967,7 @@ def _non_utf8_input(reader, trained, scenario, tmp_path):
         ("model", "schema-error"),
         ("manifest", "invalid-data"),
         ("log", "invalid-data"),
+        ("log-past-first-block", "invalid-data"),
     ],
 )
 def test_non_utf8_input_names_its_file(trained, scenario, tmp_path, capsys, reader, category):
@@ -910,7 +975,10 @@ def test_non_utf8_input_names_its_file(trained, scenario, tmp_path, capsys, read
     assert main(argv) == cli.EXIT_CODES[category]
     err = capsys.readouterr().err
     assert err.startswith(f"{category}: {path}: ")
-    assert "'utf-8' codec can't decode byte 0xe9" in err
+    position = path.read_bytes().index(0xE9)
+    assert f"'utf-8' codec can't decode byte 0xe9 in position {position}: " in err
+    if reader == "log-past-first-block":
+        assert position == 32023
 
 
 def test_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys):

@@ -188,13 +188,16 @@ def test_stratified_folds_balanced():
 
 
 def test_evaluate_cases_counts_no_signal_as_distinct_label():
+    from ruleloc.binarize import CATEGORICAL, FeatureSpec, fit
     from ruleloc.core import RuleStats
     from ruleloc.evaluate import IncidentCase, evaluate_cases
     from ruleloc.localize import FaultModel, QueryWindow
 
+    catalog = fit({"c": ["x", "y", "z"]}, [FeatureSpec("c", CATEGORICAL)])
     model = FaultModel(
         (("cpu", RuleSet((Rule.of(0),), (RuleStats(0.9, 0.5, 10),))),
          ("net", RuleSet((Rule.of(1),), (RuleStats(0.8, 0.5, 10),)))),
+        catalog,
     )
     hit = QueryWindow(np.array([[True, False, False]]), ("svc-a",))
     quiet = QueryWindow(np.array([[False, False, True]]), ("svc-a",))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruleloc.binarize import CATEGORICAL, FeatureSpec, fit
 from ruleloc.core import Rule, RuleSet, RuleStats, bitset_of
 from ruleloc.localize import (
     Explanation,
@@ -35,6 +36,10 @@ def sample_vote(model: FaultModel, fault_type: str, sample_mask: int) -> float:
     return best
 
 
+# The catalog of the hand-built models: ten features, c == v0 ... c == v9.
+CATALOG = fit({"c": [f"v{j}" for j in range(10)]}, [FeatureSpec("c", CATEGORICAL)])
+
+
 def annotated(rules_with_precision):
     rules = tuple(Rule(feats) for feats, _ in rules_with_precision)
     stats = tuple(RuleStats(p, 0.5, 10) for _, p in rules_with_precision)
@@ -48,7 +53,8 @@ def model():
             ("cpu", annotated([((0, 1), 0.9), ((2,), 0.7)])),
             ("disk", annotated([((3,), 0.8)])),
             ("net", annotated([((4, 5), 1.0)])),
-        )
+        ),
+        CATALOG,
     )
 
 
@@ -170,7 +176,8 @@ def test_precision_scaling_keeps_order(model):
                 ),
             )
             for name, rs in model.rule_sets
-        )
+        ),
+        CATALOG,
     )
     assert rank_window(scaled, window)[0].candidates() == order_before
 
@@ -195,7 +202,7 @@ def test_report_shape(model):
 def test_model_json_roundtrip(model):
     restored = FaultModel.from_json(model.to_json())
     assert restored.rule_sets == model.rule_sets
-    assert restored.binarization is None
+    assert restored.binarization.columns == CATALOG.columns
 
 
 def test_window_requires_alignment():
@@ -280,7 +287,7 @@ def test_model_of_any_json_shape_loads_or_raises_value_error(data, value, drop):
 
 def test_model_rejects_duplicate_fault_types(model):
     with pytest.raises(ValueError, match="duplicate fault type 'cpu'"):
-        FaultModel(model.rule_sets + (model.rule_sets[0],))
+        FaultModel(model.rule_sets + (model.rule_sets[0],), CATALOG)
 
 
 # -- equivalence oracle: the two ranking passes that rank_window replaced ----
@@ -402,7 +409,7 @@ def oracle_models(draw):
                 ),
             )
         )
-    return FaultModel(tuple(rule_sets))
+    return FaultModel(tuple(rule_sets), CATALOG)
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruleloc import logfeatures
-from ruleloc.cli import CliError, _log_feature_columns
+from ruleloc.cli import CliError, _log_feature_columns, _log_lines
 from ruleloc.logfeatures import (
     _SHAPE,
     DEFAULT_SIMILARITY,
@@ -430,11 +430,81 @@ def log_case(draw):
     return fmt, normal, online, table_stamps, interval, sim
 
 
-def _read_lines(path: Path) -> list[str]:
-    lines = path.read_text(encoding="utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()
+# -- Oracle: the list reader that the CLI's line stream replaced -------------
+# Kept verbatim as it stood in ruleloc.cli, so the stream is checked
+# against it line for line.
+
+
+def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
+    r"""Lines of every file under logs_dir whose top-level name starts with stem.
+
+    Both layouts work: logs/normal.log and logs/normal/anything.log.  A
+    line ends only at \n, \r\n or \r (read_text turns the last two into
+    \n); characters that str.splitlines also breaks at, such as \x1c or
+    U+2028, stay inside their line.  A final line ending starts no line,
+    and a byte-order mark at the start of a file is dropped.
+    """
+    lines: list[str] = []
+    candidates = sorted(
+        p
+        for p in logs_dir.rglob("*")
+        if p.is_file() and p.relative_to(logs_dir).parts[0].startswith(stem)
+    )
+    for path in candidates:
+        try:
+            file_lines = path.read_text(encoding="utf-8-sig").split("\n")
+        except UnicodeDecodeError as exc:
+            raise CliError("invalid-data", f"{path}: {exc}")
+        if file_lines[-1] == "":
+            file_lines.pop()
+        lines.extend(file_lines)
     return lines
+
+
+# Pieces of a log file: line ends of all three kinds, so blank lines and
+# \r\n pairs assemble from them, and characters that end a line for
+# str.splitlines but not for a log file.
+LOG_PIECES = ["a", "b 7", " ", "é", "\x1c", "\x85", "\u2028", "\n", "\r\n", "\r"]
+BOM = b"\xef\xbb\xbf"
+# Bytes the line stream decodes per block; a \r\n may straddle the first.
+_DECODE_BLOCK = 8192
+
+
+@st.composite
+def log_file_bytes(draw):
+    text = "".join(draw(st.lists(st.sampled_from(LOG_PIECES), max_size=20)))
+    head = BOM if draw(st.booleans()) else b""
+    if draw(st.booleans()):
+        text = "x" * (_DECODE_BLOCK - 1 - len(head)) + "\r\n" + text
+    return head + text.encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=st.sampled_from(["file", "directory"]),
+    normal=st.lists(log_file_bytes(), min_size=1, max_size=3),
+    online=log_file_bytes(),
+)
+@example(
+    layout="file",
+    normal=[BOM + b"x" * (_DECODE_BLOCK - 4) + b"\r\n\r\n\na\x1cb\r\xc2\x85c\xe2\x80\xa8d"],
+    online=b"\r",
+)
+def test_log_line_stream_matches_the_list_reader(layout, normal, online):
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = Path(tmp)
+        if layout == "file":
+            names = ["normal.log"] + [f"normal-{i}.log" for i in range(1, len(normal))]
+        else:
+            (logs / "normal").mkdir()
+            names = [f"normal/{i}.log" for i in range(len(normal))]
+        for name, data in zip(names, normal):
+            (logs / name).write_bytes(data)
+        (logs / "online.log").write_bytes(online)
+        for stem in ("normal", "online"):
+            stream = _log_lines(logs, stem)
+            assert iter(stream) is stream
+            assert list(stream) == _collect_log_lines(logs, stem)
 
 
 @settings(max_examples=200, deadline=None)
@@ -492,8 +562,8 @@ def _check_log_case(case):
         (logs / "online.log").write_text("\n".join(online), encoding="utf-8")
         # The CLI splits what it reads back at line endings only, and a
         # final one starts no line, so the oracle counts the lines read back.
-        normal_read = _read_lines(logs / "normal.log")
-        online_read = _read_lines(logs / "online.log")
+        normal_read = _collect_log_lines(logs, "normal")
+        online_read = _collect_log_lines(logs, "online")
         if not online_read:
             return
         counters = oracle_match_and_aggregate(
