@@ -5,8 +5,10 @@ Generates an imbalanced multi-fault telemetry table with known DNF
 ground truth, trains through the CLI entry point, then measures held-out
 F1 per fault type and ranking accuracy over planted incident windows.
 
-    python scripts/planted_benchmark.py --n 10000 --d 40 --ratio 50 \
-        --noise 0.05 --windows 100 --seed 606
+    PYTHONPATH=src:tests python scripts/planted_benchmark.py --n 10000 --d 40 \
+        --ratio 50 --noise 0.05 --windows 100 --seed 606
+
+The scenario generator is planted_fault_scenario in tests/oracle.py.
 """
 
 import argparse
@@ -19,8 +21,10 @@ from ruleloc.binarize import feature_matrix, relabel, transform
 from ruleloc.cli import main as cli_main
 from ruleloc.cli import write_csv_columns
 from ruleloc.core import f1_score
-from ruleloc.evaluate import IncidentCase, evaluate_cases, planted_fault_scenario
+from ruleloc.evaluate import IncidentCase, evaluate_cases
 from ruleloc.localize import FaultModel, QueryWindow
+
+from oracle import planted_fault_scenario
 
 
 def parse_args():

@@ -100,17 +100,19 @@ def read_csv_columns(
     with a numeric cell that does not parse, is read by the exact reader,
     whose string columns binarize.numeric_column parses later, with its
     messages.  Both paths give the same values and raise the same errors
-    in the same order.
+    in the same order, and on both a column that `numeric` rejects holds
+    one string object per distinct value.
     """
     try:
         table = read_grid(path, numeric)
     except (OSError, ValueError):  # unreadable, or a numeric cell that does not parse
         table = None
-    return _read_csv_cells(path) if table is None else table
+    return _read_csv_cells(path, numeric) if table is None else table
 
 
-def _read_csv_cells(path: str | Path) -> dict[str, list[str]]:
-    """read_csv_columns with every column a list of cell strings."""
+def _read_csv_cells(path: str | Path, numeric: Callable[[str], bool]) -> dict[str, list[str]]:
+    """read_csv_columns with every column a list of cell strings; the columns
+    `numeric` rejects are interned as their cells are read."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -123,7 +125,10 @@ def _read_csv_cells(path: str | Path) -> dict[str, list[str]]:
                 if name in columns:
                     raise CliError("schema-error", f"{path}: duplicate column {name!r}")
                 columns[name] = []
-            appends = [columns[name].append for name in header]
+            appends = [
+                columns[name].append if numeric(name) else _interning_append(columns[name])
+                for name in header
+            ]
             for row in reader:
                 if not row:
                     raise CliError(
@@ -145,6 +150,12 @@ def _read_csv_cells(path: str | Path) -> dict[str, list[str]]:
         raise CliError("io-error", f"{path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliError("invalid-data", f"{path}: {exc}")
+
+
+def _interning_append(column: list[str]) -> Callable[[str], None]:
+    """column.append of the first string equal to each value it is given."""
+    append, intern = column.append, {}.setdefault
+    return lambda value: append(intern(value, value))
 
 
 def write_csv_columns(path: str | Path, table: dict[str, list]) -> None:
@@ -398,6 +409,7 @@ def cmd_train(args) -> int:
 
     # One binarization serves every fault type; only the labels differ.
     unlabelled = transform(model_bin, table)
+    del table  # frees the parsed numeric block before selection
     results = {}
     for fault_type in fault_types:
         dataset = relabel(unlabelled, [v == fault_type for v in fault_values])

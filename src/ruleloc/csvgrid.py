@@ -45,7 +45,8 @@ def read_grid(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict
     """The table of the file at path if it is a plain comma grid, else None.
 
     Columns that `numeric` accepts by name are rows of one float64 array,
-    the others lists of cell strings.  The file is read twice, so that no
+    the others lists of cell strings, one string object per distinct
+    value, interned chunk by chunk.  The file is read twice, so that no
     copy of it is held whole: in blocks to count its rows, then in chunks
     of lines, each checked before loadtxt reads it.  Raises OSError if the
     file cannot be read and ValueError (InvalidValueError) for a numeric
@@ -74,6 +75,7 @@ def read_grid(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict
         txt = [i for i, flag in enumerate(is_numeric) if not flag]
         values = np.empty((len(num), n))
         texts: list[list[str]] = [[] for _ in txt]
+        distinct: list[dict[str, str]] = [{} for _ in txt]
         for lo in range(0, n, _CHUNK_ROWS):
             chunk = list(islice(fh, _CHUNK_ROWS))
             if len(chunk) != min(_CHUNK_ROWS, n - lo) or not _lines_ok(chunk, commas):
@@ -92,8 +94,9 @@ def read_grid(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict
                 cells = np.loadtxt(
                     chunk, object, delimiter=",", comments=None, usecols=txt, ndmin=2
                 )
-                for column, cell_column in zip(texts, cells.T):
-                    column.extend(cell_column.tolist())
+                for column, seen, cell_column in zip(texts, distinct, cells.T):
+                    strings = cell_column.tolist()
+                    column.extend(map(seen.setdefault, strings, strings))
         if fh.read(1):  # the file grew after its rows were counted
             return None
     rows, cells = iter(values), iter(texts)

@@ -1,19 +1,21 @@
-"""The exhaustive F1 oracle and the planted datasets it is checked on.
+"""The exhaustive F1 oracle and the planted data it is checked on.
 
-Only the tests use them: brute_force_best_ruleset is the acceptance
-oracle the learner must never beat, and planted_dataset draws binary
-datasets whose positives are exactly a known DNF.
+Only the tests and scripts/planted_benchmark.py use them:
+brute_force_best_ruleset is the acceptance oracle the learner must never
+beat, planted_dataset draws binary datasets whose positives are exactly
+a known DNF, and planted_fault_scenario draws seeded multi-fault
+telemetry tables with labelled incident windows for end-to-end runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ruleloc.core import BinaryDataset, InvalidDatasetError, Rule, RuleSet
-from ruleloc.evaluate import _fires, _suppress
 
 
 class BudgetExceededError(ValueError):
@@ -69,6 +71,163 @@ def brute_force_best_ruleset(
                 best_f1, best = f1, key
     rules = tuple(Rule(features) for features in best)
     return RuleSet(rules), best_f1
+
+
+def _fires(matrix: np.ndarray, rule: Sequence[int]) -> np.ndarray:
+    out = np.ones(matrix.shape[0], dtype=bool)
+    for j in rule:
+        out &= matrix[:, j]
+    return out
+
+
+def _suppress(matrix: np.ndarray, dnf: Sequence[Sequence[int]], rng) -> None:
+    # Turn off one feature of each satisfied conjunction until nothing fires.
+    for rule in dnf:
+        firing = np.flatnonzero(_fires(matrix, rule))
+        if firing.size:
+            kill = rng.integers(0, len(rule), size=firing.size)
+            for row, pick in zip(firing, kill):
+                matrix[row, rule[pick]] = False
+
+
+@dataclass(frozen=True)
+class PlantedScenario:
+    """Multi-fault synthetic telemetry for end-to-end experiments.
+
+    train_table / heldout_table are column-oriented tables whose columns
+    are the metric names plus "timestamp", "service" and "fault_type";
+    windows pair a column table with its ground truths.
+    """
+
+    feature_names: tuple[str, ...]
+    fault_types: tuple[str, ...]
+    dnfs: Mapping[str, tuple[tuple[int, ...], ...]]
+    train_table: dict[str, list]
+    heldout_table: dict[str, list]
+    windows: tuple[tuple[dict[str, list], str, str], ...]
+    services: tuple[str, ...]
+
+
+def _scenario_rows(
+    rng,
+    n: int,
+    d: int,
+    background: float,
+    fire_dnf: Optional[Sequence[Sequence[int]]],
+    all_dnfs: Sequence[Sequence[Sequence[int]]],
+) -> np.ndarray:
+    matrix = rng.random((n, d)) < background
+    if fire_dnf is not None:
+        which = rng.integers(0, len(fire_dnf), size=n)
+        for i in range(n):
+            matrix[i, list(fire_dnf[which[i]])] = True
+    for dnf in all_dnfs:
+        if dnf is fire_dnf:
+            continue
+        _suppress(matrix, dnf, rng)
+    return matrix
+
+
+def planted_fault_scenario(
+    seed: int,
+    n: int = 10000,
+    d: int = 40,
+    imbalance_ratio: float = 50.0,
+    noise: float = 0.05,
+    n_fault_types: int = 3,
+    n_services: int = 5,
+    n_windows: int = 100,
+    window_rows_per_service: int = 4,
+    background: float = 0.25,
+) -> PlantedScenario:
+    """Planted multi-fault training data plus labelled incident windows.
+
+    Each fault type owns a 2-rule DNF on its own feature block and gets
+    round(n / (ratio+1)) positive rows; rows never fire another type's
+    DNF.  Label noise relabels a positive row as normal.  Each incident
+    window plants one fault type's pattern in one service's rows and
+    leaves every other row clean.
+    """
+    rng = np.random.default_rng(seed)
+    fault_types = tuple(f"fault_{t}" for t in range(n_fault_types))
+    services = tuple(f"svc{m:02d}" for m in range(n_services))
+    block = 4
+    if n_fault_types * block > d:
+        raise ValueError("not enough features for the requested fault types")
+    dnfs = {
+        fault_types[t]: (
+            (block * t, block * t + 1),
+            (block * t + 2, block * t + 3),
+        )
+        for t in range(n_fault_types)
+    }
+    all_dnfs = [dnfs[ft] for ft in fault_types]
+    names = tuple(f"m{j:02d}" for j in range(d))
+
+    def build_table(n_rows: int) -> tuple[dict[str, list], np.ndarray]:
+        n_pos_each = round(n_rows / (imbalance_ratio + 1.0))
+        counts = [n_pos_each] * n_fault_types
+        n_normal = n_rows - sum(counts)
+        blocks = [
+            _scenario_rows(rng, counts[t], d, background, all_dnfs[t], all_dnfs)
+            for t in range(n_fault_types)
+        ]
+        blocks.append(_scenario_rows(rng, n_normal, d, background, None, all_dnfs))
+        matrix = np.concatenate(blocks, axis=0)
+        labels = np.concatenate(
+            [np.full(counts[t], t) for t in range(n_fault_types)]
+            + [np.full(n_normal, -1)]
+        )
+        flips = rng.random(len(labels)) < noise
+        labels = np.where(flips & (labels >= 0), -1, labels)
+        perm = rng.permutation(len(labels))
+        matrix, labels = matrix[perm], labels[perm]
+        table: dict[str, list] = {
+            "timestamp": [f"2024-01-01T00:{i // 60 % 60:02d}:{i % 60:02d}" for i in range(len(labels))],
+            "service": [services[s] for s in rng.integers(0, n_services, size=len(labels))],
+            "fault_type": [
+                fault_types[t] if t >= 0 else "normal" for t in labels
+            ],
+        }
+        for j, name in enumerate(names):
+            table[name] = [int(v) for v in matrix[:, j]]
+        return table, labels
+
+    train_table, _ = build_table(n)
+    heldout_table, _ = build_table(n)
+
+    windows = []
+    for w in range(n_windows):
+        t = int(rng.integers(0, n_fault_types))
+        svc = int(rng.integers(0, n_services))
+        rows = []
+        svc_col = []
+        for m in range(n_services):
+            fire = all_dnfs[t] if m == svc else None
+            rows.append(
+                _scenario_rows(rng, window_rows_per_service, d, background, fire, all_dnfs)
+            )
+            svc_col.extend([services[m]] * window_rows_per_service)
+        matrix = np.concatenate(rows, axis=0)
+        table: dict[str, list] = {
+            "timestamp": [
+                f"2024-02-01T00:00:{i % 60:02d}" for i in range(len(svc_col))
+            ],
+            "service": svc_col,
+        }
+        for j, name in enumerate(names):
+            table[name] = [int(v) for v in matrix[:, j]]
+        windows.append((table, fault_types[t], services[svc]))
+
+    return PlantedScenario(
+        names,
+        fault_types,
+        {ft: dnfs[ft] for ft in fault_types},
+        train_table,
+        heldout_table,
+        tuple(windows),
+        services,
+    )
 
 
 def _dnf_fires(matrix: np.ndarray, dnf: Sequence[Sequence[int]]) -> np.ndarray:

@@ -6,8 +6,9 @@ from ruleloc import cli
 from ruleloc.binarize import SchemaError
 from ruleloc.cli import main, read_csv_columns, write_csv_columns
 from ruleloc.core import InvalidDatasetError
-from ruleloc.evaluate import planted_fault_scenario
 from ruleloc.localize import FaultModel
+
+from oracle import planted_fault_scenario
 
 
 @pytest.fixture(scope="module")
@@ -566,6 +567,42 @@ def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
     assert code == 0
     assert len(FaultModel.from_json(model_path.read_text()).fault_types()) == 3
     assert len(calls) == 1
+
+
+def test_train_releases_the_parsed_table_before_selection(tmp_path, monkeypatch):
+    import weakref
+
+    import ruleloc.cli
+
+    three = planted_fault_scenario(
+        seed=7, n=900, d=12, n_fault_types=3, n_services=3, n_windows=1,
+        imbalance_ratio=10.0, noise=0.0,
+    )
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, three.train_table)
+    real_fit, real_select = ruleloc.cli.fit, ruleloc.cli.select_rule_set
+    refs, selections = [], []
+
+    def fit(table, specs):
+        block = table["m00"].base  # the numeric block every numeric column views
+        assert block is not None
+        refs.append(weakref.ref(block))
+        return real_fit(table, specs)
+
+    def select_rule_set(*args, **kwargs):
+        if not selections:
+            assert refs[0]() is None
+        selections.append(1)
+        return real_select(*args, **kwargs)
+
+    monkeypatch.setattr(ruleloc.cli, "fit", fit)
+    monkeypatch.setattr(ruleloc.cli, "select_rule_set", select_rule_set)
+    model_path = tmp_path / "model.json"
+    code = main(
+        ["train", "--data", str(data), "--model", str(model_path), "-K", "1", "-l", "2"]
+    )
+    assert code == 0
+    assert len(refs) == 1 and len(selections) == 3
 
 
 @pytest.mark.parametrize("command", ["export-fingerprints", "localize"])

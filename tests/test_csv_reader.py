@@ -100,7 +100,12 @@ def assert_same_as_oracle(path: Path, numeric) -> dict:
             assert np.array_equal(np.signbit(got[name]), np.signbit(column))
         else:
             assert got[name] == column
+            assert one_object_per_value(got[name])
     return got
+
+
+def one_object_per_value(column: list[str]) -> bool:
+    return len({id(value) for value in column}) == len(set(column))
 
 
 def write_bytes(directory: str, data: bytes) -> Path:
@@ -285,6 +290,24 @@ def test_carriage_returns_and_quotes_read_cell_by_cell(tmp_path):
     assert read_csv_columns(path, {"a"}.__contains__) == {
         "a": ["1", "2"], "b": ["x,y", 'p"q']
     }
+
+
+def test_text_columns_hold_one_string_per_distinct_value(tmp_path):
+    rows = [f"s{i % 3},{('cpu_hog', 'normal')[i % 2]},{i % 4}.25\n" for i in range(40)]
+    grid = tmp_path / "grid.csv"
+    grid.write_text("service,fault,cpu\n" + "".join(rows))
+    quoted = tmp_path / "quoted.csv"  # one quoted cell sends it to the cell reader
+    quoted.write_text('service,fault,cpu\n"s0"' + rows[0][2:] + "".join(rows[1:]))
+    numeric = {"cpu"}.__contains__
+    assert took_grid_path(grid, numeric) and not took_grid_path(quoted, numeric)
+    by_grid, by_cells = read_csv_columns(grid, numeric), read_csv_columns(quoted, numeric)
+    for table in (by_grid, by_cells):
+        assert set(table["service"]) == {"s0", "s1", "s2"}
+        assert one_object_per_value(table["service"]) and one_object_per_value(table["fault"])
+    # A numeric column's strings are the csv module's, one object per cell.
+    assert len({id(value) for value in by_cells["cpu"]}) == 40
+    assert by_grid["service"] == by_cells["service"] and by_grid["fault"] == by_cells["fault"]
+    assert np.array_equal(by_grid["cpu"], numeric_column(by_cells["cpu"], "cpu"))
 
 
 def test_header_only_and_single_row_tables(tmp_path):

@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruleloc.core import Rule, RuleSet, f1_score
-from ruleloc.evaluate import cohen_kappa, planted_fault_scenario, top_k_accuracy
+from ruleloc.evaluate import cohen_kappa, top_k_accuracy
 from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
-from oracle import BudgetExceededError, brute_force_best_ruleset, planted_dataset
+from oracle import (
+    BudgetExceededError,
+    brute_force_best_ruleset,
+    planted_dataset,
+    planted_fault_scenario,
+)
 
 
 def stratified_fold_assignments(
