@@ -18,6 +18,8 @@ Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
 the column maximum are dropped (they would produce an always-true and a
 never-true predicate, and they are all a constant column would produce).
+-0.0 counts as 0.0 when thresholds are fitted, so no threshold is -0.0
+(x <= 0.0 holds for x = -0.0 as for 0.0, so no predicate changes).
 A numeric cell is missing when it is None, empty or whitespace only, or
 when it parses to nan, inf or -inf: infinities count as missing, so they
 satisfy neither (x <= t) nor (x > t) and never move a threshold.
@@ -356,13 +358,35 @@ def parse_numeric_columns(
             table[spec.name] = numeric_column(table[spec.name], spec.name)
 
 
+def _linear_quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """np.quantile(x, qs) for finite x holding no -0.0, from ordered = np.sort(x).
+
+    numpy's "linear" method, one float operation for one: the virtual
+    index (n - 1) * q falls between ordered[floor] and the next value
+    (the last value from n - 1 on), and its fraction gamma interpolates
+    them as numpy's _lerp does, from the upper end where gamma >= 0.5.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * qs
+    previous = np.floor(virtual)
+    gamma = virtual - previous
+    low = np.minimum(previous, n - 1).astype(np.intp)
+    a, b = ordered[low], ordered[np.minimum(low + 1, n - 1)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> BinarizationModel:
     """Fit thresholds / category maps from a column-oriented table.
 
     Numeric thresholds are the empirical quantiles at k/bins for
     k = 1..bins-1 over the finite values, deduplicated, with thresholds at
-    or above the column maximum dropped.  Categorical columns record the
-    sorted set of observed non-missing categories.
+    or above the column maximum dropped.  They are numpy's "linear"
+    quantiles, computed from one sort of the finite values, and -0.0
+    counts as 0.0, so no threshold is -0.0.  Categorical columns record
+    the sorted set of observed non-missing categories.
     """
     if not table or not any(len(col) for col in table.values()):
         raise ValueError("cannot fit a binarizer on an empty table")
@@ -373,7 +397,7 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
         raw = table[spec.name]
         if spec.kind == NUMERIC:
             values = numeric_column(raw, spec.name)
-            finite = values[np.isfinite(values)]
+            finite = values[np.isfinite(values)]  # a copy, sorted in place
             if finite.size == 0:
                 warnings.warn(
                     f"column {spec.name!r} has no finite values; emitting no features",
@@ -381,10 +405,11 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
                 )
                 thresholds: tuple[float, ...] = ()
             else:
+                finite.sort()
+                finite += 0.0  # -0.0 becomes 0.0
                 qs = np.arange(1, spec.bins) / spec.bins
-                cand = np.unique(np.quantile(finite, qs))
-                top = float(finite.max())
-                thresholds = tuple(float(t) for t in cand if t < top)
+                cand = np.unique(_linear_quantiles(finite, qs))
+                thresholds = tuple(float(t) for t in cand if t < finite[-1])
             columns.append(ColumnModel(spec.name, NUMERIC, thresholds))
         else:
             cats = sorted({str(v) for v in raw if v is not None and str(v).strip()})

@@ -5,11 +5,15 @@ byte-order mark, only printable ASCII other than '"' and \n line ends,
 with at least one data row, no duplicate header name, no blank line, and
 as many commas on every line as in the header.  The csv module splits
 such a line at its commas and nowhere else, so np.loadtxt with no quote
-and no comment character reads the same cells.  loadtxt parses a numeric
+and no comment character reads the same cells.  Each chunk of lines is
+tokenized once, by one loadtxt call with a record dtype: a float64 field
+per numeric column and an object field per text column, named by
+position so that header names cannot clash.  loadtxt parses a numeric
 cell with the rules of float() but rejects some cells float() reads
-(blank ones, "1_0"); a chunk holding one is parsed by
-binarize.numeric_column instead, so the values are the ones
-numeric_column gives the same cells as strings.
+(blank ones, "1_0"); a chunk holding one is split at its commas instead,
+its numeric cells parsed by binarize.numeric_column and its text cells
+taken from the same split, so the values are the ones numeric_column
+gives the same cells as strings.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ def read_grid(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict
     the others lists of cell strings, one string object per distinct
     value, interned chunk by chunk.  The file is read twice, so that no
     copy of it is held whole: in blocks to count its rows, then in chunks
-    of lines, each checked before loadtxt reads it.  Raises OSError if the
-    file cannot be read and ValueError (InvalidValueError) for a numeric
-    cell that binarize.numeric_column rejects.
+    of lines, each checked before one loadtxt call with a record dtype
+    reads all its columns.  Raises OSError if the file cannot be read and
+    ValueError (InvalidValueError) for a numeric cell that
+    binarize.numeric_column rejects.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():  # a pipe can be read only once
@@ -73,6 +78,7 @@ def read_grid(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict
         is_numeric = [bool(numeric(name)) for name in header]
         num = [i for i, flag in enumerate(is_numeric) if flag]
         txt = [i for i, flag in enumerate(is_numeric) if not flag]
+        record = np.dtype([(f"f{i}", "f8" if flag else "O") for i, flag in enumerate(is_numeric)])
         values = np.empty((len(num), n))
         texts: list[list[str]] = [[] for _ in txt]
         distinct: list[dict[str, str]] = [{} for _ in txt]
@@ -80,23 +86,20 @@ def read_grid(path: str | Path, numeric: Callable[[str], bool]) -> Optional[dict
             chunk = list(islice(fh, _CHUNK_ROWS))
             if len(chunk) != min(_CHUNK_ROWS, n - lo) or not _lines_ok(chunk, commas):
                 return None
-            if num:
-                block = values[:, lo : lo + len(chunk)]
-                try:
-                    block[:] = np.loadtxt(
-                        chunk, delimiter=",", comments=None, usecols=num, ndmin=2
-                    ).T
-                except ValueError:  # a blank cell, or one only float() reads
-                    fields = [text.rstrip(b"\n").decode().split(",") for text in chunk]
-                    for out, i in zip(block, num):
-                        out[:] = numeric_column([row[i] for row in fields], header[i])
-            if txt:
-                cells = np.loadtxt(
-                    chunk, object, delimiter=",", comments=None, usecols=txt, ndmin=2
-                )
-                for column, seen, cell_column in zip(texts, distinct, cells.T):
-                    strings = cell_column.tolist()
-                    column.extend(map(seen.setdefault, strings, strings))
+            block = values[:, lo : lo + len(chunk)]
+            try:
+                records = np.loadtxt(chunk, record, delimiter=",", comments=None, ndmin=1)
+            except ValueError:  # a blank cell, or one only float() reads
+                split = [text.rstrip(b"\n").decode().split(",") for text in chunk]
+                for out, i in zip(block, num):
+                    out[:] = numeric_column([row[i] for row in split], header[i])
+                strings = ([row[i] for row in split] for i in txt)
+            else:
+                for out, i in zip(block, num):
+                    out[:] = records[f"f{i}"]
+                strings = (records[f"f{i}"].tolist() for i in txt)
+            for column, seen, cell_column in zip(texts, distinct, strings):
+                column.extend(map(seen.setdefault, cell_column, cell_column))
         if fh.read(1):  # the file grew after its rows were counted
             return None
     rows, cells = iter(values), iter(texts)

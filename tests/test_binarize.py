@@ -159,6 +159,37 @@ def test_thresholds_are_permutation_invariant():
     assert fit({"x": shuffled}, spec).columns == direct.columns
 
 
+def test_signed_zero_fits_a_positive_zero_threshold():
+    """-0.0 counts as 0.0.  np.quantile's partition left -0.0 or 0.0 at a
+    quantile's index as it happened to order equal values."""
+    model = fit({"x": [-0.0, -0.0, 0.0, 1.0]}, [FeatureSpec("x", bins=4)])
+    thresholds = model.columns[0].thresholds
+    assert thresholds == (0.0, 0.25)
+    assert not np.signbit(thresholds[0])
+    text = model.to_json()
+    assert '"thresholds": [0.0, 0.25]' in text and "-0.0" not in text
+
+
+@st.composite
+def finite_columns(draw):
+    """Finite float64 columns without -0.0, drawn from a small pool of
+    values (ties, constant columns) that reach magnitudes near 1e300 and
+    1e-300."""
+    magnitude = draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    values = st.floats(-1e3, 1e3, allow_subnormal=False).map(lambda v: v * magnitude)
+    pool = draw(st.lists(values, min_size=1, max_size=draw(st.sampled_from([1, 3, 40]))))
+    x = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
+    return x + 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=finite_columns(), bins=st.integers(2, 200))
+def test_quantiles_from_one_sort_are_numpys(x, bins):
+    qs = np.arange(1, bins) / bins
+    got = binarize._linear_quantiles(np.sort(x), qs)
+    assert got.tobytes() == np.quantile(x, qs).tobytes()
+
+
 def test_describe_rule_conjunction():
     model = BinarizationModel.from_json_obj(
         {

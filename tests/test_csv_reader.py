@@ -238,7 +238,8 @@ def test_blank_line_still_fails(tmp_path):
     [(b"a,b\n1,2\n3\n", None), (b"a,b\n1,2\n3,4,5\n", "line 3: 3 fields, header has 2")],
 )
 def test_short_row_is_padded_and_long_row_fails(tmp_path, data, message):
-    """With usecols, loadtxt reads only the columns it is given."""
+    """A row with fewer or more commas than the header is no grid line, so
+    the exact reader pads or rejects it."""
     path = tmp_path / "ragged.csv"
     path.write_bytes(data)
     if message:
@@ -275,6 +276,27 @@ def test_a_chunk_with_a_blank_cell_keeps_the_grid_path(tmp_path, monkeypatch):
     assert column == ["1", "2", "3", "4", "5x"]
     with pytest.raises(InvalidValueError, match="column 'a', row 5: could not convert"):
         numeric_column(column, "a")
+
+
+def test_each_chunk_is_tokenized_by_one_loadtxt_call(tmp_path, monkeypatch):
+    """Text and numeric columns interleave; the chunk holding a blank
+    numeric cell is split at its commas, and its text cells stay in
+    place and share the other chunks' string objects."""
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
+    chunks, loadtxt = [], np.loadtxt
+    def spy(lines, *args, **kwargs):
+        chunks.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+    monkeypatch.setattr(csvgrid.np, "loadtxt", spy)
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(b"a,s,b,t\n1,x,2,p\n3,y,4,q\n5,x,,p\n7,z,8,q\n9,y,10,p\n")
+    numeric = {"a", "b"}.__contains__
+    table = assert_same_as_oracle(path, numeric)
+    assert chunks == [2, 2, 1]
+    assert np.array_equal(table["b"], [2, 4, math.nan, 8, 10], equal_nan=True)
+    assert table["s"] == ["x", "y", "x", "z", "y"] and table["t"] == ["p", "q"] * 2 + ["p"]
+    assert table["s"][2] is table["s"][0] and table["t"][3] is table["t"][1]
+    assert took_grid_path(path, numeric)
 
 
 def test_duplicate_header_name_still_fails(tmp_path):
