@@ -27,9 +27,9 @@ Whitespace is what str.strip removes, which besides space, tab and line
 ends includes U+001C-U+001F, U+0085 and U+2028: "7" followed by U+001C
 parses as 7.0, and a cell holding only U+0085 is missing.
 
-Numeric cells parse with Python's float() rules.  A table whose numeric
-columns already hold float arrays (see parse_numeric_columns) is used as
-is, so one parse can serve both fit and transform.
+Numeric cells parse with Python's float() rules (see numeric_column).
+A numeric column may also be a float64 array, as ruleloc.cli's reader
+gives it; fit and transform then use it as is, so one parse serves both.
 """
 
 from __future__ import annotations
@@ -343,19 +343,6 @@ def numeric_column(values: Sequence, name: str) -> np.ndarray:
         except (ValueError, TypeError) as exc:
             raise InvalidValueError(f"column {name!r}, row {i + 1}: {exc}") from None
     return out
-
-
-def parse_numeric_columns(
-    table: MutableMapping[str, Sequence], specs: Sequence[FeatureSpec]
-) -> None:
-    """Replace each numeric column of `table` named by `specs` with its float array.
-
-    Done once per training table, it lets fit and transform share one
-    parse; columns absent from the table are left for fit to report.
-    """
-    for spec in specs:
-        if spec.kind == NUMERIC and spec.name in table:
-            table[spec.name] = numeric_column(table[spec.name], spec.name)
 
 
 def _linear_quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from ruleloc import SCHEMA_VERSION, __version__
 from ruleloc.binarize import (
     CATEGORICAL,
@@ -30,7 +32,7 @@ from ruleloc.binarize import (
     SchemaError,
     feature_matrix,
     fit,
-    parse_numeric_columns,
+    numeric_column,
     relabel,
     transform,
 )
@@ -94,14 +96,16 @@ def read_csv_columns(
     is a schema error.  The file is UTF-8, with or without a byte-order
     mark; any other bytes are invalid data naming the file.
 
-    Columns are lists of cell strings, except that on a plain comma grid
-    (see ruleloc.csvgrid) the columns `numeric` accepts by name come back
-    as C-contiguous float64 arrays parsed in C.  Any other file, and a grid
-    with a numeric cell that does not parse, is read by the exact reader,
-    whose string columns binarize.numeric_column parses later, with its
-    messages.  Both paths give the same values and raise the same errors
-    in the same order, and on both a column that `numeric` rejects holds
-    one string object per distinct value.
+    The columns that `numeric` accepts by name are C-contiguous float64
+    arrays parsed by the rules of binarize.numeric_column; a cell that does
+    not parse is invalid data naming its column and row, reported after
+    every other error of the file.  The other columns are lists of cell
+    strings, one string object per distinct value.  A plain comma grid (see
+    ruleloc.csvgrid) is parsed in C; any other file, and a grid with a cell
+    loadtxt and numeric_column both reject, is read cell by cell, with the
+    same values and errors.  A line the csv module rejects (a field over
+    its size limit; a NUL byte before Python 3.11) is invalid data naming
+    the line.
     """
     try:
         table = read_grid(path, numeric)
@@ -110,9 +114,9 @@ def read_csv_columns(
     return _read_csv_cells(path, numeric) if table is None else table
 
 
-def _read_csv_cells(path: str | Path, numeric: Callable[[str], bool]) -> dict[str, list[str]]:
-    """read_csv_columns with every column a list of cell strings; the columns
-    `numeric` rejects are interned as their cells are read."""
+def _read_csv_cells(path: str | Path, numeric: Callable[[str], bool]) -> dict[str, Sequence]:
+    """read_csv_columns cell by cell: the columns `numeric` rejects are interned
+    as their cells are read, and the others parsed once the file is read."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -120,7 +124,7 @@ def _read_csv_cells(path: str | Path, numeric: Callable[[str], bool]) -> dict[st
                 header = next(reader)
             except StopIteration:
                 raise CliError("invalid-data", f"{path}: empty CSV")
-            columns: dict[str, list[str]] = {}
+            columns: dict[str, Sequence] = {}
             for name in header:
                 if name in columns:
                     raise CliError("schema-error", f"{path}: duplicate column {name!r}")
@@ -145,11 +149,20 @@ def _read_csv_cells(path: str | Path, numeric: Callable[[str], bool]) -> dict[st
                     append(value)
                 for append in appends[len(row) :]:
                     append("")
-            return columns
+            del appends  # its bound methods would keep each cell list alive
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliError("invalid-data", f"{path}: {exc}")
+    except csv.Error as exc:  # a field over the size limit; a NUL byte before 3.11
+        raise CliError("invalid-data", f"{path}: line {reader.line_num}: {exc}")
+    try:
+        for name, cells in columns.items():
+            if numeric(name):
+                columns[name] = numeric_column(cells, name)
+    except InvalidValueError as exc:
+        raise CliError("invalid-data", f"{path}: {exc}")
+    return columns
 
 
 def _interning_append(column: list[str]) -> Callable[[str], None]:
@@ -305,25 +318,21 @@ def _log_feature_columns(
     _, frame = logs
     counters = frame.counters()
     # Many rows share a stamp: parse and look up each distinct one once.
+    stamps = table[timestamp_col]
     joined: dict[str, tuple[int, int, int]] = {}
-    totals, unmatched, novel = [], [], []
-    for i, raw in enumerate(table[timestamp_col], start=1):
-        if raw not in joined:
-            try:
-                epoch = parse_timestamp(raw, timestamp_format)
-            except ValueError:
-                raise CliError(
-                    "invalid-data",
-                    f"{data_path}: column {timestamp_col!r}, row {i}:"
-                    f" unparseable timestamp {raw!r}",
-                )
-            joined[raw] = counters.get((epoch // interval) * interval, (0, 0, 0))
-        t, u, dnew = joined[raw]
-        totals.append(t)
-        unmatched.append(u)
-        novel.append(dnew)
-    for name, column in zip(LOG_COLUMNS, (totals, unmatched, novel)):
-        table[name] = column
+    for raw in dict.fromkeys(stamps):
+        try:
+            epoch = parse_timestamp(raw, timestamp_format)
+        except ValueError:
+            raise CliError(
+                "invalid-data",
+                f"{data_path}: column {timestamp_col!r}, row {stamps.index(raw) + 1}:"
+                f" unparseable timestamp {raw!r}",
+            )
+        joined[raw] = counters.get((epoch // interval) * interval, (0, 0, 0))
+    for k, name in enumerate(LOG_COLUMNS):
+        column = {raw: counts[k] for raw, counts in joined.items()}
+        table[name] = np.fromiter(map(column.__getitem__, stamps), float, len(stamps))
 
 
 def _feature_specs(
@@ -370,6 +379,7 @@ def cmd_train(args) -> int:
     ts_format = args.timestamp_format or _config_value(
         args, cfg, "logs.timestamp_format", _text
     )
+    sel = SelectionConfig(max_rules=k, gamma=gamma, max_len=max_len)
 
     started = time.perf_counter()
     role_columns = {fault_col, service_col, timestamp_col}
@@ -383,12 +393,7 @@ def cmd_train(args) -> int:
             table, args.data, timestamp_col, Path(args.logs), interval, sim, ts_format
         )
 
-    specs = _feature_specs(table, role_columns, categorical, bins)
-    try:
-        parse_numeric_columns(table, specs)
-    except InvalidValueError as exc:
-        raise CliError("invalid-data", f"{args.data}: {exc}")
-    model_bin = fit(table, specs)
+    model_bin = fit(table, _feature_specs(table, role_columns, categorical, bins))
 
     fault_values = table[fault_col]
     negatives = {normal_label, ""}
@@ -404,8 +409,6 @@ def cmd_train(args) -> int:
             "invalid-data",
             f"no positive rows under any fault type in column {fault_col!r}",
         )
-
-    sel = SelectionConfig(max_rules=k, gamma=gamma, max_len=max_len)
 
     # One binarization serves every fault type; only the labels differ.
     unlabelled = transform(model_bin, table)
@@ -690,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fp = sub.add_parser(
         "export-fingerprints", help="emit per-fault key metrics with directions"
     )
-    common(p_fp)
     p_fp.add_argument("--model", required=True)
     p_fp.add_argument("--out")
     p_fp.set_defaults(func=cmd_export_fingerprints)

@@ -19,7 +19,6 @@ from ruleloc.binarize import (
     feature_matrix,
     fit,
     numeric_column,
-    parse_numeric_columns,
     relabel,
     transform,
 )
@@ -457,8 +456,8 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fitted = fit(train, specs)
-        parsed = dict(train)
-        parse_numeric_columns(parsed, specs)
+        parsed = {name: numeric_column(train[name], name) for name in ("x", "y")}
+        parsed["s"] = train["s"]
         assert fit(parsed, specs) == fitted
     # the catalog survives a JSON round trip
     model = BinarizationModel.from_json(fitted.to_json())

@@ -502,6 +502,74 @@ def test_non_numeric_window_cell_names_file(trained, scenario, tmp_path, capsys)
     assert err.startswith(f"invalid-data: {window_csv}: column {name!r}, row 1:")
 
 
+def test_bad_numeric_cell_is_reported_before_the_fault_column_and_log_checks(tmp_path, capsys):
+    """The reader parses the numeric cells, so a bad one fails before train
+    looks for the fault-type column, the timestamp column or a column
+    reserved for the --logs features."""
+    data = tmp_path / "bad_cell.csv"
+    write_text_csv(data, ["service,log_total,a", "s,1,1", "s,2,abc"])
+    logs = _logs_dir(tmp_path, ["2024-01-01T00:00:00"])
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == (
+        f"invalid-data: {data}: column 'a', row 2: could not convert string to float: 'abc'\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["localize", "eval"])
+def test_bad_window_cell_is_reported_before_the_window_schema_checks(
+    trained, scenario, tmp_path, capsys, command
+):
+    _, _, model_path = trained
+    table, fault, service = scenario.windows[0]
+    name = scenario.feature_names[0]
+    bad = {k: v for k, v in table.items() if k != "service"}
+    bad[name] = ["x?"] + list(table[name][1:])
+    window = tmp_path / "w0.csv"
+    write_csv_columns(window, bad)
+    argv = [command, "--model", str(model_path)]
+    if command == "localize":
+        argv += ["--data", str(window)]
+    else:
+        manifest = tmp_path / "cases.json"
+        case = {"window": "w0.csv", "true_fault": fault, "true_service": service}
+        manifest.write_text(json.dumps({"cases": [case]}))
+        argv += ["--manifest", str(manifest)]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == (
+        f"invalid-data: {window}: column {name!r}, row 1: could not convert string to float: 'x?'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gamma", "2"], "gamma must lie in [0, 1]"),
+        (["-K", "0"], "max_rules must be >= 1"),
+        (["-l", "0"], "max_len must be >= 1"),
+    ],
+)
+def test_selection_settings_are_checked_before_the_data_is_read(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    reads, read = [], cli.read_csv_columns
+    monkeypatch.setattr(cli, "read_csv_columns", lambda *a: reads.append(a) or read(*a))
+    data = _tiny_train_csv(tmp_path)
+    assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json"), *flags]) == 5
+    assert capsys.readouterr().err == f"invalid-data: {message}\n"
+    assert reads == []
+
+
+def test_export_fingerprints_takes_no_config_option(trained, tmp_path, capsys):
+    _, _, model_path = trained
+    argv = ["export-fingerprints", "--model", str(model_path)]
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--config", str(tmp_path / "missing.json")])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
 def test_row_longer_than_header_is_invalid_data(tmp_path, capsys):
     data = tmp_path / "long_row.csv"
     write_text_csv(

@@ -2,18 +2,21 @@
 
 `oracle_read_csv_columns` is the cell-by-cell reader as it was before
 plain comma grids were parsed by np.loadtxt, kept verbatim.  Every table
-read with a numeric predicate, then parsed by numeric_column, must equal
-the oracle's table parsed the same way: the same columns in the same
-order, the same float64 values (NaN-aware, sign included) and strings,
-and the same exception type and message.
+read with a numeric predicate must equal the oracle's table with those
+columns parsed by numeric_column, and the oracle's errors wrapped as the
+reader wraps them: the same columns in the same order, the same float64
+values (NaN-aware, sign included) and strings, and the same exception
+type, category and message.
 """
 
 import csv
 import math
 import os
+import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ruleloc.binarize import NUMERIC, FeatureSpec, InvalidValueError, fit, numeric_column
-from ruleloc import csvgrid
+from ruleloc import cli, csvgrid
 from ruleloc.cli import CliError, main, read_csv_columns
 
 
@@ -70,24 +73,47 @@ def oracle_read_csv_columns(path: str | Path) -> dict[str, list[str]]:
         raise CliError("invalid-data", f"{path}: {exc}")
 
 
-def parsed(read, path, numeric):
-    """(table, None) read and numerically parsed, or (None, the error's
-    type, category and message)."""
+def csv_error_line(path: Path) -> int:
+    """The line number at which the csv module rejects path."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            for _ in reader:
+                pass
+        except csv.Error:
+            return reader.line_num
+    raise AssertionError(f"the csv module reads {path}")
+
+
+def read_oracle(path: Path, numeric) -> dict:
+    """The oracle's table with the columns `numeric` accepts parsed by
+    numeric_column; a bad cell and a line the csv module rejects fail as
+    read_csv_columns fails on them."""
     try:
-        table = read(path)
+        table = oracle_read_csv_columns(path)
         for name in table:
             if numeric(name):
                 table[name] = numeric_column(table[name], name)
-    except (CliError, InvalidValueError) as exc:
+    except InvalidValueError as exc:
+        raise CliError("invalid-data", f"{path}: {exc}")
+    except csv.Error as exc:
+        raise CliError("invalid-data", f"{path}: line {csv_error_line(path)}: {exc}")
+    return table
+
+
+def parsed(read, path, numeric):
+    """(table, None) as read, or (None, the error's type, category and message)."""
+    try:
+        return read(path, numeric), None
+    except (CliError, InvalidValueError, csv.Error) as exc:
         category = getattr(exc, "category", None)
         return None, (type(exc), category, str(exc))
-    return table, None
 
 
 def assert_same_as_oracle(path: Path, numeric) -> dict:
-    """Both readers agree on path; returns the grid path's table (or {})."""
-    got, got_error = parsed(lambda p: read_csv_columns(p, numeric), path, numeric)
-    want, want_error = parsed(oracle_read_csv_columns, path, numeric)
+    """Both readers agree on path; returns read_csv_columns's table (or {})."""
+    got, got_error = parsed(read_csv_columns, path, numeric)
+    want, want_error = parsed(read_oracle, path, numeric)
     assert got_error == want_error
     if want is None:
         return {}
@@ -115,9 +141,10 @@ def write_bytes(directory: str, data: bytes) -> Path:
 
 
 def took_grid_path(path: Path, numeric) -> bool:
-    """Whether read_csv_columns parsed the numeric columns of path itself."""
-    table = read_csv_columns(path, numeric)
-    return any(isinstance(table[name], np.ndarray) for name in table if numeric(name))
+    """Whether read_csv_columns read path without the cell reader."""
+    with mock.patch.object(cli, "_read_csv_cells", wraps=cli._read_csv_cells) as cells:
+        read_csv_columns(path, numeric)
+    return not cells.called
 
 
 # -- generated tables -----------------------------------------------------------
@@ -207,7 +234,7 @@ def test_control_byte_in_a_numeric_cell_reads_as_the_exact_reader_does(tmp_path,
     path = tmp_path / "ctl.csv"
     path.write_bytes(b"fault_type,cpu\nnormal,1\nboom,7\x1c\n")
     numeric = {"cpu"}.__contains__
-    assert read_csv_columns(path, numeric)["cpu"] == ["1", "7\x1c"]
+    assert not took_grid_path(path, numeric)
     assert assert_same_as_oracle(path, numeric)["cpu"].tolist() == [1.0, 7.0]
     path.write_bytes(b"fault_type,cpu\nnormal,1\nboom,7\x1c8\n")
     assert main(["train", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 5
@@ -218,11 +245,34 @@ def test_control_byte_in_a_numeric_cell_reads_as_the_exact_reader_does(tmp_path,
 
 
 def test_nul_in_a_text_cell_is_kept(tmp_path):
-    """loadtxt turns a text cell of '\\x00' into ''."""
+    """loadtxt turns a text cell of '\\x00' into ''.  The csv module keeps
+    it from Python 3.11 on, and before that rejects its line."""
     path = tmp_path / "nul.csv"
     path.write_bytes(b"a,b\n1,\x00\n")
     table = assert_same_as_oracle(path, {"a"}.__contains__)
-    assert table["b"] == ["\x00"]
+    if sys.version_info >= (3, 11):
+        assert table["b"] == ["\x00"]
+        return
+    with pytest.raises(CliError) as caught:
+        read_csv_columns(path, {"a"}.__contains__)
+    assert (caught.value.category, str(caught.value)) == (
+        "invalid-data", f"{path}: line 2: line contains NUL"
+    )
+
+
+def test_field_over_the_csv_size_limit_is_invalid_data(tmp_path, capsys):
+    """A quoted cell one character over the csv module's default field
+    limit (131,072) fails naming its line; one at the limit is read."""
+    path = tmp_path / "wide.csv"
+    path.write_text('fault_type,cpu,note\nnormal,1,x\nboom,2,"' + "y" * 131073 + '"\n')
+    assert main(["train", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 5
+    assert capsys.readouterr().err == (
+        f"invalid-data: {path}: line 3: field larger than field limit (131072)\n"
+    )
+    assert_same_as_oracle(path, {"cpu"}.__contains__)
+    path.write_text('fault_type,cpu,note\nnormal,1,x\nboom,2,"' + "y" * 131072 + '"\n')
+    table = assert_same_as_oracle(path, {"cpu"}.__contains__)
+    assert len(table["note"][1]) == 131072
 
 
 def test_blank_line_still_fails(tmp_path):
@@ -270,12 +320,13 @@ def test_a_chunk_with_a_blank_cell_keeps_the_grid_path(tmp_path, monkeypatch):
     assert table["b"] == ["x", "y", "z", "w", ""]
     assert took_grid_path(path, {"a"}.__contains__)
     # A cell no parser reads sends the whole file to the exact reader, so
-    # numeric_column later names its row in the whole column.
+    # the error names its row in the whole column.
     path.write_bytes(b"a,b\n1,x\n2,y\n3,z\n4,w\n5x,v\n")
-    column = read_csv_columns(path, {"a"}.__contains__)["a"]
-    assert column == ["1", "2", "3", "4", "5x"]
-    with pytest.raises(InvalidValueError, match="column 'a', row 5: could not convert"):
-        numeric_column(column, "a")
+    with pytest.raises(CliError) as caught:
+        read_csv_columns(path, {"a"}.__contains__)
+    assert (caught.value.category, str(caught.value)) == (
+        "invalid-data", f"{path}: column 'a', row 5: could not convert string to float: '5x'"
+    )
 
 
 def test_each_chunk_is_tokenized_by_one_loadtxt_call(tmp_path, monkeypatch):
@@ -309,9 +360,9 @@ def test_duplicate_header_name_still_fails(tmp_path):
 def test_carriage_returns_and_quotes_read_cell_by_cell(tmp_path):
     path = tmp_path / "crlf.csv"
     path.write_bytes(b'a,b\r\n1,"x,y"\r\n2,"p""q"\r\n')
-    assert read_csv_columns(path, {"a"}.__contains__) == {
-        "a": ["1", "2"], "b": ["x,y", 'p"q']
-    }
+    table = assert_same_as_oracle(path, {"a"}.__contains__)
+    assert table["a"].tolist() == [1.0, 2.0] and table["b"] == ["x,y", 'p"q']
+    assert not took_grid_path(path, {"a"}.__contains__)
 
 
 def test_text_columns_hold_one_string_per_distinct_value(tmp_path):
@@ -326,31 +377,64 @@ def test_text_columns_hold_one_string_per_distinct_value(tmp_path):
     for table in (by_grid, by_cells):
         assert set(table["service"]) == {"s0", "s1", "s2"}
         assert one_object_per_value(table["service"]) and one_object_per_value(table["fault"])
-    # A numeric column's strings are the csv module's, one object per cell.
-    assert len({id(value) for value in by_cells["cpu"]}) == 40
     assert by_grid["service"] == by_cells["service"] and by_grid["fault"] == by_cells["fault"]
-    assert np.array_equal(by_grid["cpu"], numeric_column(by_cells["cpu"], "cpu"))
+    for table in (by_grid, by_cells):
+        assert table["cpu"].dtype == np.float64 and table["cpu"].flags.c_contiguous
+    assert np.array_equal(by_grid["cpu"], by_cells["cpu"])
 
 
 def test_header_only_and_single_row_tables(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"a,b\n")
-    assert read_csv_columns(path, {"a"}.__contains__) == {"a": [], "b": []}
+    table = assert_same_as_oracle(path, {"a"}.__contains__)
+    assert table["a"].shape == (0,) and table["b"] == []
     path.write_bytes(b"a,b\n1.5,x")
     table = assert_same_as_oracle(path, {"a"}.__contains__)
     assert took_grid_path(path, {"a"}.__contains__)
 
 
-@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
-def test_pipe_is_read_once_by_the_exact_reader():
+def read_pipe(data: bytes, numeric) -> dict:
+    """read_csv_columns of data written to a pipe, which can be read only once."""
     read_end, write_end = os.pipe()
     try:
-        os.write(write_end, b"a,b\n1.5,x\n")
+        os.write(write_end, data)
         os.close(write_end)
-        path = f"/dev/fd/{read_end}"
-        assert read_csv_columns(path, {"a"}.__contains__) == {"a": ["1.5"], "b": ["x"]}
+        return read_csv_columns(f"/dev/fd/{read_end}", numeric)
     finally:
         os.close(read_end)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_pipe_is_read_once_by_the_exact_reader():
+    table = read_pipe(b"a,b\n1.5,x\n", {"a"}.__contains__)
+    assert table["a"].tolist() == [1.5] and table["b"] == ["x"]
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_numeric_columns_are_the_same_arrays_on_every_path(tmp_path, monkeypatch):
+    """A plain grid, the same table with one quoted cell, and a pipe give
+    equal C-contiguous float64 arrays, NaNs and sign bits included.  The
+    grid's first chunk goes through loadtxt, its second through the split
+    that reads the cells loadtxt rejects."""
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 3)
+    rows = ["-0,nan,s", "inf,-0.0,t", "-inf,1e-400,s", ", 2 ,t", "1_0,-nan,s", "3,,t"]
+    grid = tmp_path / "grid.csv"
+    grid.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("a,b,c\n" + "\n".join(rows[:-1]) + '\n3,,"t"\n')
+    numeric = {"a", "b"}.__contains__
+    assert took_grid_path(grid, numeric) and not took_grid_path(quoted, numeric)
+    tables = [read_csv_columns(grid, numeric), read_csv_columns(quoted, numeric),
+              read_pipe(grid.read_bytes(), numeric)]
+    for name in ("a", "b"):
+        first = tables[0][name]
+        for table in tables:
+            column = table[name]
+            assert column.dtype == np.float64 and column.flags.c_contiguous
+            assert np.array_equal(column, first, equal_nan=True)
+            assert np.array_equal(np.signbit(column), np.signbit(first))
+    assert np.signbit(tables[0]["a"][0]) and np.signbit(tables[0]["b"][1])
+    assert all(table["c"] == ["s", "t"] * 3 for table in tables)
 
 
 def test_byte_order_mark_keeps_the_grid_path(tmp_path):

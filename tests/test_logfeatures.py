@@ -584,4 +584,5 @@ def _check_log_case(case):
                 f" unparseable timestamp {table_stamps[row - 1]!r}"
             )
         else:
-            assert {name: table[name] for name in expected} == expected
+            for name, column in expected.items():
+                assert table[name].dtype == np.float64 and table[name].tolist() == column
