@@ -61,6 +61,9 @@ DEFAULT_BINS = 100
 _CODED_MIN_THRESHOLDS = 8
 # Codes are stored as uint16, so all coded columns share 2**16 codes.
 _CODE_SPACE = 1 << 16
+# feature_matrix gathers at most this many float values (2 MB) at once: a
+# 20-row window against 1,980 thresholds takes one gather of 39,600.
+_GATHERED_CELLS = 1 << 18
 
 
 class SchemaError(ValueError):
@@ -108,6 +111,12 @@ def checked_field(obj: Mapping, key: str, kind: str, path: str = ""):
     return checked(obj[key], kind, where)
 
 
+def check_bins(bins: int) -> None:
+    """A ValueError unless bins is a count of quantile bins a numeric column can take."""
+    if bins < 2:
+        raise ValueError("numeric columns need bins >= 2")
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Declares how one raw column is binarized."""
@@ -119,8 +128,8 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise ValueError(f"unknown column kind {self.kind!r}")
-        if self.kind == NUMERIC and self.bins < 2:
-            raise ValueError("numeric columns need bins >= 2")
+        if self.kind == NUMERIC:
+            check_bins(self.bins)
 
 
 @dataclass(frozen=True)
@@ -205,6 +214,22 @@ def _column_from_json(obj, path: str) -> ColumnModel:
 
 
 @dataclass(frozen=True)
+class _ThresholdLayout:
+    """The numeric thresholds of a model, in catalog order.
+
+    Threshold r cuts numeric column names[rows[r]] at thresholds[r, 0];
+    its (<= t) feature sits at catalog position at_most[r] and its (> t)
+    feature at above[r].
+    """
+
+    names: tuple[str, ...]
+    rows: np.ndarray
+    thresholds: np.ndarray
+    at_most: np.ndarray
+    above: np.ndarray
+
+
+@dataclass(frozen=True)
 class BinarizationModel:
     """The fitted columns, from which the feature catalog is derived."""
 
@@ -226,6 +251,28 @@ class BinarizationModel:
             BinaryFeature(name, op, v) if c.kind == NUMERIC else BinaryFeature(name, op, None, v)
             for c in self.columns
             for name, op, v in c.entry_values()
+        )
+
+    @cached_property
+    def _threshold_layout(self) -> _ThresholdLayout:
+        """Every numeric threshold with its column and catalog positions."""
+        numeric = [
+            (c, start)
+            for c, start in zip(self.columns, self._starts)
+            if c.kind == NUMERIC and c.width
+        ]
+        counts = np.array([len(c.thresholds) for c, _ in numeric], dtype=np.intp)
+        rows = np.repeat(np.arange(len(numeric)), counts)
+        # A column's k-th threshold has its (<= t) feature at start + 2k.
+        k = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        at_most = np.array([start for _, start in numeric], dtype=np.intp)[rows] + 2 * k
+        thresholds = chain.from_iterable(c.thresholds for c, _ in numeric)
+        return _ThresholdLayout(
+            tuple(c.name for c, _ in numeric),
+            rows,
+            np.fromiter(thresholds, float, len(rows))[:, None],
+            at_most,
+            at_most + 1,
         )
 
     def feature(self, j: int) -> BinaryFeature:
@@ -420,12 +467,35 @@ def _row_count(model: BinarizationModel, table: Mapping[str, Sequence]) -> int:
     return n
 
 
+def _sides(values: np.ndarray, thresholds: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield values <= thresholds, then values > thresholds, broadcast, both
+    false where a value is missing: nan and ±inf satisfy no predicate.
+
+    The second block is computed only when asked for, so a caller that
+    packs each block before the next holds no more than two at a time.
+    """
+    finite = np.isfinite(values)
+    for compare in (np.less_equal, np.greater):
+        block = compare(values, thresholds)
+        block &= finite
+        yield block
+
+
+def _category_block(column: ColumnModel, raw: Sequence) -> np.ndarray:
+    """block[r, i] is whether row i holds column.categories[r]."""
+    slot = {c: k for k, c in enumerate(column.categories)}
+    codes = np.fromiter(
+        (-1 if v is None else slot.get(str(v), -1) for v in raw), np.intp, len(raw)
+    )
+    return codes == np.arange(column.width)[:, None]
+
+
 def _predicate_blocks(
     model: BinarizationModel,
     table: Mapping[str, Sequence],
     parsed: MutableMapping[str, np.ndarray],
 ):
-    """Yield (catalog positions, block), one broadcast comparison per column and op.
+    """Yield (catalog positions, block), one comparison per column and op.
 
     block[r, i] is whether row i satisfies the feature at positions[r]; a
     column's (<= t) features take the even, its (> t) features the odd
@@ -438,18 +508,11 @@ def _predicate_blocks(
         raw = table[column.name]
         stop = start + column.width
         if column.kind == CATEGORICAL:
-            slot = {c: k for k, c in enumerate(column.categories)}
-            codes = np.fromiter(
-                (-1 if v is None else slot.get(str(v), -1) for v in raw), np.intp, len(raw)
-            )
-            yield slice(start, stop), codes == np.arange(column.width)[:, None]
+            yield slice(start, stop), _category_block(column, raw)
             continue
         vals = parsed[column.name] = numeric_column(raw, column.name)
-        finite = np.isfinite(vals)
         thresholds = np.array(column.thresholds, dtype=float)[:, None]
-        for first, compare in ((start, np.less_equal), (start + 1, np.greater)):
-            block = compare(vals, thresholds)
-            block &= finite
+        for first, block in zip((start, start + 1), _sides(vals, thresholds)):
             yield slice(first, stop, 2), block
 
 
@@ -459,12 +522,45 @@ def _packed_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _numeric_rows(table: Mapping[str, Sequence], names: Sequence[str]) -> np.ndarray:
+    """The named columns parsed as rows of one float64 array.
+
+    One numpy conversion reads every column, with float() for each cell as
+    numeric_column's does.  If it fails (a blank or bad cell), every column
+    goes through numeric_column in turn, which names the first bad cell.
+    """
+    try:
+        return np.array([table[name] for name in names], dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return np.array([numeric_column(table[name], name) for name in names])
+
+
 def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:
-    """Dense boolean matrix (n rows x len(catalog) columns) of the predicates."""
-    out = np.zeros((_row_count(model, table), model.n_features), dtype=bool)
-    for positions, block in _predicate_blocks(model, table, {}):
-        out[:, positions] = block.T
-    return out
+    """Dense boolean matrix (n rows x len(catalog) columns) of the predicates,
+    in column-major order.
+
+    Every numeric threshold is decided at once from the model's threshold
+    layout: one gather of the parsed columns, one (<=) and one (>)
+    comparison, scattered to the catalog.  Where rows times thresholds
+    exceed _GATHERED_CELLS, the thresholds go in blocks of that many cells,
+    so the gathered floats stay bounded.  Categorical columns are one-hot
+    encoded one column at a time.
+    """
+    n = _row_count(model, table)
+    # Built as its transpose, where each feature is one contiguous row.
+    by_feature = np.zeros((model.n_features, n), dtype=bool)
+    layout = model._threshold_layout
+    values = _numeric_rows(table, layout.names)
+    step = max(1, _GATHERED_CELLS // max(n, 1))
+    for lo in range(0, len(layout.rows), step):
+        block = slice(lo, lo + step)
+        at_most, above = _sides(values[layout.rows[block]], layout.thresholds[block])
+        by_feature[layout.at_most[block]] = at_most
+        by_feature[layout.above[block]] = above
+    for column, start in zip(model.columns, model._starts):
+        if column.kind == CATEGORICAL and column.width:
+            by_feature[start : start + column.width] = _category_block(column, table[column.name])
+    return by_feature.T
 
 
 def _label_bits(labels: Sequence[int], n: int) -> int:

@@ -30,6 +30,7 @@ from ruleloc.binarize import (
     FeatureSpec,
     InvalidValueError,
     SchemaError,
+    check_bins,
     feature_matrix,
     fit,
     numeric_column,
@@ -380,6 +381,7 @@ def cmd_train(args) -> int:
         args, cfg, "logs.timestamp_format", _text
     )
     sel = SelectionConfig(max_rules=k, gamma=gamma, max_len=max_len)
+    check_bins(bins)
 
     started = time.perf_counter()
     role_columns = {fault_col, service_col, timestamp_col}

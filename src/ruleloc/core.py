@@ -156,11 +156,12 @@ class BinaryDataset:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InvalidDatasetError("sample count must be non-negative")
-        outside = ~self.full_mask
-        if self.labels & outside:
+        # A set within 0..n-1 is a non-negative int no larger than full_mask.
+        full = self.full_mask
+        if not 0 <= self.labels <= full:
             raise InvalidDatasetError("labels reference samples outside 0..n-1")
         for j, cov in enumerate(self.coverage):
-            if cov & outside:
+            if not 0 <= cov <= full:
                 raise InvalidDatasetError(
                     f"coverage of feature {j} references samples outside 0..n-1"
                 )

@@ -2,10 +2,11 @@ r"""Plain comma grids: CSV tables whose numeric columns parse in C.
 
 A plain comma grid is a seekable file holding, after an optional UTF-8
 byte-order mark, only printable ASCII other than '"' and \n line ends,
-with at least one data row, no duplicate header name, no blank line, and
-as many commas on every line as in the header.  The csv module splits
-such a line at its commas and nowhere else, so np.loadtxt with no quote
-and no comment character reads the same cells.  Each chunk of lines is
+with at least one data row, no duplicate header name, no blank line, no
+line longer than the csv module's field size limit, and as many commas on
+every line as in the header.  The csv module splits such a line at its
+commas and nowhere else, so np.loadtxt with no quote and no comment
+character reads the same cells.  Each chunk of lines is
 tokenized once, by one loadtxt call with a record dtype: a float64 field
 per numeric column and an object field per text column, named by
 position so that header names cannot clash.  loadtxt parses a numeric
@@ -19,6 +20,7 @@ gives the same cells as strings.
 from __future__ import annotations
 
 import codecs
+import csv
 from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
@@ -39,9 +41,10 @@ _CHUNK_ROWS = 2048
 def _lines_ok(lines: list[bytes], commas: int) -> bool:
     """Whether lines are plain comma grid lines with `commas` commas each."""
     return not (
-        any(map(bytes.translate, lines, repeat(None), repeat(_GRID_BYTES)))
+        b"".join(lines).translate(None, _GRID_BYTES)
         or b"\n" in lines
         or set(map(bytes.count, lines, repeat(b","))) != {commas}
+        or max(map(len, lines)) > csv.field_size_limit()
     )
 
 

@@ -6,16 +6,23 @@ fault type with the highest training precision among that type's rules
 covering it (zero if none covers); fault types are ranked by the vote sum
 over the window, services by the vote sum over their samples summed
 across fault types.  A window is its boolean feature matrix, so
-`rank_window` scores it with array operations: one gather of every rule's
-columns and one firing row per rule, then per fault type one max of fired
-precisions per sample, and one bincount of service codes per fired rule
-for the hits that explain the rankings.
+`rank_window` scores it with no array operation per rule, fault type or
+service: one gather of the rules' columns and one AND over each rule's
+padded conjuncts give the firings; one max over each fault type's padded
+rule slots gives the votes; one cumsum gives the fault scores; the
+service scores take one cumsum per power-of-two class of service row
+counts, over a grid of the class's votes padded with 0.0; and one
+bincount of (rule, service) pairs gives the hits that explain the
+rankings.  The parts that depend only on the model are laid out once per
+FaultModel.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
 from typing import Mapping
 
 import numpy as np
@@ -89,6 +96,26 @@ class RankedResult:
 
 
 @dataclass(frozen=True)
+class _RuleLayout:
+    """A model's rules, numbered r = 0..R-1 fault type by fault type.
+
+    Rule r holds where every catalog position columns[q] for q in row r of
+    conjuncts holds; each row is padded with len(columns), a column that
+    always holds.  Where rule r fires it votes precisions[r, 0].  Row t of
+    slots holds fault type t's rule numbers, padded with R, a slot that
+    never votes.  rules[r] is (fault type, rule index, rule, precision),
+    and by_name holds the rule numbers sorted by (fault type, rule index).
+    """
+
+    columns: np.ndarray
+    conjuncts: np.ndarray
+    precisions: np.ndarray
+    slots: np.ndarray
+    rules: tuple[tuple[str, int, Rule, float], ...]
+    by_name: np.ndarray
+
+
+@dataclass(frozen=True)
 class FaultModel:
     """Per-fault-type annotated rule sets plus the shared feature catalog."""
 
@@ -115,6 +142,35 @@ class FaultModel:
                         f" outside the {d}-feature catalog"
                     )
 
+    @cached_property
+    def _rule_layout(self) -> _RuleLayout:
+        """Every rule of every fault type, laid out for rank_window."""
+        rules = [
+            (name, r, rule, stats)
+            for name, rs in self.rule_sets
+            for r, (rule, stats) in enumerate(zip(rs.rules, rs.stats or ()))
+        ]
+        columns = sorted({j for _, _, rule, _ in rules for j in rule.features})
+        where = {j: q for q, j in enumerate(columns)}
+        longest = max((len(rule) for _, _, rule, _ in rules), default=0)
+        conjuncts = np.full((len(rules), max(longest, 1)), len(columns), dtype=np.intp)
+        for r, (_, _, rule, _) in enumerate(rules):
+            conjuncts[r, : len(rule)] = [where[j] for j in rule.features]
+        width = max((len(rs.rules) for _, rs in self.rule_sets), default=0)
+        slots = np.full((len(self.rule_sets), max(width, 1)), len(rules), dtype=np.intp)
+        first = 0
+        for t, (_, rs) in enumerate(self.rule_sets):
+            slots[t, : len(rs.rules)] = range(first, first + len(rs.rules))
+            first += len(rs.rules)
+        return _RuleLayout(
+            np.array(columns, dtype=np.intp),
+            conjuncts,
+            np.array([stats.precision for *_, stats in rules], dtype=float)[:, None],
+            slots,
+            tuple((name, r, rule, stats.precision) for name, r, rule, stats in rules),
+            np.array(sorted(range(len(rules)), key=lambda i: rules[i][:2]), dtype=np.intp),
+        )
+
     def fault_types(self) -> list[str]:
         return [name for name, _ in self.rule_sets]
 
@@ -124,8 +180,16 @@ class FaultModel:
                 return rs
         raise UnknownFaultTypeError(f"unknown fault type {fault_type!r}")
 
+    @cached_property
+    def _descriptions(self) -> dict[Rule, str]:
+        return {}
+
     def describe(self, rule: Rule) -> str:
-        return describe_rule(self.binarization, rule)
+        """describe_rule of rule, rendered once per model."""
+        text = self._descriptions.get(rule)
+        if text is None:
+            text = self._descriptions[rule] = describe_rule(self.binarization, rule)
+        return text
 
     # -- serialization -------------------------------------------------
 
@@ -245,34 +309,6 @@ def _ranked(scores: dict[str, float], explanations) -> RankedResult:
     return RankedResult(ranking, no_signal, tuple(groups), explanations)
 
 
-def _added_in_order(votes: np.ndarray) -> float:
-    """0.0 + votes[0] + votes[1] + ... in row-major order, as a running += adds.
-
-    cumsum keeps the order, where np.sum adds pairwise and can round
-    differently; the leading 0.0 turns a -0.0 vote, or no vote, into 0.0.
-    """
-    return float(np.cumsum(np.concatenate(([0.0], votes.ravel())))[-1])
-
-
-def _fired(matrix: np.ndarray, rules: list[Rule]) -> np.ndarray:
-    """fired[r, i] is whether rules[r] fires on sample i, from one gather of
-    all the rules' columns and one AND per rule over its slice of them.
-
-    The empty rule gets no slice (reduceat would hand it its neighbour's
-    first column) and fires on every sample.
-    """
-    columns, starts, kept = [], [], []
-    for r, rule in enumerate(rules):
-        if rule.features:
-            kept.append(r)
-            starts.append(len(columns))
-            columns += rule.features
-    fired = np.ones((len(rules), len(matrix)), dtype=bool)
-    if columns:
-        fired[kept] = np.logical_and.reduceat(matrix[:, columns], starts, axis=1).T
-    return fired
-
-
 def rank_window(
     model: FaultModel, window: QueryWindow
 ) -> tuple[RankedResult, RankedResult]:
@@ -283,39 +319,75 @@ def rank_window(
     no_signal and ranked lexicographically.  A fault type is explained by its
     fired rules in rule order with their hits over the window, a service by
     the rules fired on its samples, sorted by (fault type, rule index).
+
+    Scores add votes one at a time in sample order, a fault type's from
+    0.0 and a service's fault type by fault type, as a running += adds.
     """
+    layout = model._rule_layout
     services = sorted(set(window.services))
     code = {svc: k for k, svc in enumerate(services)}
     codes = np.fromiter(map(code.__getitem__, window.services), np.intp, len(window.services))
-    votes = np.empty((len(model.rule_sets), len(codes)))
-    fired = _fired(window.matrix, [rule for _, rs in model.rule_sets for rule in rs.rules])
-    fault_scores, fault_expl = {}, {}
+    n, n_types, n_rules = len(codes), len(layout.slots), len(layout.rules)
+    # A rule fires where all its conjuncts hold; the last column always does.
+    held = np.ones((n, len(layout.columns) + 1), dtype=bool)
+    held[:, :-1] = window.matrix[:, layout.columns]
+    fired = held[:, layout.conjuncts].all(axis=2)
+    # Row R of `weighted` is the padding slot, which never votes.
+    weighted = np.zeros((n_rules + 1, n))
+    np.copyto(weighted[:-1], layout.precisions, where=fired.T)
+    by_type = np.zeros((n_types, 1 + n))
+    votes = by_type[:, 1:]
+    np.max(weighted[layout.slots], axis=1, initial=0.0, out=votes)
+    fault_totals = np.cumsum(by_type, axis=1)[:, -1].tolist()
+    # A service's grid row holds a leading run of 0.0, then its votes fault
+    # type by fault type in sample order, each run padded with 0.0 to 2**e,
+    # the power of two at or above the service's row count.  A running sum
+    # from 0.0 is unchanged by adding 0.0, so one cumsum per exponent e
+    # gives the totals of a running += from 0.0, and no grid holds more
+    # than twice the window's votes.  nth[i] counts the samples of sample
+    # i's service before it.
+    counters = {svc: count() for svc in services}
+    nth = np.fromiter(map(next, map(counters.__getitem__, window.services)), np.intp, n)
+    by_exponent: dict[int, list[int]] = {}
+    for k, size in enumerate(np.bincount(codes).tolist()):
+        by_exponent.setdefault((size - 1).bit_length(), []).append(k)
+    service_totals = np.empty(len(services))
+    for e, group in by_exponent.items():
+        row = np.full(len(services), -1)
+        row[group] = np.arange(len(group))
+        rows = row[codes]
+        mine = rows >= 0
+        grid = np.zeros((len(group), 1 + n_types, 1 << e))
+        grid[rows[mine], 1:, nth[mine]] = votes.T[mine]
+        service_totals[group] = np.cumsum(grid.reshape(len(group), -1), axis=1)[:, -1]
+    # hits[r, k]: how many samples of service k rule r fires on.
+    pairs = np.arange(n_rules)[:, None] * len(services) + codes
+    hits = np.bincount(pairs[fired.T], minlength=n_rules * len(services))
+    hits = hits.reshape(n_rules, len(services))
+    fault_expl: dict[str, list[Explanation]] = {name: [] for name, _ in model.rule_sets}
     service_expl: dict[str, list[Explanation]] = {svc: [] for svc in services}
-    first = 0
-    for t, (fault_type, rule_set) in enumerate(model.rule_sets):
-        stats = rule_set.stats or ()
-        fire = fired[first : first + len(rule_set.rules)]
-        first += len(rule_set.rules)
-        precision = np.array([s.precision for s in stats], dtype=float)
-        votes[t] = np.where(fire, precision[:, None], 0.0).max(axis=0, initial=0.0)
-        fault_scores[fault_type] = _added_in_order(votes[t])
-        entries = []
-        for r in np.flatnonzero(fire.any(axis=1)).tolist():
-            hits = np.bincount(codes[fire[r]], minlength=len(services))
-            entry = Explanation(
-                fault_type, r, model.describe(rule_set.rules[r]), stats[r].precision, int(hits.sum())
-            )
-            entries.append(entry)
-            for k in np.flatnonzero(hits).tolist():
-                service_expl[services[k]].append(replace(entry, hits=int(hits[k])))
-        fault_expl[fault_type] = tuple(entries)
-    # A service's votes add fault type by fault type, each in sample order.
-    service_scores = {svc: _added_in_order(votes[:, codes == k]) for k, svc in enumerate(services)}
-    by_rule = {
-        svc: tuple(sorted(fired, key=lambda e: (e.fault_type, e.rule_index)))
-        for svc, fired in service_expl.items()
-    }
-    return _ranked(fault_scores, fault_expl), _ranked(service_scores, by_rule)
+    totals = hits.sum(axis=1)
+
+    def explained(r: int, n_hits: int) -> Explanation:
+        fault_type, index, rule, precision = layout.rules[r]
+        return Explanation(fault_type, index, model.describe(rule), precision, int(n_hits))
+
+    for r in np.flatnonzero(totals).tolist():
+        fault_expl[layout.rules[r][0]].append(explained(r, totals[r]))
+    by_name = hits[layout.by_name]
+    q, k = np.nonzero(by_name)
+    for r, svc, n_hits in zip(layout.by_name[q].tolist(), k.tolist(), by_name[q, k].tolist()):
+        service_expl[services[svc]].append(explained(r, n_hits))
+    return (
+        _ranked(
+            dict(zip(fault_expl, fault_totals)),
+            {name: tuple(entries) for name, entries in fault_expl.items()},
+        ),
+        _ranked(
+            dict(zip(services, service_totals.tolist())),
+            {svc: tuple(entries) for svc, entries in service_expl.items()},
+        ),
+    )
 
 
 def localization_report(

@@ -5,17 +5,24 @@ brute_force_best_ruleset is the acceptance oracle the learner must never
 beat, planted_dataset draws binary datasets whose positives are exactly
 a known DNF, and planted_fault_scenario draws seeded multi-fault
 telemetry tables with labelled incident windows for end-to-end runs.
+
+oracle_feature_matrix and oracle_rank_window are the window binarizer and
+scorer that one comparison per column and one vote loop per fault type
+gave, kept verbatim (with their helpers) so that the layout-driven
+feature_matrix and rank_window are checked against them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
+from ruleloc.binarize import CATEGORICAL, BinarizationModel, _row_count, numeric_column
 from ruleloc.core import BinaryDataset, InvalidDatasetError, Rule, RuleSet
+from ruleloc.localize import Explanation, FaultModel, QueryWindow, RankedResult, _ranked
 
 
 class BudgetExceededError(ValueError):
@@ -296,3 +303,117 @@ def planted_dataset(
     names = tuple(f"m{j:02d}" for j in range(d))
     dataset = BinaryDataset(n, coverage, label_bits, names)
     return dataset, tuple(Rule(r) for r in dnf)
+
+
+def _predicate_blocks(
+    model: BinarizationModel,
+    table: Mapping[str, Sequence],
+    parsed: MutableMapping[str, np.ndarray],
+):
+    """Yield (catalog positions, block), one broadcast comparison per column and op.
+
+    block[r, i] is whether row i satisfies the feature at positions[r]; a
+    column's (<= t) features take the even, its (> t) features the odd
+    positions of its catalog range.  Each numeric column is parsed once
+    into `parsed`.
+    """
+    for column, start in zip(model.columns, model._starts):
+        if not column.width:
+            continue
+        raw = table[column.name]
+        stop = start + column.width
+        if column.kind == CATEGORICAL:
+            slot = {c: k for k, c in enumerate(column.categories)}
+            codes = np.fromiter(
+                (-1 if v is None else slot.get(str(v), -1) for v in raw), np.intp, len(raw)
+            )
+            yield slice(start, stop), codes == np.arange(column.width)[:, None]
+            continue
+        vals = parsed[column.name] = numeric_column(raw, column.name)
+        finite = np.isfinite(vals)
+        thresholds = np.array(column.thresholds, dtype=float)[:, None]
+        for first, compare in ((start, np.less_equal), (start + 1, np.greater)):
+            block = compare(vals, thresholds)
+            block &= finite
+            yield slice(first, stop, 2), block
+
+
+def oracle_feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:
+    """Dense boolean matrix (n rows x len(catalog) columns) of the predicates."""
+    out = np.zeros((_row_count(model, table), model.n_features), dtype=bool)
+    for positions, block in _predicate_blocks(model, table, {}):
+        out[:, positions] = block.T
+    return out
+
+
+def _added_in_order(votes: np.ndarray) -> float:
+    """0.0 + votes[0] + votes[1] + ... in row-major order, as a running += adds.
+
+    cumsum keeps the order, where np.sum adds pairwise and can round
+    differently; the leading 0.0 turns a -0.0 vote, or no vote, into 0.0.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], votes.ravel())))[-1])
+
+
+def _fired(matrix: np.ndarray, rules: list[Rule]) -> np.ndarray:
+    """fired[r, i] is whether rules[r] fires on sample i, from one gather of
+    all the rules' columns and one AND per rule over its slice of them.
+
+    The empty rule gets no slice (reduceat would hand it its neighbour's
+    first column) and fires on every sample.
+    """
+    columns, starts, kept = [], [], []
+    for r, rule in enumerate(rules):
+        if rule.features:
+            kept.append(r)
+            starts.append(len(columns))
+            columns += rule.features
+    fired = np.ones((len(rules), len(matrix)), dtype=bool)
+    if columns:
+        fired[kept] = np.logical_and.reduceat(matrix[:, columns], starts, axis=1).T
+    return fired
+
+
+def oracle_rank_window(
+    model: FaultModel, window: QueryWindow
+) -> tuple[RankedResult, RankedResult]:
+    """Rank fault types and services by the window's votes.
+
+    Both rankings are full (descending score, ties by name) so that top-k
+    evaluation is possible; a window where no rule fires anywhere is flagged
+    no_signal and ranked lexicographically.  A fault type is explained by its
+    fired rules in rule order with their hits over the window, a service by
+    the rules fired on its samples, sorted by (fault type, rule index).
+    """
+    services = sorted(set(window.services))
+    code = {svc: k for k, svc in enumerate(services)}
+    codes = np.fromiter(map(code.__getitem__, window.services), np.intp, len(window.services))
+    votes = np.empty((len(model.rule_sets), len(codes)))
+    fired = _fired(window.matrix, [rule for _, rs in model.rule_sets for rule in rs.rules])
+    fault_scores, fault_expl = {}, {}
+    service_expl: dict[str, list[Explanation]] = {svc: [] for svc in services}
+    first = 0
+    for t, (fault_type, rule_set) in enumerate(model.rule_sets):
+        stats = rule_set.stats or ()
+        fire = fired[first : first + len(rule_set.rules)]
+        first += len(rule_set.rules)
+        precision = np.array([s.precision for s in stats], dtype=float)
+        votes[t] = np.where(fire, precision[:, None], 0.0).max(axis=0, initial=0.0)
+        fault_scores[fault_type] = _added_in_order(votes[t])
+        entries = []
+        for r in np.flatnonzero(fire.any(axis=1)).tolist():
+            hits = np.bincount(codes[fire[r]], minlength=len(services))
+            entry = Explanation(
+                fault_type, r, model.describe(rule_set.rules[r]), stats[r].precision, int(hits.sum())
+            )
+            entries.append(entry)
+            for k in np.flatnonzero(hits).tolist():
+                service_expl[services[k]].append(replace(entry, hits=int(hits[k])))
+        fault_expl[fault_type] = tuple(entries)
+    # A service's votes add fault type by fault type, each in sample order.
+    service_scores = {svc: _added_in_order(votes[:, codes == k]) for k, svc in enumerate(services)}
+    by_rule = {
+        svc: tuple(sorted(fired, key=lambda e: (e.fault_type, e.rule_index)))
+        for svc, fired in service_expl.items()
+    }
+    return _ranked(fault_scores, fault_expl), _ranked(service_scores, by_rule)

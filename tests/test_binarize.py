@@ -1,7 +1,9 @@
 import json
 import math
+import tracemalloc
 import warnings
 from itertools import zip_longest
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from ruleloc.binarize import (
     transform,
 )
 from ruleloc.core import FeatureIndexError, Rule
+
+from oracle import oracle_feature_matrix
 
 
 def uniform_table(lo=100.0, hi=500.0, n=4001):
@@ -686,3 +690,80 @@ def test_feature_is_the_catalog_entry(model, leading):
     for j in (-1, model.n_features):
         with pytest.raises(FeatureIndexError):
             model.feature(j)
+
+
+# -- the layout-driven feature_matrix against the per-column one it replaced --
+
+@st.composite
+def oracle_models_and_tables(draw):
+    """A model of numeric columns with unequal threshold counts (none
+    included) and categorical columns (no categories included), and two
+    tables of its columns holding missing, infinite and, rarely, bad cells."""
+    columns = []
+    for k in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            pool = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 2.5, 3.0])
+            thresholds = tuple(sorted(draw(st.sets(pool, max_size=4))))
+            columns.append(ColumnModel(f"c{k}", "numeric", thresholds))
+        else:
+            cats = tuple(sorted(draw(st.sets(st.sampled_from(["a", "b", "c"]), max_size=3))))
+            columns.append(ColumnModel(f"c{k}", "categorical", (), cats))
+    model = BinarizationModel(tuple(columns))
+
+    def table():
+        n = draw(st.integers(0, 12))
+        out = {}
+        for column in columns:
+            if column.kind == "categorical":
+                out[column.name] = draw(st.lists(category_cells, min_size=n, max_size=n))
+                continue
+            cells = numeric_cells
+            if draw(st.integers(0, 9)) == 0:
+                cells = st.one_of(cells, st.just("x?"))
+            raw = draw(st.lists(cells, min_size=n, max_size=n))
+            if draw(st.booleans()):
+                try:
+                    raw = numeric_column(raw, column.name)
+                except InvalidValueError:
+                    pass
+            out[column.name] = raw
+        return out
+
+    return model, (table(), table())
+
+
+def _outcome(build, model, table):
+    try:
+        matrix = build(model, table)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_models_and_tables())
+def test_feature_matrix_matches_the_per_column_oracle(case):
+    model, tables = case
+    for table in tables:  # the second table reuses the model's cached layout
+        expected = _outcome(oracle_feature_matrix, model, table)
+        assert _outcome(feature_matrix, model, table) == expected
+        # Blocks of as few cells as one row or less: thresholds go one
+        # block after another.
+        with mock.patch.object(binarize, "_GATHERED_CELLS", 5):
+            assert _outcome(feature_matrix, model, table) == expected
+
+
+def test_feature_matrix_gathers_a_long_window_in_bounded_blocks():
+    """20,000 rows against 500 thresholds: one gather of every threshold's
+    values would take 80 MB of floats next to the 20 MB matrix."""
+    thresholds = tuple(np.linspace(-1.0, 1.0, 500).tolist())
+    model = BinarizationModel((ColumnModel("x", "numeric", thresholds),))
+    table = {"x": np.random.default_rng(0).normal(size=20_000)}
+    tracemalloc.start()
+    try:
+        matrix = feature_matrix(model, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert matrix.tobytes() == oracle_feature_matrix(model, table).tobytes()

@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -8,7 +10,7 @@ from ruleloc.cli import main, read_csv_columns, write_csv_columns
 from ruleloc.core import InvalidDatasetError
 from ruleloc.localize import FaultModel
 
-from oracle import planted_fault_scenario
+from oracle import oracle_feature_matrix, oracle_rank_window, planted_fault_scenario
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,38 @@ def test_eval_manifest(trained, scenario, tmp_path, capsys):
     assert report["fault_top_k"] == sorted(report["fault_top_k"])
     table_text = capsys.readouterr().out
     assert "A@1" in table_text and "kappa" in table_text
+
+
+def test_eval_metrics_and_reports_are_those_of_the_replaced_window_path(
+    trained, scenario, tmp_path
+):
+    """eval's metrics.json and each localize report are byte-identical with
+    the window binarizer and scorer patched to the oracles they replaced."""
+    _, _, model_path = trained
+    cases = []
+    for i, (table, fault, service) in enumerate(scenario.windows):
+        write_csv_columns(tmp_path / f"case{i}.csv", table)
+        cases.append({"window": f"case{i}.csv", "true_fault": fault, "true_service": service})
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps({"schema_version": 1, "cases": cases}))
+
+    def outputs(tag: str) -> list[bytes]:
+        argv = ["eval", "--model", str(model_path), "--manifest", str(manifest)]
+        runs = [[*argv, "--out", str(tmp_path / f"{tag}-metrics.json")]]
+        for case in cases:
+            window, out = tmp_path / case["window"], tmp_path / f"{tag}-{case['window']}.json"
+            runs.append(
+                ["localize", "--model", str(model_path), "--data", str(window), "--out", str(out)]
+            )
+        for run in runs:
+            assert main(run) in (0, 3)
+        return [Path(run[-1]).read_bytes() for run in runs]
+
+    new = outputs("new")
+    with mock.patch("ruleloc.cli.feature_matrix", oracle_feature_matrix), mock.patch(
+        "ruleloc.evaluate.rank_window", oracle_rank_window
+    ), mock.patch("ruleloc.localize.rank_window", oracle_rank_window):
+        assert outputs("oracle") == new
 
 
 def test_export_fingerprints(trained, scenario, tmp_path):
@@ -547,6 +581,7 @@ def test_bad_window_cell_is_reported_before_the_window_schema_checks(
         (["--gamma", "2"], "gamma must lie in [0, 1]"),
         (["-K", "0"], "max_rules must be >= 1"),
         (["-l", "0"], "max_len must be >= 1"),
+        (["--bins", "1"], "numeric columns need bins >= 2"),
     ],
 )
 def test_selection_settings_are_checked_before_the_data_is_read(
@@ -558,6 +593,13 @@ def test_selection_settings_are_checked_before_the_data_is_read(
     assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json"), *flags]) == 5
     assert capsys.readouterr().err == f"invalid-data: {message}\n"
     assert reads == []
+
+
+def test_bins_are_checked_before_the_data_file_is_opened(tmp_path, capsys):
+    missing = tmp_path / "nosuch.csv"
+    argv = ["train", "--data", str(missing), "--model", str(tmp_path / "m.json"), "--bins", "1"]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "invalid-data: numeric columns need bins >= 2\n"
 
 
 def test_export_fingerprints_takes_no_config_option(trained, tmp_path, capsys):

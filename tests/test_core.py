@@ -120,6 +120,20 @@ def test_toy_f1(toy_dataset):
     assert f1_score(toy_dataset, []) == 0.0
 
 
+@pytest.mark.parametrize("bits", [-1, -8, 1 << 3, (1 << 3) | 1, 1 << 70])
+def test_sets_outside_the_samples_are_rejected(bits):
+    """A cover or label set is a non-negative int below 1 << n."""
+    with pytest.raises(InvalidDatasetError, match="^coverage of feature 1 references"):
+        BinaryDataset(3, (0b111, bits), 0)
+    with pytest.raises(InvalidDatasetError, match="^labels reference"):
+        BinaryDataset(3, (0b111,), bits)
+
+
+def test_sets_within_the_samples_are_accepted():
+    assert BinaryDataset(3, (0, 0b111, 0b101), 0b111).d == 3
+    assert BinaryDataset(0, (0,), 0).n == 0
+
+
 def test_f1_requires_positives():
     ds = BinaryDataset(3, (0b111,), 0)
     with pytest.raises(InvalidDatasetError):

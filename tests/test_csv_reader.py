@@ -261,18 +261,24 @@ def test_nul_in_a_text_cell_is_kept(tmp_path):
 
 
 def test_field_over_the_csv_size_limit_is_invalid_data(tmp_path, capsys):
-    """A quoted cell one character over the csv module's default field
-    limit (131,072) fails naming its line; one at the limit is read."""
+    """A cell one character over the csv module's default field limit
+    (131,072) fails naming its line, quoted or not, so both readers agree;
+    one at the limit is read."""
     path = tmp_path / "wide.csv"
-    path.write_text('fault_type,cpu,note\nnormal,1,x\nboom,2,"' + "y" * 131073 + '"\n')
-    assert main(["train", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 5
-    assert capsys.readouterr().err == (
-        f"invalid-data: {path}: line 3: field larger than field limit (131072)\n"
-    )
-    assert_same_as_oracle(path, {"cpu"}.__contains__)
-    path.write_text('fault_type,cpu,note\nnormal,1,x\nboom,2,"' + "y" * 131072 + '"\n')
-    table = assert_same_as_oracle(path, {"cpu"}.__contains__)
-    assert len(table["note"][1]) == 131072
+    for quote in ('"', ""):
+        for width in (131073, 140000):
+            cell = quote + "y" * width + quote
+            path.write_text("fault_type,cpu,note\nnormal,1,x\nboom,2," + cell + "\n")
+            assert main(["train", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 5
+            assert capsys.readouterr().err == (
+                f"invalid-data: {path}: line 3: field larger than field limit (131072)\n"
+            )
+            assert csvgrid.read_grid(path, {"cpu"}.__contains__) is None
+            assert_same_as_oracle(path, {"cpu"}.__contains__)
+        cell = quote + "y" * 131072 + quote
+        path.write_text("fault_type,cpu,note\nnormal,1,x\nboom,2," + cell + "\n")
+        table = assert_same_as_oracle(path, {"cpu"}.__contains__)
+        assert len(table["note"][1]) == 131072
 
 
 def test_blank_line_still_fails(tmp_path):

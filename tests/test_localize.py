@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,6 +20,8 @@ from ruleloc.localize import (
     localization_report,
     rank_window,
 )
+
+from oracle import oracle_rank_window
 
 
 def sample_vote(model: FaultModel, fault_type: str, sample_mask: int) -> float:
@@ -455,3 +458,74 @@ def test_rank_window_matches_two_pass_oracle(model, masks):
         lambda m, w: (rank_fault_types(m, masks), rank_services(m, masks)),
     ):
         assert json.dumps(localization_report(model, window)) == report
+
+
+# -- the layout-driven rank_window against the reduceat scorer it replaced --
+
+# 1 is a precision as a model file may hold it, an int.
+LAYOUT_PRECISIONS = (0.1, 0.3, 0.5, 1.0, 0.0, -0.0, 1)
+
+
+@st.composite
+def layout_models(draw):
+    """A model over d one-hot features with up to five fault types (none
+    included), each of up to four rules (none included) drawn from a pool
+    that holds the empty rule."""
+    d = draw(st.integers(1, 8))
+    catalog = fit({"c": [f"v{j}" for j in range(d)]}, [FeatureSpec("c", CATEGORICAL)])
+    names = draw(st.permutations(["net", "cpu", "mem", "disk", "io"]))
+    pool = [()] + draw(
+        st.lists(st.frozensets(st.integers(0, d - 1), max_size=3), min_size=1, max_size=5)
+    )
+    rule_sets = []
+    for name in names[: draw(st.integers(0, len(names)))]:
+        size = draw(st.integers(0, 4))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        precisions = draw(
+            st.lists(st.sampled_from(LAYOUT_PRECISIONS), min_size=size, max_size=size)
+        )
+        rules = tuple(Rule(tuple(sorted(f))) for f in picks)
+        rule_sets.append((name, RuleSet(rules, tuple(RuleStats(p, 0.5, 10) for p in precisions))))
+    return FaultModel(tuple(rule_sets), catalog)
+
+
+@st.composite
+def layout_windows(draw, d):
+    n = draw(st.integers(1, 25))
+    if draw(st.booleans()):  # one service has every row
+        services = [draw(st.sampled_from(["s1", "s0"]))] * n
+    else:
+        services = draw(
+            st.lists(st.sampled_from(["s2", "s0", "s1", "s3"]), min_size=n, max_size=n)
+        )
+    bits = draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))
+    return QueryWindow(np.array(bits, dtype=bool).reshape(n, d), tuple(services))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), layout_models())
+def test_rank_window_matches_the_reduceat_oracle_bit_for_bit(data, model):
+    d = model.binarization.n_features
+    for _ in range(2):  # the second window reuses the model's cached layout
+        window = data.draw(layout_windows(d))
+        # repr tells -0.0 from 0.0 and 1 from 1.0.
+        assert repr(rank_window(model, window)) == repr(oracle_rank_window(model, window))
+
+
+def test_service_sums_pad_each_service_near_its_own_row_count():
+    """A window where one service holds most of the rows among many: the
+    padding of the per-service vote sums follows each service's own row
+    count, so no (services x largest service) grid of 640 MB is built."""
+    services = ("big",) * 20_000 + tuple(f"s{k:04d}" for k in range(2_000))
+    matrix = np.zeros((len(services), 10), dtype=bool)
+    matrix[::3, 0] = True
+    model = FaultModel((("cpu", annotated([((0,), 0.3)])),), CATALOG)
+    window = QueryWindow(matrix, services)
+    tracemalloc.start()
+    try:
+        got = rank_window(model, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert repr(got) == repr(oracle_rank_window(model, window))
