@@ -42,12 +42,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, cycle, repeat, zip_longest
 from operator import itemgetter, lt
-from typing import Iterator, Mapping, MutableMapping, Optional, Sequence
+from typing import Container, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ruleloc import SCHEMA_VERSION
-from ruleloc.core import BinaryDataset, ColumnCodes, FeatureIndexError, Rule
+from ruleloc.core import BinaryDataset, CodedCoverage, ColumnCodes, FeatureIndexError, Rule
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -493,24 +493,25 @@ def _category_block(column: ColumnModel, raw: Sequence) -> np.ndarray:
 def _predicate_blocks(
     model: BinarizationModel,
     table: Mapping[str, Sequence],
-    parsed: MutableMapping[str, np.ndarray],
+    parsed: Mapping[str, np.ndarray],
+    coded: Container[str],
 ):
-    """Yield (catalog positions, block), one comparison per column and op.
+    """Yield (catalog positions, block), one comparison per column and op,
+    for the columns not named in `coded`.
 
     block[r, i] is whether row i satisfies the feature at positions[r]; a
     column's (<= t) features take the even, its (> t) features the odd
-    positions of its catalog range.  Each numeric column is parsed once
-    into `parsed`.
+    positions of its catalog range.  Numeric columns are read from
+    `parsed`.
     """
     for column, start in zip(model.columns, model._starts):
-        if not column.width:
+        if not column.width or column.name in coded:
             continue
-        raw = table[column.name]
         stop = start + column.width
         if column.kind == CATEGORICAL:
-            yield slice(start, stop), _category_block(column, raw)
+            yield slice(start, stop), _category_block(column, table[column.name])
             continue
-        vals = parsed[column.name] = numeric_column(raw, column.name)
+        vals = parsed[column.name]
         thresholds = np.array(column.thresholds, dtype=float)[:, None]
         for first, block in zip((start, start + 1), _sides(vals, thresholds)):
             yield slice(first, stop, 2), block
@@ -571,8 +572,9 @@ def _label_bits(labels: Sequence[int], n: int) -> int:
 
 def _column_codes(
     model: BinarizationModel, parsed: Mapping[str, np.ndarray], n: int
-) -> Optional[ColumnCodes]:
-    """Bin codes of the numeric columns with long threshold ladders.
+) -> tuple[Optional[ColumnCodes], set[str]]:
+    """Bin codes of the numeric columns with long threshold ladders, and
+    the names of those columns.
 
     A column's steps are its thresholds, which are sorted and distinct.
     A finite value x gets code k = searchsorted(steps, x, "left"), so
@@ -588,9 +590,9 @@ def _column_codes(
             chosen.append((column, start, size))
             size += m + 2
     if not chosen:
-        return None
+        return None, set()
     bins = np.empty((n, len(chosen)), dtype=np.uint16)
-    features, lo, stop = [], [], []
+    features, columns, lo, stop = [], [], [], []
     for c, (column, start, offset) in enumerate(chosen):
         m = len(column.thresholds)
         vals = parsed[column.name]
@@ -598,9 +600,11 @@ def _column_codes(
         bins[:, c] = np.where(np.isfinite(vals), code, m + 1) + offset
         past = np.arange(1, m + 1)  # per threshold, the first code above it
         features.append(np.arange(start, start + 2 * m))
+        columns.append(np.full(2 * m, c))
         lo.append(offset + np.column_stack((np.zeros_like(past), past)).ravel())
         stop.append(offset + np.column_stack((past, np.full_like(past, m + 1))).ravel())
-    return ColumnCodes(bins, size, *(np.concatenate(a) for a in (features, lo, stop)))
+    codes = ColumnCodes(bins, size, *map(np.concatenate, (features, columns, lo, stop)))
+    return codes, {column.name for column, _, _ in chosen}
 
 
 def transform(
@@ -612,19 +616,27 @@ def transform(
 
     `labels` is an optional 0/1 vector (query windows have none); see
     relabel for deriving datasets that differ only in their labels.
-    Coverage is packed one block at a time, so no n x d matrix is built.
-    Numeric columns with long threshold ladders also get bin codes (see
-    _column_codes) for the learner's count scans.
+    Numeric columns are parsed first, in catalog order, so the first bad
+    cell is the one reported.  Numeric columns with long threshold ladders
+    then get bin codes (see _column_codes), which are their features' only
+    covers: the dataset builds each such bitset when it is first read (see
+    CodedCoverage).  The other features' coverage is packed one block at a
+    time, so no n x d matrix is built.
     """
     n = _row_count(model, table)
-    parsed: dict[str, np.ndarray] = {}
-    coverage = [0] * model.n_features
-    for positions, block in _predicate_blocks(model, table, parsed):
+    parsed = {
+        c.name: numeric_column(table[c.name], c.name)
+        for c in model.columns
+        if c.kind == NUMERIC and c.width
+    }
+    codes, coded = _column_codes(model, parsed, n)
+    coverage: list[Optional[int]] = [None] * model.n_features
+    for positions, block in _predicate_blocks(model, table, parsed, coded):
         coverage[positions] = _packed_rows(block)
     label_bits = 0 if labels is None else _label_bits(labels, n)
     names = tuple(f.name for f in model.catalog)
-    codes = _column_codes(model, parsed, n)
-    return BinaryDataset(n, tuple(coverage), label_bits, names, codes)
+    covers = tuple(coverage) if codes is None else CodedCoverage(coverage, codes)
+    return BinaryDataset(n, covers, label_bits, names)
 
 
 def relabel(dataset: BinaryDataset, labels: Sequence[int]) -> BinaryDataset:

@@ -6,22 +6,25 @@ immutable.  A rule is a conjunction of binary features and covers the
 intersection of their coverage sets; a rule set predicts positive on the
 union of its rules' covers.
 
-Next to the bitsets, a dataset may carry column bin codes (ColumnCodes):
-per sample, the bin of each threshold-ladder column, so that a feature
-of such a column covers one contiguous range of codes.  They serve
-BinaryDataset.counts, the learner's scan primitive: |mask & coverage[j]|
-for every j at once, from one histogram of the mask's codes.  The other
-features' covers are also kept as rows of packed little-endian 64-bit
-words, which counts ANDs with the mask's words and popcounts in one
-np.bitwise_count call.
+The features of long threshold ladders may instead be held as column
+bin codes (ColumnCodes): per sample, the bin of each such column, so that
+a feature of the column covers one contiguous range of codes.  Codes are
+then the only copy of those covers: the dataset's coverage (a
+CodedCoverage) builds a coded feature's bitset from them on its first
+read and keeps it.  Codes serve BinaryDataset.counts, the learner's scan
+primitive: |mask & coverage[j]| for every j at once, from one histogram
+of the mask's codes.  The other features' covers are also kept as rows of
+packed little-endian 64-bit words, which counts ANDs with the mask's
+words and popcounts in one np.bitwise_count call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -117,15 +120,38 @@ class ColumnCodes:
     bins[i, c] is the code of sample i in coded column c.  Each column's
     codes are shifted by an offset so that all columns share one code
     range 0..size-1; a column's missing values take a code of their own
-    that no feature covers.  Feature features[r] covers exactly the
-    samples whose code in its column lies in lo[r]..stop[r]-1.
+    that no feature covers.  Feature features[r] belongs to column
+    columns[r] and covers exactly the samples whose code there lies in
+    lo[r]..stop[r]-1.  These are the only record of the coded features'
+    covers, so construction rejects codes that do not describe one cover
+    per distinct feature.
     """
 
     bins: np.ndarray  # (n, coded columns), uint16
     size: int
     features: np.ndarray  # catalog positions of the coded features
+    columns: np.ndarray
     lo: np.ndarray
     stop: np.ndarray
+
+    def __post_init__(self) -> None:
+        bins = self.bins
+        if bins.ndim != 2:
+            raise InvalidDatasetError("codes must hold one row per sample")
+        if bins.size and not 0 <= bins.min() <= bins.max() < self.size:
+            raise InvalidDatasetError(f"codes must lie in 0..{self.size - 1}")
+        ranges = (self.features, self.columns, self.lo, self.stop)
+        if any(a.ndim != 1 or len(a) != len(self.features) for a in ranges):
+            raise InvalidDatasetError("code ranges must align with coded features")
+        if not len(self.features):
+            return
+        if len(np.unique(self.features)) < len(self.features):
+            raise InvalidDatasetError("a coded feature is listed twice")
+        if not 0 <= self.columns.min() <= self.columns.max() < bins.shape[1]:
+            raise InvalidDatasetError(f"coded columns must lie in 0..{bins.shape[1] - 1}")
+        lo, stop = self.lo, self.stop
+        if not ((0 <= lo).all() and (lo <= stop).all() and (stop <= self.size).all()):
+            raise InvalidDatasetError(f"code ranges must satisfy 0 <= lo <= stop <= {self.size}")
 
     def counts(self, indices: np.ndarray) -> np.ndarray:
         """|samples in `indices` covered by features[r]| for every r."""
@@ -134,24 +160,81 @@ class ColumnCodes:
         np.cumsum(hist, out=cum[1:])
         return cum[self.stop] - cum[self.lo]
 
+    def cover(self, r: int) -> int:
+        """The cover of features[r] as a bitset int, built from the codes."""
+        codes = self.bins[:, self.columns[r]]
+        bits = np.packbits((codes >= self.lo[r]) & (codes < self.stop[r]), bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
+
+
+class CodedCoverage(Sequence):
+    """Per-feature covers of a dataset with codes, as a read-only sequence of ints.
+
+    covers[j] is the cover of feature j outside codes.features and None
+    for the coded features, whose covers exist only as codes: each is built
+    by codes.cover on its first read and kept, so datasets sharing this
+    object (the relabelled copies of one transform) build it once.  It
+    compares equal to the tuple of every cover, and hashes and prints as it.
+    """
+
+    __slots__ = ("codes", "_covers", "_slot")
+
+    def __init__(self, covers: Iterable[Optional[int]], codes: ColumnCodes) -> None:
+        self.codes = codes
+        self._covers = list(covers)
+        held_as_codes = [j for j, c in enumerate(self._covers) if c is None]
+        if held_as_codes != sorted(codes.features.tolist()):
+            raise InvalidDatasetError("the covers must be None at exactly the coded features")
+        self._slot = dict(zip(codes.features.tolist(), range(len(codes.features))))
+
+    def __len__(self) -> int:
+        return len(self._covers)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(map(self.__getitem__, range(len(self))[j]))
+        cover = self._covers[j]
+        if cover is None:
+            cover = self._covers[j] = self.codes.cover(self._slot[j % len(self)])
+        return cover
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.__getitem__, range(len(self)))
+
+    def given(self) -> Iterator[tuple[int, int]]:
+        """(j, cover) of every cover held as an int: the uncoded ones, and
+        the coded ones built so far."""
+        return ((j, c) for j, c in enumerate(self._covers) if c is not None)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, CodedCoverage)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
 
 @dataclass(frozen=True)
 class BinaryDataset:
     """Immutable binary feature matrix with per-feature coverage bitsets.
 
     coverage[j] holds the set of sample indices where feature j is 1;
-    labels holds the set of positive sample indices.  full_mask and
-    positives are computed once per object; a relabelled copy (made by
-    dataclasses.replace) is a new object and computes its own.  codes,
-    when present, describes the same coverage of some features as bin
-    code ranges (see ColumnCodes); it only makes counts faster.
+    labels holds the set of positive sample indices.  coverage is a tuple
+    of ints, or a CodedCoverage whose coded features' covers exist only as
+    its bin codes (see ColumnCodes) until read.  full_mask and positives
+    are computed once per object; a relabelled copy (made by
+    dataclasses.replace) is a new object and computes its own, but shares
+    the coverage object and so every cover built from codes.
     """
 
     n: int
-    coverage: tuple[int, ...]
+    coverage: Sequence[int]
     labels: int
     feature_names: tuple[str, ...] = ()
-    codes: Optional[ColumnCodes] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -160,26 +243,29 @@ class BinaryDataset:
         full = self.full_mask
         if not 0 <= self.labels <= full:
             raise InvalidDatasetError("labels reference samples outside 0..n-1")
-        for j, cov in enumerate(self.coverage):
+        codes = self.codes
+        if codes is None:
+            given = enumerate(self.coverage)
+        else:
+            if codes.bins.shape[0] != self.n:
+                raise InvalidDatasetError("codes must hold one row per sample")
+            given = self.coverage.given()
+        for j, cov in given:
             if not 0 <= cov <= full:
                 raise InvalidDatasetError(
                     f"coverage of feature {j} references samples outside 0..n-1"
                 )
         if self.feature_names and len(self.feature_names) != len(self.coverage):
             raise InvalidDatasetError("feature_names must align with coverage")
-        codes = self.codes
-        if codes is not None:
-            if codes.bins.ndim != 2 or codes.bins.shape[0] != self.n:
-                raise InvalidDatasetError("codes must hold one row per sample")
-            if not len(codes.features) == len(codes.lo) == len(codes.stop):
-                raise InvalidDatasetError("code ranges must align with coded features")
-            features = codes.features
-            if len(features) and not 0 <= features.min() <= features.max() < self.d:
-                raise InvalidDatasetError("coded features must lie in 0..d-1")
 
     @property
     def d(self) -> int:
         return len(self.coverage)
+
+    @property
+    def codes(self) -> Optional[ColumnCodes]:
+        """The bin codes of the coded features, if the coverage has any."""
+        return self.coverage.codes if isinstance(self.coverage, CodedCoverage) else None
 
     @cached_property
     def full_mask(self) -> int:

@@ -24,7 +24,7 @@ from ruleloc.binarize import (
     relabel,
     transform,
 )
-from ruleloc.core import FeatureIndexError, Rule
+from ruleloc.core import CodedCoverage, FeatureIndexError, Rule
 
 from oracle import oracle_feature_matrix
 
@@ -469,8 +469,16 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
     for table in (train, parsed, query):
         expected = reference_matrix(model, table)
         assert np.array_equal(feature_matrix(model, table), expected)
+        covers = tuple(bits_of(expected[:, k]) for k in range(expected.shape[1]))
         ds = transform(model, table)
-        assert ds.coverage == tuple(bits_of(expected[:, k]) for k in range(ds.d))
+        assert ds.coverage == covers
+        # Again with every threshold ladder on bin codes, whose covers are
+        # built from the codes as they are read.
+        with mock.patch.object(binarize, "_CODED_MIN_THRESHOLDS", 1):
+            coded = transform(model, table)
+        assert (coded.codes is not None) == any(c.thresholds for c in model.columns)
+        assert [coded.coverage[k] for k in reversed(range(coded.d))] == list(covers[::-1])
+        assert coded.coverage == covers
 
 
 @settings(max_examples=200, deadline=None)
@@ -509,16 +517,20 @@ def test_code_counts_equal_popcounts(data, n, bins, cutoff, code_space):
     if coded:
         assert ds.codes.size <= code_space
         assert int(ds.codes.bins.max(initial=0)) < ds.codes.size
+    # The reference covers, not ds.coverage, whose coded covers come from
+    # the same codes that counts reads.
+    expected = reference_matrix(model, table)
+    covers = [bits_of(expected[:, k]) for k in range(ds.d)]
     full = ds.full_mask
     masks = [0, full, data.draw(st.integers(0, full)), ds.labels]
     if ds.d:
         picks = data.draw(st.lists(st.integers(0, ds.d - 1), max_size=3))
-        masks += [ds.coverage[k] for k in picks]
+        masks += [covers[k] for k in picks]
     masks += [full ^ (1 << data.draw(st.integers(0, n - 1)))]
     for mask in masks:
         counts = ds.counts(mask)
         assert counts.dtype == np.int64
-        assert counts.tolist() == [(mask & c).bit_count() for c in ds.coverage]
+        assert counts.tolist() == [(mask & c).bit_count() for c in covers]
     assert relabel(ds, [1] * n).codes is ds.codes
 
 
@@ -751,6 +763,51 @@ def test_feature_matrix_matches_the_per_column_oracle(case):
         # block after another.
         with mock.patch.object(binarize, "_GATHERED_CELLS", 5):
             assert _outcome(feature_matrix, model, table) == expected
+
+
+def test_transform_builds_no_cover_of_a_coded_feature():
+    """20,000 rows x 20 N(0,1) columns at 100 bins: every feature is on
+    bin codes, so transform packs no bitset, where one 2.5 kB int per
+    feature came to 11 MB.  A cover is built when it is first read, once
+    for every relabelled copy."""
+    rng = np.random.default_rng(0)
+    table = {f"c{i}": rng.normal(size=20_000) for i in range(20)}
+    model = fit(table, [FeatureSpec(name) for name in table])
+    assert model.n_features == 3960
+    names = model.catalog  # built before tracing, as a trained model has it
+    tracemalloc.start()
+    try:
+        ds = transform(model, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert isinstance(ds.coverage, CodedCoverage)
+    assert list(ds.coverage.given()) == []
+    other = relabel(ds, [0, 1] * 10_000)
+    assert other.coverage is ds.coverage
+    feat = names[101]  # c0 > its 51st threshold
+    assert feat.op == ">"
+    values = table[feat.column]
+    assert ds.coverage[101] == bits_of(values > feat.threshold)
+    assert [j for j, _ in other.coverage.given()] == [101]
+    assert other.coverage[101] is ds.coverage[101]
+
+
+def test_transform_reports_the_first_bad_cell_in_catalog_order():
+    """A short ladder (bitsets) and a long one (codes) are parsed in
+    catalog order, whichever of them holds a bad cell first."""
+    good = [str(float(i)) for i in range(20)]
+    model = fit({"short": good, "long": good}, [FeatureSpec("short", bins=2), FeatureSpec("long")])
+    assert len(model.columns[0].thresholds) < binarize._CODED_MIN_THRESHOLDS
+    assert len(model.columns[1].thresholds) >= binarize._CODED_MIN_THRESHOLDS
+    bad_short, bad_long = good.copy(), good.copy()
+    bad_short[9], bad_long[2] = "x", "y"
+    with pytest.raises(InvalidValueError, match="^column 'short', row 10: "):
+        transform(model, {"short": bad_short, "long": bad_long})
+    model = BinarizationModel(model.columns[::-1])
+    with pytest.raises(InvalidValueError, match="^column 'long', row 3: "):
+        transform(model, {"short": bad_short, "long": bad_long})
 
 
 def test_feature_matrix_gathers_a_long_window_in_bounded_blocks():

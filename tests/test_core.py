@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ruleloc.core import (
     BinaryDataset,
+    CodedCoverage,
+    ColumnCodes,
     FeatureIndexError,
     InvalidDatasetError,
     ObjectiveContext,
@@ -132,6 +134,67 @@ def test_sets_outside_the_samples_are_rejected(bits):
 def test_sets_within_the_samples_are_accepted():
     assert BinaryDataset(3, (0, 0b111, 0b101), 0b111).d == 3
     assert BinaryDataset(0, (0,), 0).n == 0
+
+
+def _codes(
+    bins=((0, 3), (1, 4), (2, 5)),
+    size=6,
+    features=(0, 1, 2),
+    columns=(0, 0, 1),
+    lo=(0, 1, 3),
+    stop=(1, 3, 5),
+) -> ColumnCodes:
+    """Codes of 3 samples: column 0 takes codes 0..2, column 1 codes 3..5."""
+    ranges = map(np.asarray, (features, columns, lo, stop))
+    return ColumnCodes(np.array(bins, dtype=np.uint16), size, *ranges)
+
+
+def test_covers_are_built_from_codes_on_first_read():
+    codes = _codes()
+    ds = BinaryDataset(3, CodedCoverage([None, None, None, 0b101], codes), 0b1)
+    assert ds.codes is codes and ds.d == 4
+    assert list(ds.coverage.given()) == [(3, 0b101)]
+    # codes 0, 1, 2 in column 0 and 3, 4, 5 in column 1
+    assert [ds.coverage[j] for j in (2, -4, 1)] == [0b011, 0b001, 0b110]
+    assert list(ds.coverage.given()) == [(0, 0b001), (1, 0b110), (2, 0b011), (3, 0b101)]
+    assert ds.coverage == (0b001, 0b110, 0b011, 0b101) and ds.coverage[1:3] == (0b110, 0b011)
+    assert ds == BinaryDataset(3, (0b001, 0b110, 0b011, 0b101), 0b1)
+    assert hash(ds.coverage) == hash(tuple(ds.coverage))
+    assert ds.counts(0b110).tolist() == [0, 2, 1, 1]
+    with pytest.raises(IndexError):
+        ds.coverage[4]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"size": 5}, "^codes must lie in 0..4$"),  # bins.max() == size
+        ({"lo": (0, 2, 3), "stop": (1, 1, 5)}, "^code ranges must satisfy 0 <= lo <= stop"),
+        ({"stop": (1, 3, 7)}, "^code ranges must satisfy 0 <= lo <= stop <= 6$"),
+        ({"columns": (0, 2, 1)}, "^coded columns must lie in 0..1$"),
+        ({"features": (0, 1, 1)}, "^a coded feature is listed twice$"),
+        ({"columns": (0, 0)}, "^code ranges must align with coded features$"),
+        ({"bins": (0, 1, 2)}, "^codes must hold one row per sample$"),
+    ],
+)
+def test_malformed_codes_are_rejected(change, message):
+    """Codes are the only record of the coded covers, so every range they
+    give must be one cover of the samples' codes."""
+    with pytest.raises(InvalidDatasetError, match=message):
+        BinaryDataset(3, CodedCoverage([None, None, None], _codes(**change)), 0)
+
+
+def test_codes_that_do_not_fit_the_dataset_are_rejected():
+    codes = _codes()
+    with pytest.raises(InvalidDatasetError, match="^codes must hold one row per sample$"):
+        BinaryDataset(4, CodedCoverage([None, None, None], codes), 0)
+    # Coded features must be the covers held as None: not one given as an
+    # int, nor one outside the features.
+    for covers in ([None, None, 0b011], [None, None], [None, None, None, None]):
+        with pytest.raises(InvalidDatasetError, match="^the covers must be None at exactly"):
+            CodedCoverage(covers, codes)
+    with pytest.raises(InvalidDatasetError, match="^coverage of feature 3 references"):
+        BinaryDataset(3, CodedCoverage([None, None, None, 0b1000], codes), 0)
 
 
 def test_f1_requires_positives():
