@@ -26,18 +26,20 @@ from ruleloc.core import (
 )
 from ruleloc.select import SelectionConfig, alpha_schedule, select_rule_set
 
+NAMES = ("A", "B", "C")
+
 
 def build_instance() -> BinaryDataset:
     a = bitset_of(range(10)) | bitset_of([20])
     b = bitset_of(range(10, 20)) | bitset_of([21])
     c = bitset_of(range(18)) | bitset_of(range(22, 27))
-    return BinaryDataset(120, (a, b, c), bitset_of(range(20)), ("A", "B", "C"))
+    return BinaryDataset(120, (a, b, c), bitset_of(range(20)))
 
 
 def show_candidates(ds: BinaryDataset, alpha: float) -> None:
     ctx = ObjectiveContext(ds, alpha=alpha)
     print(f"  candidate values at alpha={alpha:g} (base-10 logs):")
-    for j, name in enumerate(ds.feature_names):
+    for j, name in enumerate(NAMES):
         value = rule_objective(ctx, Rule.of(j)) / math.log(10)
         print(f"    {name}: {value:+.4f}")
 
@@ -48,7 +50,7 @@ def run(gamma: float) -> None:
     print(f"gamma={gamma:g}  weight schedule={schedule}")
     show_candidates(ds, schedule[0])
     rs = select_rule_set(ds, SelectionConfig(max_rules=2, gamma=gamma, max_len=1))
-    names = [ds.feature_names[r.features[0]] for r in rs.rules]
+    names = [NAMES[r.features[0]] for r in rs.rules]
     cover = cover_of_set(ds, rs.rules)
     pos = (cover & ds.labels).bit_count()
     neg = cover.bit_count() - pos

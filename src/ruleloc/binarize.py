@@ -634,9 +634,8 @@ def transform(
     for positions, block in _predicate_blocks(model, table, parsed, coded):
         coverage[positions] = _packed_rows(block)
     label_bits = 0 if labels is None else _label_bits(labels, n)
-    names = tuple(f.name for f in model.catalog)
     covers = tuple(coverage) if codes is None else CodedCoverage(coverage, codes)
-    return BinaryDataset(n, covers, label_bits, names)
+    return BinaryDataset(n, covers, label_bits)
 
 
 def relabel(dataset: BinaryDataset, labels: Sequence[int]) -> BinaryDataset:

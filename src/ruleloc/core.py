@@ -234,7 +234,6 @@ class BinaryDataset:
     n: int
     coverage: Sequence[int]
     labels: int
-    feature_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -255,8 +254,6 @@ class BinaryDataset:
                 raise InvalidDatasetError(
                     f"coverage of feature {j} references samples outside 0..n-1"
                 )
-        if self.feature_names and len(self.feature_names) != len(self.coverage):
-            raise InvalidDatasetError("feature_names must align with coverage")
 
     @property
     def d(self) -> int:
@@ -280,7 +277,6 @@ class BinaryDataset:
         cls,
         rows: Sequence[Sequence[int]],
         labels: Sequence[int],
-        feature_names: Sequence[str] = (),
     ) -> "BinaryDataset":
         """Build from a row-major 0/1 matrix and a 0/1 label vector."""
         n = len(rows)
@@ -295,7 +291,7 @@ class BinaryDataset:
                 if v:
                     coverage[j] |= 1 << i
         label_bits = bitset_of(i for i, y in enumerate(labels) if y)
-        return cls(n, tuple(coverage), label_bits, tuple(feature_names))
+        return cls(n, tuple(coverage), label_bits)
 
     @cached_property
     def _uncoded(self) -> np.ndarray:

@@ -9,10 +9,9 @@ across fault types.  A window is its boolean feature matrix, so
 `rank_window` scores it with no array operation per rule, fault type or
 service: one gather of the rules' columns and one AND over each rule's
 padded conjuncts give the firings; one max over each fault type's padded
-rule slots gives the votes; one cumsum gives the fault scores; the
-service scores take one cumsum per power-of-two class of service row
-counts, over a grid of the class's votes padded with 0.0; and one
-bincount of (rule, service) pairs gives the hits that explain the
+rule slots gives the votes; one ordered bincount of the votes by fault
+type gives the fault scores and one by service the service scores; and
+one bincount of (rule, service) pairs gives the hits that explain the
 rankings.  The parts that depend only on the model are laid out once per
 FaultModel.
 """
@@ -22,7 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -295,18 +295,9 @@ class FaultModel:
 def _ranked(scores: dict[str, float], explanations) -> RankedResult:
     no_signal = all(score == 0.0 for score in scores.values())
     ranking = tuple(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
-    groups = []
-    i = 0
-    names = [name for name, _ in ranking]
-    values = [score for _, score in ranking]
-    while i < len(ranking):
-        j = i
-        while j + 1 < len(ranking) and values[j + 1] == values[i]:
-            j += 1
-        if j > i:
-            groups.append(tuple(names[i : j + 1]))
-        i = j + 1
-    return RankedResult(ranking, no_signal, tuple(groups), explanations)
+    groups = (tuple(name for name, _ in run) for _, run in groupby(ranking, itemgetter(1)))
+    tie_groups = tuple(group for group in groups if len(group) > 1)
+    return RankedResult(ranking, no_signal, tie_groups, explanations)
 
 
 def rank_window(
@@ -335,31 +326,18 @@ def rank_window(
     # Row R of `weighted` is the padding slot, which never votes.
     weighted = np.zeros((n_rules + 1, n))
     np.copyto(weighted[:-1], layout.precisions, where=fired.T)
-    by_type = np.zeros((n_types, 1 + n))
-    votes = by_type[:, 1:]
-    np.max(weighted[layout.slots], axis=1, initial=0.0, out=votes)
-    fault_totals = np.cumsum(by_type, axis=1)[:, -1].tolist()
-    # A service's grid row holds a leading run of 0.0, then its votes fault
-    # type by fault type in sample order, each run padded with 0.0 to 2**e,
-    # the power of two at or above the service's row count.  A running sum
-    # from 0.0 is unchanged by adding 0.0, so one cumsum per exponent e
-    # gives the totals of a running += from 0.0, and no grid holds more
-    # than twice the window's votes.  nth[i] counts the samples of sample
-    # i's service before it.
-    counters = {svc: count() for svc in services}
-    nth = np.fromiter(map(next, map(counters.__getitem__, window.services)), np.intp, n)
-    by_exponent: dict[int, list[int]] = {}
-    for k, size in enumerate(np.bincount(codes).tolist()):
-        by_exponent.setdefault((size - 1).bit_length(), []).append(k)
-    service_totals = np.empty(len(services))
-    for e, group in by_exponent.items():
-        row = np.full(len(services), -1)
-        row[group] = np.arange(len(group))
-        rows = row[codes]
-        mine = rows >= 0
-        grid = np.zeros((len(group), 1 + n_types, 1 << e))
-        grid[rows[mine], 1:, nth[mine]] = votes.T[mine]
-        service_totals[group] = np.cumsum(grid.reshape(len(group), -1), axis=1)[:, -1]
+    votes = np.max(weighted[layout.slots], axis=1, initial=0.0)
+    # bincount adds its weights one at a time into 0.0, in the order given:
+    # a fault type's votes in sample order, and a service's fault type by
+    # fault type, each in sample order.  With no fault types there are no
+    # weights and bincount counts in ints, so the service totals are cast
+    # to float (the fault totals are then empty).
+    fault_totals = np.bincount(
+        np.repeat(np.arange(n_types), n), weights=votes.ravel(), minlength=n_types
+    ).tolist()
+    service_totals = np.bincount(
+        np.tile(codes, n_types), weights=votes.ravel(), minlength=len(services)
+    ).astype(float)
     # hits[r, k]: how many samples of service k rule r fires on.
     pairs = np.arange(n_rules)[:, None] * len(services) + codes
     hits = np.bincount(pairs[fired.T], minlength=n_rules * len(services))

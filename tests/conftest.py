@@ -30,4 +30,4 @@ def toy_dataset() -> BinaryDataset:
     a = bitset_of(range(10)) | bitset_of([20])
     b = bitset_of(range(10, 20)) | bitset_of([21])
     c = bitset_of(range(18)) | bitset_of(range(22, 27))
-    return BinaryDataset(120, (a, b, c), bitset_of(range(20)), ("A", "B", "C"))
+    return BinaryDataset(120, (a, b, c), bitset_of(range(20)))

@@ -300,8 +300,7 @@ def planted_dataset(
     label_bits = int.from_bytes(
         np.packbits(labels, bitorder="little").tobytes(), "little"
     )
-    names = tuple(f"m{j:02d}" for j in range(d))
-    dataset = BinaryDataset(n, coverage, label_bits, names)
+    dataset = BinaryDataset(n, coverage, label_bits)
     return dataset, tuple(Rule(r) for r in dnf)
 
 

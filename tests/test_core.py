@@ -57,10 +57,9 @@ def test_from_rows_runs_the_readme_example():
 
     rows = [[1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 1], [1, 0, 0], [0, 1, 0]]
     labels = [1, 1, 0, 0, 1, 0]
-    ds = BinaryDataset.from_rows(rows, labels, ("a", "b", "c"))
+    ds = BinaryDataset.from_rows(rows, labels)
     assert (ds.n, ds.d, ds.labels) == (6, 3, 0b010011)
     assert ds.coverage == (0b010011, 0b100110, 0b001101)
-    assert ds.feature_names == ("a", "b", "c")
     records = []
     rs = select_rule_set(ds, SelectionConfig(max_rules=4, max_len=6), trace=records.append)
     assert f1_score(ds, rs) == 1.0

@@ -514,8 +514,8 @@ def test_rank_window_matches_the_reduceat_oracle_bit_for_bit(data, model):
 
 def test_service_sums_pad_each_service_near_its_own_row_count():
     """A window where one service holds most of the rows among many: the
-    padding of the per-service vote sums follows each service's own row
-    count, so no (services x largest service) grid of 640 MB is built."""
+    per-service vote sums take memory in the window's votes, not in
+    services x largest service (a padded grid of 640 MB)."""
     services = ("big",) * 20_000 + tuple(f"s{k:04d}" for k in range(2_000))
     matrix = np.zeros((len(services), 10), dtype=bool)
     matrix[::3, 0] = True
@@ -529,3 +529,40 @@ def test_service_sums_pad_each_service_near_its_own_row_count():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert repr(got) == repr(oracle_rank_window(model, window))
+
+
+def test_model_without_fault_types_scores_services_as_float_zero():
+    window = window_of([mask(0), mask(1), 0], ["s2", "s0", "s2"])
+    faults, services = rank_window(FaultModel((), CATALOG), window)
+    assert faults.ranking == () and faults.no_signal
+    assert repr(services.ranking) == repr((("s0", 0.0), ("s2", 0.0)))
+    assert services.tie_groups == (("s0", "s2"),)
+
+
+def test_large_window_sums_votes_fault_type_by_fault_type():
+    """6,000 rows, three fault types voting 0.1 or 0.3, services of 4,000
+    rows down to one: the scores are the oracle's floats, which a sum that
+    interleaves the fault types' votes misses."""
+    rng = np.random.default_rng(21)
+    sizes = {"big": 4_000, "mid": 1_500, "low": 470, "few": 29, "one": 1}
+    services = tuple(rng.permutation([svc for svc, size in sizes.items() for _ in range(size)]))
+    matrix = rng.random((len(services), 10)) < 0.4
+    model = FaultModel(
+        (
+            ("net", annotated([((0,), 0.1), ((1, 2), 0.3)])),
+            ("cpu", annotated([((3,), 0.3)])),
+            ("disk", annotated([((4,), 0.1), ((5,), 0.3), ((6, 7), 0.1)])),
+        ),
+        CATALOG,
+    )
+    window = QueryWindow(matrix, services)
+    got = rank_window(model, window)
+    assert repr(got) == repr(oracle_rank_window(model, window))
+    # The order matters here: adding each sample's votes across fault
+    # types before the next sample's gives other floats.
+    interleaved = dict.fromkeys(sizes, 0.0)
+    for row, svc in zip(matrix, services):
+        sample = sum(1 << j for j in np.flatnonzero(row).tolist())
+        for name in model.fault_types():
+            interleaved[svc] += sample_vote(model, name, sample)
+    assert dict(got[1].ranking) != interleaved
