@@ -19,12 +19,11 @@ from pathlib import Path
 
 from ruleloc.binarize import feature_matrix, relabel, transform
 from ruleloc.cli import main as cli_main
-from ruleloc.cli import write_csv_columns
 from ruleloc.core import f1_score
 from ruleloc.evaluate import IncidentCase, evaluate_cases
 from ruleloc.localize import FaultModel, QueryWindow
 
-from oracle import planted_fault_scenario
+from oracle import planted_fault_scenario, write_csv_columns
 
 
 def parse_args():

@@ -47,7 +47,14 @@ from typing import Container, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from ruleloc import SCHEMA_VERSION
-from ruleloc.core import BinaryDataset, CodedCoverage, ColumnCodes, FeatureIndexError, Rule
+from ruleloc.core import (
+    BinaryDataset,
+    ColumnCodes,
+    Coverage,
+    FeatureIndexError,
+    Rule,
+    bitset_of_flags,
+)
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -497,7 +504,7 @@ def _predicate_blocks(
     coded: Container[str],
 ):
     """Yield (catalog positions, block), one comparison per column and op,
-    for the columns not named in `coded`.
+    for the columns not named in `coded`; positions is an index array.
 
     block[r, i] is whether row i satisfies the feature at positions[r]; a
     column's (<= t) features take the even, its (> t) features the odd
@@ -509,18 +516,12 @@ def _predicate_blocks(
             continue
         stop = start + column.width
         if column.kind == CATEGORICAL:
-            yield slice(start, stop), _category_block(column, table[column.name])
+            yield np.arange(start, stop), _category_block(column, table[column.name])
             continue
         vals = parsed[column.name]
         thresholds = np.array(column.thresholds, dtype=float)[:, None]
         for first, block in zip((start, start + 1), _sides(vals, thresholds)):
-            yield slice(first, stop, 2), block
-
-
-def _packed_rows(bits: np.ndarray) -> list[int]:
-    """One little-endian bitset int per row of a 2-D boolean array."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+            yield np.arange(first, stop, 2), block
 
 
 def _numeric_rows(table: Mapping[str, Sequence], names: Sequence[str]) -> np.ndarray:
@@ -565,14 +566,15 @@ def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> n
 
 
 def _label_bits(labels: Sequence[int], n: int) -> int:
+    """The set of rows whose 0/1 label is 1, from one boolean vector."""
     if len(labels) != n:
         raise SchemaError("labels must have one entry per row")
-    return _packed_rows(np.array([[bool(y) for y in labels]], dtype=bool))[0]
+    return bitset_of_flags(labels)
 
 
 def _column_codes(
     model: BinarizationModel, parsed: Mapping[str, np.ndarray], n: int
-) -> tuple[Optional[ColumnCodes], set[str]]:
+) -> tuple[ColumnCodes, set[str]]:
     """Bin codes of the numeric columns with long threshold ladders, and
     the names of those columns.
 
@@ -581,7 +583,7 @@ def _column_codes(
     x <= steps[k'] iff k <= k'; a missing or infinite value gets code
     len(steps) + 1, which no feature covers.  The features (<= t_k, > t_k)
     then cover codes 0..k and k+1..len(steps).  Columns that would push
-    the codes past uint16 stay on bitsets.
+    the codes past uint16 stay on packed words.
     """
     chosen, size = [], 0
     for column, start in zip(model.columns, model._starts):
@@ -590,7 +592,7 @@ def _column_codes(
             chosen.append((column, start, size))
             size += m + 2
     if not chosen:
-        return None, set()
+        return ColumnCodes.empty(n), set()
     bins = np.empty((n, len(chosen)), dtype=np.uint16)
     features, columns, lo, stop = [], [], [], []
     for c, (column, start, offset) in enumerate(chosen):
@@ -618,10 +620,11 @@ def transform(
     relabel for deriving datasets that differ only in their labels.
     Numeric columns are parsed first, in catalog order, so the first bad
     cell is the one reported.  Numeric columns with long threshold ladders
-    then get bin codes (see _column_codes), which are their features' only
-    covers: the dataset builds each such bitset when it is first read (see
-    CodedCoverage).  The other features' coverage is packed one block at a
-    time, so no n x d matrix is built.
+    then get bin codes (see _column_codes), and every other feature's
+    predicate block is packed straight into the dataset's word matrix, one
+    block at a time, so no n x d matrix is built.  The store (see
+    Coverage) holds each cover once, as words or as codes, and transform
+    builds no cover int: each is built when it is first read.
     """
     n = _row_count(model, table)
     parsed = {
@@ -630,16 +633,14 @@ def transform(
         if c.kind == NUMERIC and c.width
     }
     codes, coded = _column_codes(model, parsed, n)
-    coverage: list[Optional[int]] = [None] * model.n_features
-    for positions, block in _predicate_blocks(model, table, parsed, coded):
-        coverage[positions] = _packed_rows(block)
+    blocks = _predicate_blocks(model, table, parsed, coded)
+    coverage = Coverage.packed(n, model.n_features, blocks, codes)
     label_bits = 0 if labels is None else _label_bits(labels, n)
-    covers = tuple(coverage) if codes is None else CodedCoverage(coverage, codes)
-    return BinaryDataset(n, covers, label_bits)
+    return BinaryDataset(n, coverage, label_bits)
 
 
 def relabel(dataset: BinaryDataset, labels: Sequence[int]) -> BinaryDataset:
-    """The same coverage under a new 0/1 label vector."""
+    """The same coverage store under a new 0/1 label vector."""
     return replace(dataset, labels=_label_bits(labels, dataset.n))
 
 

@@ -172,16 +172,6 @@ def _interning_append(column: list[str]) -> Callable[[str], None]:
     return lambda value: append(intern(value, value))
 
 
-def write_csv_columns(path: str | Path, table: dict[str, list]) -> None:
-    names = list(table)
-    n = len(table[names[0]]) if names else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([table[name][i] for name in names])
-
-
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -336,21 +326,6 @@ def _log_feature_columns(
         table[name] = np.fromiter(map(column.__getitem__, stamps), float, len(stamps))
 
 
-def _feature_specs(
-    table: dict[str, Sequence],
-    role_columns: set[str],
-    categorical: set[str],
-    bins: int,
-) -> list[FeatureSpec]:
-    specs = []
-    for name in table:
-        if name in role_columns:
-            continue
-        kind = CATEGORICAL if name in categorical else NUMERIC
-        specs.append(FeatureSpec(name, kind, bins if kind == NUMERIC else DEFAULT_BINS))
-    return specs
-
-
 def _dataset_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -394,8 +369,18 @@ def cmd_train(args) -> int:
         _log_feature_columns(
             table, args.data, timestamp_col, Path(args.logs), interval, sim, ts_format
         )
-
-    model_bin = fit(table, _feature_specs(table, role_columns, categorical, bins))
+    features = [name for name in table if name not in role_columns]
+    unknown = sorted(categorical.difference(features))
+    if unknown:
+        raise CliError(
+            "schema-error",
+            f"{args.data}: categorical column {unknown[0]!r} is not a feature column",
+        )
+    specs = [
+        FeatureSpec(name, CATEGORICAL) if name in categorical else FeatureSpec(name, NUMERIC, bins)
+        for name in features
+    ]
+    model_bin = fit(table, specs)
 
     fault_values = table[fault_col]
     negatives = {normal_label, ""}
@@ -415,9 +400,11 @@ def cmd_train(args) -> int:
     # One binarization serves every fault type; only the labels differ.
     unlabelled = transform(model_bin, table)
     del table  # frees the parsed numeric block before selection
+    code_of = {name: t for t, name in enumerate(fault_types)}
+    codes = np.fromiter(map(code_of.get, fault_values, repeat(-1)), np.intp, len(fault_values))
     results = {}
-    for fault_type in fault_types:
-        dataset = relabel(unlabelled, [v == fault_type for v in fault_values])
+    for t, fault_type in enumerate(fault_types):
+        dataset = relabel(unlabelled, codes == t)
         records: list = []
         rule_set = select_rule_set(
             dataset, sel, trace=records.append if args.trace else None

@@ -6,16 +6,17 @@ immutable.  A rule is a conjunction of binary features and covers the
 intersection of their coverage sets; a rule set predicts positive on the
 union of its rules' covers.
 
-The features of long threshold ladders may instead be held as column
-bin codes (ColumnCodes): per sample, the bin of each such column, so that
-a feature of the column covers one contiguous range of codes.  Codes are
-then the only copy of those covers: the dataset's coverage (a
-CodedCoverage) builds a coded feature's bitset from them on its first
-read and keeps it.  Codes serve BinaryDataset.counts, the learner's scan
-primitive: |mask & coverage[j]| for every j at once, from one histogram
-of the mask's codes.  The other features' covers are also kept as rows of
-packed little-endian 64-bit words, which counts ANDs with the mask's
-words and popcounts in one np.bitwise_count call.
+A dataset holds its features' covers in one store (Coverage), where each
+feature lives in exactly one of two compact forms: a row of packed
+little-endian 64-bit words, or, for the features of long threshold
+ladders, column bin codes (ColumnCodes): per sample, the bin of each such
+column, so that a feature of the column covers one contiguous range of
+codes.  A cover int is built from its words or codes on its first read
+and kept.  The store serves BinaryDataset.counts, the learner's scan
+primitive: |mask & coverage[j]| for every j at once, by one AND of the
+words with the mask's words and one popcount, and one histogram of the
+codes of the mask's samples.  Relabelled copies of a dataset share its
+store.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def bitset_of(indices: Iterable[int]) -> int:
     for i in indices:
         bits |= 1 << i
     return bits
+
+
+def bitset_of_flags(flags) -> int:
+    """The set of positions i where flags[i] is true, from one packbits."""
+    bits = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -123,8 +130,8 @@ class ColumnCodes:
     that no feature covers.  Feature features[r] belongs to column
     columns[r] and covers exactly the samples whose code there lies in
     lo[r]..stop[r]-1.  These are the only record of the coded features'
-    covers, so construction rejects codes that do not describe one cover
-    per distinct feature.
+    covers, so construction rejects codes whose ranges do not each
+    describe one cover of the samples' codes.
     """
 
     bins: np.ndarray  # (n, coded columns), uint16
@@ -145,17 +152,25 @@ class ColumnCodes:
             raise InvalidDatasetError("code ranges must align with coded features")
         if not len(self.features):
             return
-        if len(np.unique(self.features)) < len(self.features):
-            raise InvalidDatasetError("a coded feature is listed twice")
         if not 0 <= self.columns.min() <= self.columns.max() < bins.shape[1]:
             raise InvalidDatasetError(f"coded columns must lie in 0..{bins.shape[1] - 1}")
         lo, stop = self.lo, self.stop
         if not ((0 <= lo).all() and (lo <= stop).all() and (stop <= self.size).all()):
             raise InvalidDatasetError(f"code ranges must satisfy 0 <= lo <= stop <= {self.size}")
 
-    def counts(self, indices: np.ndarray) -> np.ndarray:
-        """|samples in `indices` covered by features[r]| for every r."""
-        hist = np.bincount(self.bins[indices].ravel(), minlength=self.size)
+    @classmethod
+    def empty(cls, n: int) -> "ColumnCodes":
+        """The codes of no column over n samples."""
+        none = np.zeros(0, dtype=np.intp)
+        return cls(np.zeros((n, 0), dtype=np.uint16), 0, none, none, none, none)
+
+    def counts(self, mask: np.ndarray) -> np.ndarray:
+        """|mask & cover of features[r]| for every r; mask is a set of samples
+        as packed little-endian words, from one histogram of its samples' codes."""
+        if not self.size:
+            return np.zeros(0, dtype=np.int64)
+        bits = np.unpackbits(mask.view(np.uint8), count=len(self.bins), bitorder="little")
+        hist = np.bincount(self.bins[np.flatnonzero(bits)].ravel(), minlength=self.size)
         cum = np.zeros(self.size + 1, dtype=np.int64)
         np.cumsum(hist, out=cum[1:])
         return cum[self.stop] - cum[self.lo]
@@ -163,29 +178,79 @@ class ColumnCodes:
     def cover(self, r: int) -> int:
         """The cover of features[r] as a bitset int, built from the codes."""
         codes = self.bins[:, self.columns[r]]
-        bits = np.packbits((codes >= self.lo[r]) & (codes < self.stop[r]), bitorder="little")
-        return int.from_bytes(bits.tobytes(), "little")
+        return bitset_of_flags((codes >= self.lo[r]) & (codes < self.stop[r]))
 
 
-class CodedCoverage(Sequence):
-    """Per-feature covers of a dataset with codes, as a read-only sequence of ints.
+class Coverage(Sequence):
+    """The covers of a dataset's d features over n samples, each held once,
+    as a read-only sequence of ints.
 
-    covers[j] is the cover of feature j outside codes.features and None
-    for the coded features, whose covers exist only as codes: each is built
-    by codes.cover on its first read and kept, so datasets sharing this
-    object (the relabelled copies of one transform) build it once.  It
-    compares equal to the tuple of every cover, and hashes and prints as it.
+    Feature uncoded[r] is row r of words, whose bit i (bit i % 64 of word
+    i // 64) is sample i; every other feature is held as its codes.
+    Construction checks that the two parts partition the features 0..d-1,
+    that no word sets a bit at or past n and that the codes hold n rows.
+    store[j] builds feature j's cover int from its words or codes on its
+    first read and keeps it, so the datasets sharing a store (the
+    relabelled copies of one transform) build it once.  A store compares
+    equal to the tuple of every cover, and hashes and prints as it.
     """
 
-    __slots__ = ("codes", "_covers", "_slot")
+    def __init__(self, n: int, uncoded: np.ndarray, words: np.ndarray, codes: ColumnCodes):
+        d = len(uncoded) + len(codes.features)
+        held = np.bincount(np.concatenate((uncoded, codes.features)), minlength=d)[:d]
+        wrong = np.flatnonzero(held != 1)
+        if wrong.size:
+            where = "more than once" if held[wrong[0]] else "nowhere"
+            raise InvalidDatasetError(f"feature {wrong[0]} is held {where}")
+        if words.shape != (len(uncoded), _word_bytes(n) // 8):
+            raise InvalidDatasetError("words must hold ceil(n / 64) words per uncoded feature")
+        # Bits at or past n can only be set in the last word, above bit n % 64.
+        past = np.flatnonzero(words[:, -1] >> n % 64) if n % 64 else []
+        if len(past):
+            j = uncoded[past[0]]
+            raise InvalidDatasetError(f"coverage of feature {j} references samples outside 0..n-1")
+        if len(codes.bins) != n:
+            raise InvalidDatasetError("codes must hold one row per sample")
+        self.n, self.uncoded, self.words, self.codes = n, uncoded, words, codes
+        self._covers: list[Optional[int]] = [None] * d
+        # Feature j is row home[j] of words if home[j] >= 0, else codes
+        # feature ~home[j].
+        self._home = np.empty(d, dtype=np.intp)
+        self._home[uncoded] = np.arange(len(uncoded))
+        self._home[codes.features] = ~np.arange(len(codes.features))
 
-    def __init__(self, covers: Iterable[Optional[int]], codes: ColumnCodes) -> None:
-        self.codes = codes
-        self._covers = list(covers)
-        held_as_codes = [j for j, c in enumerate(self._covers) if c is None]
-        if held_as_codes != sorted(codes.features.tolist()):
-            raise InvalidDatasetError("the covers must be None at exactly the coded features")
-        self._slot = dict(zip(codes.features.tolist(), range(len(codes.features))))
+    @classmethod
+    def packed(
+        cls, n: int, d: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]], codes: ColumnCodes
+    ) -> "Coverage":
+        """The store of d features: the codes' features, and every other one
+        in the (positions, block) pairs, where block[r, i] is whether feature
+        positions[r] covers sample i.  Each block is packed into its rows of
+        one word matrix as it comes."""
+        uncoded = np.zeros(d - len(codes.features), dtype=np.intp)
+        words = np.zeros((len(uncoded), _word_bytes(n)), dtype=np.uint8)
+        r = 0
+        for positions, block in blocks:
+            uncoded[r : r + len(block)] = positions
+            packed = np.packbits(block, axis=1, bitorder="little")
+            words[r : r + len(block), : packed.shape[1]] = packed
+            r += len(block)
+        return cls(n, uncoded, words.view("<u8"), codes)
+
+    @classmethod
+    def of_ints(cls, n: int, covers: Iterable[int]) -> "Coverage":
+        """The store of cover ints, each a set within 0..n-1, kept as given."""
+        covers, size, full = list(covers), _word_bytes(n), (1 << n) - 1
+        for j, cover in enumerate(covers):
+            if not 0 <= cover <= full:
+                raise InvalidDatasetError(
+                    f"coverage of feature {j} references samples outside 0..n-1"
+                )
+        words = np.frombuffer(b"".join(c.to_bytes(size, "little") for c in covers), "<u8")
+        words = words.reshape(len(covers), size // 8)
+        store = cls(n, np.arange(len(covers)), words, ColumnCodes.empty(n))
+        store._covers = covers
+        return store
 
     def __len__(self) -> int:
         return len(self._covers)
@@ -195,19 +260,16 @@ class CodedCoverage(Sequence):
             return tuple(map(self.__getitem__, range(len(self))[j]))
         cover = self._covers[j]
         if cover is None:
-            cover = self._covers[j] = self.codes.cover(self._slot[j % len(self)])
+            r = self._home[j]
+            if r >= 0:
+                cover = int.from_bytes(self.words[r].tobytes(), "little")
+            else:
+                cover = self.codes.cover(~r)
+            self._covers[j] = cover
         return cover
 
-    def __iter__(self) -> Iterator[int]:
-        return map(self.__getitem__, range(len(self)))
-
-    def given(self) -> Iterator[tuple[int, int]]:
-        """(j, cover) of every cover held as an int: the uncoded ones, and
-        the coded ones built so far."""
-        return ((j, c) for j, c in enumerate(self._covers) if c is not None)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, CodedCoverage)):
+        if isinstance(other, (tuple, Coverage)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
@@ -223,46 +285,32 @@ class BinaryDataset:
     """Immutable binary feature matrix with per-feature coverage bitsets.
 
     coverage[j] holds the set of sample indices where feature j is 1;
-    labels holds the set of positive sample indices.  coverage is a tuple
-    of ints, or a CodedCoverage whose coded features' covers exist only as
-    its bin codes (see ColumnCodes) until read.  full_mask and positives
-    are computed once per object; a relabelled copy (made by
+    labels holds the set of positive sample indices.  coverage is a
+    Coverage store of n samples; a sequence of cover ints given in its
+    place is checked and packed into one.  full_mask and positives are
+    computed once per object; a relabelled copy (made by
     dataclasses.replace) is a new object and computes its own, but shares
-    the coverage object and so every cover built from codes.
+    the store and so every cover it has built.
     """
 
     n: int
-    coverage: Sequence[int]
+    coverage: Coverage
     labels: int
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InvalidDatasetError("sample count must be non-negative")
         # A set within 0..n-1 is a non-negative int no larger than full_mask.
-        full = self.full_mask
-        if not 0 <= self.labels <= full:
+        if not 0 <= self.labels <= self.full_mask:
             raise InvalidDatasetError("labels reference samples outside 0..n-1")
-        codes = self.codes
-        if codes is None:
-            given = enumerate(self.coverage)
-        else:
-            if codes.bins.shape[0] != self.n:
-                raise InvalidDatasetError("codes must hold one row per sample")
-            given = self.coverage.given()
-        for j, cov in given:
-            if not 0 <= cov <= full:
-                raise InvalidDatasetError(
-                    f"coverage of feature {j} references samples outside 0..n-1"
-                )
+        if not isinstance(self.coverage, Coverage):
+            object.__setattr__(self, "coverage", Coverage.of_ints(self.n, self.coverage))
+        elif self.coverage.n != self.n:
+            raise InvalidDatasetError("the coverage store must hold n samples")
 
     @property
     def d(self) -> int:
         return len(self.coverage)
-
-    @property
-    def codes(self) -> Optional[ColumnCodes]:
-        """The bin codes of the coded features, if the coverage has any."""
-        return self.coverage.codes if isinstance(self.coverage, CodedCoverage) else None
 
     @cached_property
     def full_mask(self) -> int:
@@ -283,49 +331,24 @@ class BinaryDataset:
         if len(labels) != n:
             raise InvalidDatasetError("labels must have one entry per row")
         d = len(rows[0]) if n else 0
-        coverage = [0] * d
-        for i, row in enumerate(rows):
-            if len(row) != d:
-                raise InvalidDatasetError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    coverage[j] |= 1 << i
-        label_bits = bitset_of(i for i, y in enumerate(labels) if y)
-        return cls(n, tuple(coverage), label_bits)
-
-    @cached_property
-    def _uncoded(self) -> np.ndarray:
-        """Features outside the codes (every feature without codes), which
-        counts takes from the packed words."""
-        if self.codes is None:
-            return np.arange(self.d)
-        return np.setdiff1d(np.arange(self.d), self.codes.features)
-
-    @cached_property
-    def _uncoded_words(self) -> np.ndarray:
-        """(len(_uncoded), ceil(n / 64)) little-endian uint64 words of the
-        uncoded features' covers: bit i of a cover is bit i % 64 of word i // 64."""
-        size = _word_bytes(self.n)
-        packed = b"".join(self.coverage[j].to_bytes(size, "little") for j in self._uncoded)
-        return np.frombuffer(packed, dtype="<u8").reshape(len(self._uncoded), size // 8)
+        if any(len(row) != d for row in rows):
+            raise InvalidDatasetError("ragged rows")
+        matrix = np.array(rows, dtype=bool).reshape(n, d)
+        coverage = Coverage.packed(n, d, [(np.arange(d), matrix.T)], ColumnCodes.empty(n))
+        return cls(n, coverage, bitset_of_flags(labels))
 
     def counts(self, mask: int) -> np.ndarray:
         """|mask & coverage[j]| for every feature j, as an int64 array; mask
         is a set of samples in 0..n-1.
 
-        Coded features are counted from one histogram of the codes of the
-        mask's samples; the rest by one AND of their packed words with the
-        mask's words and one popcount of the result.
+        The words are counted by one AND with the mask's words and one
+        popcount, the codes by one histogram of the mask's samples' codes.
         """
-        out = np.empty(self.d, dtype=np.int64)
+        cov = self.coverage
         m = np.frombuffer(mask.to_bytes(_word_bytes(self.n), "little"), dtype="<u8")
-        if self.codes is not None:
-            bits = np.unpackbits(m.view(np.uint8), count=self.n, bitorder="little")
-            out[self.codes.features] = self.codes.counts(np.flatnonzero(bits))
-        if len(self._uncoded):
-            out[self._uncoded] = np.bitwise_count(self._uncoded_words & m).sum(
-                axis=1, dtype=np.int64
-            )
+        out = np.empty(self.d, dtype=np.int64)
+        out[cov.uncoded] = np.bitwise_count(cov.words & m).sum(axis=1, dtype=np.int64)
+        out[cov.codes.features] = cov.codes.counts(m)
         return out
 
 
@@ -381,13 +404,6 @@ class ObjectiveContext:
             raise ValueError("alpha must be positive")
         if self.cover_pos != self.cover & self.dataset.labels:
             raise ValueError("cover_pos must equal cover & labels")
-
-    @classmethod
-    def from_rules(
-        cls, dataset: BinaryDataset, rules: Iterable[Rule], alpha: float = 1.0
-    ) -> "ObjectiveContext":
-        cover = cover_of_set(dataset, rules)
-        return cls(dataset, cover, cover & dataset.labels, alpha)
 
 
 def _log_or_neg_inf(count: int) -> float:

@@ -276,15 +276,23 @@ class FaultModel:
         max_rules, max_len, gamma = knobs[0] if knobs else (4, 6, 1.0)
         metadata = dict(checked(obj.get("metadata", {}), OBJECT, "metadata"))
         model = cls(tuple(rule_sets), binarization, max_rules, max_len, gamma, metadata)
-        # A predicate restates its catalog entry, so it must agree with it.
-        for entry in entries:
-            for i, r in enumerate(entry["rules"]):
+        # A predicate restates its catalog entry and a description renders
+        # its rule, so each must agree with what it restates.  The rendered
+        # descriptions stay in the model's cache, so reports render none again.
+        for t, (entry, (_, rs)) in enumerate(zip(entries, rule_sets)):
+            for i, (r, rule) in enumerate(zip(entry["rules"], rs.rules)):
                 for p in r["predicates"]:
                     if p != model._predicate_obj(p["feature"]):
                         raise ValueError(
                             f"fault type {entry['fault_type']!r}, rule {i}:"
                             f" predicate disagrees with feature {p['feature']}"
                         )
+                where = f"fault_types[{t}].rules[{i}]"
+                if checked_field(r, "description", STRING, where) != model.describe(rule):
+                    raise ValueError(
+                        f"{where}.description: {r['description']!r} disagrees with the"
+                        f" predicates, which read {model.describe(rule)!r}"
+                    )
         return model
 
     @classmethod

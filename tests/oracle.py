@@ -10,19 +10,50 @@ oracle_feature_matrix and oracle_rank_window are the window binarizer and
 scorer that one comparison per column and one vote loop per fault type
 gave, kept verbatim (with their helpers) so that the layout-driven
 feature_matrix and rank_window are checked against them bit for bit.
+
+context_from_rules and write_csv_columns build test inputs: an objective
+context from the rules selected so far, and a CSV file from a table.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 from dataclasses import dataclass, replace
-from typing import Mapping, MutableMapping, Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
 from ruleloc.binarize import CATEGORICAL, BinarizationModel, _row_count, numeric_column
-from ruleloc.core import BinaryDataset, InvalidDatasetError, Rule, RuleSet
+from ruleloc.core import (
+    BinaryDataset,
+    InvalidDatasetError,
+    ObjectiveContext,
+    Rule,
+    RuleSet,
+    cover_of_set,
+)
 from ruleloc.localize import Explanation, FaultModel, QueryWindow, RankedResult, _ranked
+
+
+def context_from_rules(
+    dataset: BinaryDataset, rules: Iterable[Rule], alpha: float = 1.0
+) -> ObjectiveContext:
+    """The objective context after selecting `rules`."""
+    cover = cover_of_set(dataset, rules)
+    return ObjectiveContext(dataset, cover, cover & dataset.labels, alpha)
+
+
+def write_csv_columns(path: str | Path, table: Mapping[str, Sequence]) -> None:
+    """Write a column-oriented table as a CSV file with a header row."""
+    names = list(table)
+    n = len(table[names[0]]) if names else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for i in range(n):
+            writer.writerow([table[name][i] for name in names])
 
 
 class BudgetExceededError(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ruleloc.binarize import DEFAULT_BINS, FeatureSpec, fit, transform
-from ruleloc.cli import main, write_csv_columns
+from ruleloc.cli import main
 from ruleloc.core import (
     BinaryDataset,
     ObjectiveContext,
@@ -41,7 +41,13 @@ from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
 from objectives import distorted_gain, surrogate_offset
-from oracle import brute_force_best_ruleset, planted_dataset, planted_fault_scenario
+from oracle import (
+    brute_force_best_ruleset,
+    context_from_rules,
+    planted_dataset,
+    planted_fault_scenario,
+    write_csv_columns,
+)
 
 
 def report(criterion: int, text: str) -> None:
@@ -127,7 +133,7 @@ def _sampled_states(rng, count):
             Rule(tuple(sorted(rng.choice(10, size=int(rng.integers(1, 3)), replace=False).tolist())))
             for _ in range(k)
         ]
-        ctx = ObjectiveContext.from_rules(ds, base, alpha=float(rng.uniform(0.3, 1.0)))
+        ctx = context_from_rules(ds, base, alpha=float(rng.uniform(0.3, 1.0)))
         anchor = Rule(tuple(sorted(rng.choice(10, size=int(rng.integers(1, 4)), replace=False).tolist())))
         yield ctx, SurrogateState.build(ctx, anchor)
         count -= 1

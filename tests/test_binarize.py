@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ruleloc import binarize
 from ruleloc.binarize import (
+    CATEGORICAL,
     BinarizationModel,
     ColumnModel,
     FeatureSpec,
@@ -24,7 +25,7 @@ from ruleloc.binarize import (
     relabel,
     transform,
 )
-from ruleloc.core import CodedCoverage, FeatureIndexError, Rule
+from ruleloc.core import BinaryDataset, FeatureIndexError, Rule
 
 from oracle import oracle_feature_matrix
 
@@ -126,6 +127,26 @@ def test_transform_carries_labels():
     model = fit({"x": [0.0, 1.0, 2.0, 3.0]}, [FeatureSpec("x", bins=2)])
     ds = transform(model, {"x": [0.0, 3.0]}, labels=[1, 0])
     assert ds.labels == 0b01
+
+
+def test_labels_are_one_flag_per_row():
+    """A 0/1 label vector, as a list or an array, marks the rows whose label
+    is 1; one of the wrong length is a SchemaError, in transform and relabel."""
+    model = fit({"x": [0.0, 1.0, 2.0, 3.0]}, [FeatureSpec("x", bins=2)])
+    table = {"x": [float(i % 4) for i in range(70)]}  # two 64-bit words
+    ds = transform(model, table, labels=[1] * 70)
+    assert ds.labels == (1 << 70) - 1
+    every_third = [int(i % 3 == 0) for i in range(70)]
+    expected = sum(1 << i for i in range(0, 70, 3))
+    for labels in (every_third, np.array(every_third), np.array(every_third, dtype=bool)):
+        assert relabel(ds, labels).labels == expected
+        assert transform(model, table, labels).labels == expected
+    assert relabel(ds, np.zeros(70, dtype=bool)).labels == 0
+    for labels in ([1] * 69, np.ones(71, dtype=bool), []):
+        with pytest.raises(SchemaError, match="^labels must have one entry per row$"):
+            relabel(ds, labels)
+        with pytest.raises(SchemaError, match="^labels must have one entry per row$"):
+            transform(model, table, labels)
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,7 +496,7 @@ def test_columnwise_binarization_matches_reference(data, n, bins):
         # built from the codes as they are read.
         with mock.patch.object(binarize, "_CODED_MIN_THRESHOLDS", 1):
             coded = transform(model, table)
-        assert (coded.codes is not None) == any(c.thresholds for c in model.columns)
+        assert bool(coded.coverage.codes.size) == any(c.thresholds for c in model.columns)
         assert [coded.coverage[k] for k in reversed(range(coded.d))] == list(covers[::-1])
         assert coded.coverage == covers
 
@@ -512,10 +533,11 @@ def test_code_counts_equal_popcounts(data, n, bins, cutoff, code_space):
         if feat.op != "==":
             ladders.setdefault(feat.column, set()).add(feat.threshold)
     coded = any(cutoff <= len(steps) <= code_space - 2 for steps in ladders.values())
-    assert (ds.codes is not None) == coded
+    codes = ds.coverage.codes
+    assert bool(codes.size) == coded
     if coded:
-        assert ds.codes.size <= code_space
-        assert int(ds.codes.bins.max(initial=0)) < ds.codes.size
+        assert codes.size <= code_space
+        assert int(codes.bins.max(initial=0)) < codes.size
     # The reference covers, not ds.coverage, whose coded covers come from
     # the same codes that counts reads.
     expected = reference_matrix(model, table)
@@ -530,7 +552,47 @@ def test_code_counts_equal_popcounts(data, n, bins, cutoff, code_space):
         counts = ds.counts(mask)
         assert counts.dtype == np.int64
         assert counts.tolist() == [(mask & c).bit_count() for c in covers]
-    assert relabel(ds, [1] * n).codes is ds.codes
+    assert relabel(ds, [1] * n).coverage is ds.coverage
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    # Rows on either side of a 64-bit word boundary.
+    n=st.integers(min_value=1, max_value=140) | st.sampled_from([63, 64, 65, 128]),
+    bins=st.integers(2, 12),
+    cutoff=st.sampled_from([1, 3, 100]),
+)
+def test_store_of_ints_and_transformed_store_agree(data, n, bins, cutoff):
+    """A dataset built from cover ints and the one transform builds (words,
+    codes or both, by the cutoff) agree on counts, on every cover and on
+    equality, whichever is read first."""
+    table = data.draw(tables(n))
+    specs = [
+        FeatureSpec("x", bins=bins),
+        FeatureSpec("y", bins=bins),
+        FeatureSpec("s", kind="categorical"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit(table, specs)
+    labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    with mock.patch.object(binarize, "_CODED_MIN_THRESHOLDS", cutoff):
+        built = transform(model, table, labels)
+    expected = reference_matrix(model, table)
+    covers = tuple(bits_of(expected[:, k]) for k in range(expected.shape[1]))
+    given_ints = BinaryDataset(n, covers, bits_of(labels))
+    assert BinaryDataset.from_rows(expected.astype(int).tolist(), labels) == given_ints
+    full = built.full_mask
+    masks = [0, full, built.labels] + data.draw(st.lists(st.integers(0, full), max_size=4))
+    for mask in masks:  # counted from words and codes, before any cover is read
+        assert built.counts(mask).tolist() == given_ints.counts(mask).tolist()
+        assert built.counts(mask).tolist() == [(mask & c).bit_count() for c in covers]
+    if data.draw(st.booleans()):
+        assert [built.coverage[j] for j in range(built.d)] == list(covers)
+    assert built == given_ints and given_ints == built
+    assert built.coverage == covers and tuple(built.coverage) == tuple(given_ints.coverage)
+    assert hash(built) == hash(given_ints)
 
 
 # -- the per-entry loader that the column-slice catalog check replaced ---------
@@ -765,14 +827,18 @@ def test_feature_matrix_matches_the_per_column_oracle(case):
 
 
 def test_transform_builds_no_cover_of_a_coded_feature():
-    """20,000 rows x 20 N(0,1) columns at 100 bins: every feature is on
-    bin codes, so transform packs no bitset, where one 2.5 kB int per
-    feature came to 11 MB.  A cover is built when it is first read, once
-    for every relabelled copy."""
+    """20,000 rows of 20 N(0,1) columns at 100 bins, a 0/1 column (a short
+    ladder) and a categorical one.  The long ladders are on bin codes and
+    the rest on packed words, so transform builds no cover int, where one
+    2.5 kB int per feature came to 11 MB.  A cover is built when it is
+    first read, once for every relabelled copy, which shares the store."""
     rng = np.random.default_rng(0)
     table = {f"c{i}": rng.normal(size=20_000) for i in range(20)}
-    model = fit(table, [FeatureSpec(name) for name in table])
-    assert model.n_features == 3960
+    table["flag"] = (rng.random(20_000) < 0.1).astype(float)
+    table["tier"] = [("web", "db", "cache")[k] for k in rng.integers(0, 3, 20_000)]
+    specs = [FeatureSpec(name) for name in table if name != "tier"]
+    model = fit(table, specs + [FeatureSpec("tier", CATEGORICAL)])
+    assert model.n_features == 3960 + 2 + 3
     names = model.catalog  # built before tracing, as a trained model has it
     tracemalloc.start()
     try:
@@ -781,16 +847,27 @@ def test_transform_builds_no_cover_of_a_coded_feature():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert isinstance(ds.coverage, CodedCoverage)
-    assert list(ds.coverage.given()) == []
-    other = relabel(ds, [0, 1] * 10_000)
-    assert other.coverage is ds.coverage
-    feat = names[101]  # c0 > its 51st threshold
-    assert feat.op == ">"
-    values = table[feat.column]
-    assert ds.coverage[101] == bits_of(values > feat.threshold)
-    assert [j for j, _ in other.coverage.given()] == [101]
-    assert other.coverage[101] is ds.coverage[101]
+    store = ds.coverage
+    assert store._covers == [None] * ds.d
+    assert len(store.codes.features) == 3960 and store.uncoded.tolist() == list(range(3960, 3965))
+    other = relabel(ds, np.arange(20_000) % 2)
+    assert other.coverage is store
+    # c0 > its 51st threshold is held as codes; flag > 0.0 and tier == cache as words.
+    picked = (101, 3961, 3962)
+    assert [(names[j].column, names[j].op) for j in picked] == [
+        ("c0", ">"),
+        ("flag", ">"),
+        ("tier", "=="),
+    ]
+    read = []
+    for j in picked:
+        feat = names[j]
+        values = np.asarray(table[feat.column])
+        expected = values == feat.category if feat.op == "==" else values > feat.threshold
+        assert ds.coverage[j] == bits_of(expected)
+        read.append(j)
+        assert [k for k, c in enumerate(store._covers) if c is not None] == read
+        assert other.coverage[j] is ds.coverage[j]
 
 
 def test_transform_reports_the_first_bad_cell_in_catalog_order():

@@ -6,11 +6,16 @@ import pytest
 
 from ruleloc import cli
 from ruleloc.binarize import SchemaError
-from ruleloc.cli import main, read_csv_columns, write_csv_columns
-from ruleloc.core import InvalidDatasetError
+from ruleloc.cli import main, read_csv_columns
+from ruleloc.core import Coverage, InvalidDatasetError
 from ruleloc.localize import FaultModel
 
-from oracle import oracle_feature_matrix, oracle_rank_window, planted_fault_scenario
+from oracle import (
+    oracle_feature_matrix,
+    oracle_rank_window,
+    planted_fault_scenario,
+    write_csv_columns,
+)
 
 
 @pytest.fixture(scope="module")
@@ -653,6 +658,52 @@ def test_short_row_is_padded_with_missing_values(tmp_path):
     assert read_csv_columns(data) == {"a": ["1", "4"], "b": ["2", ""], "c": ["3", ""]}
 
 
+@pytest.mark.parametrize(
+    "flag, config, unknown",
+    [
+        ("tier,nosuch", None, "nosuch"),
+        ("tier,service", None, "service"),
+        ("fault_type,tier", None, "fault_type"),
+        (None, ["tier", "nosuch"], "nosuch"),
+        (None, ["timestamp", "tier"], "timestamp"),
+    ],
+    ids=["flag-absent", "flag-role", "flag-fault-column", "config-absent", "config-role"],
+)
+def test_categorical_column_that_is_not_a_feature_is_schema_error(
+    tmp_path, capsys, flag, config, unknown
+):
+    data = tmp_path / "train.csv"
+    data.write_text("service,fault_type,tier,a\ns1,f,web,1\ns2,normal,db,0\ns1,normal,db,0\n")
+    argv = ["train", "--data", str(data), "--model", str(tmp_path / "m.json")]
+    if flag:
+        argv += ["--categorical", flag]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"columns": {"categorical": config}}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {data}: categorical column {unknown!r} is not a feature column\n"
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_categorical_log_feature_column_is_accepted_after_the_join(tmp_path, scenario):
+    """The --logs columns join the table before the categorical names are
+    checked, so they may be named."""
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("conn from 10.0.0.1\n")
+    (logs / "online.log").write_text("2024-01-01T00:00:05 disk sda1 full\n")
+    model = tmp_path / "m.json"
+    argv = ["train", "--data", str(data), "--model", str(model), "--logs", str(logs)]
+    assert main(argv + ["--categorical", "log_total", "-K", "1", "-l", "1"]) == 0
+    columns = json.loads(model.read_text())["binarization"]["columns"]
+    assert {c["name"]: c["kind"] for c in columns}["log_total"] == "categorical"
+
+
 def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
     import ruleloc.cli
 
@@ -670,6 +721,21 @@ def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ruleloc.cli, "transform", counting)
+    # The word matrix is packed once, into one store that every fault
+    # type's dataset shares.
+    stores, datasets = [], []
+    real_init, real_select = Coverage.__init__, ruleloc.cli.select_rule_set
+
+    def counting_init(self, *args):
+        stores.append(self)
+        real_init(self, *args)
+
+    def select_rule_set(dataset, *args, **kwargs):
+        datasets.append(dataset)
+        return real_select(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(Coverage, "__init__", counting_init)
+    monkeypatch.setattr(ruleloc.cli, "select_rule_set", select_rule_set)
     model_path = tmp_path / "model.json"
     code = main(
         ["train", "--data", str(data), "--model", str(model_path), "-K", "1", "-l", "2"]
@@ -677,6 +743,11 @@ def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
     assert code == 0
     assert len(FaultModel.from_json(model_path.read_text()).fault_types()) == 3
     assert len(calls) == 1
+    assert len(stores) == 1 and len(datasets) == 3
+    assert all(ds.coverage is stores[0] for ds in datasets)
+    fault_values = three.train_table["fault_type"]
+    for ds, name in zip(datasets, sorted({v for v in fault_values if v != "normal"})):
+        assert ds.labels == sum(1 << i for i, v in enumerate(fault_values) if v == name)
 
 
 def test_train_releases_the_parsed_table_before_selection(tmp_path, monkeypatch):
@@ -782,6 +853,23 @@ def test_predicate_that_disagrees_with_its_feature_is_schema_error(
     assert capsys.readouterr().err == (
         f"schema-error: {model}: fault type {entry['fault_type']!r}, rule 0:"
         f" predicate disagrees with feature {pred['feature']}\n"
+    )
+
+
+def test_description_that_disagrees_with_its_rule_is_schema_error(
+    trained, scenario, tmp_path, capsys
+):
+    _, _, model_path = trained
+    obj = json.loads(model_path.read_text())
+    rule = obj["fault_types"][-1]["rules"][-1]
+    rendered = rule["description"]
+    t, r = len(obj["fault_types"]) - 1, len(obj["fault_types"][-1]["rules"]) - 1
+    rule["description"] = "TRUE"
+    code, model = _run_on_model("localize", obj, scenario, tmp_path)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"schema-error: {model}: fault_types[{t}].rules[{r}].description: 'TRUE'"
+        f" disagrees with the predicates, which read {rendered!r}\n"
     )
 
 
@@ -1053,11 +1141,20 @@ def _first_rule(obj) -> dict:
             lambda obj: _first_rule(obj).__delitem__("covered"),
             "fault_types[0].rules[0].covered: missing",
         ),
+        (
+            lambda obj: _first_rule(obj).__setitem__("description", None),
+            "fault_types[0].rules[0].description: expected a string, got null",
+        ),
+        (
+            lambda obj: _first_rule(obj).__delitem__("description"),
+            "fault_types[0].rules[0].description: missing",
+        ),
     ],
     ids=[
         "column-number", "binarization-list", "fault-type-number", "model-list",
         "thresholds-number", "threshold-too-large", "precision-text", "recall-boolean",
         "covered-negative", "covered-boolean", "feature-boolean", "covered-missing",
+        "description-null", "description-missing",
     ],
 )
 def test_model_of_the_wrong_json_shape_is_schema_error(

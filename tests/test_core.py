@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ruleloc.core import (
     BinaryDataset,
-    CodedCoverage,
     ColumnCodes,
+    Coverage,
     FeatureIndexError,
     InvalidDatasetError,
     ObjectiveContext,
@@ -27,6 +27,7 @@ from ruleloc.core import (
 
 from conftest import random_dataset
 from objectives import distorted_gain
+from oracle import context_from_rules
 
 
 def indices_of(bits: int) -> list[int]:
@@ -148,14 +149,21 @@ def _codes(
     return ColumnCodes(np.array(bins, dtype=np.uint16), size, *ranges)
 
 
+def _store(codes: ColumnCodes, n: int = 3, uncoded=(), words=()) -> Coverage:
+    """A store of the codes and of one row of words per uncoded feature."""
+    rows = np.array(words, dtype="<u8").reshape(len(uncoded), (n + 63) // 64)
+    return Coverage(n, np.array(uncoded, dtype=np.intp), rows, codes)
+
+
 def test_covers_are_built_from_codes_on_first_read():
     codes = _codes()
-    ds = BinaryDataset(3, CodedCoverage([None, None, None, 0b101], codes), 0b1)
-    assert ds.codes is codes and ds.d == 4
-    assert list(ds.coverage.given()) == [(3, 0b101)]
+    ds = BinaryDataset(3, _store(codes, uncoded=[3], words=[0b101]), 0b1)
+    assert ds.coverage.codes is codes and ds.d == 4
+    assert ds.coverage._covers == [None] * 4
     # codes 0, 1, 2 in column 0 and 3, 4, 5 in column 1
     assert [ds.coverage[j] for j in (2, -4, 1)] == [0b011, 0b001, 0b110]
-    assert list(ds.coverage.given()) == [(0, 0b001), (1, 0b110), (2, 0b011), (3, 0b101)]
+    assert ds.coverage._covers == [0b001, 0b110, 0b011, None]
+    assert ds.coverage[3] == 0b101 and ds.coverage[3] is ds.coverage[-1]
     assert ds.coverage == (0b001, 0b110, 0b011, 0b101) and ds.coverage[1:3] == (0b110, 0b011)
     assert ds == BinaryDataset(3, (0b001, 0b110, 0b011, 0b101), 0b1)
     assert hash(ds.coverage) == hash(tuple(ds.coverage))
@@ -171,7 +179,7 @@ def test_covers_are_built_from_codes_on_first_read():
         ({"lo": (0, 2, 3), "stop": (1, 1, 5)}, "^code ranges must satisfy 0 <= lo <= stop"),
         ({"stop": (1, 3, 7)}, "^code ranges must satisfy 0 <= lo <= stop <= 6$"),
         ({"columns": (0, 2, 1)}, "^coded columns must lie in 0..1$"),
-        ({"features": (0, 1, 1)}, "^a coded feature is listed twice$"),
+        ({"features": (0, 1, 1)}, "^feature 1 is held more than once$"),
         ({"columns": (0, 0)}, "^code ranges must align with coded features$"),
         ({"bins": (0, 1, 2)}, "^codes must hold one row per sample$"),
     ],
@@ -180,20 +188,35 @@ def test_malformed_codes_are_rejected(change, message):
     """Codes are the only record of the coded covers, so every range they
     give must be one cover of the samples' codes."""
     with pytest.raises(InvalidDatasetError, match=message):
-        BinaryDataset(3, CodedCoverage([None, None, None], _codes(**change)), 0)
+        BinaryDataset(3, _store(_codes(**change)), 0)
 
 
 def test_codes_that_do_not_fit_the_dataset_are_rejected():
+    """The store's partition check: each feature is held once, as words or
+    as codes; no word sets a bit at or past n; the codes hold n rows."""
     codes = _codes()
-    with pytest.raises(InvalidDatasetError, match="^codes must hold one row per sample$"):
-        BinaryDataset(4, CodedCoverage([None, None, None], codes), 0)
-    # Coded features must be the covers held as None: not one given as an
-    # int, nor one outside the features.
-    for covers in ([None, None, 0b011], [None, None], [None, None, None, None]):
-        with pytest.raises(InvalidDatasetError, match="^the covers must be None at exactly"):
-            CodedCoverage(covers, codes)
+    assert _store(codes, uncoded=[3], words=[0b111]).n == 3
+    partitions = [
+        ([0], "^feature 0 is held more than once$"),  # as words and as codes
+        ([4], "^feature 3 is held nowhere$"),
+        ([3, 3], "^feature 3 is held more than once$"),
+    ]
+    for uncoded, message in partitions:
+        with pytest.raises(InvalidDatasetError, match=message):
+            _store(codes, uncoded=uncoded, words=[0] * len(uncoded))
     with pytest.raises(InvalidDatasetError, match="^coverage of feature 3 references"):
-        BinaryDataset(3, CodedCoverage([None, None, None, 0b1000], codes), 0)
+        _store(codes, uncoded=[3], words=[0b1000])
+    with pytest.raises(InvalidDatasetError, match="^coverage of feature 0 references"):
+        _store(ColumnCodes.empty(63), n=63, uncoded=[0], words=[1 << 63])
+    top = _store(ColumnCodes.empty(64), n=64, uncoded=[0], words=[1 << 63])
+    assert BinaryDataset(64, top, 0).counts(1 << 63).tolist() == [1] and top[0] == 1 << 63
+    with pytest.raises(InvalidDatasetError, match="^codes must hold one row per sample$"):
+        _store(codes, n=4, uncoded=[3], words=[0])
+    with pytest.raises(InvalidDatasetError, match=r"^words must hold ceil\(n / 64\) words per"):
+        Coverage(3, np.array([3]), np.zeros((1, 2), dtype="<u8"), codes)
+    store = _store(codes, uncoded=[3], words=[0])
+    with pytest.raises(InvalidDatasetError, match="^the coverage store must hold n samples$"):
+        BinaryDataset(4, store, 0)
 
 
 def test_f1_requires_positives():
@@ -213,7 +236,7 @@ def test_pos_log_gain_no_positives_is_neg_inf():
 
 
 def test_pos_log_gain_saturated_is_zero(toy_dataset):
-    ctx = ObjectiveContext.from_rules(toy_dataset, [Rule.of(0), Rule.of(1)])
+    ctx = context_from_rules(toy_dataset, [Rule.of(0), Rule.of(1)])
     assert pos_log_gain(ctx, Rule.of(2)) == 0.0
 
 
@@ -224,7 +247,7 @@ def test_cover_log_gain_toy(toy_dataset):
 
 
 def test_cover_log_gain_subset_is_zero(toy_dataset):
-    ctx = ObjectiveContext.from_rules(toy_dataset, [Rule.of(2)])
+    ctx = context_from_rules(toy_dataset, [Rule.of(2)])
     # rule {0, 2} covers a subset of what C already covers
     assert cover_log_gain(ctx, Rule.of(0, 2)) == 0.0
 
@@ -264,7 +287,7 @@ def test_objective_counts_against_set_arithmetic():
         ds = random_dataset(rng, 40, 8)
         rows = [[(ds.coverage[j] >> i) & 1 for j in range(8)] for i in range(40)]
         base = [Rule.of(int(rng.integers(0, 8)))]
-        ctx = ObjectiveContext.from_rules(ds, base, alpha=0.7)
+        ctx = context_from_rules(ds, base, alpha=0.7)
         labels = {i for i in range(40) if (ds.labels >> i) & 1}
         base_cover = brute_cover(rows, base[0])
         for _ in range(10):
@@ -309,8 +332,8 @@ def test_monotone_and_submodular_cover_gain(seed):
     big = rules[:3]
     assert cover_of_set(ds, small) & ~cover_of_set(ds, big) == 0
     extra = rules[3]
-    ctx_small = ObjectiveContext.from_rules(ds, small)
-    ctx_big = ObjectiveContext.from_rules(ds, big)
+    ctx_small = context_from_rules(ds, small)
+    ctx_big = context_from_rules(ds, big)
     assert cover_log_gain(ctx_small, extra) >= cover_log_gain(ctx_big, extra) - 1e-9
     # The positive-cover gain is submodular where the true marginals are
     # finite, i.e. once the smaller set already covers a positive (from an

@@ -36,6 +36,7 @@ from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
 from objectives import surrogate_offset
+from oracle import context_from_rules
 
 
 def num_reference(ctx, features):
@@ -73,7 +74,7 @@ def random_context(rng, n=50, d=8, alpha=0.7):
         Rule(tuple(sorted(rng.choice(d, size=int(rng.integers(1, 3)), replace=False).tolist())))
         for _ in range(k)
     ]
-    return ObjectiveContext.from_rules(ds, base, alpha=alpha)
+    return context_from_rules(ds, base, alpha=alpha)
 
 
 def random_rule(rng, d, max_len=3):
@@ -84,7 +85,7 @@ def random_rule(rng, d, max_len=3):
 def random_context_on(rng, ds, alpha=0.7):
     k = int(rng.integers(0, 3))
     base = [random_rule(rng, ds.d, max_len=2) for _ in range(k)]
-    return ObjectiveContext.from_rules(ds, base, alpha=alpha)
+    return context_from_rules(ds, base, alpha=alpha)
 
 
 def test_bound_equals_anchor_value():
@@ -326,7 +327,7 @@ def test_generate_rule_is_one_swap_local_optimum():
 
 
 def test_generate_rule_signals_when_saturated(toy_dataset):
-    ctx = ObjectiveContext.from_rules(toy_dataset, [Rule.of(0), Rule.of(1)])
+    ctx = context_from_rules(toy_dataset, [Rule.of(0), Rule.of(1)])
     with pytest.raises(NoRuleFound):
         generate_rule(ctx, 2)
 
@@ -819,7 +820,7 @@ def coded_datasets(draw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binarize, "_CODED_MIN_THRESHOLDS", draw(st.sampled_from([1, 2])))
         unlabelled = transform(model, table)
-    assume(unlabelled.codes is not None)
+    assume(unlabelled.coverage.codes.size)
     labels = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=n, max_size=n))
     assume(any(labels))
     return relabel(unlabelled, labels)

@@ -208,6 +208,19 @@ def test_model_json_roundtrip(model):
     assert restored.binarization.columns == CATALOG.columns
 
 
+def test_loaded_model_renders_no_description_twice(model):
+    """Loading checks each rule's stored description against its predicates,
+    and the rendered text is what a report then shows, rendered by no one
+    else."""
+    restored = FaultModel.from_json(model.to_json())
+    assert set(restored._descriptions) == {r for _, rs in model.rule_sets for r in rs.rules}
+    window = window_of((mask(0, 1, 2), mask(3), mask(4, 5)), ("a", "b", "a"))
+    with mock.patch("ruleloc.localize.describe_rule", side_effect=AssertionError):
+        report = localization_report(restored, window)
+    assert report == localization_report(model, window)
+    assert restored.to_json() == model.to_json()
+
+
 def test_window_requires_alignment():
     with pytest.raises(ValueError):
         window_of((1, 2), ("only-one",))
