@@ -36,16 +36,25 @@ def parse_args():
     parser.add_argument("--services", type=int, default=5)
     parser.add_argument("--windows", type=int, default=100)
     parser.add_argument("--seed", type=int, default=606)
-    parser.add_argument("--workdir", help="keep artifacts here instead of a temp dir")
+    parser.add_argument(
+        "--workdir", help="keep artifacts here; without it they go to a temp dir removed on exit"
+    )
     return parser.parse_args()
 
 
 def main() -> int:
     args = parse_args()
-    workdir = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp(prefix="ruleloc-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    print(f"artifacts under {workdir}")
+    if args.workdir:
+        workdir = Path(args.workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
+        print(f"artifacts under {workdir}")
+        return run(args, workdir)
+    with tempfile.TemporaryDirectory(prefix="ruleloc-") as tmp:
+        return run(args, Path(tmp))
 
+
+def run(args, workdir: Path) -> int:
+    """Generate, train, score and evaluate, writing the artifacts to workdir."""
     t0 = time.perf_counter()
     scenario = planted_fault_scenario(
         seed=args.seed, n=args.n, d=args.d, imbalance_ratio=args.ratio,

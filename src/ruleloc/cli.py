@@ -16,6 +16,8 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import asdict
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -48,7 +50,7 @@ from ruleloc.logfeatures import (
     match_and_aggregate,
     parse_timestamp,
 )
-from ruleloc.select import SelectionConfig, select_rule_set
+from ruleloc.select import SelectionConfig, SelectionTraceRecord, select_rule_set
 
 EXIT_OK = 0
 EXIT_NO_SIGNAL = 3
@@ -235,6 +237,15 @@ def _setting(args, cfg: dict, path: str, kind, arg_name: Optional[str] = None):
     return DEFAULTS.get(key) if value is None else value
 
 
+def _log_settings(args, cfg: dict) -> tuple[float, float, Optional[str]]:
+    """The log interval, template similarity and timestamp format settings."""
+    return (
+        _setting(args, cfg, "logs.interval", float),
+        _setting(args, cfg, "logs.similarity", float),
+        args.timestamp_format or _config_value(args, cfg, "logs.timestamp_format", _text),
+    )
+
+
 def _log_lines(logs_dir: Path, stem: str) -> Iterator[str]:
     r"""Lines of every file under logs_dir whose top-level name starts with stem.
 
@@ -334,6 +345,12 @@ def _dataset_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def _write_trace(fault_type: str, record: SelectionTraceRecord) -> None:
+    """Write one selection record to stderr as one strict JSON line."""
+    line = json.dumps({"fault_type": fault_type, **asdict(record)}, allow_nan=False)
+    print(line, file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     fault_col = _setting(args, cfg, "columns.fault_type", _text, "fault_col")
@@ -350,11 +367,7 @@ def cmd_train(args) -> int:
     max_len = _setting(args, cfg, "training.l", int)
     bins = _setting(args, cfg, "training.bins", int)
     gamma = _setting(args, cfg, "training.gamma", float)
-    interval = _setting(args, cfg, "logs.interval", float)
-    sim = _setting(args, cfg, "logs.similarity", float)
-    ts_format = args.timestamp_format or _config_value(
-        args, cfg, "logs.timestamp_format", _text
-    )
+    interval, sim, ts_format = _log_settings(args, cfg)
     sel = SelectionConfig(max_rules=k, gamma=gamma, max_len=max_len)
     check_bins(bins)
 
@@ -402,18 +415,14 @@ def cmd_train(args) -> int:
     del table  # frees the parsed numeric block before selection
     code_of = {name: t for t, name in enumerate(fault_types)}
     codes = np.fromiter(map(code_of.get, fault_values, repeat(-1)), np.intp, len(fault_values))
-    results = {}
-    for t, fault_type in enumerate(fault_types):
+    rule_sets = []
+    for t, name in enumerate(fault_types):
         dataset = relabel(unlabelled, codes == t)
-        records: list = []
-        rule_set = select_rule_set(
-            dataset, sel, trace=records.append if args.trace else None
-        )
-        results[fault_type] = (rule_set, records)
+        trace = partial(_write_trace, name) if args.trace else None
+        rule_sets.append((name, select_rule_set(dataset, sel, trace)))
 
-    rule_sets = tuple((name, results[name][0]) for name in fault_types)
     model = FaultModel(
-        rule_sets,
+        tuple(rule_sets),
         model_bin,
         k,
         max_len,
@@ -442,20 +451,6 @@ def cmd_train(args) -> int:
                 f"  {model.describe(rule)}"
                 f"  [precision={stats.precision:.3f} recall={stats.recall:.3f}"
                 f" covered={stats.covered}]"
-            )
-        for rec in results[name][1]:
-            for mm in rec.mm:
-                print(
-                    f"trace: type={name} mm t={mm.iteration} branch={mm.branch}"
-                    f" size={len(mm.rule.features)} V={mm.surrogate:.6g}"
-                    f" W={mm.objective:.6g}",
-                    file=sys.stderr,
-                )
-            print(
-                f"trace: type={name} i={rec.iteration} alpha={rec.alpha:.6f}"
-                f" rule={None if rec.rule is None else rec.rule.features}"
-                f" accepted={rec.accepted} reason={rec.reason}",
-                file=sys.stderr,
             )
     print(f"trained {len(rule_sets)} fault type(s) in {elapsed:.2f} s")
     return EXIT_OK
@@ -609,12 +604,7 @@ def cmd_export_fingerprints(args) -> int:
 
 
 def cmd_parse_logs(args) -> int:
-    cfg = _load_config(args.config)
-    interval = _setting(args, cfg, "logs.interval", float)
-    sim = _setting(args, cfg, "logs.similarity", float)
-    ts_format = args.timestamp_format or _config_value(
-        args, cfg, "logs.timestamp_format", _text
-    )
+    interval, sim, ts_format = _log_settings(args, _load_config(args.config))
     logs_dir = Path(args.logs)
     logs = _log_frame(logs_dir, interval, sim, ts_format)
     if logs is None:
@@ -655,7 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--workers", type=int, help="accepted for compatibility; has no effect"
     )
-    p_train.add_argument("--trace", action="store_true", help="selection diagnostics on stderr")
+    p_train.add_argument(
+        "--trace", action="store_true", help="selection steps on stderr, one JSON object per line"
+    )
     p_train.add_argument("--fault-col", dest="fault_col")
     p_train.add_argument("--service-col", dest="service_col")
     p_train.add_argument("--timestamp-col", dest="timestamp_col")

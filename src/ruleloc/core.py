@@ -191,8 +191,7 @@ class Coverage(Sequence):
     that no word sets a bit at or past n and that the codes hold n rows.
     store[j] builds feature j's cover int from its words or codes on its
     first read and keeps it, so the datasets sharing a store (the
-    relabelled copies of one transform) build it once.  A store compares
-    equal to the tuple of every cover, and hashes and prints as it.
+    relabelled copies of one transform) build it once.
     """
 
     def __init__(self, n: int, uncoded: np.ndarray, words: np.ndarray, codes: ColumnCodes):
@@ -255,9 +254,7 @@ class Coverage(Sequence):
     def __len__(self) -> int:
         return len(self._covers)
 
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(map(self.__getitem__, range(len(self))[j]))
+    def __getitem__(self, j: int) -> int:
         cover = self._covers[j]
         if cover is None:
             r = self._home[j]
@@ -268,19 +265,8 @@ class Coverage(Sequence):
             self._covers[j] = cover
         return cover
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, Coverage)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryDataset:
     """Immutable binary feature matrix with per-feature coverage bitsets.
 
@@ -290,7 +276,8 @@ class BinaryDataset:
     place is checked and packed into one.  full_mask and positives are
     computed once per object; a relabelled copy (made by
     dataclasses.replace) is a new object and computes its own, but shares
-    the store and so every cover it has built.
+    the store and so every cover it has built.  Datasets and stores
+    compare and hash by identity.
     """
 
     n: int

@@ -66,9 +66,9 @@ class MMTraceRecord:
     """One diagnostics record per branch per MM iteration."""
 
     iteration: int
-    branch: str  # "seed", "bound1", "bound2" or "anchor"
+    branch: str  # "seed", "bound1", "bound2", "anchor" or "polish"
     rule: Rule
-    surrogate: float
+    surrogate: Optional[float]  # the branch's surrogate value; None off branches
     objective: float
 
 
@@ -155,7 +155,8 @@ def surrogate_value(state: SurrogateState, rule: Rule, kind: int) -> float:
     """Surrogate objective: alpha*log(bound) - den(rule)/den(anchor).
 
     -inf when the numerator bound is non-positive (the log-domain guard);
-    at the anchor this equals alpha*log(num(anchor)) - 1.
+    at the anchor this equals alpha*log(num(anchor)) - 1.  The branch
+    search carries the same value along and records it in the trace.
     """
     ds = state.ctx.dataset
     new = ds.full_mask & ~state.ctx.cover
@@ -237,8 +238,9 @@ def _replace_delete(
     bound: int,
     value: _ValueFn,
     uses_pos: bool = False,
-) -> list[int]:
-    """Replace or delete single features while `value` improves by > _LOCAL_SEARCH_EPS.
+) -> tuple[list[int], float]:
+    """Replace or delete single features while `value` improves by > _LOCAL_SEARCH_EPS;
+    returns the final features and their value.
 
     For each feature i of the rule, the best move is deleting i (never down
     to the empty rule) or replacing it with a feature j outside the rule;
@@ -294,11 +296,12 @@ def _replace_delete(
                     bound = rest_bound + int(weights[best_j])
                 current = best_val
                 changed = True
-    return features
+    return features, float(current)
 
 
-def _branch_search(state: SurrogateState, kind: int, max_len: int) -> Rule:
-    """Greedy insertion, then replace/delete search, under surrogate `kind`."""
+def _branch_search(state: SurrogateState, kind: int, max_len: int) -> tuple[Rule, float]:
+    """Greedy insertion, then replace/delete search, under surrogate `kind`;
+    returns the rule and its surrogate value."""
     ctx = state.ctx
     ds = ctx.dataset
     weights = state.weights[kind - 1]
@@ -319,8 +322,8 @@ def _branch_search(state: SurrogateState, kind: int, max_len: int) -> Rule:
         new &= ds.coverage[best_j]
         bound += int(weights[best_j])
         current = vals[best_j]
-    features = _replace_delete(ctx, features, weights, bound, value)
-    return Rule(tuple(features))
+    features, current = _replace_delete(ctx, features, weights, bound, value)
+    return Rule(tuple(features)), current
 
 
 def _objective_polish(ctx: ObjectiveContext, rule: Rule) -> Rule:
@@ -331,7 +334,7 @@ def _objective_polish(ctx: ObjectiveContext, rule: Rule) -> Rule:
     tangent-line denominator bound undervalues cover-growing moves, so a
     surrogate fixpoint can still admit an objective-improving swap).
     """
-    features = _replace_delete(
+    features, _ = _replace_delete(
         ctx,
         list(rule.features),
         np.zeros(ctx.dataset.d, dtype=np.int64),
@@ -375,28 +378,24 @@ def generate_rule(
     anchor = seed
     anchor_obj = rule_objective(ctx, anchor)
     if trace:
-        trace(MMTraceRecord(0, "seed", anchor, math.nan, anchor_obj))
+        trace(MMTraceRecord(0, "seed", anchor, None, anchor_obj))
 
     for t in range(1, _MAX_MM_ITERS + 1):
         state = SurrogateState.build(ctx, anchor)
         best, best_obj = anchor, anchor_obj
         for kind in (1, 2):
-            branch = _branch_search(state, kind, max_len)
+            branch, surrogate = _branch_search(state, kind, max_len)
             if not branch.features:
                 continue
             obj = rule_objective(ctx, branch)
             if trace:
-                trace(
-                    MMTraceRecord(
-                        t, f"bound{kind}", branch, surrogate_value(state, branch, kind), obj
-                    )
-                )
+                trace(MMTraceRecord(t, f"bound{kind}", branch, surrogate, obj))
             if obj > best_obj + TIE_EPS or (
                 obj > best_obj - TIE_EPS and branch.features < best.features
             ):
                 best, best_obj = branch, obj
         if trace:
-            trace(MMTraceRecord(t, "anchor", best, math.nan, best_obj))
+            trace(MMTraceRecord(t, "anchor", best, None, best_obj))
         if best == anchor:
             break
         stalled = best_obj - anchor_obj <= _IMPROVEMENT_EPS
@@ -407,11 +406,7 @@ def generate_rule(
     if trace and polished != anchor:
         trace(
             MMTraceRecord(
-                _MAX_MM_ITERS + 1,
-                "polish",
-                polished,
-                math.nan,
-                rule_objective(ctx, polished),
+                _MAX_MM_ITERS + 1, "polish", polished, None, rule_objective(ctx, polished)
             )
         )
     return polished

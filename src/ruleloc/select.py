@@ -10,7 +10,6 @@ objective against the accumulated cover.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,8 +61,9 @@ def alpha_schedule(max_rules: int, gamma: float) -> list[float]:
 class SelectionTraceRecord:
     """Diagnostics for one outer iteration.
 
-    mm holds the MM records of the generate_rule call that produced this
-    iteration's rule (empty when it found none).
+    pos_gain and cover_gain are the rule's marginal gains, None when no
+    rule was weighed.  mm holds the MM records of the generate_rule call
+    that produced this iteration's rule (empty when it found none).
     """
 
     iteration: int
@@ -71,8 +71,8 @@ class SelectionTraceRecord:
     rule: Optional[Rule]
     accepted: bool
     reason: str
-    pos_gain: float
-    cover_gain: float
+    pos_gain: Optional[float]
+    cover_gain: Optional[float]
     mm: tuple[MMTraceRecord, ...]
 
 
@@ -105,7 +105,7 @@ def select_rule_set(
     for i, alpha in enumerate(alpha_schedule(sel.max_rules, sel.gamma)):
         ctx = ObjectiveContext(dataset, cover, cover_pos, alpha)
         mm: list[MMTraceRecord] = []
-        gain_pos = gain_cover = math.nan
+        gain_pos = gain_cover = None
         accepted = False
         try:
             rule = generate_rule(ctx, sel.max_len, trace=mm.append if trace else None)

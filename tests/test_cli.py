@@ -1,14 +1,17 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from ruleloc import cli
-from ruleloc.binarize import SchemaError
+from ruleloc.binarize import SchemaError, relabel, transform
 from ruleloc.cli import main, read_csv_columns
-from ruleloc.core import Coverage, InvalidDatasetError
+from ruleloc.core import Coverage, InvalidDatasetError, ObjectiveContext, cover_of_rule
+from ruleloc.generate import SurrogateState, surrogate_value
 from ruleloc.localize import FaultModel
+from ruleloc.select import SelectionConfig, select_rule_set
 
 from oracle import (
     oracle_feature_matrix,
@@ -299,24 +302,74 @@ def test_train_with_log_features(tmp_path, scenario):
     assert {"log_total", "log_unmatched", "log_distinct_new"} <= columns
 
 
+def _strict_json(line: str):
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
 def test_train_trace_emits_diagnostics(tmp_path, scenario, capsys):
+    """--trace writes each selection record as one strict JSON line: the
+    record select_rule_set emits in-process on the same data, tagged with
+    its fault type; a branch's surrogate is surrogate_value at its anchor."""
     data = tmp_path / "train.csv"
     write_csv_columns(data, scenario.train_table)
+    model_path = tmp_path / "m.json"
     code = main(
         [
-            "train", "--data", str(data), "--model", str(tmp_path / "m.json"),
-            "-K", "2", "-l", "2", "--trace",
+            "train", "--data", str(data), "--model", str(model_path),
+            "-K", "3", "-l", "2", "--trace",
         ]
     )
     assert code == 0
-    err = capsys.readouterr().err
-    assert "trace: type=" in err
-    assert " mm t=" in err
-    lines = err.splitlines()
-    # each produced rule's MM lines come right before its selection line
-    for before, line in zip([""] + lines, lines):
-        if " i=" in line and " rule=None " not in line:
-            assert before.startswith(line.split(" i=")[0] + " mm t=")
+    lines = [_strict_json(line) for line in capsys.readouterr().err.splitlines()]
+    model = FaultModel.from_json(model_path.read_text())
+    roles = {"fault_type", "service", "timestamp"}
+    table = read_csv_columns(data, lambda name: name not in roles)
+    unlabelled = transform(model.binarization, table)
+    expected = []
+    checked = 0
+    for name in model.fault_types():
+        dataset = relabel(unlabelled, [v == name for v in table["fault_type"]])
+        records = []
+        rule_set = select_rule_set(dataset, SelectionConfig(3, 1.0, 2), trace=records.append)
+        assert rule_set == model.rule_set(name)
+        cover = 0
+        for rec in records:
+            expected.append((name, json.loads(json.dumps(asdict(rec), allow_nan=False))))
+            ctx = ObjectiveContext(dataset, cover, cover & dataset.labels, rec.alpha)
+            anchor = rec.mm[0].rule if rec.mm else None
+            for mm in rec.mm:
+                if mm.branch in ("bound1", "bound2"):
+                    state = SurrogateState.build(ctx, anchor)
+                    kind = int(mm.branch[-1])
+                    assert mm.surrogate == surrogate_value(state, mm.rule, kind)
+                    checked += 1
+                elif mm.branch == "anchor":
+                    anchor = mm.rule
+            if rec.accepted:
+                cover |= cover_of_rule(dataset, rec.rule)
+    assert [(obj.pop("fault_type"), obj) for obj in lines] == expected
+    assert {name for name, _ in expected} == set(model.fault_types())
+    # The third iteration finds every positive covered: no rule, no gains.
+    unweighed = [(o["rule"], o["pos_gain"], o["cover_gain"]) for _, o in expected if not o["mm"]]
+    assert unweighed and set(unweighed) == {(None, None, None)}
+    assert checked
+
+
+def test_train_trace_is_written_before_the_model(tmp_path, scenario, capsys):
+    """A train that cannot write its model still leaves the trace of every
+    fault type it selected rules for."""
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    code = main(
+        ["train", "--data", str(data), "--model", str(tmp_path), "-K", "1", "-l", "2", "--trace"]
+    )
+    assert code == cli.EXIT_IO
+    *lines, error = capsys.readouterr().err.splitlines()
+    assert error.startswith("io-error: ")
+    assert [_strict_json(line)["fault_type"] for line in lines] == list(scenario.fault_types)
 
 
 def test_parse_logs_accepts_subdirectory_layout(tmp_path):

@@ -293,6 +293,32 @@ def test_generate_rule_monotone_trace():
             assert b >= a - 1e-9
 
 
+def test_branch_records_carry_the_surrogate_at_their_anchor():
+    """A bound record's surrogate is surrogate_value on the state built at
+    the anchor its branch was searched from; no other record has one."""
+    rng = np.random.default_rng(15)
+    checked = 0
+    for _ in range(40):
+        ds = random_dataset(rng, 150, 12, density=0.4)
+        ctx = random_context_on(rng, ds, alpha=float(rng.choice([0.4, 0.7, 1.0])))
+        records = []
+        try:
+            generate_rule(ctx, 4, trace=records.append)
+        except NoRuleFound:
+            continue
+        anchor = records[0].rule
+        for rec in records:
+            if rec.branch in ("bound1", "bound2"):
+                state = SurrogateState.build(ctx, anchor)
+                assert rec.surrogate == surrogate_value(state, rec.rule, int(rec.branch[-1]))
+                checked += 1
+            else:
+                assert rec.surrogate is None
+            if rec.branch == "anchor":
+                anchor = rec.rule
+    assert checked >= 40
+
+
 def test_generate_rule_never_below_seed():
     rng = np.random.default_rng(10)
     for _ in range(30):
@@ -732,11 +758,11 @@ def test_search_pieces_match_pre_merge_loops(instance, data):
     state = SurrogateState.build(ctx, rule)
     ref_state = _ReferenceState.build(ctx, rule)
     for kind in (1, 2):
-        assert _branch_search(state, kind, config.max_len) == _ReferenceBranchSearch(
-            ref_state, kind, config
-        ).run()
+        branch, value = _branch_search(state, kind, config.max_len)
+        assert branch == _ReferenceBranchSearch(ref_state, kind, config).run()
+        assert value == surrogate_value(state, branch, kind)
         weights = state.weights[kind - 1]
-        got = _replace_delete(
+        got, value = _replace_delete(
             ctx,
             list(start),
             weights,
@@ -744,6 +770,7 @@ def test_search_pieces_match_pre_merge_loops(instance, data):
             partial(_surrogate_of, state),
         )
         assert got == _reference_local_search(ref_state, kind, config, start)
+        assert value == surrogate_value(state, Rule(tuple(got)), kind)
 
 
 def test_replace_delete_matches_pre_merge_loop_on_seeded_draws():
@@ -767,7 +794,7 @@ def test_replace_delete_matches_pre_merge_loop_on_seeded_draws():
         ref_state = _ReferenceState.build(ctx, Rule(tuple(start)))
         for kind in (1, 2):
             weights = state.weights[kind - 1]
-            got = _replace_delete(
+            got, value = _replace_delete(
                 ctx,
                 list(start),
                 weights,
@@ -775,6 +802,7 @@ def test_replace_delete_matches_pre_merge_loop_on_seeded_draws():
                 partial(_surrogate_of, state),
             )
             assert got == _reference_local_search(ref_state, kind, config, start)
+            assert value == surrogate_value(state, Rule(tuple(got)), kind)
 
 
 def test_generate_rule_matches_pre_merge_search_on_seeded_draws():
