@@ -15,15 +15,22 @@ codes.  A cover int is built from its words or codes on its first read
 and kept.  The store serves BinaryDataset.counts, the learner's scan
 primitive: |mask & coverage[j]| for every j at once, by one AND of the
 words with the mask's words and one popcount, and one histogram of the
-codes of the mask's samples.  Relabelled copies of a dataset share its
+codes of the smaller side of the mask: its own samples, or, for a mask of
+more than half the samples, the samples outside it, subtracted from the
+histogram of all of them.  Relabelled copies of a dataset share its
 store.
+
+An ObjectiveContext serves one rule search and counts through a memo:
+ObjectiveContext.counts(mask) scans each distinct mask once while its
+memo holds fewer than _MEMO_MASKS results, and the memo goes away with
+the context.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -32,6 +39,10 @@ import numpy as np
 # Two objective values within this tolerance are considered tied and the
 # tie is broken by the lexicographically smaller sorted feature tuple.
 TIE_EPS = 1e-12
+
+# An ObjectiveContext keeps the counts of at most this many masks, so its
+# memo holds at most _MEMO_MASKS * d int64 values (4 MB at d = 3960).
+_MEMO_MASKS = 128
 
 
 class InvalidDatasetError(ValueError):
@@ -120,7 +131,7 @@ class RuleSet:
         return self.stats is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnCodes:
     """Per-sample bin codes of the columns whose features form threshold ladders.
 
@@ -131,7 +142,8 @@ class ColumnCodes:
     columns[r] and covers exactly the samples whose code there lies in
     lo[r]..stop[r]-1.  These are the only record of the coded features'
     covers, so construction rejects codes whose ranges do not each
-    describe one cover of the samples' codes.
+    describe one cover of the samples' codes.  Codes compare and hash by
+    identity.
     """
 
     bins: np.ndarray  # (n, coded columns), uint16
@@ -164,13 +176,26 @@ class ColumnCodes:
         none = np.zeros(0, dtype=np.intp)
         return cls(np.zeros((n, 0), dtype=np.uint16), 0, none, none, none, none)
 
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        """How many codes of all samples take each value 0..size-1."""
+        return np.bincount(self.bins.ravel(), minlength=self.size)
+
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """|mask & cover of features[r]| for every r; mask is a set of samples
-        as packed little-endian words, from one histogram of its samples' codes."""
+        as packed little-endian words, from one histogram of the codes of the
+        smaller side of the mask: a mask of more than half the samples is
+        counted as the histogram of all samples minus that of the rest."""
         if not self.size:
             return np.zeros(0, dtype=np.int64)
-        bits = np.unpackbits(mask.view(np.uint8), count=len(self.bins), bitorder="little")
-        hist = np.bincount(self.bins[np.flatnonzero(bits)].ravel(), minlength=self.size)
+        n = len(self.bins)
+        larger = 2 * int(np.bitwise_count(mask).sum()) > n
+        # The bits of ~mask at or past n are cut off by unpackbits' count.
+        side = (~mask if larger else mask).view(np.uint8)
+        side = np.unpackbits(side, count=n, bitorder="little")
+        hist = np.bincount(self.bins[np.flatnonzero(side)].ravel(), minlength=self.size)
+        if larger:
+            hist = self.histogram - hist
         cum = np.zeros(self.size + 1, dtype=np.int64)
         np.cumsum(hist, out=cum[1:])
         return cum[self.stop] - cum[self.lo]
@@ -329,7 +354,8 @@ class BinaryDataset:
         is a set of samples in 0..n-1.
 
         The words are counted by one AND with the mask's words and one
-        popcount, the codes by one histogram of the mask's samples' codes.
+        popcount, the codes by one histogram of the codes of the smaller
+        side of the mask (ColumnCodes.counts).
         """
         cov = self.coverage
         m = np.frombuffer(mask.to_bytes(_word_bytes(self.n), "little"), dtype="<u8")
@@ -378,19 +404,40 @@ class ObjectiveContext:
 
     Holds the dataset, the accumulated cover of the rules selected so far
     (and its positive part), and the distortion weight applied to the
-    positive-coverage gain.
+    positive-coverage gain.  counts(mask) is dataset.counts(mask) through
+    a memo of this context: scans is the number of count requests so far,
+    counted the number of them that scanned the dataset.
     """
 
     dataset: BinaryDataset
     cover: int = 0
     cover_pos: int = 0
     alpha: float = 1.0
+    scans: int = field(default=0, init=False, compare=False)
+    counted: int = field(default=0, init=False, compare=False)
+    _memo: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.cover_pos != self.cover & self.dataset.labels:
             raise ValueError("cover_pos must equal cover & labels")
+
+    def counts(self, mask: int) -> np.ndarray:
+        """dataset.counts(mask) as a read-only array, scanned once per
+        distinct mask while the memo holds fewer than _MEMO_MASKS results;
+        past that, each new mask is scanned and not kept."""
+        object.__setattr__(self, "scans", self.scans + 1)
+        out = self._memo.get(mask)
+        if out is None:
+            object.__setattr__(self, "counted", self.counted + 1)
+            out = self.dataset.counts(mask)
+            out.flags.writeable = False
+            if len(self._memo) < _MEMO_MASKS:
+                self._memo[mask] = out
+        return out
 
 
 def _log_or_neg_inf(count: int) -> float:

@@ -18,11 +18,13 @@ count per candidate feature.
 
 One replace/delete search serves both surrogate branches and the final
 polish on the true objective; only its value function differs.  Every
-scan over candidate features is a count scan: one BinaryDataset.counts
+scan over candidate features is a count scan: one ObjectiveContext.counts
 call gives |mask & coverage[j]| for every j, where the mask is built once
 per step (the rule's cover outside the current set cover; for the local
 search, the rule minus the dropped feature, and its positive part when
-the value needs it).  One numpy value function per objective scores every
+the value needs it).  The seed, both branches and the polish walk many of
+the same masks, and the context counts each distinct mask once per
+generate_rule call.  One numpy value function per objective scores every
 candidate of a scan at once, and the same function scores the single
 rules the scan is compared against.  A scan picks the first candidate
 within TIE_EPS of its largest value (see _first_best).
@@ -109,8 +111,8 @@ class SurrogateState:
         num_anchor = anchor_pos.bit_count() + ctx.cover_pos.bit_count()
         den_anchor = (anchor_cover | ctx.cover).bit_count() + ds.positives
 
-        weights1 = ds.counts(open_pos) - open_pos.bit_count()
-        weights2 = ds.counts(anchor_pos) - anchor_pos.bit_count()
+        weights1 = ctx.counts(open_pos) - open_pos.bit_count()
+        weights2 = ctx.counts(anchor_pos) - anchor_pos.bit_count()
         if anchor.features:
             # All features minus j is (non-anchor features) & (anchor minus
             # j); the non-anchor part is shared and usually empties early.
@@ -194,8 +196,8 @@ def greedy_ratio_seed(ctx: ObjectiveContext, max_len: int) -> Rule:
     new = ds.full_mask & ~ctx.cover  # the rule's cover outside the set cover
     chosen: list[int] = []
     for _ in range(max_len):
-        counts = ds.counts(new)
-        pos = ds.counts(new & ds.labels)
+        counts = ctx.counts(new)
+        pos = ctx.counts(new & ds.labels)
         hit = pos > 0
         hit[chosen] = False
         ratio = np.full(ds.d, -math.inf)
@@ -273,8 +275,8 @@ def _replace_delete(
             for k in rest:
                 rest_new &= cov[k]
             rest_bound = bound - int(weights[i])
-            counts = ds.counts(rest_new)
-            pos = ds.counts(rest_new & labels) if uses_pos else None
+            counts = ctx.counts(rest_new)
+            pos = ctx.counts(rest_new & labels) if uses_pos else None
             vals = value(rest_bound + weights, counts, pos)
             vals[features] = -math.inf
             best_j = _first_best(vals)
@@ -311,7 +313,7 @@ def _branch_search(state: SurrogateState, kind: int, max_len: int) -> tuple[Rule
     new = ds.full_mask & ~ctx.cover
     current = value(bound, new.bit_count())
     while len(features) < max_len:
-        vals = value(bound + weights, ds.counts(new))
+        vals = value(bound + weights, ctx.counts(new))
         vals[features] = -math.inf
         best_j = _first_best(vals)
         # Insert only while the surrogate marginal stays positive; padding

@@ -62,8 +62,11 @@ class SelectionTraceRecord:
     """Diagnostics for one outer iteration.
 
     pos_gain and cover_gain are the rule's marginal gains, None when no
-    rule was weighed.  mm holds the MM records of the generate_rule call
-    that produced this iteration's rule (empty when it found none).
+    rule was weighed.  scans is the number of count scans the iteration's
+    rule search asked for, and counted how many of them it counted; the
+    rest repeated a mask the search had already counted.  mm holds the MM
+    records of the generate_rule call that produced this iteration's rule
+    (empty when it found none).
     """
 
     iteration: int
@@ -73,6 +76,8 @@ class SelectionTraceRecord:
     reason: str
     pos_gain: Optional[float]
     cover_gain: Optional[float]
+    scans: int
+    counted: int
     mm: tuple[MMTraceRecord, ...]
 
 
@@ -124,7 +129,16 @@ def select_rule_set(
         if trace:
             trace(
                 SelectionTraceRecord(
-                    i, alpha, rule, accepted, reason, gain_pos, gain_cover, tuple(mm)
+                    i,
+                    alpha,
+                    rule,
+                    accepted,
+                    reason,
+                    gain_pos,
+                    gain_cover,
+                    ctx.scans,
+                    ctx.counted,
+                    tuple(mm),
                 )
             )
         if accepted:

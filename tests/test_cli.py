@@ -355,6 +355,7 @@ def test_train_trace_emits_diagnostics(tmp_path, scenario, capsys):
     # The third iteration finds every positive covered: no rule, no gains.
     unweighed = [(o["rule"], o["pos_gain"], o["cover_gain"]) for _, o in expected if not o["mm"]]
     assert unweighed and set(unweighed) == {(None, None, None)}
+    assert all(0 < o["counted"] <= o["scans"] for _, o in expected if o["mm"])
     assert checked
 
 

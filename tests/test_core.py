@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruleloc import core
 from ruleloc.core import (
     BinaryDataset,
     ColumnCodes,
@@ -217,6 +219,13 @@ def test_codes_that_do_not_fit_the_dataset_are_rejected():
         BinaryDataset(4, store, 0)
 
 
+def test_codes_compare_and_hash_by_identity():
+    codes = ColumnCodes.empty(3)
+    assert codes == codes and codes != ColumnCodes.empty(3)
+    assert hash(codes) == hash(codes) and len({codes, ColumnCodes.empty(3)}) == 2
+    assert _codes() != _codes()
+
+
 def test_f1_requires_positives():
     ds = BinaryDataset(3, (0b111,), 0)
     with pytest.raises(InvalidDatasetError):
@@ -304,6 +313,88 @@ def test_objective_counts_against_set_arithmetic():
 def test_context_invariant_enforced(toy_dataset):
     with pytest.raises(ValueError):
         ObjectiveContext(toy_dataset, cover=0b1, cover_pos=0)
+
+
+def _mixed_store(rng, n: int) -> Coverage:
+    """A store of n samples: three coded columns, each with a last code for
+    missing values that no feature covers, and four features held as
+    words, at random positions among the coded ones."""
+    widths = rng.integers(2, 6, size=3)  # codes of values per column
+    offsets = np.concatenate(([0], np.cumsum(widths + 1)[:-1]))
+    bins = (offsets + rng.integers(0, widths + 1, size=(n, 3))).astype(np.uint16)
+    columns, lo, stop = [], [], []
+    for c, (offset, width) in enumerate(zip(offsets, widths)):
+        for t in range(1, width):  # the ladder's "<=" and ">" sides
+            columns += [c, c]
+            lo += [offset, offset + t]
+            stop += [offset + t, offset + width]
+    d = len(columns) + 4
+    order = rng.permutation(d)
+    ranges = map(np.asarray, (columns, lo, stop))
+    codes = ColumnCodes(bins, int((widths + 1).sum()), order[4:], *ranges)
+    return Coverage.packed(n, d, [(order[:4], rng.random((4, n)) < 0.5)], codes)
+
+
+def _sample_set(rng, n: int, size: int) -> int:
+    return bitset_of(rng.choice(n, size=size, replace=False).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_counts_of_codes_and_words_equal_popcounts(n):
+    """counts(mask) equals the per-feature popcounts whichever side of the
+    mask the codes are histogrammed from: masks just under half the
+    samples count their own samples, masks just over half the rest."""
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        ds = BinaryDataset(n, _mixed_store(rng, n), 0)
+        masks = [0, _sample_set(rng, n, 1), ds.full_mask]
+        masks += [_sample_set(rng, n, n // 2), _sample_set(rng, n, n // 2 + 1)]
+        for mask in masks:
+            counts = ds.counts(mask)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [(mask & c).bit_count() for c in ds.coverage]
+
+
+def test_context_counts_each_mask_once():
+    rng = np.random.default_rng(5)
+    ds = BinaryDataset(130, _mixed_store(rng, 130), _sample_set(rng, 130, 20))
+    ctx = ObjectiveContext(ds)
+    mask = _sample_set(rng, 130, 80)
+    first = ctx.counts(mask)
+    assert ctx.counts(mask) is first and (ctx.scans, ctx.counted) == (2, 1)
+    assert first.tolist() == ds.counts(mask).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1
+    fresh = ObjectiveContext(ds)
+    assert fresh._memo == {} and (fresh.scans, fresh.counted) == (0, 0)
+    assert fresh.counts(mask) is not first and fresh.counted == 1
+
+
+def test_context_counts_on_a_relabelled_copy():
+    rng = np.random.default_rng(6)
+    ds = BinaryDataset(65, _mixed_store(rng, 65), _sample_set(rng, 65, 10))
+    copy = dataclasses.replace(ds, labels=_sample_set(rng, 65, 30))
+    assert copy.coverage is ds.coverage
+    ctx, copy_ctx = ObjectiveContext(ds), ObjectiveContext(copy)
+    for mask in (ds.labels, copy.labels, ds.full_mask, ds.labels | copy.labels):
+        expected = [(mask & c).bit_count() for c in ds.coverage]
+        assert ctx.counts(mask).tolist() == copy_ctx.counts(mask).tolist() == expected
+
+
+def test_context_counts_past_the_memo_cap(monkeypatch):
+    """Past the cap, new masks are still counted correctly but not kept."""
+    monkeypatch.setattr(core, "_MEMO_MASKS", 2)
+    rng = np.random.default_rng(7)
+    ds = BinaryDataset(64, _mixed_store(rng, 64), 0)
+    ctx = ObjectiveContext(ds)
+    masks = [_sample_set(rng, 64, size) for size in (3, 20, 40, 60)]
+    for mask in masks + masks:
+        counts = ctx.counts(mask)
+        assert not counts.flags.writeable
+        assert counts.tolist() == [(mask & c).bit_count() for c in ds.coverage]
+        assert len(ctx._memo) <= 2
+    assert list(ctx._memo) == masks[:2]
+    assert (ctx.scans, ctx.counted) == (8, 6)
 
 
 def test_rule_canonical_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -881,6 +882,51 @@ def test_select_rule_set_on_codes_matches_pre_merge_search(ds, max_rules, max_le
         )
         expected = select_rule_set(ds, sel)
     assert got == expected
+
+
+class _UnmemoizedContext(ObjectiveContext):
+    """A context whose counts scan the dataset on every request."""
+
+    def counts(self, mask):
+        return self.dataset.counts(mask)
+
+
+def _seeded_coded_dataset(rng, n):
+    """A transformed table of three numeric columns with missing cells,
+    long enough ladders for bin codes, and a categorical column on words."""
+    table = {c: rng.normal(size=n).round(1) for c in "xyz"}
+    table["x"][rng.random(n) < 0.1] = math.nan
+    table["s"] = rng.choice(list("abc"), size=n).tolist()
+    specs = [FeatureSpec(c, bins=12) for c in "xyz"] + [FeatureSpec("s", CATEGORICAL)]
+    ds = transform(fit(table, specs), table)
+    assert ds.coverage.codes.size
+    labels = (table["y"] > 0.8) | (rng.random(n) < 0.05)
+    return relabel(ds, labels.astype(int).tolist())
+
+
+def _selection_records(ds):
+    records = []
+    rule_set = select_rule_set(ds, SelectionConfig(max_rules=4, max_len=4), records.append)
+    return rule_set, records
+
+
+def test_select_rule_set_with_the_memo_matches_counting_every_scan(monkeypatch):
+    """The memo only spares repeated scans: rule sets and MM records are the
+    same as from a context that counts every request."""
+    rng = np.random.default_rng(24)
+    draws = [_seeded_coded_dataset(rng, int(rng.integers(60, 300))) for _ in range(20)]
+    draws += [random_dataset(rng, int(rng.integers(30, 200)), 12, density=0.4) for _ in range(20)]
+    memo = [_selection_records(ds) for ds in draws]
+    monkeypatch.setattr(select, "ObjectiveContext", _UnmemoizedContext)
+    for ds, (rule_set, records) in zip(draws, memo):
+        expected_set, expected = _selection_records(ds)
+        assert rule_set == expected_set
+        for record in records:
+            assert record.counted <= record.scans
+        unscanned = [dataclasses.replace(r, scans=0, counted=0) for r in records]
+        assert unscanned == expected
+    saved = sum(r.scans - r.counted for _, records in memo for r in records)
+    assert saved > 0
 
 
 # -- the tie rule ----------------------------------------------------------------
