@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -20,7 +21,7 @@ from dataclasses import asdict
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -63,10 +64,10 @@ DEFAULTS = {
     "service": "service",
     "timestamp": "timestamp",
     "normal_label": "normal",
-    "K": 4,
-    "l": 6,
+    "K": SelectionConfig.max_rules,
+    "l": SelectionConfig.max_len,
     "bins": DEFAULT_BINS,
-    "gamma": 1.0,
+    "gamma": SelectionConfig.gamma,
     "interval": 60.0,
     "similarity": DEFAULT_SIMILARITY,
 }
@@ -89,7 +90,7 @@ class CliError(Exception):
 
 
 def read_csv_columns(
-    path: str | Path, numeric: Callable[[str], bool] = lambda name: False
+    path: str | Path, numeric: Callable[[str], bool] = lambda name: False, digest=None
 ) -> dict[str, Sequence]:
     """Read an RFC-4180 CSV with header into a column-oriented table.
 
@@ -103,26 +104,39 @@ def read_csv_columns(
     arrays parsed by the rules of binarize.numeric_column; a cell that does
     not parse is invalid data naming its column and row, reported after
     every other error of the file.  The other columns are lists of cell
-    strings, one string object per distinct value.  A plain comma grid (see
-    ruleloc.csvgrid) is parsed in C; any other file, and a grid with a cell
-    loadtxt and numeric_column both reject, is read cell by cell, with the
-    same values and errors.  A line the csv module rejects (a field over
-    its size limit; a NUL byte before Python 3.11) is invalid data naming
-    the line.
+    strings, one string object per distinct value.  path is opened once;
+    an input that cannot seek (a pipe) is read once into memory, then read
+    like a file, and `digest` (a hashlib object) is fed every byte.  A
+    plain comma grid (see ruleloc.csvgrid) is parsed in C; any other file,
+    and a grid with a cell loadtxt and numeric_column both reject, is read
+    cell by cell from the same handle, with the same values and errors.  A
+    line the csv module rejects (a field over its size limit; a NUL byte
+    before Python 3.11) is invalid data naming the line.
     """
     try:
-        table = read_grid(path, numeric)
-    except (OSError, ValueError):  # unreadable, or a numeric cell that does not parse
-        table = None
-    return _read_csv_cells(path, numeric) if table is None else table
+        with open(path, "rb") as fh:
+            if not fh.seekable():
+                fh = io.BytesIO(fh.read())
+            try:
+                table = read_grid(fh, numeric, digest)
+            except ValueError:  # a numeric cell that does not parse
+                table = None
+            if table is None:
+                fh.seek(0)
+                table = _read_csv_cells(fh, path, numeric)
+    except OSError as exc:
+        raise CliError("io-error", f"{path}: {exc}")
+    return table
 
 
-def _read_csv_cells(path: str | Path, numeric: Callable[[str], bool]) -> dict[str, Sequence]:
-    """read_csv_columns cell by cell: the columns `numeric` rejects are interned
-    as their cells are read, and the others parsed once the file is read."""
+def _read_csv_cells(
+    fh: BinaryIO, path: str | Path, numeric: Callable[[str], bool]
+) -> dict[str, Sequence]:
+    """read_csv_columns cell by cell from fh: the columns `numeric` rejects are
+    interned as their cells are read, and the others parsed once it is read."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+        with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
+            reader = csv.reader(text)
             try:
                 header = next(reader)
             except StopIteration:
@@ -137,24 +151,14 @@ def _read_csv_cells(path: str | Path, numeric: Callable[[str], bool]) -> dict[st
                 for name in header
             ]
             for row in reader:
-                if not row:
-                    raise CliError(
-                        "invalid-data",
-                        f"{path}: line {reader.line_num}: blank line",
-                    )
-                if len(row) > len(header):
-                    raise CliError(
-                        "invalid-data",
-                        f"{path}: line {reader.line_num}: {len(row)} fields,"
-                        f" header has {len(header)}",
-                    )
+                if not row or len(row) > len(header):
+                    found = f"{len(row)} fields, header has {len(header)}" if row else "blank line"
+                    raise CliError("invalid-data", f"{path}: line {reader.line_num}: {found}")
                 for append, value in zip(appends, row):
                     append(value)
                 for append in appends[len(row) :]:
                     append("")
             del appends  # its bound methods would keep each cell list alive
-    except OSError as exc:
-        raise CliError("io-error", f"{path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliError("invalid-data", f"{path}: {exc}")
     except csv.Error as exc:  # a field over the size limit; a NUL byte before 3.11
@@ -337,14 +341,6 @@ def _log_feature_columns(
         table[name] = np.fromiter(map(column.__getitem__, stamps), float, len(stamps))
 
 
-def _dataset_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_trace(fault_type: str, record: SelectionTraceRecord) -> None:
     """Write one selection record to stderr as one strict JSON line."""
     line = json.dumps({"fault_type": fault_type, **asdict(record)}, allow_nan=False)
@@ -373,8 +369,9 @@ def cmd_train(args) -> int:
 
     started = time.perf_counter()
     role_columns = {fault_col, service_col, timestamp_col}
+    digest = hashlib.sha256()
     table = read_csv_columns(
-        args.data, lambda name: name not in role_columns and name not in categorical
+        args.data, lambda name: name not in role_columns and name not in categorical, digest
     )
     if fault_col not in table:
         raise CliError("schema-error", f"fault-type column {fault_col!r} not in {args.data}")
@@ -428,7 +425,7 @@ def cmd_train(args) -> int:
         max_len,
         gamma,
         metadata={
-            "dataset_sha256": _dataset_sha256(args.data),
+            "dataset_sha256": digest.hexdigest(),
             "config": {
                 "K": k,
                 "l": max_len,

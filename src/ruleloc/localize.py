@@ -42,6 +42,7 @@ from ruleloc.binarize import (
     describe_rule,
 )
 from ruleloc.core import Rule, RuleSet, RuleStats
+from ruleloc.select import SelectionConfig
 
 # The JSON kinds of a fault type's knobs and of a rule's stats, in field order.
 _KNOB_KINDS = (("K", COUNT), ("l", COUNT), ("gamma", NUMBER))
@@ -121,9 +122,9 @@ class FaultModel:
 
     rule_sets: tuple[tuple[str, RuleSet], ...]
     binarization: BinarizationModel
-    max_rules: int = 4
-    max_len: int = 6
-    gamma: float = 1.0
+    max_rules: int = SelectionConfig.max_rules
+    max_len: int = SelectionConfig.max_len
+    gamma: float = SelectionConfig.gamma
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -273,9 +274,8 @@ class FaultModel:
                     f"fault type {name!r} has (K, l, gamma) = {entry_knobs},"
                     f" the first fault type has {knobs[0]}"
                 )
-        max_rules, max_len, gamma = knobs[0] if knobs else (4, 6, 1.0)
         metadata = dict(checked(obj.get("metadata", {}), OBJECT, "metadata"))
-        model = cls(tuple(rule_sets), binarization, max_rules, max_len, gamma, metadata)
+        model = cls(tuple(rule_sets), binarization, *(knobs[0] if knobs else ()), metadata=metadata)
         # A predicate restates its catalog entry and a description renders
         # its rule, so each must agree with what it restates.  The rendered
         # descriptions stay in the model's cache, so reports render none again.

@@ -249,8 +249,8 @@ def match_and_aggregate(
     distinct stamp is parsed once and each distinct line shape tokenized
     and matched once per call; its message is the shape past the stamp.
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    if not 0 < interval < float("inf"):  # NaN too
+        raise ValueError("interval must be a positive finite number")
     n_stamp = 1 if timestamp_format is None else timestamp_format.count(" ") + 1
     head = slice(0, n_stamp)
     stamp_counts: Counter[str] = Counter()

@@ -1,4 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
@@ -91,6 +97,67 @@ def test_localize_ranks_planted_fault(trained, scenario, tmp_path):
     assert report["service_ranking"][0]["service"] == true_service
     assert report["explanations"]["fault_types"][true_fault]
 
+
+
+def _run_on_fifo(data: bytes, fifo: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    """ruleloc argv run in a child process, under a timeout, while a thread
+    writes data to the FIFO at fifo once the child opens it."""
+    os.mkfifo(fifo)
+
+    def write():
+        with suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "ruleloc.cli", *argv], env=env, capture_output=True, timeout=60
+        )
+    finally:
+        # A reader that opens and closes at once releases a writer still
+        # waiting for one.
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_train_and_localize_read_a_fifo_to_completion(trained, scenario, tmp_path):
+    """A FIFO is opened once and read to its end, so the model equals the
+    one trained from the file, dataset_sha256 included."""
+    _, data, model_path = trained
+    piped_model = tmp_path / "piped-model.json"
+    argv = ["train", "--data", str(tmp_path / "train.fifo"), "--model", str(piped_model)]
+    done = _run_on_fifo(data.read_bytes(), tmp_path / "train.fifo", argv + ["-K", "2", "-l", "2"])
+    assert done.returncode == 0, done.stderr
+    assert piped_model.read_bytes() == model_path.read_bytes()
+    window_csv = tmp_path / "w.csv"
+    write_csv_columns(window_csv, scenario.windows[0][0])
+    report = tmp_path / "report.json"
+    argv = ["localize", "--model", str(model_path), "--data", str(tmp_path / "w.fifo")]
+    done = _run_on_fifo(window_csv.read_bytes(), tmp_path / "w.fifo", argv + ["--out", str(report)])
+    assert done.returncode == 0, done.stderr
+    from_file = tmp_path / "from-file.json"
+    argv = ["localize", "--model", str(model_path), "--data", str(window_csv)]
+    assert main(argv + ["--out", str(from_file)]) == 0
+    assert report.read_bytes() == from_file.read_bytes()
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("service", ["s1", '"s1"'], ids=["grid", "quoted"])
+def test_train_on_a_pipe_stores_the_sha256_of_its_bytes(tmp_path, service):
+    data = f"service,fault_type,a\n{service},f,1\ns2,normal,0\ns1,normal,0\n".encode()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", f"/dev/fd/{read_end}", "--model", str(model_path)]) == 0
+    finally:
+        os.close(read_end)
+    model = FaultModel.from_json(model_path.read_text())
+    assert model.metadata["dataset_sha256"] == hashlib.sha256(data).hexdigest()
 
 def test_localize_no_signal_exit_code(trained, scenario, tmp_path):
     _, _, model_path = trained
@@ -278,6 +345,30 @@ def test_parse_logs_subcommand(tmp_path, capsys):
     assert lines[1] == "0,2,1,1"
     assert lines[2] == "60,1,0,0"
 
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("source", ["parse-logs-flag", "parse-logs-config", "train-config"])
+def test_non_finite_log_interval_is_invalid_data(tmp_path, capsys, source, value):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 heartbeat ok\n")
+    (logs / "online.log").write_text("1970-01-01T00:00:05 worker 3 heartbeat ok\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"logs": {"interval": value}}))  # NaN or Infinity
+    if source == "parse-logs-flag":
+        argv = ["parse-logs", "--logs", str(logs), "--interval", str(value)]
+    elif source == "parse-logs-config":
+        argv = ["parse-logs", "--logs", str(logs), "--config", str(cfg)]
+    else:
+        data = tmp_path / "train.csv"
+        data.write_text(
+            "timestamp,fault_type,a\n1970-01-01T00:00:05,f,1\n1970-01-01T00:00:06,normal,0\n"
+        )
+        argv = ["train", "--data", str(data), "--logs", str(logs), "--config", str(cfg),
+                "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "invalid-data: interval must be a positive finite number\n"
 
 def test_train_with_log_features(tmp_path, scenario):
     data = tmp_path / "train.csv"

@@ -140,10 +140,10 @@ def write_bytes(directory: str, data: bytes) -> Path:
     return path
 
 
-def took_grid_path(path: Path, numeric) -> bool:
-    """Whether read_csv_columns read path without the cell reader."""
+def took_grid_path(path, numeric, read=read_csv_columns) -> bool:
+    """Whether read (read_csv_columns by default) read path without the cell reader."""
     with mock.patch.object(cli, "_read_csv_cells", wraps=cli._read_csv_cells) as cells:
-        read_csv_columns(path, numeric)
+        read(path, numeric)
     return not cells.called
 
 
@@ -273,7 +273,8 @@ def test_field_over_the_csv_size_limit_is_invalid_data(tmp_path, capsys):
             assert capsys.readouterr().err == (
                 f"invalid-data: {path}: line 3: field larger than field limit (131072)\n"
             )
-            assert csvgrid.read_grid(path, {"cpu"}.__contains__) is None
+            with open(path, "rb") as fh:
+                assert csvgrid.read_grid(fh, {"cpu"}.__contains__) is None
             assert_same_as_oracle(path, {"cpu"}.__contains__)
         cell = quote + "y" * 131072 + quote
         path.write_text("fault_type,cpu,note\nnormal,1,x\nboom,2," + cell + "\n")
@@ -411,9 +412,10 @@ def read_pipe(data: bytes, numeric) -> dict:
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
-def test_pipe_is_read_once_by_the_exact_reader():
+def test_pipe_is_read_once_by_the_grid_reader():
     table = read_pipe(b"a,b\n1.5,x\n", {"a"}.__contains__)
     assert table["a"].tolist() == [1.5] and table["b"] == ["x"]
+    assert took_grid_path(b"a,b\n1.5,x\n", {"a"}.__contains__, read_pipe)
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
