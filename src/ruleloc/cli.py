@@ -48,6 +48,7 @@ from ruleloc.logfeatures import (
     LogFeatureFrame,
     TemplateBase,
     build_template_base,
+    check_interval,
     match_and_aggregate,
     parse_timestamp,
 )
@@ -134,12 +135,11 @@ def _read_csv_cells(
 ) -> dict[str, Sequence]:
     """read_csv_columns cell by cell from fh: the columns `numeric` rejects are
     interned as their cells are read, and the others parsed once it is read."""
-    try:
-        with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
-            reader = csv.reader(text)
-            try:
-                header = next(reader)
-            except StopIteration:
+    with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
+        reader = csv.reader(text)
+        try:
+            header = next(reader, None)
+            if header is None:
                 raise CliError("invalid-data", f"{path}: empty CSV")
             columns: dict[str, Sequence] = {}
             for name in header:
@@ -159,10 +159,11 @@ def _read_csv_cells(
                 for append in appends[len(row) :]:
                     append("")
             del appends  # its bound methods would keep each cell list alive
-    except UnicodeDecodeError as exc:
-        raise CliError("invalid-data", f"{path}: {exc}")
-    except csv.Error as exc:  # a field over the size limit; a NUL byte before 3.11
-        raise CliError("invalid-data", f"{path}: line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            fh.seek(0)
+            raise _decode_error(path, fh.read(), exc)
+        except csv.Error as exc:  # a field over the size limit; a NUL byte before 3.11
+            raise CliError("invalid-data", f"{path}: line {reader.line_num}: {exc}")
     try:
         for name, cells in columns.items():
             if numeric(name):
@@ -170,6 +171,18 @@ def _read_csv_cells(
     except InvalidValueError as exc:
         raise CliError("invalid-data", f"{path}: {exc}")
     return columns
+
+
+def _decode_error(path: str | Path, data: bytes, exc: UnicodeDecodeError) -> CliError:
+    """invalid-data naming path and the position in data, its whole
+    contents, of the first byte that is not UTF-8.  A text stream counts
+    positions from its decode block; the decoding of the whole file counts
+    them from its start, after any byte-order mark."""
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    return CliError("invalid-data", f"{path}: {exc}")
 
 
 def _interning_append(column: list[str]) -> Callable[[str], None]:
@@ -242,9 +255,11 @@ def _setting(args, cfg: dict, path: str, kind, arg_name: Optional[str] = None):
 
 
 def _log_settings(args, cfg: dict) -> tuple[float, float, Optional[str]]:
-    """The log interval, template similarity and timestamp format settings."""
+    """The log interval (checked), template similarity and timestamp format settings."""
+    interval = _setting(args, cfg, "logs.interval", float)
+    check_interval(interval)
     return (
-        _setting(args, cfg, "logs.interval", float),
+        interval,
         _setting(args, cfg, "logs.similarity", float),
         args.timestamp_format or _config_value(args, cfg, "logs.timestamp_format", _text),
     )
@@ -269,13 +284,7 @@ def _log_lines(logs_dir: Path, stem: str) -> Iterator[str]:
             try:
                 yield from map(str.rstrip, fh, repeat("\n"))
             except UnicodeDecodeError as exc:
-                # The stream counts positions from its decode block; decoding
-                # the whole file names the position in the file.
-                try:
-                    path.read_text(encoding="utf-8-sig")
-                except UnicodeDecodeError as whole:
-                    exc = whole
-                raise CliError("invalid-data", f"{path}: {exc}")
+                raise _decode_error(path, path.read_bytes(), exc)
 
 
 def _log_frame(

@@ -7,21 +7,27 @@ longer than the csv module's field size limit, and as many fields on
 every line as in the header.  The csv module splits such a line at its
 commas and nowhere else, so np.loadtxt with no quote and no comment
 character reads the same cells.  Each chunk of lines is tokenized once,
-by one loadtxt call with a record dtype: a float64 field per numeric
-column and an object field per text column, named by position so that
-header names cannot clash.  loadtxt rejects a line whose field count is
-not the header's.  It parses a numeric cell with the rules of float()
-but rejects some cells float() reads (blank ones, "1_0"); a chunk
-holding one is split at its commas instead, its field counts checked,
-its numeric cells parsed by binarize.numeric_column and its text cells
-taken from the same split, so the values are the ones numeric_column
-gives the same cells as strings.
+by one loadtxt call with a record dtype: an object field per text column
+and, per numeric column, a uint64 field if the column's cell in the first
+data row is all ASCII digits, else a float64 field, all named by position
+so that header names cannot clash.  loadtxt rejects a line whose field
+count is not the header's.  Its uint64 parser reads only unsigned
+integers up to 2**64 - 1, each the value float() gives once cast to
+float64, and rejects every other cell (a sign, a point, an exponent,
+nan, a blank).  Its float64 parser reads a cell with the rules of
+float() but rejects some cells float() reads (blank ones, "1_0").  A
+chunk whose call fails is split at its commas instead, its field counts
+checked, its numeric cells parsed by binarize.numeric_column and its
+text cells taken from the same split, so the values are the ones
+numeric_column gives the same cells as strings; every later chunk is
+read with a float64 field per numeric column.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import warnings
 from functools import partial
 from itertools import islice
 from typing import BinaryIO, Callable, Optional
@@ -48,6 +54,11 @@ def _lines_ok(lines: list[bytes]) -> bool:
     )
 
 
+def _record(kinds: list[str]) -> np.dtype:
+    """A record dtype of the field types kinds, fields named by position."""
+    return np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+
+
 def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Optional[dict]:
     """The table of the seekable binary file fh, read from its start, if it
     is a plain comma grid, else None.
@@ -58,8 +69,11 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     copy of it is held whole: in blocks to count its rows, each block also
     fed to `digest` (a hashlib object) when one is given, then in chunks
     of lines, each checked before one loadtxt call with a record dtype
-    reads all its columns.  Raises OSError if the file cannot be read and
-    ValueError (InvalidValueError) for a numeric cell that
+    reads all its columns.  The first data row picks each numeric field's
+    type: uint64 where its cell is all ASCII digits, else float64.  After
+    a chunk whose call fails, and which is therefore parsed cell by cell,
+    every numeric field is float64.  Raises OSError if the file cannot be
+    read and ValueError (InvalidValueError) for a numeric cell that
     binarize.numeric_column rejects.
     """
     newlines, last = 0, b"\n"
@@ -81,7 +95,17 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     is_numeric = [bool(numeric(name)) for name in header]
     num = [i for i, flag in enumerate(is_numeric) if flag]
     txt = [i for i, flag in enumerate(is_numeric) if not flag]
-    record = np.dtype([(f"f{i}", "f8" if flag else "O") for i, flag in enumerate(is_numeric)])
+    start = fh.tell()
+    first = fh.readline().rstrip(b"\n").split(b",")
+    fh.seek(start)
+    kinds = ["f8" if flag else "O" for flag in is_numeric]
+    floats = record = _record(kinds)
+    if len(first) == len(kinds):  # else the first chunk's call fails
+        typed = [
+            "u8" if kind == "f8" and cell.isdigit() else kind for kind, cell in zip(kinds, first)
+        ]
+        if typed != kinds:
+            record = _record(typed)
     values = np.empty((len(num), n))
     texts: list[list[str]] = [[] for _ in txt]
     distinct: list[dict[str, str]] = [{} for _ in txt]
@@ -91,8 +115,16 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
             return None
         block = values[:, lo : lo + len(chunk)]
         try:
-            records = np.loadtxt(chunk, record, delimiter=",", comments=None, ndmin=1)
-        except ValueError:  # a blank cell, one only float() reads, or a ragged line
+            with warnings.catch_warnings():
+                # numpy releases that still carry the deprecation of numpy 1.23
+                # read a cell like 1.5 in an integer field through float(),
+                # warning; as an error, the warning fails the call instead.
+                warnings.simplefilter("error", DeprecationWarning)
+                records = np.loadtxt(chunk, record, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            # A blank cell, one only float() reads, one uint64 rejects, or a
+            # ragged line.
+            record = floats
             split = [text.rstrip(b"\n").decode().split(",") for text in chunk]
             if any(len(row) != len(header) for row in split):
                 return None

@@ -234,6 +234,12 @@ def parse_timestamp(raw: str, fmt: Optional[str] = None) -> float:
     return dt.timestamp()
 
 
+def check_interval(interval: float) -> None:
+    """A ValueError unless interval is a positive finite number of seconds."""
+    if not 0 < interval < float("inf"):  # NaN too
+        raise ValueError("interval must be a positive finite number")
+
+
 def match_and_aggregate(
     base: TemplateBase,
     lines: Iterable[str],
@@ -249,8 +255,7 @@ def match_and_aggregate(
     distinct stamp is parsed once and each distinct line shape tokenized
     and matched once per call; its message is the shape past the stamp.
     """
-    if not 0 < interval < float("inf"):  # NaN too
-        raise ValueError("interval must be a positive finite number")
+    check_interval(interval)
     n_stamp = 1 if timestamp_format is None else timestamp_format.count(" ") + 1
     head = slice(0, n_stamp)
     stamp_counts: Counter[str] = Counter()

@@ -348,7 +348,10 @@ def test_parse_logs_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("source", ["parse-logs-flag", "parse-logs-config", "train-config"])
+@pytest.mark.parametrize(
+    "source",
+    ["parse-logs-flag", "parse-logs-config", "train-config", "train-config-before-the-data"],
+)
 def test_non_finite_log_interval_is_invalid_data(tmp_path, capsys, source, value):
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -365,10 +368,15 @@ def test_non_finite_log_interval_is_invalid_data(tmp_path, capsys, source, value
         data.write_text(
             "timestamp,fault_type,a\n1970-01-01T00:00:05,f,1\n1970-01-01T00:00:06,normal,0\n"
         )
+        if source == "train-config-before-the-data":
+            # No online* log would use the interval, and the data file is missing.
+            (logs / "online.log").unlink()
+            data = tmp_path / "absent.csv"
         argv = ["train", "--data", str(data), "--logs", str(logs), "--config", str(cfg),
                 "--model", str(tmp_path / "m.json")]
     assert main(argv) == 5
     assert capsys.readouterr().err == "invalid-data: interval must be a positive finite number\n"
+
 
 def test_train_with_log_features(tmp_path, scenario):
     data = tmp_path / "train.csv"
@@ -1325,7 +1333,10 @@ def _non_utf8_input(reader, trained, scenario, tmp_path):
     else:
         bad.write_bytes(LATIN1)
     out = str(tmp_path / "m.json")
-    if reader == "data":
+    if reader == "data-past-first-block":
+        # The bad byte lies past the cell reader's first 8 KB decode block.
+        bad.write_bytes(LATIN1.replace(b"\nf,", b"\n" + b"normal,s0,1\n" * 2500 + b"f,"))
+    if reader.startswith("data"):
         return ["train", "--data", str(bad), "--model", out], bad
     if reader == "window":
         return ["localize", "--model", str(model_path), "--data", str(bad)], bad
@@ -1351,6 +1362,7 @@ def _non_utf8_input(reader, trained, scenario, tmp_path):
     "reader, category",
     [
         ("data", "invalid-data"),
+        ("data-past-first-block", "invalid-data"),
         ("window", "invalid-data"),
         ("config", "invalid-data"),
         ("model", "schema-error"),
@@ -1368,6 +1380,8 @@ def test_non_utf8_input_names_its_file(trained, scenario, tmp_path, capsys, read
     assert f"'utf-8' codec can't decode byte 0xe9 in position {position}: " in err
     if reader == "log-past-first-block":
         assert position == 32023
+    if reader == "data-past-first-block":
+        assert position == 30026
 
 
 def test_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys):
