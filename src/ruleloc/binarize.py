@@ -148,12 +148,6 @@ class BinaryFeature:
     threshold: Optional[float] = None
     category: Optional[str] = None
 
-    @property
-    def name(self) -> str:
-        if self.op == "==":
-            return f"{self.column} == {self.category}"
-        return f"{self.column} {self.op} {self.threshold!r}"
-
     def to_json_obj(self) -> dict:
         """JSON form of the feature: its catalog entry, and the body of a rule predicate."""
         if self.op == "==":

@@ -49,6 +49,7 @@ from ruleloc.logfeatures import (
     TemplateBase,
     build_template_base,
     check_interval,
+    check_similarity,
     match_and_aggregate,
     parse_timestamp,
 )
@@ -255,12 +256,14 @@ def _setting(args, cfg: dict, path: str, kind, arg_name: Optional[str] = None):
 
 
 def _log_settings(args, cfg: dict) -> tuple[float, float, Optional[str]]:
-    """The log interval (checked), template similarity and timestamp format settings."""
+    """The log interval and template similarity (both checked) and timestamp format settings."""
     interval = _setting(args, cfg, "logs.interval", float)
     check_interval(interval)
+    sim = _setting(args, cfg, "logs.similarity", float)
+    check_similarity(sim)
     return (
         interval,
-        _setting(args, cfg, "logs.similarity", float),
+        sim,
         args.timestamp_format or _config_value(args, cfg, "logs.timestamp_format", _text),
     )
 
@@ -413,7 +416,7 @@ def cmd_train(args) -> int:
     if not fault_types:
         raise CliError(
             "invalid-data",
-            f"no positive rows under any fault type in column {fault_col!r}",
+            f"{args.data}: no positive rows under any fault type in column {fault_col!r}",
         )
 
     # One binarization serves every fault type; only the labels differ.
@@ -569,7 +572,7 @@ def cmd_eval(args) -> int:
 def cmd_export_fingerprints(args) -> int:
     model = _load_model(args.model)
     if not model.rule_sets:
-        raise CliError("invalid-data", "model contains no fault types")
+        raise CliError("invalid-data", f"{args.model}: model contains no fault types")
     fingerprints = []
     for name, rule_set in model.rule_sets:
         entries = set()

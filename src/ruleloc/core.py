@@ -96,9 +96,6 @@ class Rule:
     def __len__(self) -> int:
         return len(self.features)
 
-    def __contains__(self, j: int) -> bool:
-        return j in self.features
-
 
 @dataclass(frozen=True)
 class RuleStats:
@@ -471,24 +468,15 @@ def cover_log_gain(ctx: ObjectiveContext, rule: Rule) -> float:
     return math.log(merged.bit_count() + pos_total) - base
 
 
-def objective_num(ctx: ObjectiveContext, rule: Rule) -> int:
-    """Numerator count: |rule's positive cover union current positive cover|."""
-    rule_pos = cover_of_rule(ctx.dataset, rule) & ctx.dataset.labels
-    return (rule_pos | ctx.cover_pos).bit_count()
-
-
-def objective_den(ctx: ObjectiveContext, rule: Rule) -> int:
-    """Denominator count: |rule cover union current cover| + total positives."""
-    merged = cover_of_rule(ctx.dataset, rule) | ctx.cover
-    return merged.bit_count() + ctx.dataset.positives
-
-
 def rule_objective(ctx: ObjectiveContext, rule: Rule) -> float:
     """Single-rule objective alpha*log(num) - log(den).
 
-    Equals the distorted gain up to a constant that does not depend on the
-    rule, so both induce the same argmax; -inf when the numerator is zero.
+    num counts the positives covered by the rule or the current set, and
+    den the samples covered by either plus the positive total.  Equals the
+    distorted gain up to a constant that does not depend on the rule, so
+    both induce the same argmax; -inf when the numerator is zero.
     """
-    num = objective_num(ctx, rule)
-    den = objective_den(ctx, rule)
+    rule_cover = cover_of_rule(ctx.dataset, rule)
+    num = ((rule_cover & ctx.dataset.labels) | ctx.cover_pos).bit_count()
+    den = (rule_cover | ctx.cover).bit_count() + ctx.dataset.positives
     return ctx.alpha * _log_or_neg_inf(num) - math.log(den)

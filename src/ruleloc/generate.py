@@ -14,7 +14,9 @@ lower bounds on the (supermodular, non-increasing) numerator count, both
 combined with the tangent-line upper bound on the log-denominator.  The
 surrogates are submodular, touch the true objective at the anchor, and are
 cheap: the bound part is modular, so only the denominator needs a fresh
-count per candidate feature.
+count per candidate feature.  The solver only scores whole scans; the
+bound and the surrogate of a single rule, which the tests check it
+against, are in tests/objectives.py.
 
 One replace/delete search serves both surrogate branches and the final
 polish on the true objective; only its value function differs.  Every
@@ -132,40 +134,12 @@ class SurrogateState:
         weights1.flags.writeable = weights2.flags.writeable = False
         return cls(ctx, anchor, num_anchor, den_anchor, (weights1, weights2))
 
-    def bound_weight(self, j: int, kind: int) -> int:
-        """Additive contribution of feature j to the modular numerator bound."""
-        if kind not in (1, 2):
-            raise ValueError("kind must be 1 or 2")
-        return int(self.weights[kind - 1][j])
-
     def bound_base(self, kind: int) -> int:
         """Bound value of the empty rule (all anchor features dropped)."""
         if kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
         weights = self.weights[kind - 1]
         return self.num_anchor - int(sum(weights[j] for j in self.anchor.features))
-
-
-def numerator_lower_bound(state: SurrogateState, rule: Rule, kind: int) -> float:
-    """Modular lower bound on the numerator count, tight at the anchor."""
-    return state.bound_base(kind) + sum(
-        state.bound_weight(j, kind) for j in rule.features
-    )
-
-
-def surrogate_value(state: SurrogateState, rule: Rule, kind: int) -> float:
-    """Surrogate objective: alpha*log(bound) - den(rule)/den(anchor).
-
-    -inf when the numerator bound is non-positive (the log-domain guard);
-    at the anchor this equals alpha*log(num(anchor)) - 1.  The branch
-    search carries the same value along and records it in the trace.
-    """
-    ds = state.ctx.dataset
-    new = ds.full_mask & ~state.ctx.cover
-    for j in rule.features:
-        new &= ds.coverage[j]
-    bound = numerator_lower_bound(state, rule, kind)
-    return float(_surrogate_of(state, bound, new.bit_count()))
 
 
 def _first_best(values: np.ndarray) -> int:
@@ -218,7 +192,8 @@ _ValueFn = Callable[..., np.ndarray]
 
 
 def _surrogate_of(state: SurrogateState, bound, count, pos=None) -> np.ndarray:
-    """surrogate_value from the bound and the count; pos is not used."""
+    """Surrogate alpha*log(bound) - den/den(anchor) from the modular bound
+    and the count; -inf where the bound is non-positive, and pos is not used."""
     ctx = state.ctx
     den = count + ctx.cover.bit_count() + ctx.dataset.positives
     vals = ctx.alpha * np.log(np.maximum(bound, 1)) - den / state.den_anchor
@@ -268,8 +243,6 @@ def _replace_delete(
     while changed:
         changed = False
         for i in list(features):
-            if i not in features:
-                continue
             rest = [k for k in features if k != i]
             rest_new = outside
             for k in rest:

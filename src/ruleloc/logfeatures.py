@@ -94,6 +94,12 @@ def similarity(tokens: Sequence[str], template: Sequence[str]) -> float:
     return hits / len(template)
 
 
+def check_similarity(sim: float) -> None:
+    """A ValueError unless sim, a template similarity threshold, lies in (0, 1]."""
+    if not 0.0 < sim <= 1.0:  # NaN too
+        raise ValueError("similarity threshold must lie in (0, 1]")
+
+
 def _group_key(tokens: Sequence[str]) -> tuple[int, str]:
     return len(tokens), tokens[0]
 
@@ -106,8 +112,7 @@ class TemplateBase:
     groups: dict[tuple[int, str], list[list[str]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.similarity_threshold <= 1.0:
-            raise ValueError("similarity threshold must lie in (0, 1]")
+        check_similarity(self.similarity_threshold)
 
     def __len__(self) -> int:
         return sum(len(g) for g in self.groups.values())
@@ -145,16 +150,11 @@ class TemplateBase:
     def _insert(self, tokens: Sequence[str]) -> None:
         best, best_sim = self._best(tokens)
         if best is not None and best_sim >= self.similarity_threshold:
-            old_key = _group_key(best)
+            # A candidate's first slot is tokens[0] or the wildcard, so the
+            # wildcarding below never touches it and the group key holds.
             for i, (x, y) in enumerate(zip(tokens, best)):
                 if x != y and y != WILDCARD:
                     best[i] = WILDCARD
-            new_key = _group_key(best)
-            if new_key != old_key:
-                self.groups[old_key].remove(best)
-                if not self.groups[old_key]:
-                    del self.groups[old_key]
-                self.groups.setdefault(new_key, []).append(best)
         else:
             self.groups.setdefault(_group_key(tokens), []).append(list(tokens))
 

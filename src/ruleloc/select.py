@@ -92,13 +92,16 @@ def select_rule_set(
     """Assemble and annotate a rule set for one positive class.
 
     The acceptance gate compares the distorted marginal gain against zero.
-    The very first rule is accepted whenever it covers at least one
-    positive sample: the positive-coverage term of an empty set is log(0),
-    so any positive coverage is an infinite improvement.  Later rules use
-    the exact finite marginals.  A duplicate of an already selected rule
-    is always rejected (its true marginal cover is empty).  trace, if
-    given, receives one record per iteration; MM records are built only
-    then.
+    The first rule generate_rule returns is always accepted: the
+    positive-coverage term of an empty set is log(0), so any positive
+    coverage is an infinite improvement, and that rule covers a positive.
+    Its objective is finite, because the greedy seed covers a positive and
+    neither the MM loop nor the polish steps to a lower objective; with an
+    empty set cover, a finite objective means a positive is covered.
+    Later rules use the exact finite marginals.  A duplicate of an already
+    selected rule is always rejected (its true marginal cover is empty).
+    trace, if given, receives one record per iteration; MM records are
+    built only then.
     """
     sel = sel or SelectionConfig()
     if dataset.positives == 0:
@@ -121,8 +124,7 @@ def select_rule_set(
             gain_pos = pos_log_gain(ctx, rule)
             gain_cover = cover_log_gain(ctx, rule)
             if not rules:
-                accepted = (cover_of_rule(dataset, rule) & dataset.labels) != 0
-                reason = "first rule covers positives" if accepted else "covers no positive"
+                accepted, reason = True, "first rule covers positives"
             else:
                 accepted = alpha * gain_pos - gain_cover > 0.0
                 reason = "positive distorted gain" if accepted else "non-positive distorted gain"

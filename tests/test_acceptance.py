@@ -29,18 +29,17 @@ from ruleloc.core import (
     rule_objective,
 )
 from ruleloc.evaluate import cohen_kappa, top_k_accuracy
-from ruleloc.generate import (
-    NoRuleFound,
-    SurrogateState,
-    generate_rule,
-    numerator_lower_bound,
-    surrogate_value,
-)
+from ruleloc.generate import NoRuleFound, SurrogateState, generate_rule
 from ruleloc.localize import FaultModel
 from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
-from objectives import distorted_gain, surrogate_offset
+from objectives import (
+    distorted_gain,
+    numerator_lower_bound,
+    surrogate_offset,
+    surrogate_value,
+)
 from oracle import (
     brute_force_best_ruleset,
     context_from_rules,

@@ -30,6 +30,11 @@ from ruleloc.core import BinaryDataset, FeatureIndexError, Rule
 from oracle import oracle_feature_matrix
 
 
+def feature_names(model):
+    """Each catalog feature rendered on its own, as a one-feature rule."""
+    return [describe_rule(model, Rule.of(j)) for j in range(model.n_features)]
+
+
 def uniform_table(lo=100.0, hi=500.0, n=4001):
     return {"latency": np.linspace(lo, hi, n).tolist()}
 
@@ -54,7 +59,7 @@ def test_fit_categorical_one_hot():
         [FeatureSpec("state", kind="categorical")],
     )
     assert model.columns[0].categories == ("running", "waiting")
-    assert [f.name for f in model.catalog] == [
+    assert feature_names(model) == [
         "state == running",
         "state == waiting",
     ]
@@ -84,7 +89,7 @@ def test_fit_default_bins_is_100():
 def test_transform_directional_pair():
     model = fit(uniform_table(), [FeatureSpec("latency", bins=3)])
     ds = transform(model, {"latency": [150.0]})
-    names = {model.catalog[j].name for j in range(ds.d) if ds.coverage[j] & 1}
+    names = {describe_rule(model, Rule.of(j)) for j in range(ds.d) if ds.coverage[j] & 1}
     assert names == {
         f"latency <= {model.columns[0].thresholds[0]!r}",
         f"latency <= {model.columns[0].thresholds[1]!r}",
@@ -265,7 +270,11 @@ def test_describe_matches_feature_names_roundtrip():
         table, [FeatureSpec("a", bins=4), FeatureSpec("s", kind="categorical")]
     )
     for j, feat in enumerate(model.catalog):
-        assert describe_rule(model, Rule.of(j)) == feat.name
+        if feat.op == "==":
+            expected = f"{feat.column} == {feat.category}"
+        else:
+            expected = f"{feat.column} {feat.op} {feat.threshold!r}"
+        assert describe_rule(model, Rule.of(j)) == expected
 
 
 def test_json_roundtrip():
@@ -296,7 +305,7 @@ def small_model():
 def test_catalog_is_derived_from_columns():
     model = small_model()
     t0, t1 = model.columns[0].thresholds
-    assert [f.name for f in model.catalog] == [
+    assert feature_names(model) == [
         f"a <= {t0!r}", f"a > {t0!r}", f"a <= {t1!r}", f"a > {t1!r}",
         "s == x", "s == y", "s == z",
     ]

@@ -15,10 +15,11 @@ from ruleloc import cli
 from ruleloc.binarize import SchemaError, relabel, transform
 from ruleloc.cli import main, read_csv_columns
 from ruleloc.core import Coverage, InvalidDatasetError, ObjectiveContext, cover_of_rule
-from ruleloc.generate import SurrogateState, surrogate_value
+from ruleloc.generate import SurrogateState
 from ruleloc.localize import FaultModel
 from ruleloc.select import SelectionConfig, select_rule_set
 
+from objectives import surrogate_value
 from oracle import (
     oracle_feature_matrix,
     oracle_rank_window,
@@ -318,7 +319,19 @@ def test_no_positive_rows_is_invalid_data(tmp_path, capsys):
     )
     code = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json")])
     assert code == 5
-    assert capsys.readouterr().err.startswith("invalid-data:")
+    assert capsys.readouterr().err == (
+        f"invalid-data: {data}: no positive rows under any fault type in column 'fault_type'\n"
+    )
+
+
+def test_model_without_fault_types_names_the_model(trained, tmp_path, capsys):
+    _, _, model_path = trained
+    obj = json.loads(model_path.read_text())
+    obj["fault_types"] = []
+    empty = tmp_path / "empty_model.json"
+    empty.write_text(json.dumps(obj))
+    assert main(["export-fingerprints", "--model", str(empty)]) == 5
+    assert capsys.readouterr().err == f"invalid-data: {empty}: model contains no fault types\n"
 
 
 def test_parse_logs_subcommand(tmp_path, capsys):
@@ -376,6 +389,27 @@ def test_non_finite_log_interval_is_invalid_data(tmp_path, capsys, source, value
                 "--model", str(tmp_path / "m.json")]
     assert main(argv) == 5
     assert capsys.readouterr().err == "invalid-data: interval must be a positive finite number\n"
+
+
+@pytest.mark.parametrize(
+    "value", [0, 5, -0.5, float("nan")], ids=["zero", "five", "negative", "nan"]
+)
+@pytest.mark.parametrize("source", ["parse-logs-flag", "train-config-without-logs"])
+def test_out_of_range_log_similarity_is_invalid_data(tmp_path, capsys, source, value):
+    """train checks logs.similarity before it reads the data, with or without
+    --logs, as parse-logs checks --similarity."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 heartbeat ok\n")
+    if source == "parse-logs-flag":
+        argv = ["parse-logs", "--logs", str(logs), "--similarity", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"logs": {"similarity": value}}))
+        argv = ["train", "--data", str(tmp_path / "absent.csv"), "--config", str(cfg),
+                "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "invalid-data: similarity threshold must lie in (0, 1]\n"
 
 
 def test_train_with_log_features(tmp_path, scenario):

@@ -17,7 +17,6 @@ from ruleloc.core import (
     ObjectiveContext,
     Rule,
     cover_of_rule,
-    objective_num,
     rule_objective,
 )
 from ruleloc.generate import (
@@ -30,19 +29,18 @@ from ruleloc.generate import (
     _surrogate_of,
     generate_rule,
     greedy_ratio_seed,
-    numerator_lower_bound,
-    surrogate_value,
 )
 from ruleloc.select import SelectionConfig, select_rule_set
 
 from conftest import random_dataset
-from objectives import surrogate_offset
+from objectives import numerator_lower_bound, surrogate_offset, surrogate_value
 from oracle import context_from_rules
 
 
 def num_reference(ctx, features):
     """Direct set-arithmetic evaluation of the numerator count."""
-    return objective_num(ctx, Rule(tuple(features)))
+    rule_pos = cover_of_rule(ctx.dataset, Rule(tuple(features))) & ctx.dataset.labels
+    return (rule_pos | ctx.cover_pos).bit_count()
 
 
 def bound_reference(ctx, anchor, rule, kind):
@@ -120,7 +118,7 @@ def test_bounds_never_exceed_numerator():
         state = SurrogateState.build(ctx, anchor)
         for _ in range(15):
             rule = random_rule(rng, 8)
-            f = objective_num(ctx, rule)
+            f = num_reference(ctx, rule.features)
             for kind in (1, 2):
                 assert numerator_lower_bound(state, rule, kind) <= f + 1e-9
 
@@ -400,7 +398,7 @@ def test_surrogate_build_drop_penalty_full_matches_brute_force():
             expected = num_reference(ctx, all_but_j + (j,)) - num_reference(
                 ctx, all_but_j
             )
-            assert state.bound_weight(j, 2) == expected
+            assert state.weights[1][j] == expected
             nonzero += expected != 0
     assert scanned >= 10
     assert nonzero > 0
@@ -726,6 +724,32 @@ def test_generate_rule_matches_pre_merge_search(instance):
     assert _outcome(generate_rule, ctx, config.max_len) == _outcome(
         reference_generate_rule, ctx, config
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_instances(), st.booleans())
+def test_generated_rule_keeps_the_seed_finite(instance, from_scratch):
+    """The seed covers a positive outside the set cover, and neither the MM
+    loop nor the polish steps to a lower objective (beyond tie tolerance), so
+    the returned rule's objective is finite.  With an empty set cover a finite
+    objective means the rule covers a positive, which is why select_rule_set
+    accepts its first rule outright.  With a non-empty set cover the rule may
+    cover no new positive; the distorted-gain gate rejects such a rule."""
+    ctx, config = instance
+    if from_scratch:
+        ctx = ObjectiveContext(ctx.dataset, alpha=ctx.alpha)
+    try:
+        rule = generate_rule(ctx, config.max_len)
+    except NoRuleFound:
+        return
+    seed = greedy_ratio_seed(ctx, config.max_len)
+    ds = ctx.dataset
+    assert cover_of_rule(ds, seed) & ds.labels & ~ctx.cover_pos
+    objective = rule_objective(ctx, rule)
+    assert objective > -math.inf
+    assert objective >= rule_objective(ctx, seed) - 1e-9
+    if from_scratch:
+        assert cover_of_rule(ds, rule) & ds.labels
 
 
 def _reference_local_search(state, kind, config, start):

@@ -11,6 +11,7 @@ from ruleloc import logfeatures
 from ruleloc.cli import CliError, _log_feature_columns, _log_lines
 from ruleloc.logfeatures import (
     _SHAPE,
+    _group_key,
     DEFAULT_SIMILARITY,
     WILDCARD,
     IntervalCounts,
@@ -129,6 +130,27 @@ def test_templates_match_reference_on_adversarial_merges():
     assert len(base) == cluster_count_reference(lines)
     for line in lines:
         assert base.match(tokenize(line)) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["alpha", "beta", "ok", "x1", "42", "v7", "e²", "<*>"]),
+                 min_size=1, max_size=4),
+        max_size=30,
+    ),
+    st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+)
+def test_inserted_templates_stay_in_their_group(lines, sim):
+    """Merging only wildcards slots a candidate's first slot already shares
+    with the line (or holds as the wildcard), so a template never leaves the
+    group its first slot names, whatever the line's first token is."""
+    base = TemplateBase(similarity_threshold=sim)
+    for words in lines:
+        base._insert(tokenize(" ".join(words)))
+    for key, group in base.groups.items():
+        assert group
+        assert all(_group_key(template) == key for template in group)
 
 
 def test_similarity_definition():
