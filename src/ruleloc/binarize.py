@@ -320,9 +320,6 @@ class BinarizationModel:
             "feature_catalog": list(self._catalog_objs()),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":
         """The model of obj["columns"], whose stored feature_catalog must equal the
@@ -347,10 +344,6 @@ class BinarizationModel:
                 a, b = (json.dumps(x, sort_keys=True) for x in pair)
                 raise SchemaError(f"feature_catalog[{j}] is {a}, the columns give {b}")
         return model
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinarizationModel":
-        return cls.from_json_obj(json.loads(text))
 
 
 class InvalidValueError(ValueError):

@@ -387,11 +387,15 @@ def cmd_train(args) -> int:
     )
     if fault_col not in table:
         raise CliError("schema-error", f"fault-type column {fault_col!r} not in {args.data}")
+    if not len(table[fault_col]):
+        raise CliError("invalid-data", f"{args.data}: no data rows")
     if args.logs:
         _log_feature_columns(
             table, args.data, timestamp_col, Path(args.logs), interval, sim, ts_format
         )
     features = [name for name in table if name not in role_columns]
+    if not features:
+        raise CliError("schema-error", f"{args.data}: no feature columns")
     unknown = sorted(categorical.difference(features))
     if unknown:
         raise CliError(

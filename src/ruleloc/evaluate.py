@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ruleloc import SCHEMA_VERSION, __version__
-from ruleloc.localize import FaultModel, QueryWindow, rank_window
+from ruleloc.localize import FaultModel, QueryWindow, localization_report
 
 NO_SIGNAL_LABEL = "(no-signal)"
 
@@ -131,12 +131,11 @@ def evaluate_cases(
     service_rankings = []
     predictions = []
     for case in cases:
-        faults, services = rank_window(model, case.window)
-        fault_rankings.append(faults.candidates())
-        service_rankings.append(services.candidates())
-        predictions.append(
-            NO_SIGNAL_LABEL if faults.no_signal else faults.candidates()[0]
-        )
+        report = localization_report(model, case.window)
+        faults = [e["fault_type"] for e in report["fault_ranking"]]
+        fault_rankings.append(faults)
+        service_rankings.append([e["service"] for e in report["service_ranking"]])
+        predictions.append(NO_SIGNAL_LABEL if report["no_signal"] else faults[0])
     fault_truths = [c.true_fault for c in cases]
     service_truths = [c.true_service for c in cases]
     fault_topk = top_k_accuracy(fault_rankings, fault_truths, max_k)

@@ -6,14 +6,15 @@ fault type with the highest training precision among that type's rules
 covering it (zero if none covers); fault types are ranked by the vote sum
 over the window, services by the vote sum over their samples summed
 across fault types.  A window is its boolean feature matrix, so
-`rank_window` scores it with no array operation per rule, fault type or
-service: one gather of the rules' columns and one AND over each rule's
-padded conjuncts give the firings; one max over each fault type's padded
-rule slots gives the votes; one ordered bincount of the votes by fault
-type gives the fault scores and one by service the service scores; and
-one bincount of (rule, service) pairs gives the hits that explain the
-rankings.  The parts that depend only on the model are laid out once per
-FaultModel.
+`localization_report` scores it with no array operation per rule, fault
+type or service: one gather of the rules' columns and one AND over each
+rule's padded conjuncts give the firings; one max over each fault type's
+padded rule slots gives the votes; one ordered bincount of the votes by
+fault type gives the fault scores and one by service the service scores;
+and one bincount of (rule, service) pairs gives the hits that explain the
+rankings.  Each ranking entry and explanation is built as the dict that
+the JSON report holds.  The parts that depend only on the model are laid
+out once per FaultModel.
 """
 
 from __future__ import annotations
@@ -73,30 +74,6 @@ class QueryWindow:
 
 
 @dataclass(frozen=True)
-class Explanation:
-    """A rule that contributed votes to a ranked candidate."""
-
-    fault_type: str
-    rule_index: int
-    description: str
-    precision: float
-    hits: int
-
-
-@dataclass(frozen=True)
-class RankedResult:
-    """Descending (candidate, score) ranking with vote explanations."""
-
-    ranking: tuple[tuple[str, float], ...]
-    no_signal: bool
-    tie_groups: tuple[tuple[str, ...], ...]
-    explanations: Mapping[str, tuple[Explanation, ...]]
-
-    def candidates(self) -> list[str]:
-        return [name for name, _ in self.ranking]
-
-
-@dataclass(frozen=True)
 class _RuleLayout:
     """A model's rules, numbered r = 0..R-1 fault type by fault type.
 
@@ -145,7 +122,7 @@ class FaultModel:
 
     @cached_property
     def _rule_layout(self) -> _RuleLayout:
-        """Every rule of every fault type, laid out for rank_window."""
+        """Every rule of every fault type, laid out for localization_report."""
         rules = [
             (name, r, rule, stats)
             for name, rs in self.rule_sets
@@ -300,24 +277,26 @@ class FaultModel:
         return cls.from_json_obj(json.loads(text))
 
 
-def _ranked(scores: dict[str, float], explanations) -> RankedResult:
-    no_signal = all(score == 0.0 for score in scores.values())
-    ranking = tuple(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
-    groups = (tuple(name for name, _ in run) for _, run in groupby(ranking, itemgetter(1)))
-    tie_groups = tuple(group for group in groups if len(group) > 1)
-    return RankedResult(ranking, no_signal, tie_groups, explanations)
+def _ranking(key: str, scores: dict[str, float]) -> tuple[list[dict], list[list[str]]]:
+    """The report's entries of a full ranking (descending score, ties by
+    name), and its runs of two or more tied names."""
+    ranking = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    groups = ([name for name, _ in run] for _, run in groupby(ranking, itemgetter(1)))
+    return (
+        [{key: name, "score": score} for name, score in ranking],
+        [group for group in groups if len(group) > 1],
+    )
 
 
-def rank_window(
-    model: FaultModel, window: QueryWindow
-) -> tuple[RankedResult, RankedResult]:
-    """Rank fault types and services by the window's votes.
+def localization_report(model: FaultModel, window: QueryWindow) -> dict:
+    """JSON-ready report ranking fault types and services by the window's votes.
 
     Both rankings are full (descending score, ties by name) so that top-k
     evaluation is possible; a window where no rule fires anywhere is flagged
     no_signal and ranked lexicographically.  A fault type is explained by its
     fired rules in rule order with their hits over the window, a service by
-    the rules fired on its samples, sorted by (fault type, rule index).
+    the rules fired on its samples, sorted by (fault type, rule index); names
+    with nothing fired have no explanation.
 
     Scores add votes one at a time in sample order, a fault type's from
     0.0 and a service's fault type by fault type, as a running += adds.
@@ -350,13 +329,19 @@ def rank_window(
     pairs = np.arange(n_rules)[:, None] * len(services) + codes
     hits = np.bincount(pairs[fired.T], minlength=n_rules * len(services))
     hits = hits.reshape(n_rules, len(services))
-    fault_expl: dict[str, list[Explanation]] = {name: [] for name, _ in model.rule_sets}
-    service_expl: dict[str, list[Explanation]] = {svc: [] for svc in services}
+    fault_expl: dict[str, list[dict]] = {name: [] for name, _ in model.rule_sets}
+    service_expl: dict[str, list[dict]] = {svc: [] for svc in services}
     totals = hits.sum(axis=1)
 
-    def explained(r: int, n_hits: int) -> Explanation:
+    def explained(r: int, n_hits: int) -> dict:
         fault_type, index, rule, precision = layout.rules[r]
-        return Explanation(fault_type, index, model.describe(rule), precision, int(n_hits))
+        return {
+            "fault_type": fault_type,
+            "rule_index": index,
+            "rule": model.describe(rule),
+            "precision": precision,
+            "hits": int(n_hits),
+        }
 
     for r in np.flatnonzero(totals).tolist():
         fault_expl[layout.rules[r][0]].append(explained(r, totals[r]))
@@ -364,53 +349,20 @@ def rank_window(
     q, k = np.nonzero(by_name)
     for r, svc, n_hits in zip(layout.by_name[q].tolist(), k.tolist(), by_name[q, k].tolist()):
         service_expl[services[svc]].append(explained(r, n_hits))
-    return (
-        _ranked(
-            dict(zip(fault_expl, fault_totals)),
-            {name: tuple(entries) for name, entries in fault_expl.items()},
-        ),
-        _ranked(
-            dict(zip(services, service_totals.tolist())),
-            {svc: tuple(entries) for svc, entries in service_expl.items()},
-        ),
+    fault_ranking, fault_ties = _ranking("fault_type", dict(zip(fault_expl, fault_totals)))
+    service_ranking, service_ties = _ranking(
+        "service", dict(zip(services, service_totals.tolist()))
     )
-
-
-def localization_report(
-    model: FaultModel, window: QueryWindow
-) -> dict:
-    """JSON-ready report with both rankings and vote explanations."""
-    faults, services = rank_window(model, window)
-    def expl_obj(result: RankedResult) -> dict:
-        return {
-            name: [
-                {
-                    "fault_type": e.fault_type,
-                    "rule_index": e.rule_index,
-                    "rule": e.description,
-                    "precision": e.precision,
-                    "hits": e.hits,
-                }
-                for e in entries
-            ]
-            for name, entries in result.explanations.items()
-            if entries
-        }
-
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "no_signal": faults.no_signal,
-        "fault_ranking": [
-            {"fault_type": name, "score": score} for name, score in faults.ranking
-        ],
-        "service_ranking": [
-            {"service": name, "score": score} for name, score in services.ranking
-        ],
-        "fault_ties": [list(g) for g in faults.tie_groups],
-        "service_ties": [list(g) for g in services.tie_groups],
+        "no_signal": all(score == 0.0 for score in fault_totals),
+        "fault_ranking": fault_ranking,
+        "service_ranking": service_ranking,
+        "fault_ties": fault_ties,
+        "service_ties": service_ties,
         "explanations": {
-            "fault_types": expl_obj(faults),
-            "services": expl_obj(services),
+            "fault_types": {name: e for name, e in fault_expl.items() if e},
+            "services": {svc: e for svc, e in service_expl.items() if e},
         },
     }

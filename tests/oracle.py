@@ -6,10 +6,11 @@ beat, planted_dataset draws binary datasets whose positives are exactly
 a known DNF, and planted_fault_scenario draws seeded multi-fault
 telemetry tables with labelled incident windows for end-to-end runs.
 
-oracle_feature_matrix and oracle_rank_window are the window binarizer and
-scorer that one comparison per column and one vote loop per fault type
-gave, kept verbatim (with their helpers) so that the layout-driven
-feature_matrix and rank_window are checked against them bit for bit.
+oracle_feature_matrix and oracle_localization_report are the window
+binarizer and scorer that one comparison per column and one vote loop per
+fault type gave, kept (with their helpers) so that the layout-driven
+feature_matrix and localization_report are checked against them bit for
+bit; ranked_report builds a report from per-name scores and explanations.
 
 context_from_rules and write_csv_columns build test inputs: an objective
 context from the rules selected so far, and a CSV file from a table.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, MutableMapping, Optional, Sequence
 
@@ -34,7 +35,8 @@ from ruleloc.core import (
     RuleSet,
     cover_of_set,
 )
-from ruleloc.localize import Explanation, FaultModel, QueryWindow, RankedResult, _ranked
+from ruleloc import SCHEMA_VERSION, __version__
+from ruleloc.localize import FaultModel, QueryWindow
 
 
 def context_from_rules(
@@ -404,9 +406,42 @@ def _fired(matrix: np.ndarray, rules: list[Rule]) -> np.ndarray:
     return fired
 
 
-def oracle_rank_window(
-    model: FaultModel, window: QueryWindow
-) -> tuple[RankedResult, RankedResult]:
+def ranked_report(
+    fault_scores: dict[str, float],
+    fault_expl: dict[str, list[dict]],
+    service_scores: dict[str, float],
+    service_expl: dict[str, list[dict]],
+) -> dict:
+    """The localize report of the given scores and explanation entries.
+
+    Each ranking is sorted by descending score, ties by name, and lists
+    every run of two or more equal scores; no_signal is whether every
+    fault score is 0.  Names with no explanation entry are left out.
+    """
+
+    def ranking(scores: dict[str, float]) -> list[tuple[str, float]]:
+        return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    def ties(scores: dict[str, float]) -> list[list[str]]:
+        runs = itertools.groupby(ranking(scores), key=lambda kv: kv[1])
+        return [names for names in ([n for n, _ in run] for _, run in runs) if len(names) > 1]
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "no_signal": all(score == 0.0 for score in fault_scores.values()),
+        "fault_ranking": [{"fault_type": n, "score": v} for n, v in ranking(fault_scores)],
+        "service_ranking": [{"service": n, "score": v} for n, v in ranking(service_scores)],
+        "fault_ties": ties(fault_scores),
+        "service_ties": ties(service_scores),
+        "explanations": {
+            "fault_types": {name: list(e) for name, e in fault_expl.items() if e},
+            "services": {svc: list(e) for svc, e in service_expl.items() if e},
+        },
+    }
+
+
+def oracle_localization_report(model: FaultModel, window: QueryWindow) -> dict:
     """Rank fault types and services by the window's votes.
 
     Both rankings are full (descending score, ties by name) so that top-k
@@ -421,7 +456,7 @@ def oracle_rank_window(
     votes = np.empty((len(model.rule_sets), len(codes)))
     fired = _fired(window.matrix, [rule for _, rs in model.rule_sets for rule in rs.rules])
     fault_scores, fault_expl = {}, {}
-    service_expl: dict[str, list[Explanation]] = {svc: [] for svc in services}
+    service_expl: dict[str, list[dict]] = {svc: [] for svc in services}
     first = 0
     for t, (fault_type, rule_set) in enumerate(model.rule_sets):
         stats = rule_set.stats or ()
@@ -433,17 +468,21 @@ def oracle_rank_window(
         entries = []
         for r in np.flatnonzero(fire.any(axis=1)).tolist():
             hits = np.bincount(codes[fire[r]], minlength=len(services))
-            entry = Explanation(
-                fault_type, r, model.describe(rule_set.rules[r]), stats[r].precision, int(hits.sum())
-            )
+            entry = {
+                "fault_type": fault_type,
+                "rule_index": r,
+                "rule": model.describe(rule_set.rules[r]),
+                "precision": stats[r].precision,
+                "hits": int(hits.sum()),
+            }
             entries.append(entry)
             for k in np.flatnonzero(hits).tolist():
-                service_expl[services[k]].append(replace(entry, hits=int(hits[k])))
-        fault_expl[fault_type] = tuple(entries)
+                service_expl[services[k]].append({**entry, "hits": int(hits[k])})
+        fault_expl[fault_type] = entries
     # A service's votes add fault type by fault type, each in sample order.
     service_scores = {svc: _added_in_order(votes[:, codes == k]) for k, svc in enumerate(services)}
     by_rule = {
-        svc: tuple(sorted(fired, key=lambda e: (e.fault_type, e.rule_index)))
+        svc: sorted(fired, key=lambda e: (e["fault_type"], e["rule_index"]))
         for svc, fired in service_expl.items()
     }
-    return _ranked(fault_scores, fault_expl), _ranked(service_scores, by_rule)
+    return ranked_report(fault_scores, fault_expl, service_scores, by_rule)

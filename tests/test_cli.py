@@ -22,7 +22,7 @@ from ruleloc.select import SelectionConfig, select_rule_set
 from objectives import surrogate_value
 from oracle import (
     oracle_feature_matrix,
-    oracle_rank_window,
+    oracle_localization_report,
     planted_fault_scenario,
     write_csv_columns,
 )
@@ -231,8 +231,8 @@ def test_eval_metrics_and_reports_are_those_of_the_replaced_window_path(
 
     new = outputs("new")
     with mock.patch("ruleloc.cli.feature_matrix", oracle_feature_matrix), mock.patch(
-        "ruleloc.evaluate.rank_window", oracle_rank_window
-    ), mock.patch("ruleloc.localize.rank_window", oracle_rank_window):
+        "ruleloc.evaluate.localization_report", oracle_localization_report
+    ), mock.patch("ruleloc.cli.localization_report", oracle_localization_report):
         assert outputs("oracle") == new
 
 
@@ -322,6 +322,46 @@ def test_no_positive_rows_is_invalid_data(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"invalid-data: {data}: no positive rows under any fault type in column 'fault_type'\n"
     )
+
+
+def test_train_without_feature_columns_names_the_table(tmp_path, capsys):
+    data = tmp_path / "labels_only.csv"
+    data.write_text("fault_type\nnormal\nx\n")
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--model", str(model)]) == 4
+    assert capsys.readouterr().err == f"schema-error: {data}: no feature columns\n"
+    assert not model.exists()
+
+
+def test_train_features_may_all_come_from_the_log_join(tmp_path, capsys):
+    data = tmp_path / "stamps.csv"
+    data.write_text("timestamp,fault_type\n2024-01-01T00:00:05,normal\n2024-01-01T00:00:05,x\n")
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("conn from 10.0.0.1\n")
+    (logs / "online.log").write_text("2024-01-01T00:00:05 disk sda1 full\n")
+    model = tmp_path / "m.json"
+    argv = ["train", "--data", str(data), "--model", str(model)]
+    assert main([*argv, "--logs", str(logs)]) == 0
+    columns = [c.name for c in FaultModel.from_json(model.read_text()).binarization.columns]
+    assert columns == ["log_total", "log_unmatched", "log_distinct_new"]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"schema-error: {data}: no feature columns\n"
+
+
+@pytest.mark.parametrize("header", ["fault_type,cpu", "fault_type", "timestamp,fault_type"])
+def test_train_on_a_header_without_rows_names_the_table(tmp_path, capsys, header):
+    data = tmp_path / "header.csv"
+    data.write_text(header + "\n")
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "online.log").write_text("2024-01-01T00:00:05 disk sda1 full\n")
+    argv = ["train", "--data", str(data), "--model", str(tmp_path / "m.json")]
+    if header.startswith("timestamp"):
+        argv += ["--logs", str(logs)]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == f"invalid-data: {data}: no data rows\n"
 
 
 def test_model_without_fault_types_names_the_model(trained, tmp_path, capsys):

@@ -11,17 +11,13 @@ from hypothesis import strategies as st
 from ruleloc.binarize import CATEGORICAL, FeatureSpec, fit
 from ruleloc.core import Rule, RuleSet, RuleStats, bitset_of
 from ruleloc.localize import (
-    Explanation,
     FaultModel,
     QueryWindow,
-    RankedResult,
     UnknownFaultTypeError,
-    _ranked,
     localization_report,
-    rank_window,
 )
 
-from oracle import oracle_rank_window
+from oracle import oracle_localization_report, ranked_report
 
 
 def sample_vote(model: FaultModel, fault_type: str, sample_mask: int) -> float:
@@ -74,6 +70,16 @@ def window_of(samples, services, width=10) -> QueryWindow:
     return QueryWindow(np.array(bits, dtype=bool).reshape(-1, width), tuple(services))
 
 
+def fault_scores(report: dict) -> dict[str, float]:
+    """The report's fault ranking as {fault type: score}, in ranking order."""
+    return {e["fault_type"]: e["score"] for e in report["fault_ranking"]}
+
+
+def service_scores(report: dict) -> dict[str, float]:
+    """The report's service ranking as {service: score}, in ranking order."""
+    return {e["service"]: e["score"] for e in report["service_ranking"]}
+
+
 def test_sample_vote_no_rule_hits(model):
     assert sample_vote(model, "cpu", mask(3, 4)) == 0.0
 
@@ -93,43 +99,43 @@ def test_rank_fault_types_votes_add_up(model):
     # 3 samples hit cpu rule (2,) at 0.7; 2 samples hit disk (3,) at 0.8
     samples = (mask(2), mask(2), mask(2, 3), mask(3), mask(9))
     window = window_of(samples, ("s1",) * 5)
-    result, _ = rank_window(model, window)
-    scores = dict(result.ranking)
+    report = localization_report(model, window)
+    scores = fault_scores(report)
     assert scores["cpu"] == pytest.approx(0.7 * 3)
     assert scores["disk"] == pytest.approx(0.8 * 2)
     assert scores["net"] == 0.0
-    assert result.candidates()[0] == "cpu"
-    assert not result.no_signal
+    assert list(scores)[0] == "cpu"
+    assert not report["no_signal"]
 
 
 def test_rank_fault_types_single_type_fires(model):
     window = window_of((mask(3), mask(3)), ("a", "b"))
-    result, _ = rank_window(model, window)
-    assert result.candidates()[0] == "disk"
-    assert dict(result.ranking)["cpu"] == 0.0
+    scores = fault_scores(localization_report(model, window))
+    assert list(scores)[0] == "disk"
+    assert scores["cpu"] == 0.0
 
 
 def test_no_signal_window_is_flagged_and_lexicographic(model):
     window = window_of((mask(9), mask(8)), ("a", "b"))
-    result, _ = rank_window(model, window)
-    assert result.no_signal
-    assert result.candidates() == ["cpu", "disk", "net"]
+    report = localization_report(model, window)
+    assert report["no_signal"]
+    assert list(fault_scores(report)) == ["cpu", "disk", "net"]
 
 
 def test_rank_services_planted_service_wins(model):
     samples = (mask(0, 1), mask(0, 1), mask(9), mask(9))
     services = ("svc-a", "svc-a", "svc-b", "svc-b")
-    _, result = rank_window(model, window_of(samples, services))
-    assert result.candidates()[0] == "svc-a"
-    assert dict(result.ranking)["svc-b"] == 0.0
+    scores = service_scores(localization_report(model, window_of(samples, services)))
+    assert list(scores)[0] == "svc-a"
+    assert scores["svc-b"] == 0.0
 
 
 def test_rank_services_tie_flagged(model):
     samples = (mask(3), mask(3))
     services = ("beta", "alpha")
-    _, result = rank_window(model, window_of(samples, services))
-    assert result.candidates() == ["alpha", "beta"]
-    assert ("alpha", "beta") in result.tie_groups
+    report = localization_report(model, window_of(samples, services))
+    assert list(service_scores(report)) == ["alpha", "beta"]
+    assert ["alpha", "beta"] in report["service_ties"]
 
 
 def test_scores_equal_sample_vote_sum(model):
@@ -137,12 +143,12 @@ def test_scores_equal_sample_vote_sum(model):
     samples = tuple(int(rng.integers(0, 1 << 6)) for _ in range(40))
     services = tuple(f"s{int(rng.integers(0, 4))}" for _ in range(40))
     window = window_of(samples, services)
-    faults, by_service = rank_window(model, window)
-    for fault_type, score in faults.ranking:
+    report = localization_report(model, window)
+    for fault_type, score in fault_scores(report).items():
         assert score == pytest.approx(
             sum(sample_vote(model, fault_type, s) for s in samples), abs=1e-12
         )
-    for service, score in by_service.ranking:
+    for service, score in service_scores(report).items():
         expected = sum(
             sample_vote(model, ft, s)
             for ft in model.fault_types()
@@ -155,9 +161,9 @@ def test_scores_equal_sample_vote_sum(model):
 def test_adding_hit_sample_never_decreases_score(model):
     samples = (mask(2),)
     window = window_of(samples, ("a",))
-    before = dict(rank_window(model, window)[0].ranking)["cpu"]
+    before = fault_scores(localization_report(model, window))["cpu"]
     bigger = window_of(samples + (mask(2),), ("a", "a"))
-    after = dict(rank_window(model, bigger)[0].ranking)["cpu"]
+    after = fault_scores(localization_report(model, bigger))["cpu"]
     assert after >= before
 
 
@@ -165,7 +171,7 @@ def test_precision_scaling_keeps_order(model):
     rng = np.random.default_rng(1)
     samples = tuple(int(rng.integers(0, 1 << 6)) for _ in range(30))
     window = window_of(samples, ("a",) * 30)
-    order_before = rank_window(model, window)[0].candidates()
+    order_before = list(fault_scores(localization_report(model, window)))
     scaled = FaultModel(
         tuple(
             (
@@ -182,15 +188,15 @@ def test_precision_scaling_keeps_order(model):
         ),
         CATALOG,
     )
-    assert rank_window(scaled, window)[0].candidates() == order_before
+    assert list(fault_scores(localization_report(scaled, window))) == order_before
 
 
 def test_explanations_only_list_covering_rules(model):
     window = window_of((mask(2), mask(3)), ("a", "a"))
-    faults, _ = rank_window(model, window)
-    assert [e.rule_index for e in faults.explanations["cpu"]] == [1]
-    assert [e.hits for e in faults.explanations["cpu"]] == [1]
-    assert faults.explanations["net"] == ()
+    explanations = localization_report(model, window)["explanations"]["fault_types"]
+    assert [e["rule_index"] for e in explanations["cpu"]] == [1]
+    assert [e["hits"] for e in explanations["cpu"]] == [1]
+    assert "net" not in explanations
 
 
 def test_report_shape(model):
@@ -306,9 +312,10 @@ def test_model_rejects_duplicate_fault_types(model):
         FaultModel(model.rule_sets + (model.rule_sets[0],), CATALOG)
 
 
-# -- equivalence oracle: the two ranking passes that rank_window replaced ----
-# Kept verbatim as they stood before the merge (with their mask helper), so
-# that the one-pass scorer is checked against them float for float.
+# -- equivalence oracle: the two ranking passes that one scorer replaced ----
+# Kept as they stood before the merge (with their mask helper), but giving
+# scores and explanation entries for ranked_report, so that the one-pass
+# scorer is checked against them float for float.
 
 
 def _rule_mask(rule: Rule) -> int:
@@ -318,15 +325,22 @@ def _rule_mask(rule: Rule) -> int:
     return mask
 
 
-def rank_fault_types(model: FaultModel, window: QueryWindow) -> RankedResult:
-    """Rank fault types by the sum of per-sample votes over the window.
+def _entry(model: FaultModel, fault_type: str, idx: int, hits: int) -> dict:
+    rule_set = model.rule_set(fault_type)
+    return {
+        "fault_type": fault_type,
+        "rule_index": idx,
+        "rule": model.describe(rule_set.rules[idx]),
+        "precision": (rule_set.stats or ())[idx].precision,
+        "hits": hits,
+    }
 
-    The full ranking is returned (descending score, ties by name) so that
-    top-k evaluation is possible; a window where no rule fires anywhere is
-    flagged no_signal and ranked lexicographically.
-    """
+
+def rank_fault_types(model: FaultModel, window) -> tuple[dict, dict]:
+    """Each fault type's sum of per-sample votes over the window, and the
+    rules that fired, in rule order with their hits."""
     scores: dict[str, float] = {}
-    explanations: dict[str, tuple[Explanation, ...]] = {}
+    explanations: dict[str, list[dict]] = {}
     for fault_type, rule_set in model.rule_sets:
         total = 0.0
         hits = [0] * len(rule_set.rules)
@@ -341,22 +355,17 @@ def rank_fault_types(model: FaultModel, window: QueryWindow) -> RankedResult:
                         best, best_rule = stats.precision, idx
             total += best
         scores[fault_type] = total
-        explanations[fault_type] = tuple(
-            Explanation(
-                fault_type,
-                idx,
-                model.describe(rule_set.rules[idx]),
-                (rule_set.stats or ())[idx].precision,
-                hits[idx],
-            )
+        explanations[fault_type] = [
+            _entry(model, fault_type, idx, hits[idx])
             for idx in range(len(rule_set.rules))
             if hits[idx] > 0
-        )
-    return _ranked(scores, explanations)
+        ]
+    return scores, explanations
 
 
-def rank_services(model: FaultModel, window: QueryWindow) -> RankedResult:
-    """Rank services by summed votes of their samples across fault types."""
+def rank_services(model: FaultModel, window) -> tuple[dict, dict]:
+    """Each service's summed votes of its samples across fault types, and
+    the rules fired on its samples, by (fault type, rule index)."""
     services = sorted(set(window.services))
     scores = {svc: 0.0 for svc in services}
     hit_counts: dict[str, dict[tuple[str, int], int]] = {svc: {} for svc in services}
@@ -372,19 +381,13 @@ def rank_services(model: FaultModel, window: QueryWindow) -> RankedResult:
                         best = stats.precision
             scores[svc] += best
     explanations = {
-        svc: tuple(
-            Explanation(
-                fault_type,
-                idx,
-                model.describe(model.rule_set(fault_type).rules[idx]),
-                (model.rule_set(fault_type).stats or ())[idx].precision,
-                count,
-            )
+        svc: [
+            _entry(model, fault_type, idx, count)
             for (fault_type, idx), count in sorted(hit_counts[svc].items())
-        )
+        ]
         for svc in services
     }
-    return _ranked(scores, explanations)
+    return scores, explanations
 
 
 N_FEATURES = 6
@@ -441,39 +444,25 @@ def oracle_windows(draw):
         samples = draw(
             st.lists(st.integers(0, (1 << N_FEATURES) - 1), min_size=n, max_size=n)
         )
-    # The oracles read int masks; rank_window reads the matrix built from them.
+    # The oracles read int masks; localization_report reads the matrix built from them.
     return SimpleNamespace(samples=tuple(samples), services=tuple(services))
-
-
-def _explanation_items(result: RankedResult):
-    return [(name, list(entries)) for name, entries in result.explanations.items()]
 
 
 @settings(max_examples=300, deadline=None)
 @given(oracle_models(), oracle_windows())
-def test_rank_window_matches_two_pass_oracle(model, masks):
+def test_report_matches_two_pass_oracle(model, masks):
     window = window_of(masks.samples, masks.services, N_FEATURES + 1)
-    faults, services = rank_window(model, window)
-    expected_faults = rank_fault_types(model, masks)
-    expected_services = rank_services(model, masks)
-    for got, want in ((faults, expected_faults), (services, expected_services)):
-        assert got.ranking == want.ranking  # floats compared with ==
-        assert got.tie_groups == want.tie_groups
-        assert got.no_signal == want.no_signal
-        assert _explanation_items(got) == _explanation_items(want)
+    report = localization_report(model, window)
+    want = ranked_report(*rank_fault_types(model, masks), *rank_services(model, masks))
+    assert report == want  # floats compared with ==
     rules = [rule for _, rule_set in model.rule_sets for rule in rule_set.rules]
     if all(sample == 1 << N_FEATURES for sample in masks.samples) and all(rules):
-        assert faults.no_signal and not any(faults.explanations.values())
-
-    report = json.dumps(localization_report(model, window))
-    with mock.patch(
-        "ruleloc.localize.rank_window",
-        lambda m, w: (rank_fault_types(m, masks), rank_services(m, masks)),
-    ):
-        assert json.dumps(localization_report(model, window)) == report
+        assert report["no_signal"] and not report["explanations"]["fault_types"]
+    # json.dumps writes floats by repr: the reports agree bit for bit.
+    assert json.dumps(report) == json.dumps(want)
 
 
-# -- the layout-driven rank_window against the reduceat scorer it replaced --
+# -- the layout-driven scorer against the reduceat scorer it replaced --------
 
 # 1 is a precision as a model file may hold it, an int.
 LAYOUT_PRECISIONS = (0.1, 0.3, 0.5, 1.0, 0.0, -0.0, 1)
@@ -517,12 +506,14 @@ def layout_windows(draw, d):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), layout_models())
-def test_rank_window_matches_the_reduceat_oracle_bit_for_bit(data, model):
+def test_report_matches_the_reduceat_oracle_bit_for_bit(data, model):
     d = model.binarization.n_features
     for _ in range(2):  # the second window reuses the model's cached layout
         window = data.draw(layout_windows(d))
-        # repr tells -0.0 from 0.0 and 1 from 1.0.
-        assert repr(rank_window(model, window)) == repr(oracle_rank_window(model, window))
+        # json.dumps writes floats by repr, which tells -0.0 from 0.0 and 1 from 1.0.
+        assert json.dumps(localization_report(model, window)) == json.dumps(
+            oracle_localization_report(model, window)
+        )
 
 
 def test_service_sums_pad_each_service_near_its_own_row_count():
@@ -536,20 +527,22 @@ def test_service_sums_pad_each_service_near_its_own_row_count():
     window = QueryWindow(matrix, services)
     tracemalloc.start()
     try:
-        got = rank_window(model, window)
+        got = localization_report(model, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert repr(got) == repr(oracle_rank_window(model, window))
+    assert json.dumps(got) == json.dumps(oracle_localization_report(model, window))
 
 
 def test_model_without_fault_types_scores_services_as_float_zero():
     window = window_of([mask(0), mask(1), 0], ["s2", "s0", "s2"])
-    faults, services = rank_window(FaultModel((), CATALOG), window)
-    assert faults.ranking == () and faults.no_signal
-    assert repr(services.ranking) == repr((("s0", 0.0), ("s2", 0.0)))
-    assert services.tie_groups == (("s0", "s2"),)
+    report = localization_report(FaultModel((), CATALOG), window)
+    assert report["fault_ranking"] == [] and report["no_signal"]
+    assert json.dumps(report["service_ranking"]) == json.dumps(
+        [{"service": "s0", "score": 0.0}, {"service": "s2", "score": 0.0}]
+    )
+    assert report["service_ties"] == [["s0", "s2"]]
 
 
 def test_large_window_sums_votes_fault_type_by_fault_type():
@@ -569,8 +562,8 @@ def test_large_window_sums_votes_fault_type_by_fault_type():
         CATALOG,
     )
     window = QueryWindow(matrix, services)
-    got = rank_window(model, window)
-    assert repr(got) == repr(oracle_rank_window(model, window))
+    got = localization_report(model, window)
+    assert json.dumps(got) == json.dumps(oracle_localization_report(model, window))
     # The order matters here: adding each sample's votes across fault
     # types before the next sample's gives other floats.
     interleaved = dict.fromkeys(sizes, 0.0)
@@ -578,4 +571,4 @@ def test_large_window_sums_votes_fault_type_by_fault_type():
         sample = sum(1 << j for j in np.flatnonzero(row).tolist())
         for name in model.fault_types():
             interleaved[svc] += sample_vote(model, name, sample)
-    assert dict(got[1].ranking) != interleaved
+    assert service_scores(got) != interleaved
