@@ -28,8 +28,13 @@ ends includes U+001C-U+001F, U+0085 and U+2028: "7" followed by U+001C
 parses as 7.0, and a cell holding only U+0085 is missing.
 
 Numeric cells parse with Python's float() rules (see numeric_column).
-A numeric column may also be a float64 array, as ruleloc.cli's reader
-gives it; fit and transform then use it as is, so one parse serves both.
+A numeric column may also be a float64 or a uint8 array, as ruleloc.cli's
+reader gives it; fit and transform then use it as is, so one parse
+serves both.  A uint8 column, which the reader gives for a column of
+small unsigned integers, is compared with the float thresholds as it is,
+never copied to float64 whole with the others: every uint8 value is a
+float64 and finite, so each predicate holds for it as for its float64
+copy.  fit converts one column at a time to float64.
 """
 
 from __future__ import annotations
@@ -367,12 +372,15 @@ def _as_float(value) -> float:
 def numeric_column(values: Sequence, name: str) -> np.ndarray:
     """Parse one raw column to a float64 array; missing cells become nan.
 
-    The whole column goes through one numpy conversion, which applies
-    float() to each cell (a float array passes through uncopied).  A
-    column holding a blank or unparseable cell falls back to one cell at
-    a time, where blanks become nan and a bad cell raises
+    A uint8 array passes through as it is: each value is a float64 value,
+    and none is missing.  Anything else goes through one numpy conversion,
+    which applies float() to each cell (a float64 array passes through
+    uncopied).  A column holding a blank or unparseable cell falls back to
+    one cell at a time, where blanks become nan and a bad cell raises
     InvalidValueError naming `name` and the row.
     """
+    if isinstance(values, np.ndarray) and values.dtype == np.uint8:
+        return values
     try:
         return np.asarray(values, dtype=float)
     except (ValueError, TypeError):
@@ -424,7 +432,7 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
             raise SchemaError(f"column {spec.name!r} not present in table")
         raw = table[spec.name]
         if spec.kind == NUMERIC:
-            values = numeric_column(raw, spec.name)
+            values = numeric_column(raw, spec.name).astype(float, copy=False)
             finite = values[np.isfinite(values)]  # a copy, sorted in place
             if finite.size == 0:
                 warnings.warn(
@@ -512,16 +520,19 @@ def _predicate_blocks(
 
 
 def _numeric_rows(table: Mapping[str, Sequence], names: Sequence[str]) -> np.ndarray:
-    """The named columns parsed as rows of one float64 array.
+    """The named columns parsed as rows of one array: uint8 if every column
+    is a uint8 array, else float64.
 
     One numpy conversion reads every column, with float() for each cell as
     numeric_column's does.  If it fails (a blank or bad cell), every column
     goes through numeric_column in turn, which names the first bad cell.
     """
+    columns = [table[name] for name in names]
+    narrow = all(isinstance(c, np.ndarray) and c.dtype == np.uint8 for c in columns)
     try:
-        return np.array([table[name] for name in names], dtype=float)
+        return np.array(columns, dtype=np.uint8 if narrow else float)
     except (ValueError, TypeError, OverflowError):
-        return np.array([numeric_column(table[name], name) for name in names])
+        return np.array([numeric_column(column, name) for column, name in zip(columns, names)])
 
 
 def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:

@@ -18,7 +18,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from itertools import chain, repeat
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Optional, Sequence
@@ -102,13 +102,16 @@ def read_csv_columns(
     is a schema error.  The file is UTF-8, with or without a byte-order
     mark; any other bytes are invalid data naming the file.
 
-    The columns that `numeric` accepts by name are C-contiguous float64
-    arrays parsed by the rules of binarize.numeric_column; a cell that does
-    not parse is invalid data naming its column and row, reported after
-    every other error of the file.  The other columns are lists of cell
-    strings, one string object per distinct value.  path is opened once;
-    an input that cannot seek (a pipe) is read once into memory, then read
-    like a file, and `digest` (a hashlib object) is fed every byte.  A
+    The columns that `numeric` accepts by name are C-contiguous arrays of
+    the float64 values binarize.numeric_column parses from their cells: a
+    uint8 array for a column of integers up to 255 that the grid reader
+    read through its uint8 fields (see ruleloc.csvgrid), a float64 array
+    for any other; a cell that does not parse is invalid data naming its
+    column and row, reported after every other error of the file.  The
+    other columns are lists of cell strings, one string object per
+    distinct value.  path is opened once; an input that cannot seek (a
+    pipe) is read once into memory, then read like a file, and `digest`
+    (a hashlib object) is fed every byte.  A
     plain comma grid (see ruleloc.csvgrid) is parsed in C; any other file,
     and a grid with a cell loadtxt and numeric_column both reject, is read
     cell by cell from the same handle, with the same values and errors.  A
@@ -635,7 +638,11 @@ def cmd_parse_logs(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it as it was.  It holds each subcommand's
+    cmd_* function as that name was bound when the parser was built."""
     parser = argparse.ArgumentParser(
         prog="ruleloc",
         description="Rule-set learning and fault localization for telemetry tables",

@@ -8,25 +8,40 @@ every line as in the header.  The csv module splits such a line at its
 commas and nowhere else, so np.loadtxt with no quote and no comment
 character reads the same cells.  Each chunk of lines is tokenized once,
 by one loadtxt call with a record dtype: an object field per text column
-and, per numeric column, a uint64 field if the column's cell in the first
+and, per numeric column, a uint8 field if the column's cell in the first
 data row is all ASCII digits, else a float64 field, all named by position
 so that header names cannot clash.  loadtxt rejects a line whose field
-count is not the header's.  Its uint64 parser reads only unsigned
-integers up to 2**64 - 1, each the value float() gives once cast to
-float64, and rejects every other cell (a sign, a point, an exponent,
-nan, a blank).  Its float64 parser reads a cell with the rules of
-float() but rejects some cells float() reads (blank ones, "1_0").  A
-chunk whose call fails is split at its commas instead, its field counts
-checked, its numeric cells parsed by binarize.numeric_column and its
-text cells taken from the same split, so the values are the ones
-numeric_column gives the same cells as strings; every later chunk is
-read with a float64 field per numeric column.
+count is not the header's.  Its unsigned integer parsers read only
+unsigned integers that fit their type, each the value float() gives
+once cast to float64, and reject every other cell (a minus sign, a
+point, an exponent, nan, a blank).  Its float64 parser reads a cell with
+the rules of float() but rejects some cells float() reads (blank ones,
+"1_0").
+
+The table holds two numeric blocks: the columns read through uint8
+fields are rows of one uint8 array, and the columns read through float64
+fields are rows of one float64 array.  A call that fails on a uint8
+field's cell of digits, a value from 256 to 2**64 - 1, is made once more
+with uint64 fields in place of the uint8 ones, and every later chunk is
+read with those uint64 fields, so no value above 255 costs a chunk parsed
+in Python, nor more than one call made twice.  Each uint8 column then
+moves, at the first chunk where a value is above 255, to a float64 row
+of a new block that keeps its earlier values.  A chunk whose call fails
+otherwise is split at its commas instead, its field counts checked, its
+numeric cells parsed by binarize.numeric_column and its text cells taken
+from the same split, so the values are the ones numeric_column gives the
+same cells as strings; every uint8 column then moves to a float64 row,
+and every later chunk is read with a float64 field per numeric column.
+So a numeric column is uint8 exactly when loadtxt read every chunk, the
+column's cell in the first data row is all digits and none of its values
+is above 255, and its values are float64 values either way.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import re
 import warnings
 from functools import partial
 from itertools import islice
@@ -42,6 +57,9 @@ _GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 # glibc serves blocks below its adaptive mmap threshold from the heap: on a
 # 100k x 63 table, 8192 rows per call raised the peak RSS of train by 5 MB.
 _CHUNK_ROWS = 2048
+# loadtxt names the first cell it rejects.  A cell of digits that a uint8
+# field rejects holds a value above 255.
+_ABOVE_UINT8 = re.compile(r"could not convert string '\+?(\d+)' to uint8 ")
 
 
 def _lines_ok(lines: list[bytes]) -> bool:
@@ -59,20 +77,56 @@ def _record(kinds: list[str]) -> np.dtype:
     return np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
 
 
+def _load(chunk: list[bytes], record: np.dtype) -> np.ndarray:
+    """The records of chunk, one loadtxt call with the record dtype.
+
+    Raises ValueError for a line loadtxt rejects.  numpy releases that
+    still carry the deprecation of numpy 1.23 read a cell like 1.5 in an
+    integer field through float(), warning; as an error, the warning
+    fails the call instead, and is raised as a ValueError too.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(chunk, record, delimiter=",", comments=None, ndmin=1)
+        except DeprecationWarning as warning:
+            raise ValueError(str(warning)) from None
+
+
+def _uint64_reads(error: ValueError) -> bool:
+    """Whether error is loadtxt rejecting, in a uint8 field, a cell of
+    digits that a uint64 field reads: a value from 256 to 2**64 - 1."""
+    found = _ABOVE_UINT8.match(str(error))
+    return found is not None and int(found[1]) < 1 << 64
+
+
+def _widen(rows: dict[int, np.ndarray], columns: list[int], filled: int) -> None:
+    """Make the named uint8 rows rows of one new float64 block, keeping
+    their first `filled` values."""
+    if not columns:
+        return
+    block = np.empty((len(columns), len(rows[columns[0]])))
+    for i, out in zip(columns, block):
+        out[:filled] = rows[i][:filled]
+        rows[i] = out
+
+
 def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Optional[dict]:
     """The table of the seekable binary file fh, read from its start, if it
     is a plain comma grid, else None.
 
-    Columns that `numeric` accepts by name are rows of one float64 array,
-    the others lists of cell strings, one string object per distinct
-    value, interned chunk by chunk.  The file is read twice, so that no
-    copy of it is held whole: in blocks to count its rows, each block also
-    fed to `digest` (a hashlib object) when one is given, then in chunks
-    of lines, each checked before one loadtxt call with a record dtype
-    reads all its columns.  The first data row picks each numeric field's
-    type: uint64 where its cell is all ASCII digits, else float64.  After
-    a chunk whose call fails, and which is therefore parsed cell by cell,
-    every numeric field is float64.  Raises OSError if the file cannot be
+    Columns that `numeric` accepts by name are numpy arrays, the others
+    lists of cell strings, one string object per distinct value, interned
+    chunk by chunk.  The file is read twice, so that no copy of it is held
+    whole: in blocks to count its rows, each block also fed to `digest` (a
+    hashlib object) when one is given, then in chunks of lines, each
+    checked before one loadtxt call with a record dtype reads all its
+    columns.  The first data row picks each numeric field's type: uint8
+    where its cell is all ASCII digits, else float64.  Numeric columns are
+    uint8 or float64 arrays, rows of the blocks the module docstring
+    describes; after a value above 255 the uint8 columns are read through
+    uint64 fields, and after a chunk parsed cell by cell every numeric
+    column and field is float64.  Raises OSError if the file cannot be
     read and ValueError (InvalidValueError) for a numeric cell that
     binarize.numeric_column rejects.
     """
@@ -98,46 +152,57 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     start = fh.tell()
     first = fh.readline().rstrip(b"\n").split(b",")
     fh.seek(start)
-    kinds = ["f8" if flag else "O" for flag in is_numeric]
-    floats = record = _record(kinds)
+    floats = ["f8" if flag else "O" for flag in is_numeric]
+    kinds = floats
     if len(first) == len(kinds):  # else the first chunk's call fails
-        typed = [
-            "u8" if kind == "f8" and cell.isdigit() else kind for kind, cell in zip(kinds, first)
+        kinds = [
+            "u1" if kind == "f8" and cell.isdigit() else kind for kind, cell in zip(kinds, first)
         ]
-        if typed != kinds:
-            record = _record(typed)
-    values = np.empty((len(num), n))
+    record = _record(kinds)
+    narrow = [i for i in num if kinds[i] == "u1"]
+    rows = dict(zip(narrow, np.empty((len(narrow), n), np.uint8)))
+    wide = [i for i in num if kinds[i] == "f8"]
+    rows.update(zip(wide, np.empty((len(wide), n))))
     texts: list[list[str]] = [[] for _ in txt]
     distinct: list[dict[str, str]] = [{} for _ in txt]
     for lo in range(0, n, _CHUNK_ROWS):
         chunk = list(islice(fh, _CHUNK_ROWS))
         if len(chunk) != min(_CHUNK_ROWS, n - lo) or not _lines_ok(chunk):
             return None
-        block = values[:, lo : lo + len(chunk)]
+        hi = lo + len(chunk)
         try:
-            with warnings.catch_warnings():
-                # numpy releases that still carry the deprecation of numpy 1.23
-                # read a cell like 1.5 in an integer field through float(),
-                # warning; as an error, the warning fails the call instead.
-                warnings.simplefilter("error", DeprecationWarning)
-                records = np.loadtxt(chunk, record, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, DeprecationWarning):
-            # A blank cell, one only float() reads, one uint64 rejects, or a
-            # ragged line.
-            record = floats
+            records = _load(chunk, record)
+        except ValueError as error:
+            records = None
+            if _uint64_reads(error):
+                kinds = ["u8" if kind == "u1" else kind for kind in kinds]
+                record = _record(kinds)
+                try:
+                    records = _load(chunk, record)
+                except ValueError:
+                    pass
+        if records is None:
+            # A blank cell, one only float() reads, one no integer field
+            # reads, or a ragged line.
+            _widen(rows, narrow, lo)
+            narrow, kinds, record = [], floats, _record(floats)
             split = [text.rstrip(b"\n").decode().split(",") for text in chunk]
             if any(len(row) != len(header) for row in split):
                 return None
-            for out, i in zip(block, num):
-                out[:] = numeric_column([row[i] for row in split], header[i])
+            for i in num:
+                rows[i][lo:hi] = numeric_column([row[i] for row in split], header[i])
             strings = ([row[i] for row in split] for i in txt)
         else:
-            for out, i in zip(block, num):
-                out[:] = records[f"f{i}"]
+            if "u8" in kinds:  # the uint8 columns' fields since a value above 255
+                over = [i for i in narrow if records[f"f{i}"].max() > 255]
+                _widen(rows, over, lo)
+                narrow = [i for i in narrow if i not in over]
+            for i in num:
+                rows[i][lo:hi] = records[f"f{i}"]
             strings = (records[f"f{i}"].tolist() for i in txt)
         for column, seen, cell_column in zip(texts, distinct, strings):
             column.extend(map(seen.setdefault, cell_column, cell_column))
     if fh.read(1):  # the file grew after its rows were counted
         return None
-    rows, cells = iter(values), iter(texts)
-    return {name: next(rows) if flag else next(cells) for name, flag in zip(header, is_numeric)}
+    cells = iter(texts)
+    return {name: rows[i] if i in rows else next(cells) for i, name in enumerate(header)}

@@ -9,6 +9,7 @@ from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from ruleloc import cli
@@ -704,8 +705,6 @@ def test_config_file_supplies_knobs_and_flags_win(tmp_path, scenario):
 
 
 def test_bins_flag_changes_thresholds(tmp_path):
-    import numpy as np
-
     rng = np.random.default_rng(0)
     n = 400
     table = {
@@ -978,6 +977,9 @@ def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
 
 
 def test_train_releases_the_parsed_table_before_selection(tmp_path, monkeypatch):
+    """The planted metrics are 0/1 flags, read as rows of one uint8 block;
+    two float columns are rows of one float64 block.  transform reads the
+    flags as they are, and both blocks are freed before selection."""
     import weakref
 
     import ruleloc.cli
@@ -986,20 +988,28 @@ def test_train_releases_the_parsed_table_before_selection(tmp_path, monkeypatch)
         seed=7, n=900, d=12, n_fault_types=3, n_services=3, n_windows=1,
         imbalance_ratio=10.0, noise=0.0,
     )
+    table = dict(three.train_table)
+    rng = np.random.default_rng(7)
+    for name in ("lat0", "lat1"):
+        table[name] = [f"{v:.3f}" for v in rng.random(900)]
     data = tmp_path / "train.csv"
-    write_csv_columns(data, three.train_table)
+    write_csv_columns(data, table)
     real_fit, real_select = ruleloc.cli.fit, ruleloc.cli.select_rule_set
     refs, selections = [], []
 
     def fit(table, specs):
-        block = table["m00"].base  # the numeric block every numeric column views
-        assert block is not None
-        refs.append(weakref.ref(block))
+        # The block each group of columns views, by identity.
+        flags = {id(c.base): c.base for c in (table[f"m{j:02d}"] for j in range(12))}
+        floats = {id(c.base): c.base for c in (table["lat0"], table["lat1"])}
+        [narrow], [wide] = flags.values(), floats.values()
+        assert narrow.dtype == np.uint8 and narrow.shape == (12, 900)
+        assert wide.dtype == np.float64 and wide.shape == (2, 900)
+        refs.extend((weakref.ref(narrow), weakref.ref(wide)))
         return real_fit(table, specs)
 
     def select_rule_set(*args, **kwargs):
         if not selections:
-            assert refs[0]() is None
+            assert [ref() for ref in refs] == [None, None]
         selections.append(1)
         return real_select(*args, **kwargs)
 
@@ -1010,7 +1020,22 @@ def test_train_releases_the_parsed_table_before_selection(tmp_path, monkeypatch)
         ["train", "--data", str(data), "--model", str(model_path), "-K", "1", "-l", "2"]
     )
     assert code == 0
-    assert len(refs) == 1 and len(selections) == 3
+    assert len(refs) == 2 and len(selections) == 3
+
+
+def test_main_builds_its_parser_once(trained, capsys):
+    """Importing ruleloc.cli builds no parser; the first main call builds it
+    and later calls reuse it."""
+    _, _, model_path = trained
+    probe = "import ruleloc.cli as c; print(c.build_parser.cache_info().misses)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["export-fingerprints", "--model", str(model_path)]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("command", ["export-fingerprints", "localize"])

@@ -6,7 +6,11 @@ read with a numeric predicate must equal the oracle's table with those
 columns parsed by numeric_column, and the oracle's errors wrapped as the
 reader wraps them: the same columns in the same order, the same float64
 values (NaN-aware, sign included) and strings, and the same exception
-type, category and message.
+type, category and message.  A numeric column is a uint8 array exactly
+when loadtxt read every row of the file, the column's first cell is all
+ASCII digits and none of its values is above 255; otherwise it is a
+float64 array.  Either way it is C-contiguous, and its values cast to
+float64 are the oracle's.
 """
 
 import csv
@@ -125,20 +129,43 @@ def parsed(read, path, numeric):
         return None, (type(exc), category, str(exc))
 
 
+def loadtxt_rows():
+    """A wrapper of np.loadtxt, and the list to which it appends the line
+    count of each call that returns."""
+    rows, loadtxt = [], np.loadtxt
+    def spy(lines, *args, **kwargs):
+        records = loadtxt(lines, *args, **kwargs)
+        rows.append(len(lines))
+        return records
+    return spy, rows
+
+
 def assert_same_as_oracle(path: Path, numeric) -> dict:
     """Both readers agree on path; returns read_csv_columns's table (or {})."""
-    got, got_error = parsed(read_csv_columns, path, numeric)
+    spy, rows = loadtxt_rows()
+    with mock.patch.object(csvgrid.np, "loadtxt", spy):
+        got, got_error = parsed(read_csv_columns, path, numeric)
     want, want_error = parsed(read_oracle, path, numeric)
     assert got_error == want_error
     if want is None:
         return {}
     assert list(got) == list(want)
+    cells = oracle_read_csv_columns(path)
+    n = len(next(iter(cells.values())))
+    every_row_by_loadtxt = n > 0 and sum(rows) == n
     for name, column in want.items():
         if numeric(name):
-            assert got[name].dtype == np.float64
+            narrow = (
+                every_row_by_loadtxt
+                and cells[name][0].isascii()
+                and cells[name][0].isdigit()
+                and bool(np.all(column <= 255))
+            )
+            assert got[name].dtype == (np.uint8 if narrow else np.float64)
             assert got[name].flags.c_contiguous
-            assert np.array_equal(got[name], column, equal_nan=True)
-            assert np.array_equal(np.signbit(got[name]), np.signbit(column))
+            values = got[name].astype(float)
+            assert np.array_equal(values, column, equal_nan=True)
+            assert np.array_equal(np.signbit(values), np.signbit(column))
         else:
             assert got[name] == column
             assert one_object_per_value(got[name])
@@ -470,7 +497,7 @@ def test_byte_order_mark_keeps_the_grid_path(tmp_path):
     assert list(table) == ["a", "b"]
 
 
-# -- uint64 fields for columns of unsigned integers ---------------------------------
+# -- uint8 and uint64 fields for columns of unsigned integers -----------------------
 
 
 def spy_loadtxt(monkeypatch) -> list[tuple[int, dict[str, str]]]:
@@ -494,15 +521,19 @@ DIGIT_CELLS = st.one_of(
 @given(st.lists(DIGIT_CELLS, min_size=1, max_size=40))
 @example([str(2**64 - 1), str(2**53 + 1), str(2**64 - 2**10), "00012", "0"])
 def test_digit_cells_read_as_float_reads_them(cells):
-    """A column of digit-only cells is read through uint64 fields, and
-    every cell, above 2**53 too, reads as float(cell)."""
+    """A column of digit-only cells is read through a uint8 field and, if a
+    cell is above 255, once more through a uint64 field.  Every cell, above
+    2**53 too, reads as float(cell), and the column is uint8 exactly when
+    no cell is above 255."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_bytes(tmp, ("x,s\n" + "".join(f"{c},t\n" for c in cells)).encode())
         with mock.patch.object(csvgrid.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             table = read_csv_columns(path, {"x"}.__contains__)
-    assert [call.args[1]["f0"].kind for call in loadtxt.call_args_list] == ["u"]
-    assert table["x"].dtype == np.float64
-    assert table["x"].tolist() == [float(c) for c in cells]
+    narrow = max(map(int, cells)) <= 255
+    fields = [call.args[1]["f0"] for call in loadtxt.call_args_list]
+    assert [(f.kind, f.itemsize) for f in fields] == [("u", 1)] + ([] if narrow else [("u", 8)])
+    assert table["x"].dtype == (np.uint8 if narrow else np.float64)
+    assert table["x"].astype(float).tolist() == [float(c) for c in cells]
 
 
 @pytest.mark.parametrize("cell", ["1.5", "", "-0", "18446744073709551616"])
@@ -529,15 +560,92 @@ def test_a_later_cell_uint64_rejects_is_read_exactly(tmp_path, monkeypatch, cell
     assert table["s"] == ["x", "y", "x", "z", "y", "x", "z"]
 
 
-def test_only_columns_whose_first_cell_is_digits_are_read_as_uint64(tmp_path, monkeypatch):
+def test_only_columns_whose_first_cell_is_digits_are_read_as_uint8(tmp_path):
     """A float in the first row, a signed integer there, or a text column
     keeps its field type whatever the later rows hold."""
+    with mock.patch.object(csvgrid.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        path = tmp_path / "mixed.csv"
+        path.write_text("n,x,s,m\n3,0.5,a,+1\n12,2,b,4\n")
+        table = assert_same_as_oracle(path, {"n", "x", "m"}.__contains__)
+    [call] = loadtxt.call_args_list
+    assert call.args[1] == np.dtype([("f0", "u1"), ("f1", "f8"), ("f2", "O"), ("f3", "f8")])
+    assert table["n"].dtype == np.uint8 and table["n"].tolist() == [3, 12]
+    assert table["x"].dtype == table["m"].dtype == np.float64
+    assert table["m"].tolist() == [1.0, 4.0]
+
+
+def read_as_uint8(cell: str):
+    """The value a uint8 field of csvgrid's loadtxt call reads from cell, or
+    None if the call rejects it."""
+    try:
+        return csvgrid._load([f"{cell},t\n".encode()], csvgrid._record(["u1", "O"]))["f0"][0]
+    except ValueError:
+        return None
+
+
+# Plain grid cells, none holding a comma, built from what numbers are made of.
+NUMBER_LIKE = st.text(st.sampled_from("0123456789+-. eE_xnaif"), max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(NUMBER_LIKE, st.integers(0, 300).map(str)))
+@example("255")
+@example("+1")
+@example(" 7 ")
+@example("000255")
+def test_every_cell_a_uint8_field_reads_is_float_of_the_cell(cell):
+    value = read_as_uint8(cell)
+    if value is not None:
+        assert float(value) == float(cell)
+        assert not math.copysign(1.0, float(cell)) < 0
+
+
+@pytest.mark.parametrize("cell", ["256", "-0", "-1", "1.0", "1e2", "nan", "", " ", "+256"])
+def test_a_uint8_field_rejects_what_it_cannot_hold_exactly(cell):
+    """Values above 255, a minus sign, which would lose -0.0, a point, an
+    exponent, nan and a blank cell.  A plus sign reads as float() reads it
+    (see the test above)."""
+    assert read_as_uint8(cell) is None
+
+
+def test_a_value_above_255_in_a_later_chunk_keeps_the_loadtxt_path(tmp_path, monkeypatch):
+    """The count column first exceeds 255 in the third chunk.  That chunk
+    and every later one are read with uint64 fields where the uint8 fields
+    were, the count column is float64, the 0/1 columns stay uint8, and no
+    chunk is split and parsed in Python."""
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 4)
+    counts = [0, 7, 255, 3, 9, 1, 2, 200, 40, 256, 1000, 5, 18446744073709551615, 0]
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        "s,flag,count,other\n"
+        + "".join(f"svc{i % 3},{i % 2},{c},{(i + 1) % 2}\n" for i, c in enumerate(counts))
+    )
+    numeric = {"flag", "count", "other"}.__contains__
+    with mock.patch.object(csvgrid.np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(csvgrid, "numeric_column", wraps=numeric_column) as split:
+        table = assert_same_as_oracle(path, numeric)
+    assert not split.called
+    fields = [[call.args[1][f"f{i}"].str[1:] for i in (1, 2, 3)] for call in loadtxt.call_args_list]
+    narrow, wide = ["u1"] * 3, ["u8"] * 3
+    assert fields == [narrow, narrow, narrow, wide, wide]
+    assert table["flag"].dtype == table["other"].dtype == np.uint8
+    assert table["flag"].base is table["other"].base
+    assert table["count"].dtype == np.float64
+    assert table["count"].tolist() == [float(c) for c in counts]
+
+
+def test_a_blank_cell_after_a_value_above_255_is_read_exactly(tmp_path, monkeypatch):
+    """The uint64 retry of a chunk can fail on another cell; that chunk is
+    then split and parsed by numeric_column, every numeric column becomes
+    float64, and later chunks are read with float64 fields."""
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
+    path = tmp_path / "gap.csv"
+    path.write_text("a,b\n1,2\n3,4\n300,5\n6,\n7,8\n")
     calls = spy_loadtxt(monkeypatch)
-    path = tmp_path / "mixed.csv"
-    path.write_text("n,x,s,m\n3,0.5,a,+1\n12,2,b,4\n")
-    table = assert_same_as_oracle(path, {"n", "x", "m"}.__contains__)
-    assert calls == [(2, {"f0": "u", "f1": "f", "f2": "O", "f3": "f"})]
-    assert table["n"].tolist() == [3.0, 12.0] and table["m"].tolist() == [1.0, 4.0]
+    table = assert_same_as_oracle(path, {"a", "b"}.__contains__)
+    ints, floats = {"f0": "u", "f1": "u"}, {"f0": "f", "f1": "f"}
+    assert calls == [(2, ints), (2, ints), (2, ints), (1, floats)]
+    assert table["a"].dtype == table["b"].dtype == np.float64
 
 
 # -- the grid path on files shaped like the benchmark inputs ------------------------
