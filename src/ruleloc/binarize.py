@@ -519,38 +519,25 @@ def _predicate_blocks(
             yield np.arange(first, stop, 2), block
 
 
-def _numeric_rows(table: Mapping[str, Sequence], names: Sequence[str]) -> np.ndarray:
-    """The named columns parsed as rows of one array: uint8 if every column
-    is a uint8 array, else float64.
-
-    One numpy conversion reads every column, with float() for each cell as
-    numeric_column's does.  If it fails (a blank or bad cell), every column
-    goes through numeric_column in turn, which names the first bad cell.
-    """
-    columns = [table[name] for name in names]
-    narrow = all(isinstance(c, np.ndarray) and c.dtype == np.uint8 for c in columns)
-    try:
-        return np.array(columns, dtype=np.uint8 if narrow else float)
-    except (ValueError, TypeError, OverflowError):
-        return np.array([numeric_column(column, name) for column, name in zip(columns, names)])
-
-
 def feature_matrix(model: BinarizationModel, table: Mapping[str, Sequence]) -> np.ndarray:
     """Dense boolean matrix (n rows x len(catalog) columns) of the predicates,
     in column-major order.
 
     Every numeric threshold is decided at once from the model's threshold
-    layout: one gather of the parsed columns, one (<=) and one (>)
-    comparison, scattered to the catalog.  Where rows times thresholds
-    exceed _GATHERED_CELLS, the thresholds go in blocks of that many cells,
-    so the gathered floats stay bounded.  Categorical columns are one-hot
-    encoded one column at a time.
+    layout: one gather of the numeric columns, one (<=) and one (>)
+    comparison, scattered to the catalog.  The columns, each parsed by
+    numeric_column, are stacked as rows of one array, uint8 if every one
+    is uint8 and else float64, and the first bad cell is named in catalog
+    order.  Where rows times thresholds exceed _GATHERED_CELLS, the
+    thresholds go in blocks of that many cells, so the gathered floats
+    stay bounded.  Categorical columns are one-hot encoded one column at
+    a time.
     """
     n = _row_count(model, table)
     # Built as its transpose, where each feature is one contiguous row.
     by_feature = np.zeros((model.n_features, n), dtype=bool)
     layout = model._threshold_layout
-    values = _numeric_rows(table, layout.names)
+    values = np.array([numeric_column(table[name], name) for name in layout.names])
     step = max(1, _GATHERED_CELLS // max(n, 1))
     for lo in range(0, len(layout.rows), step):
         block = slice(lo, lo + step)

@@ -104,18 +104,19 @@ def read_csv_columns(
 
     The columns that `numeric` accepts by name are C-contiguous arrays of
     the float64 values binarize.numeric_column parses from their cells: a
-    uint8 array for a column of integers up to 255 that the grid reader
-    read through its uint8 fields (see ruleloc.csvgrid), a float64 array
-    for any other; a cell that does not parse is invalid data naming its
-    column and row, reported after every other error of the file.  The
-    other columns are lists of cell strings, one string object per
-    distinct value.  path is opened once; an input that cannot seek (a
-    pipe) is read once into memory, then read like a file, and `digest`
-    (a hashlib object) is fed every byte.  A
-    plain comma grid (see ruleloc.csvgrid) is parsed in C; any other file,
-    and a grid with a cell loadtxt and numeric_column both reject, is read
-    cell by cell from the same handle, with the same values and errors.  A
-    line the csv module rejects (a field over its size limit; a NUL byte
+    uint8 array for a column that the grid reader holds as bytes, one
+    whose first cell is all ASCII digits and whose every value is an
+    integer from 0 to 255 without a sign bit (see ruleloc.csvgrid), a
+    float64 array for any other; a cell that does not parse is invalid
+    data naming its column and row, reported after every other error of
+    the file.  The other columns are lists of cell strings, one string
+    object per distinct value.  path is opened once; an input that cannot
+    seek (a pipe) is read once into memory, then read like a file, and
+    `digest` (a hashlib object) is fed every byte.  A plain comma grid
+    (see ruleloc.csvgrid) is parsed in C; any other file, and a grid with
+    a cell loadtxt and numeric_column both reject, is read cell by cell
+    from the same handle, with the same values and errors.  A line the
+    csv module rejects (a field over its size limit; a NUL byte
     before Python 3.11) is invalid data naming the line.
     """
     try:

@@ -18,30 +18,30 @@ point, an exponent, nan, a blank).  Its float64 parser reads a cell with
 the rules of float() but rejects some cells float() reads (blank ones,
 "1_0").
 
-The table holds two numeric blocks: the columns read through uint8
-fields are rows of one uint8 array, and the columns read through float64
-fields are rows of one float64 array.  A call that fails on a uint8
-field's cell of digits, a value from 256 to 2**64 - 1, is made once more
-with uint64 fields in place of the uint8 ones, and every later chunk is
-read with those uint64 fields, so no value above 255 costs a chunk parsed
-in Python, nor more than one call made twice.  Each uint8 column then
-moves, at the first chunk where a value is above 255, to a float64 row
-of a new block that keeps its earlier values.  A chunk whose call fails
-otherwise is split at its commas instead, its field counts checked, its
-numeric cells parsed by binarize.numeric_column and its text cells taken
-from the same split, so the values are the ones numeric_column gives the
-same cells as strings; every uint8 column then moves to a float64 row,
-and every later chunk is read with a float64 field per numeric column.
-So a numeric column is uint8 exactly when loadtxt read every chunk, the
-column's cell in the first data row is all digits and none of its values
-is above 255, and its values are float64 values either way.
+The table holds two numeric blocks, and one rule decides a column's
+block.  A column read through a uint8 field is a row of one uint8 array
+until a chunk holds a value a byte cannot hold exactly (above 255,
+negative, a fraction, -0.0, nan or a blank); from that chunk on, that
+column alone is a float64 row that keeps its earlier values.  The other
+numeric columns are rows of one float64 array.  How the chunk was read
+does not matter.  A call that fails while its record has uint8 fields is
+made once more, as is every later one, with uint64 fields in their
+place, which read the same cells and values above 255 too.  A chunk
+whose call still fails is split at its commas, its field counts
+checked, its numeric cells parsed by binarize.numeric_column and its
+text cells taken from the same split, so its values are the ones
+numeric_column gives the same cells as strings; later chunks read the
+float64 columns through float64 fields.  Values not read through uint8
+fields are checked for the columns still held as bytes.  So a numeric
+column is uint8 exactly when its cell in the first data row is all
+digits and every value is an integer from 0 to 255 without a sign bit,
+and its values are float64 values either way.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import re
 import warnings
 from functools import partial
 from itertools import islice
@@ -57,9 +57,6 @@ _GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 # glibc serves blocks below its adaptive mmap threshold from the heap: on a
 # 100k x 63 table, 8192 rows per call raised the peak RSS of train by 5 MB.
 _CHUNK_ROWS = 2048
-# loadtxt names the first cell it rejects.  A cell of digits that a uint8
-# field rejects holds a value above 255.
-_ABOVE_UINT8 = re.compile(r"could not convert string '\+?(\d+)' to uint8 ")
 
 
 def _lines_ok(lines: list[bytes]) -> bool:
@@ -77,27 +74,29 @@ def _record(kinds: list[str]) -> np.dtype:
     return np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
 
 
-def _load(chunk: list[bytes], record: np.dtype) -> np.ndarray:
-    """The records of chunk, one loadtxt call with the record dtype.
+def _load(chunk: list[bytes], record: np.dtype) -> Optional[np.ndarray]:
+    """The records of chunk, one loadtxt call with the record dtype, or
+    None if loadtxt rejects a line.
 
-    Raises ValueError for a line loadtxt rejects.  numpy releases that
-    still carry the deprecation of numpy 1.23 read a cell like 1.5 in an
-    integer field through float(), warning; as an error, the warning
-    fails the call instead, and is raised as a ValueError too.
+    numpy releases that still carry the deprecation of numpy 1.23 read a
+    cell like 1.5 in an integer field through float(), warning; as an
+    error, the warning fails the call instead.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
             return np.loadtxt(chunk, record, delimiter=",", comments=None, ndmin=1)
-        except DeprecationWarning as warning:
-            raise ValueError(str(warning)) from None
+        except (ValueError, DeprecationWarning):
+            return None
 
 
-def _uint64_reads(error: ValueError) -> bool:
-    """Whether error is loadtxt rejecting, in a uint8 field, a cell of
-    digits that a uint64 field reads: a value from 256 to 2**64 - 1."""
-    found = _ABOVE_UINT8.match(str(error))
-    return found is not None and int(found[1]) < 1 << 64
+def _bytes_hold(values: np.ndarray) -> bool:
+    """Whether a uint8 holds every value exactly: cast to uint8 and back,
+    the values keep their bits (no value out of 0..255, fraction, -0.0 or
+    nan does)."""
+    with np.errstate(invalid="ignore"):  # such a value casts to some byte
+        back = values.astype(np.uint8).astype(values.dtype)
+    return back.tobytes() == values.tobytes()
 
 
 def _widen(rows: dict[int, np.ndarray], columns: list[int], filled: int) -> None:
@@ -124,9 +123,8 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     columns.  The first data row picks each numeric field's type: uint8
     where its cell is all ASCII digits, else float64.  Numeric columns are
     uint8 or float64 arrays, rows of the blocks the module docstring
-    describes; after a value above 255 the uint8 columns are read through
-    uint64 fields, and after a chunk parsed cell by cell every numeric
-    column and field is float64.  Raises OSError if the file cannot be
+    describes: a column leaves the uint8 block only for a value a byte
+    cannot hold exactly.  Raises OSError if the file cannot be
     read and ValueError (InvalidValueError) for a numeric cell that
     binarize.numeric_column rejects.
     """
@@ -170,36 +168,32 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
         if len(chunk) != min(_CHUNK_ROWS, n - lo) or not _lines_ok(chunk):
             return None
         hi = lo + len(chunk)
-        try:
+        records = _load(chunk, record)
+        if records is None and "u1" in kinds:  # a value above 255, or a cell no uint reads
+            kinds = ["u8" if kind == "u1" else kind for kind in kinds]
+            record = _record(kinds)
             records = _load(chunk, record)
-        except ValueError as error:
-            records = None
-            if _uint64_reads(error):
-                kinds = ["u8" if kind == "u1" else kind for kind in kinds]
-                record = _record(kinds)
-                try:
-                    records = _load(chunk, record)
-                except ValueError:
-                    pass
         if records is None:
             # A blank cell, one only float() reads, one no integer field
             # reads, or a ragged line.
-            _widen(rows, narrow, lo)
-            narrow, kinds, record = [], floats, _record(floats)
             split = [text.rstrip(b"\n").decode().split(",") for text in chunk]
             if any(len(row) != len(header) for row in split):
                 return None
-            for i in num:
-                rows[i][lo:hi] = numeric_column([row[i] for row in split], header[i])
+            # Keyed by field name, as the records are.
+            values = {f"f{i}": numeric_column([row[i] for row in split], header[i]) for i in num}
             strings = ([row[i] for row in split] for i in txt)
         else:
-            if "u8" in kinds:  # the uint8 columns' fields since a value above 255
-                over = [i for i in narrow if records[f"f{i}"].max() > 255]
-                _widen(rows, over, lo)
-                narrow = [i for i in narrow if i not in over]
-            for i in num:
-                rows[i][lo:hi] = records[f"f{i}"]
+            values = records
             strings = (records[f"f{i}"].tolist() for i in txt)
+        if "u1" not in kinds:  # the uint8 rows' values were not read as bytes
+            over = [i for i in narrow if not _bytes_hold(values[f"f{i}"])]
+            _widen(rows, over, lo)
+            narrow = [i for i in narrow if i not in over]
+        if records is None:
+            kinds = [kinds[i] if i in narrow else kind for i, kind in enumerate(floats)]
+            record = _record(kinds)
+        for i in num:
+            rows[i][lo:hi] = values[f"f{i}"]
         for column, seen, cell_column in zip(texts, distinct, strings):
             column.extend(map(seen.setdefault, cell_column, cell_column))
     if fh.read(1):  # the file grew after its rows were counted

@@ -117,10 +117,6 @@ class TemplateBase:
     def __len__(self) -> int:
         return sum(len(g) for g in self.groups.values())
 
-    def templates(self) -> list[tuple[str, ...]]:
-        out = [tuple(t) for group in self.groups.values() for t in group]
-        return sorted(out)
-
     def _candidates(self, tokens: Sequence[str]) -> Iterable[list[str]]:
         key = _group_key(tokens)
         yield from self.groups.get(key, ())
@@ -194,11 +190,11 @@ class IntervalCounts:
     start: float
     total: int
     unmatched: int
-    new_template_counts: tuple[tuple[tuple[str, ...], int], ...]
+    new_templates: frozenset[tuple[str, ...]]
 
     @property
     def distinct_new(self) -> int:
-        return len(self.new_template_counts)
+        return len(self.new_templates)
 
 
 @dataclass(frozen=True)
@@ -292,19 +288,14 @@ def match_and_aggregate(
                 continue
         skipped += count
     unmatched: Counter[float] = Counter()
-    novel: dict[float, Counter[tuple[str, ...]]] = {}
+    novel: dict[float, set[tuple[str, ...]]] = {}
     for (stamp, shape), count in miss_counts.items():
         if stamp in starts:
             start = starts[stamp]
             unmatched[start] += count
-            novel.setdefault(start, Counter())[misses[shape]] += count
+            novel.setdefault(start, set()).add(misses[shape])
     rows = tuple(
-        IntervalCounts(
-            start,
-            totals[start],
-            unmatched[start],
-            tuple(sorted(novel.get(start, {}).items())),
-        )
+        IntervalCounts(start, totals[start], unmatched[start], frozenset(novel.get(start, ())))
         for start in sorted(totals)
     )
     return LogFeatureFrame(float(interval), rows, skipped)

@@ -7,10 +7,10 @@ columns parsed by numeric_column, and the oracle's errors wrapped as the
 reader wraps them: the same columns in the same order, the same float64
 values (NaN-aware, sign included) and strings, and the same exception
 type, category and message.  A numeric column is a uint8 array exactly
-when loadtxt read every row of the file, the column's first cell is all
-ASCII digits and none of its values is above 255; otherwise it is a
-float64 array.  Either way it is C-contiguous, and its values cast to
-float64 are the oracle's.
+when the grid reader returned the table, the column's first cell is all
+ASCII digits and every value is an integer from 0 to 255 without a sign
+bit; otherwise it is a float64 array.  Either way it is C-contiguous,
+and its values cast to float64 are the oracle's.
 """
 
 import csv
@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -129,21 +130,14 @@ def parsed(read, path, numeric):
         return None, (type(exc), category, str(exc))
 
 
-def loadtxt_rows():
-    """A wrapper of np.loadtxt, and the list to which it appends the line
-    count of each call that returns."""
-    rows, loadtxt = [], np.loadtxt
-    def spy(lines, *args, **kwargs):
-        records = loadtxt(lines, *args, **kwargs)
-        rows.append(len(lines))
-        return records
-    return spy, rows
+def byte_values(column: np.ndarray) -> bool:
+    """Whether every value is an integer from 0 to 255 without a sign bit."""
+    return bool(np.all(np.isin(column, np.arange(256)) & ~np.signbit(column)))
 
 
 def assert_same_as_oracle(path: Path, numeric) -> dict:
     """Both readers agree on path; returns read_csv_columns's table (or {})."""
-    spy, rows = loadtxt_rows()
-    with mock.patch.object(csvgrid.np, "loadtxt", spy):
+    with mock.patch.object(cli, "_read_csv_cells", wraps=cli._read_csv_cells) as cell_reader:
         got, got_error = parsed(read_csv_columns, path, numeric)
     want, want_error = parsed(read_oracle, path, numeric)
     assert got_error == want_error
@@ -151,15 +145,13 @@ def assert_same_as_oracle(path: Path, numeric) -> dict:
         return {}
     assert list(got) == list(want)
     cells = oracle_read_csv_columns(path)
-    n = len(next(iter(cells.values())))
-    every_row_by_loadtxt = n > 0 and sum(rows) == n
     for name, column in want.items():
         if numeric(name):
             narrow = (
-                every_row_by_loadtxt
+                not cell_reader.called
                 and cells[name][0].isascii()
                 and cells[name][0].isdigit()
-                and bool(np.all(column <= 255))
+                and byte_values(column)
             )
             assert got[name].dtype == (np.uint8 if narrow else np.float64)
             assert got[name].flags.c_contiguous
@@ -382,8 +374,10 @@ def test_a_chunk_with_a_blank_cell_keeps_the_grid_path(tmp_path, monkeypatch):
 
 def test_each_chunk_is_tokenized_by_one_loadtxt_call(tmp_path, monkeypatch):
     """Text and numeric columns interleave; the chunk holding a blank
-    numeric cell is split at its commas, and its text cells stay in
-    place and share the other chunks' string objects."""
+    numeric cell is tried once more with uint64 fields, then split at its
+    commas, and its text cells stay in place and share the other chunks'
+    string objects.  Only the column holding the blank leaves the uint8
+    block."""
     monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
     chunks, loadtxt = [], np.loadtxt
     def spy(lines, *args, **kwargs):
@@ -394,8 +388,9 @@ def test_each_chunk_is_tokenized_by_one_loadtxt_call(tmp_path, monkeypatch):
     path.write_bytes(b"a,s,b,t\n1,x,2,p\n3,y,4,q\n5,x,,p\n7,z,8,q\n9,y,10,p\n")
     numeric = {"a", "b"}.__contains__
     table = assert_same_as_oracle(path, numeric)
-    assert chunks == [2, 2, 1]
+    assert chunks == [2, 2, 2, 1]
     assert np.array_equal(table["b"], [2, 4, math.nan, 8, 10], equal_nan=True)
+    assert table["a"].dtype == np.uint8 and table["a"].tolist() == [1, 3, 5, 7, 9]
     assert table["s"] == ["x", "y", "x", "z", "y"] and table["t"] == ["p", "q"] * 2 + ["p"]
     assert table["s"][2] is table["s"][0] and table["t"][3] is table["t"][1]
     assert took_grid_path(path, numeric)
@@ -501,10 +496,11 @@ def test_byte_order_mark_keeps_the_grid_path(tmp_path):
 
 
 def spy_loadtxt(monkeypatch) -> list[tuple[int, dict[str, str]]]:
-    """(lines, the kind of each field) of every loadtxt call the grid reader makes."""
+    """(lines, the type of each field, like "u1") of every loadtxt call the
+    grid reader makes."""
     calls, loadtxt = [], np.loadtxt
     def spy(lines, dtype, *args, **kwargs):
-        calls.append((len(lines), {name: dtype[name].kind for name in dtype.names}))
+        calls.append((len(lines), {name: dtype[name].str[1:] for name in dtype.names}))
         return loadtxt(lines, dtype, *args, **kwargs)
     monkeypatch.setattr(csvgrid.np, "loadtxt", spy)
     return calls
@@ -538,10 +534,12 @@ def test_digit_cells_read_as_float_reads_them(cells):
 
 @pytest.mark.parametrize("cell", ["1.5", "", "-0", "18446744073709551616"])
 def test_a_later_cell_uint64_rejects_is_read_exactly(tmp_path, monkeypatch, cell):
-    """The first row is all digits, so both numeric columns start as uint64
-    fields.  The chunk holding a cell uint64 rejects is split and parsed by
-    numeric_column, and every later chunk is read with float64 fields: one
-    loadtxt call per chunk, and the exact reader's values.  Deprecation
+    """The first row is all digits, so both numeric columns start as uint8
+    fields.  The chunk holding a cell uint64 rejects too is read once more
+    with uint64 fields, then split and parsed by numeric_column; its column
+    alone becomes float64 and every later chunk reads it with a float64
+    field, the other with a uint64 field: the exact reader's values, and
+    one loadtxt call per later chunk.  Deprecation
     warnings are ignored here, as they are outside this suite, so that a
     numpy that parses such a cell via float() with a warning cannot pass."""
     monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
@@ -553,8 +551,10 @@ def test_a_later_cell_uint64_rejects_is_read_exactly(tmp_path, monkeypatch, cell
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         table = assert_same_as_oracle(path, numeric)
-    ints, floats = {"f0": "u", "f1": "O", "f2": "u"}, {"f0": "f", "f1": "O", "f2": "f"}
-    assert calls == [(2, ints), (2, ints), (2, floats), (1, floats)]
+    narrow = {"f0": "u1", "f1": "O", "f2": "u1"}
+    retry, after = {"f0": "u8", "f1": "O", "f2": "u8"}, {"f0": "u8", "f1": "O", "f2": "f8"}
+    assert calls == [(2, narrow), (2, narrow), (2, retry), (2, after), (1, after)]
+    assert table["a"].dtype == np.uint8 and table["b"].dtype == np.float64
     assert np.array_equal(table["b"][2:4], [float(cell or "nan"), 9.0], equal_nan=True)
     assert np.signbit(table["b"][2]) == (cell == "-0")
     assert table["s"] == ["x", "y", "x", "z", "y", "x", "z"]
@@ -577,10 +577,8 @@ def test_only_columns_whose_first_cell_is_digits_are_read_as_uint8(tmp_path):
 def read_as_uint8(cell: str):
     """The value a uint8 field of csvgrid's loadtxt call reads from cell, or
     None if the call rejects it."""
-    try:
-        return csvgrid._load([f"{cell},t\n".encode()], csvgrid._record(["u1", "O"]))["f0"][0]
-    except ValueError:
-        return None
+    records = csvgrid._load([f"{cell},t\n".encode()], csvgrid._record(["u1", "O"]))
+    return None if records is None else records["f0"][0]
 
 
 # Plain grid cells, none holding a comma, built from what numbers are made of.
@@ -636,16 +634,75 @@ def test_a_value_above_255_in_a_later_chunk_keeps_the_loadtxt_path(tmp_path, mon
 
 def test_a_blank_cell_after_a_value_above_255_is_read_exactly(tmp_path, monkeypatch):
     """The uint64 retry of a chunk can fail on another cell; that chunk is
-    then split and parsed by numeric_column, every numeric column becomes
-    float64, and later chunks are read with float64 fields."""
+    then split and parsed by numeric_column, both columns, one above 255
+    and one blank there, become float64, and later chunks are read with
+    float64 fields."""
     monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
     path = tmp_path / "gap.csv"
     path.write_text("a,b\n1,2\n3,4\n300,5\n6,\n7,8\n")
     calls = spy_loadtxt(monkeypatch)
     table = assert_same_as_oracle(path, {"a", "b"}.__contains__)
-    ints, floats = {"f0": "u", "f1": "u"}, {"f0": "f", "f1": "f"}
-    assert calls == [(2, ints), (2, ints), (2, ints), (1, floats)]
+    narrow, retry = {"f0": "u1", "f1": "u1"}, {"f0": "u8", "f1": "u8"}
+    floats = {"f0": "f8", "f1": "f8"}
+    assert calls == [(2, narrow), (2, narrow), (2, retry), (1, floats)]
     assert table["a"].dtype == table["b"].dtype == np.float64
+
+
+def flags_csv(path: Path, rows: int, columns: int, cell=None) -> list[str]:
+    """A table of a service column and 0/1 flag columns f00, f01, ...; cell,
+    given as (row, column, text), replaces one flag.  Returns the header."""
+    header = ["service", *(f"f{j:02d}" for j in range(columns))]
+    lines = [[f"s{i % 3}", *(str((i + j) % 2) for j in range(columns))] for i in range(rows)]
+    if cell is not None:
+        row, column, text = cell
+        lines[row][column + 1] = text
+    path.write_text(",".join(header) + "\n" + "".join(",".join(line) + "\n" for line in lines))
+    return header
+
+
+def test_a_blank_flag_cell_keeps_the_other_flag_columns_uint8(tmp_path, monkeypatch):
+    """The blank is in the third chunk; only its column becomes float64,
+    keeping its earlier values, and the others stay rows of one uint8
+    block."""
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 4)
+    path = tmp_path / "flags.csv"
+    header = flags_csv(path, 14, 3, (9, 1, ""))
+    table = assert_same_as_oracle(path, lambda name: name != "service")
+    assert table["f00"].dtype == table["f02"].dtype == np.uint8
+    assert table["f00"].base is table["f02"].base
+    assert table["f01"].dtype == np.float64
+    assert table["f01"][:9].tolist() == [(i + 1) % 2 for i in range(9)]
+    assert np.isnan(table["f01"][9])
+    assert took_grid_path(path, set(header[1:]).__contains__)
+
+
+@pytest.mark.parametrize("cells", [["1.0", "+1"], ["+1", "1e0"]])
+def test_whole_numbers_written_otherwise_keep_their_column_uint8(tmp_path, monkeypatch, cells):
+    """1.0 and 1e0 are split and parsed by numeric_column, +1 is read by the
+    uint8 field; each is the byte it stands for."""
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
+    path = tmp_path / "ones.csv"
+    rows = ["0", "1", "1", "0", *cells, "1"]
+    path.write_text("x,s\n" + "".join(f"{cell},t\n" for cell in rows))
+    table = assert_same_as_oracle(path, {"x"}.__contains__)
+    assert table["x"].dtype == np.uint8
+    assert table["x"].tolist() == [float(cell) for cell in rows]
+
+
+def test_one_blank_cell_keeps_a_flag_table_below_its_float64_size(tmp_path):
+    """20,000 rows of 60 flags, one of them blank past the first chunk: the
+    read peaks below the 9.6 MB that the flags take as float64."""
+    path = tmp_path / "flags.csv"
+    rows, columns = 20_000, 60
+    header = flags_csv(path, rows, columns, (5_000, 59, ""))
+    tracemalloc.start()
+    try:
+        table = read_csv_columns(path, set(header[1:]).__contains__)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [table[name].dtype for name in header[1:]] == [np.uint8] * 59 + [np.float64]
+    assert peak < rows * columns * 8
 
 
 # -- the grid path on files shaped like the benchmark inputs ------------------------
