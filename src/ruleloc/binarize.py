@@ -73,6 +73,9 @@ DEFAULT_BINS = 100
 _CODED_MIN_THRESHOLDS = 8
 # Codes are stored as uint16, so all coded columns share 2**16 codes.
 _CODE_SPACE = 1 << 16
+# The most quantile bins a numeric column takes: a finer grid has more
+# thresholds than uint16 codes can name.
+MAX_BINS = _CODE_SPACE
 # feature_matrix gathers at most this many float values (2 MB) at once: a
 # 20-row window against 1,980 thresholds takes one gather of 39,600.
 _GATHERED_CELLS = 1 << 18
@@ -127,6 +130,8 @@ def check_bins(bins: int) -> None:
     """A ValueError unless bins is a count of quantile bins a numeric column can take."""
     if bins < 2:
         raise ValueError("numeric columns need bins >= 2")
+    if bins > MAX_BINS:
+        raise ValueError(f"numeric columns need bins <= {MAX_BINS}")
 
 
 @dataclass(frozen=True)

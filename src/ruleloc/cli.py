@@ -14,9 +14,13 @@ import csv
 import hashlib
 import io
 import json
+import os
+import pickle
 import sys
+import threading
 import time
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from functools import cache, partial
 from itertools import chain, repeat
@@ -89,6 +93,9 @@ class CliError(Exception):
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
+
+    def __reduce__(self):
+        return CliError, (self.category, *self.args)
 
 
 def read_csv_columns(
@@ -309,6 +316,70 @@ def _log_frame(
     return base, match_and_aggregate(base, chain((first,), online), interval, timestamp_format)
 
 
+def _log_counters(
+    logs_dir: Path, interval: float, sim: float, timestamp_format: Optional[str]
+) -> Optional[dict[float, tuple[int, int, int]]]:
+    """The counters of _log_frame's frame, or None when it is None."""
+    logs = _log_frame(logs_dir, interval, sim, timestamp_format)
+    return None if logs is None else logs[1].counters()
+
+
+@contextmanager
+def _forked(function: Callable, *args) -> Iterator[Callable]:
+    """Yield a callable that returns function(*args) or raises what it raised.
+
+    When the process may run on two or more CPUs and has no other Python
+    thread, a child forked on entry calls function while the caller goes
+    on, and the callable waits for the pickled outcome the child sends
+    through a pipe.  An outcome that does not come back (the child died,
+    or the outcome does not pickle and unpickle) leaves the call to the
+    callable.  Otherwise the callable calls function itself.  On exit, a
+    child still running is killed, and the child is always reaped.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2 or threading.active_count() > 1:
+        yield partial(function, *args)
+        return
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of any OS thread, such as a BLAS pool numpy
+        # started; the gate above rules out Python threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, function(*args))
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+
+    def result():
+        with open(read_end, "rb", closefd=False) as pipe:
+            sent = pipe.read()
+        try:
+            ok, value = pickle.loads(sent)
+        except Exception:  # nothing sent, or an exception that does not unpickle
+            return function(*args)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        import signal  # only a process that forked needs it
+
+        os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
+        os.waitpid(pid, 0)
+        os.close(read_end)
+
+
 LOG_COLUMNS = ("log_total", "log_unmatched", "log_distinct_new")
 
 
@@ -318,10 +389,11 @@ def _log_feature_columns(
     timestamp_col: str,
     logs_dir: Path,
     interval: float,
-    sim: float,
     timestamp_format: Optional[str],
+    log_counters: Callable[[], Optional[dict[float, tuple[int, int, int]]]],
 ) -> None:
-    """Join per-interval log novelty counters onto the metric table."""
+    """Join the per-interval log novelty counters that log_counters returns
+    (see _log_counters) onto the metric table."""
     if timestamp_col not in table:
         raise CliError(
             "schema-error",
@@ -333,12 +405,10 @@ def _log_feature_columns(
                 "schema-error",
                 f"{data_path}: column {name!r} is reserved for the --logs features",
             )
-    logs = _log_frame(logs_dir, interval, sim, timestamp_format)
-    if logs is None:
+    counters = log_counters()
+    if counters is None:
         warnings.warn(f"no online* log files under {logs_dir}; skipping log features")
         return
-    _, frame = logs
-    counters = frame.counters()
     # Many rows share a stamp: parse and look up each distinct one once.
     stamps = table[timestamp_col]
     joined: dict[str, tuple[int, int, int]] = {}
@@ -384,19 +454,27 @@ def cmd_train(args) -> int:
     check_bins(bins)
 
     started = time.perf_counter()
-    role_columns = {fault_col, service_col, timestamp_col}
-    digest = hashlib.sha256()
-    table = read_csv_columns(
-        args.data, lambda name: name not in role_columns and name not in categorical, digest
+    logs_dir = Path(args.logs) if args.logs else None
+    # The log pass shares no input with the table: it runs while the table is read.
+    log_pass = (
+        _forked(_log_counters, logs_dir, interval, sim, ts_format)
+        if logs_dir is not None
+        else nullcontext()
     )
-    if fault_col not in table:
-        raise CliError("schema-error", f"fault-type column {fault_col!r} not in {args.data}")
-    if not len(table[fault_col]):
-        raise CliError("invalid-data", f"{args.data}: no data rows")
-    if args.logs:
-        _log_feature_columns(
-            table, args.data, timestamp_col, Path(args.logs), interval, sim, ts_format
+    with log_pass as log_counters:
+        role_columns = {fault_col, service_col, timestamp_col}
+        digest = hashlib.sha256()
+        table = read_csv_columns(
+            args.data, lambda name: name not in role_columns and name not in categorical, digest
         )
+        if fault_col not in table:
+            raise CliError("schema-error", f"fault-type column {fault_col!r} not in {args.data}")
+        if not len(table[fault_col]):
+            raise CliError("invalid-data", f"{args.data}: no data rows")
+        if logs_dir is not None:
+            _log_feature_columns(
+                table, args.data, timestamp_col, logs_dir, interval, ts_format, log_counters
+            )
     features = [name for name in table if name not in role_columns]
     if not features:
         raise CliError("schema-error", f"{args.data}: no feature columns")

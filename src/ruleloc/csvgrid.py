@@ -91,9 +91,12 @@ def _load(chunk: list[bytes], record: np.dtype) -> Optional[np.ndarray]:
 
 
 def _bytes_hold(values: np.ndarray) -> bool:
-    """Whether a uint8 holds every value exactly: cast to uint8 and back,
-    the values keep their bits (no value out of 0..255, fraction, -0.0 or
-    nan does)."""
+    """Whether a uint8 holds every value exactly.  Unsigned integers, as
+    uint64 fields read them, need only be at most 255; float64 values must
+    keep their bits when cast to uint8 and back (no value out of 0..255,
+    fraction, -0.0 or nan does)."""
+    if values.dtype.kind == "u":
+        return values.max() <= 255
     with np.errstate(invalid="ignore"):  # such a value casts to some byte
         back = values.astype(np.uint8).astype(values.dtype)
     return back.tobytes() == values.tobytes()

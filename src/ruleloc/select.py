@@ -27,6 +27,11 @@ from ruleloc.core import (
 from ruleloc.generate import MMTraceRecord, NoRuleFound, generate_rule
 
 
+# The most rules per fault type.  Each outer iteration runs one rule
+# search over the whole table, accepted or not, so K sets the run time.
+MAX_RULES = 1024
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Outer-loop knobs: rule budget, curvature and max rule length."""
@@ -38,6 +43,8 @@ class SelectionConfig:
     def __post_init__(self) -> None:
         if self.max_rules < 1:
             raise ValueError("max_rules must be >= 1")
+        if self.max_rules > MAX_RULES:
+            raise ValueError(f"max_rules must be <= {MAX_RULES}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.max_len < 1:

@@ -772,7 +772,7 @@ def _mutate_catalog(data, cat: list) -> None:
     if edit == "extend":
         copy = dict(entry) if isinstance(entry, dict) else {}
         cat.append(data.draw(st.sampled_from([copy, None])))
-    elif edit == "int" and "threshold" in entry:
+    elif edit == "int" and isinstance(entry.get("threshold"), float):
         entry["threshold"] = int(entry["threshold"])  # 1 for 1.0 loads, 1 for 1.5 does not
     elif edit == "true" and "threshold" in entry:
         entry["threshold"] = True

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -13,12 +14,12 @@ import numpy as np
 import pytest
 
 from ruleloc import cli
-from ruleloc.binarize import SchemaError, relabel, transform
-from ruleloc.cli import main, read_csv_columns
+from ruleloc.binarize import MAX_BINS, SchemaError, check_bins, relabel, transform
+from ruleloc.cli import CliError, main, read_csv_columns
 from ruleloc.core import Coverage, InvalidDatasetError, ObjectiveContext, cover_of_rule
 from ruleloc.generate import SurrogateState
 from ruleloc.localize import FaultModel
-from ruleloc.select import SelectionConfig, select_rule_set
+from ruleloc.select import MAX_RULES, SelectionConfig, select_rule_set
 
 from objectives import surrogate_value
 from oracle import (
@@ -813,6 +814,10 @@ def test_bad_window_cell_is_reported_before_the_window_schema_checks(
         (["-K", "0"], "max_rules must be >= 1"),
         (["-l", "0"], "max_len must be >= 1"),
         (["--bins", "1"], "numeric columns need bins >= 2"),
+        (["-K", "1025"], "max_rules must be <= 1024"),
+        (["-K", "100000000000"], "max_rules must be <= 1024"),
+        (["--bins", "65537"], "numeric columns need bins <= 65536"),
+        (["--bins", "100000000000"], "numeric columns need bins <= 65536"),
     ],
 )
 def test_selection_settings_are_checked_before_the_data_is_read(
@@ -831,6 +836,31 @@ def test_bins_are_checked_before_the_data_file_is_opened(tmp_path, capsys):
     argv = ["train", "--data", str(missing), "--model", str(tmp_path / "m.json"), "--bins", "1"]
     assert main(argv) == 5
     assert capsys.readouterr().err == "invalid-data: numeric columns need bins >= 2\n"
+
+
+@pytest.mark.parametrize(
+    "training, message",
+    [
+        ({"K": 100000000000}, "max_rules must be <= 1024"),
+        ({"bins": 100000000000}, "numeric columns need bins <= 65536"),
+    ],
+)
+def test_capped_counts_from_a_config_fail_before_the_data_file_is_opened(
+    tmp_path, capsys, training, message
+):
+    missing = tmp_path / "nosuch.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"training": training}))
+    argv = ["train", "--data", str(missing), "--model", str(tmp_path / "m.json"),
+            "--config", str(cfg)]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == f"invalid-data: {message}\n"
+
+
+def test_caps_on_rules_and_bins_are_inclusive():
+    assert (MAX_RULES, MAX_BINS) == (1024, 65536)
+    assert SelectionConfig(max_rules=MAX_RULES).max_rules == MAX_RULES
+    check_bins(MAX_BINS)
 
 
 def test_export_fingerprints_takes_no_config_option(trained, tmp_path, capsys):
@@ -1260,7 +1290,9 @@ def test_logs_directory_is_checked_after_the_table_schema(tmp_path, capsys):
 
 def test_log_commands_pass_line_streams(tmp_path, scenario, monkeypatch):
     """Both commands hand the template build and the matcher lazy iterators,
-    never a list of a file's lines."""
+    never a list of a file's lines.  train runs its log pass in this
+    process, where the spies record, when one CPU is usable."""
+    _usable_cpus(monkeypatch, {0})
     streams = []
 
     def spy(function, position):
@@ -1282,6 +1314,174 @@ def test_log_commands_pass_line_streams(tmp_path, scenario, monkeypatch):
     argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
     assert main(argv) == 0
     assert len(streams) == 4
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _usable_cpus(monkeypatch, cpus: set) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _counted_forks(monkeypatch) -> list:
+    """A list that gains one entry per os.fork call from now on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.fixture(params=["forked", "inline"])
+def log_pass(request, monkeypatch):
+    """The CPU check patched so that the one train call of the test runs its
+    log pass in a forked child, or in this process.  Checks that a forked
+    pass came back through the pipe: this process never ran it."""
+    forked = request.param == "forked"
+    _usable_cpus(monkeypatch, {0, 1} if forked else {0})
+    forks = _counted_forks(monkeypatch)
+    runs, log_counters = [], cli._log_counters
+    monkeypatch.setattr(cli, "_log_counters", lambda *a: runs.append(1) or log_counters(*a))
+    yield
+    assert forks == [1] * forked
+    if forked:
+        assert runs == []
+
+
+def test_forked_and_inline_log_pass_write_the_same_model(tmp_path, scenario, monkeypatch):
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 ok\nconn from 10.0.0.1\n")
+    stamps = scenario.train_table["timestamp"][:400]
+    (logs / "online.log").write_text(
+        "".join(
+            f"{t} disk sda{i % 3} full\n" if i % 7 == 0 else f"{t} worker {i} ok\n"
+            for i, t in enumerate(stamps)
+        )
+    )
+    forks = _counted_forks(monkeypatch)
+    models = []
+    for cpus in ({0, 1}, {0}):
+        _usable_cpus(monkeypatch, cpus)
+        model = tmp_path / f"model-{len(cpus)}.json"
+        argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(model),
+                "-K", "2", "-l", "2"]
+        assert main(argv) == 0
+        _no_child_left()
+        models.append(model.read_bytes())
+    assert forks == [1]
+    assert models[0] == models[1]
+    names = {c.name for c in FaultModel.from_json(models[0].decode()).binarization.columns}
+    assert {"log_total", "log_unmatched", "log_distinct_new"} <= names
+
+
+def test_forked_log_pass_is_skipped_without_two_cpus_or_with_a_thread(
+    tmp_path, scenario, monkeypatch
+):
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    forks = _counted_forks(monkeypatch)
+    _usable_cpus(monkeypatch, {0})
+    assert main(argv) == 0
+    _usable_cpus(monkeypatch, {0, 1})
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert main([*argv[:-2], "--model", str(tmp_path / "m2.json")]) == 0
+    assert forks == [1]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("logs_kind", ["missing", "not-utf-8"])
+def test_csv_error_is_reported_before_a_broken_logs_directory(
+    tmp_path, capsys, log_pass, logs_kind
+):
+    data = tmp_path / "bad_cell.csv"
+    write_text_csv(data, ["timestamp,fault_type,a", "2024-01-01T00:00:00,f,1", "t,normal,abc"])
+    logs = tmp_path / "logs"
+    if logs_kind == "not-utf-8":
+        logs.mkdir()
+        (logs / "normal.log").write_bytes(b"worker \xff ok\n")
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == (
+        f"invalid-data: {data}: column 'a', row 2: could not convert string to float: 'abc'\n"
+    )
+    _no_child_left()
+
+
+def test_non_utf8_online_log_names_its_file_and_position(tmp_path, scenario, capsys, log_pass):
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:1])
+    online = logs / "online.log"
+    online.write_bytes(online.read_bytes() + b"2024-01-01T00:00:07 worker \xff ok\n")
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    assert main(argv) == 5
+    position = len(online.read_bytes().split(b"\xff")[0])
+    assert capsys.readouterr().err == (
+        f"invalid-data: {online}: 'utf-8' codec can't decode byte 0xff in position {position}:"
+        " invalid start byte\n"
+    )
+    _no_child_left()
+
+
+def test_logs_path_naming_a_file_is_io_error_with_either_log_pass(
+    tmp_path, scenario, capsys, log_pass
+):
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = tmp_path / "logs.txt"
+    logs.write_text("worker 1 ok\n")
+    model = tmp_path / "m.json"
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(model)]
+    assert main(argv) == 6
+    assert capsys.readouterr().err == f"io-error: {logs}: not a directory\n"
+    assert not model.exists()
+    _no_child_left()
+
+
+def test_no_online_logs_warns_with_either_log_pass(tmp_path, scenario, log_pass):
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 ok\n")
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    with pytest.warns(UserWarning, match=f"no online\\* log files under {logs}"):
+        assert main(argv) == 0
+    _no_child_left()
+
+
+def test_interrupted_csv_read_leaves_no_child(tmp_path, scenario, monkeypatch, log_pass):
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "read_csv_columns", interrupted)
+    argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(tmp_path / "m.json")]
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    _no_child_left()
+
+
+def test_cli_error_pickles_with_its_category():
+    error = pickle.loads(pickle.dumps(CliError("io-error", "logs: not a directory")))
+    assert (error.category, str(error)) == ("io-error", "logs: not a directory")
 
 
 @pytest.mark.parametrize("name", ["log_total", "log_unmatched", "log_distinct_new"])

@@ -632,6 +632,20 @@ def test_a_value_above_255_in_a_later_chunk_keeps_the_loadtxt_path(tmp_path, mon
     assert table["count"].tolist() == [float(c) for c in counts]
 
 
+def test_uint64_fields_keep_a_column_bytes_up_to_255_exactly(tmp_path, monkeypatch):
+    """Values read through uint64 fields keep their column uint8 up to 255;
+    the column holding 256 becomes float64 with that value."""
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
+    path = tmp_path / "edge.csv"
+    path.write_text("a,b\n1,1\n2,2\n255,256\n3,4\n")
+    calls = spy_loadtxt(monkeypatch)
+    table = assert_same_as_oracle(path, {"a", "b"}.__contains__)
+    narrow, retry = {"f0": "u1", "f1": "u1"}, {"f0": "u8", "f1": "u8"}
+    assert calls == [(2, narrow), (2, narrow), (2, retry)]
+    assert table["a"].dtype == np.uint8 and table["a"].tolist() == [1, 2, 255, 3]
+    assert table["b"].dtype == np.float64 and table["b"].tolist() == [1.0, 2.0, 256.0, 4.0]
+
+
 def test_a_blank_cell_after_a_value_above_255_is_read_exactly(tmp_path, monkeypatch):
     """The uint64 retry of a chunk can fail on another cell; that chunk is
     then split and parsed by numeric_column, both columns, one above 255

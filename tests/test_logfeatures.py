@@ -1,4 +1,5 @@
 import tempfile
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruleloc import logfeatures
-from ruleloc.cli import CliError, _log_feature_columns, _log_lines
+from ruleloc.cli import CliError, _log_counters, _log_feature_columns, _log_lines
 from ruleloc.logfeatures import (
     _SHAPE,
     _group_key,
@@ -594,7 +595,8 @@ def _check_log_case(case):
         ).counters()
         expected = oracle_join(table, "timestamp", counters, interval, fmt)
         try:
-            _log_feature_columns(table, "train.csv", "timestamp", logs, interval, sim, fmt)
+            log_counters = partial(_log_counters, logs, interval, sim, fmt)
+            _log_feature_columns(table, "train.csv", "timestamp", logs, interval, fmt, log_counters)
         except CliError as exc:
             assert expected is None
             row = next(
