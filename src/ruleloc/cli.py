@@ -44,7 +44,7 @@ from ruleloc.binarize import (
     relabel,
     transform,
 )
-from ruleloc.csvgrid import read_grid
+from ruleloc.csvgrid import grid_groups, read_grid
 from ruleloc.evaluate import IncidentCase, evaluate_cases
 from ruleloc.localize import FaultModel, QueryWindow, localization_report
 from ruleloc.logfeatures import (
@@ -628,6 +628,46 @@ def _manifest_entries(path: str, manifest) -> list[dict]:
     return entries
 
 
+def _eval_windows(model: FaultModel, paths: list[Path], service_col: str) -> list[QueryWindow]:
+    """The query windows of the window files at paths, in order.
+
+    Each run of files that csvgrid.grid_groups reads as one table is
+    binarized by one feature_matrix call, whose rows are then split
+    between the run's windows.  Every other file, and each file of a run
+    whose table lacks service_col or fails feature_matrix, is read and
+    binarized by itself as localize does, so every value, error and the
+    window it names are those of reading the windows one at a time.
+    """
+    numeric = _window_numeric(model, service_col)
+    windows = []
+    for run, table, bounds in grid_groups(paths, numeric):
+        grouped = None if table is None else _grouped_windows(model, table, bounds, service_col)
+        if grouped is None:
+            grouped = [
+                _window_from_table(model, read_csv_columns(path, numeric), path, service_col)
+                for path in run
+            ]
+        windows += grouped
+    return windows
+
+
+def _grouped_windows(
+    model: FaultModel, table: dict[str, Sequence], bounds: list[int], service_col: str
+) -> Optional[list[QueryWindow]]:
+    """The windows of one table of several files, rows bounds[k]:bounds[k + 1]
+    each, or None if the table lacks service_col or feature_matrix rejects it."""
+    if service_col not in table:
+        return None
+    try:
+        matrix = feature_matrix(model.binarization, table)
+    except ValueError:  # a SchemaError, or a bad cell named by its row in the table
+        return None
+    services = table[service_col]
+    return [
+        QueryWindow(matrix[lo:hi], tuple(services[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     service_col = _setting(args, cfg, "columns.service", _text, "service_col")
@@ -639,13 +679,12 @@ def cmd_eval(args) -> int:
     except ValueError as exc:  # bad JSON or not UTF-8
         raise CliError("invalid-data", f"{args.manifest}: {exc}")
     base_dir = Path(args.manifest).parent
-    numeric = _window_numeric(model, service_col)
-    cases = []
-    for entry in _manifest_entries(args.manifest, manifest):
-        window_path = base_dir / entry["window"]
-        table = read_csv_columns(window_path, numeric)
-        window = _window_from_table(model, table, window_path, service_col)
-        cases.append(IncidentCase(window, entry["true_fault"], entry["true_service"]))
+    entries = _manifest_entries(args.manifest, manifest)
+    windows = _eval_windows(model, [base_dir / entry["window"] for entry in entries], service_col)
+    cases = [
+        IncidentCase(window, entry["true_fault"], entry["true_service"])
+        for window, entry in zip(windows, entries)
+    ]
     if not cases:
         raise CliError("invalid-data", f"{args.manifest}: no cases")
     report = evaluate_cases(model, cases)

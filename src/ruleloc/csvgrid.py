@@ -36,16 +36,29 @@ fields are checked for the columns still held as bytes.  So a numeric
 column is uint8 exactly when its cell in the first data row is all
 digits and every value is an integer from 0 to 255 without a sign bit,
 and its values are float64 values either way.
+
+grid_groups reads many small files, such as eval's windows, in runs.  A
+small grid is a regular file of at most one read block (64 KiB) that is
+a plain comma grid with at most _CHUNK_ROWS data rows.  Consecutive
+small grids with one header line and the same field types from their
+first data rows, up to _CHUNK_ROWS data rows in all, are read by one
+loadtxt call, into one table whose row ranges are the files' tables.
+The run is taken only where that call succeeds, so no column widens and
+every file's table is the one read_grid gives it; any other file, and
+every file of a run whose call fails, is left to be read by itself.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import io
+import os
+import stat
 import warnings
 from functools import partial
-from itertools import islice
-from typing import BinaryIO, Callable, Optional
+from itertools import chain, islice
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +70,8 @@ _GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 # glibc serves blocks below its adaptive mmap threshold from the heap: on a
 # 100k x 63 table, 8192 rows per call raised the peak RSS of train by 5 MB.
 _CHUNK_ROWS = 2048
+# Bytes per read of a file; a file of at most one block is small.
+_BLOCK = 1 << 16
 
 
 def _lines_ok(lines: list[bytes]) -> bool:
@@ -74,7 +89,7 @@ def _record(kinds: list[str]) -> np.dtype:
     return np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
 
 
-def _load(chunk: list[bytes], record: np.dtype) -> Optional[np.ndarray]:
+def _load(chunk: Iterable[bytes], record: np.dtype) -> Optional[np.ndarray]:
     """The records of chunk, one loadtxt call with the record dtype, or
     None if loadtxt rejects a line.
 
@@ -132,7 +147,7 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     binarize.numeric_column rejects.
     """
     newlines, last = 0, b"\n"
-    for block in iter(partial(fh.read, 1 << 16), b""):
+    for block in iter(partial(fh.read, _BLOCK), b""):
         newlines += block.count(b"\n")
         last = block[-1:]
         if digest is not None:
@@ -203,3 +218,124 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
         return None
     cells = iter(texts)
     return {name: rows[i] if i in rows else next(cells) for i, name in enumerate(header)}
+
+
+def _small_grid(path) -> Optional[tuple[bytes, int]]:
+    """The bytes of the file at path after any byte-order mark, and its
+    number of data rows, if it is a regular file of at most one block whose
+    lines are plain comma grid lines with 1 to _CHUNK_ROWS data rows, else
+    None (also where it cannot be read).  Anything else, a FIFO among them,
+    is left unopened."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as fh:
+            data = fh.read(_BLOCK + 1)
+    except OSError:
+        return None
+    if len(data) > _BLOCK:
+        return None
+    data = data.removeprefix(codecs.BOM_UTF8)
+    n = data.count(b"\n") - data.endswith(b"\n")
+    # _lines_ok of its lines, which need not be split where no line can
+    # exceed the field size limit.
+    if not 1 <= n <= _CHUNK_ROWS or (
+        data.translate(None, _GRID_BYTES)
+        or data.startswith(b"\n")
+        or b"\n\n" in data
+        or (len(data) > csv.field_size_limit() and not _lines_ok(data.splitlines(keepends=True)))
+    ):
+        return None
+    return data, n
+
+
+def _grid_file(
+    path, numeric: Callable[[str], bool], headers: dict
+) -> Optional[tuple[tuple[bytes, tuple[str, ...]], bytes, int]]:
+    """((header line, field types), bytes, number of data rows) of the
+    file at path if it is a small grid, its header naming no column twice
+    and its first data row holding as many fields, else None.  The field
+    types are those read_grid picks from that row.  headers caches, per
+    header line, its names and whether `numeric` accepts each (None for a
+    repeated name)."""
+    grid = _small_grid(path)
+    if grid is None:
+        return None
+    data, n = grid
+    header, _, rows = data.partition(b"\n")
+    if header not in headers:
+        names = header.decode().split(",")
+        flags = [bool(numeric(name)) for name in names]
+        headers[header] = (names, flags) if len(set(names)) == len(names) else None
+    known = headers[header]
+    first = rows.partition(b"\n")[0].split(b",")
+    if known is None or len(first) != len(known[0]):
+        return None
+    kinds = tuple(
+        ("u1" if cell.isdigit() else "f8") if flag else "O" for flag, cell in zip(known[1], first)
+    )
+    return (header, kinds), data, n
+
+
+def _run_table(header: list[str], kinds: tuple[str, ...], files: list[bytes]) -> Optional[dict]:
+    """The table of the data lines of files, each a header line and its
+    data rows, read by one loadtxt call with the record dtype of kinds, or
+    None if loadtxt rejects a line.  Numeric columns are C-contiguous
+    arrays and text cells are interned, as in read_grid's tables."""
+    lines = chain.from_iterable(islice(io.BytesIO(data), 1, None) for data in files)
+    records = _load(lines, _record(kinds))
+    if records is None:
+        return None
+    table = {}
+    for i, (name, kind) in enumerate(zip(header, kinds)):
+        if kind == "O":
+            cells, seen = records[f"f{i}"].tolist(), {}
+            table[name] = list(map(seen.setdefault, cells, cells))
+        else:  # a copy, which holds no text cell of the records alive
+            table[name] = records[f"f{i}"].copy()
+    return table
+
+
+_END = object()
+
+
+def grid_groups(
+    paths: Iterable, numeric: Callable[[str], bool]
+) -> Iterator[tuple[list, Optional[dict], Optional[list[int]]]]:
+    """Split paths, in order, into runs of files read as one table.
+
+    Yields (run, table, bounds).  A run is consecutive small plain comma
+    grids, each read whole in one block, that share one header line and
+    the field types read_grid picks from their first data rows, with at
+    most _CHUNK_ROWS data rows in all.  Its table holds all their rows,
+    read by one loadtxt call with that record dtype, and rows
+    bounds[k]:bounds[k + 1] of each column are run[k]'s.  Every other
+    path comes as a run of one, and table and bounds are None then, as
+    they are for a run whose call fails: each path of such a run is to be
+    read by itself, by read_grid or the cell reader.
+
+    A run's table is what read_grid gives each of its files, joined: as a
+    file of one chunk read by one successful call, each file's uint8
+    columns are those whose first cell is all digits, and nothing widens.
+    Files are read one at a time, as the runs are asked for, and a run's
+    bytes are dropped before it is yielded.
+    """
+    headers: dict = {}
+    run: list = []
+    key: tuple = ()
+    files: list[bytes] = []
+    bounds = [0]
+    for path in chain(paths, [_END]):
+        grid = None if path is _END else _grid_file(path, numeric, headers)
+        if run and (grid is None or grid[0] != key or bounds[-1] + grid[2] > _CHUNK_ROWS):
+            table = _run_table(headers[key[0]][0], key[1], files)
+            files = []
+            yield run, table, None if table is None else bounds
+            run, bounds = [], [0]
+        if grid is not None:
+            key, data, n = grid
+            run.append(path)
+            files.append(data)
+            bounds.append(bounds[-1] + n)
+        elif path is not _END:
+            yield [path], None, None

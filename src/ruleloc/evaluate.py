@@ -1,7 +1,10 @@
 """Evaluation harness: ranking metrics over incident cases.
 
 Provides top-k accuracy and Cohen's kappa for incident rankings and
-their aggregation over a case list.
+their aggregation over a case list.  Each case is ranked by
+localize.window_rankings, which reads the same vote kernel as the
+localize report and gives its rankings and no-signal flag without
+building the report's explanations.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ruleloc import SCHEMA_VERSION, __version__
-from ruleloc.localize import FaultModel, QueryWindow, localization_report
+from ruleloc.localize import FaultModel, QueryWindow, window_rankings
 
 NO_SIGNAL_LABEL = "(no-signal)"
 
@@ -44,9 +47,9 @@ def cohen_kappa(predictions: Sequence[str], truths: Sequence[str]) -> float:
     """Chance-corrected agreement between two label sequences.
 
     Chance agreement comes from the marginal label frequencies of both
-    sides.  When both sides are the same single constant label, chance
-    agreement is 1 and kappa is defined as 1; a constant-label tie with
-    imperfect agreement has no defined kappa.
+    sides.  It reaches 1 only when both sides hold the same single
+    constant label, so that observed agreement is 1 too, and kappa is
+    then defined as 1 rather than 0/0.
     """
     if not predictions or len(predictions) != len(truths):
         raise ValueError("need non-empty, equal-length label sequences")
@@ -57,9 +60,7 @@ def cohen_kappa(predictions: Sequence[str], truths: Sequence[str]) -> float:
         (predictions.count(lab) / n) * (truths.count(lab) / n) for lab in labels
     )
     if p_chance >= 1.0:
-        if p_obs == 1.0:
-            return 1.0
-        raise ValueError("kappa undefined: degenerate constant labels disagree")
+        return 1.0
     return (p_obs - p_chance) / (1.0 - p_chance)
 
 
@@ -131,11 +132,10 @@ def evaluate_cases(
     service_rankings = []
     predictions = []
     for case in cases:
-        report = localization_report(model, case.window)
-        faults = [e["fault_type"] for e in report["fault_ranking"]]
+        faults, services, no_signal = window_rankings(model, case.window)
         fault_rankings.append(faults)
-        service_rankings.append([e["service"] for e in report["service_ranking"]])
-        predictions.append(NO_SIGNAL_LABEL if report["no_signal"] else faults[0])
+        service_rankings.append(services)
+        predictions.append(NO_SIGNAL_LABEL if no_signal else faults[0])
     fault_truths = [c.true_fault for c in cases]
     service_truths = [c.true_service for c in cases]
     fault_topk = top_k_accuracy(fault_rankings, fault_truths, max_k)

@@ -5,16 +5,18 @@ same binary-feature catalog.  For a query window each sample votes for a
 fault type with the highest training precision among that type's rules
 covering it (zero if none covers); fault types are ranked by the vote sum
 over the window, services by the vote sum over their samples summed
-across fault types.  A window is its boolean feature matrix, so
-`localization_report` scores it with no array operation per rule, fault
-type or service: one gather of the rules' columns and one AND over each
-rule's padded conjuncts give the firings; one max over each fault type's
-padded rule slots gives the votes; one ordered bincount of the votes by
-fault type gives the fault scores and one by service the service scores;
-and one bincount of (rule, service) pairs gives the hits that explain the
-rankings.  Each ranking entry and explanation is built as the dict that
-the JSON report holds.  The parts that depend only on the model are laid
-out once per FaultModel.
+across fault types.  A window is its boolean feature matrix, and one vote
+kernel scores it with no array operation per rule, fault type or
+service: one gather of the rules' columns and one AND over each rule's
+padded conjuncts give the firings; one max over each fault type's padded
+rule slots gives the votes; one ordered bincount of the votes by fault
+type gives the fault scores and one by service the service scores.  Two
+scorers read that kernel.  window_rankings gives the rankings and the
+no-signal flag alone, which is all that evaluation reads.
+localization_report adds one bincount of (rule, service) pairs, the hits
+that explain the rankings, and builds each ranking entry and explanation
+as the dict that the JSON report holds.  The parts that depend only on
+the model are laid out once per FaultModel.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,7 +124,7 @@ class FaultModel:
 
     @cached_property
     def _rule_layout(self) -> _RuleLayout:
-        """Every rule of every fault type, laid out for localization_report."""
+        """Every rule of every fault type, laid out for the vote kernel."""
         rules = [
             (name, r, rule, stats)
             for name, rs in self.rule_sets
@@ -277,26 +279,38 @@ class FaultModel:
         return cls.from_json_obj(json.loads(text))
 
 
-def _ranking(key: str, scores: dict[str, float]) -> tuple[list[dict], list[list[str]]]:
-    """The report's entries of a full ranking (descending score, ties by
-    name), and its runs of two or more tied names."""
-    ranking = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    groups = ([name for name, _ in run] for _, run in groupby(ranking, itemgetter(1)))
-    return (
-        [{key: name, "score": score} for name, score in ranking],
-        [group for group in groups if len(group) > 1],
-    )
+class Rankings(NamedTuple):
+    """A window's full fault-type and service rankings, best first, and
+    whether no rule fired anywhere in it."""
+
+    faults: list[str]
+    services: list[str]
+    no_signal: bool
 
 
-def localization_report(model: FaultModel, window: QueryWindow) -> dict:
-    """JSON-ready report ranking fault types and services by the window's votes.
+@dataclass(frozen=True)
+class _Votes:
+    """The vote kernel's result for one window.
 
-    Both rankings are full (descending score, ties by name) so that top-k
-    evaluation is possible; a window where no rule fires anywhere is flagged
-    no_signal and ranked lexicographically.  A fault type is explained by its
-    fired rules in rule order with their hits over the window, a service by
-    the rules fired on its samples, sorted by (fault type, rule index); names
-    with nothing fired have no explanation.
+    services are its distinct services, sorted, and codes[i] is the
+    number of sample i's service among them; fired[i, r] is whether rule
+    r fires on sample i; fault_totals and service_totals are the vote
+    sums of the model's fault types and of services, in those orders.
+    """
+
+    services: list[str]
+    codes: np.ndarray
+    fired: np.ndarray
+    fault_totals: list[float]
+    service_totals: list[float]
+
+    @property
+    def no_signal(self) -> bool:
+        return all(score == 0.0 for score in self.fault_totals)
+
+
+def _votes(model: FaultModel, window: QueryWindow) -> _Votes:
+    """The window's firings and vote totals.
 
     Scores add votes one at a time in sample order, a fault type's from
     0.0 and a service's fault type by fault type, as a running += adds.
@@ -325,9 +339,55 @@ def localization_report(model: FaultModel, window: QueryWindow) -> dict:
     service_totals = np.bincount(
         np.tile(codes, n_types), weights=votes.ravel(), minlength=len(services)
     ).astype(float)
+    return _Votes(services, codes, fired, fault_totals, service_totals.tolist())
+
+
+def _ranked(names: Sequence[str], scores: Sequence[float]) -> list[tuple[str, float]]:
+    """(name, score) pairs by descending score, ties by name."""
+    return sorted(zip(names, scores), key=lambda kv: (-kv[1], kv[0]))
+
+
+def window_rankings(model: FaultModel, window: QueryWindow) -> Rankings:
+    """The rankings and no-signal flag of localization_report's report of
+    the window, without building its entries or explanations."""
+    votes = _votes(model, window)
+    return Rankings(
+        [name for name, _ in _ranked(model.fault_types(), votes.fault_totals)],
+        [svc for svc, _ in _ranked(votes.services, votes.service_totals)],
+        votes.no_signal,
+    )
+
+
+def _ranking(
+    key: str, names: Sequence[str], scores: Sequence[float]
+) -> tuple[list[dict], list[list[str]]]:
+    """The report's entries of a full ranking, and its runs of two or more
+    tied names."""
+    ranking = _ranked(names, scores)
+    groups = ([name for name, _ in run] for _, run in groupby(ranking, itemgetter(1)))
+    return (
+        [{key: name, "score": score} for name, score in ranking],
+        [group for group in groups if len(group) > 1],
+    )
+
+
+def localization_report(model: FaultModel, window: QueryWindow) -> dict:
+    """JSON-ready report ranking fault types and services by the window's votes.
+
+    Both rankings are full (descending score, ties by name) so that top-k
+    evaluation is possible; a window where no rule fires anywhere is flagged
+    no_signal and ranked lexicographically.  A fault type is explained by its
+    fired rules in rule order with their hits over the window, a service by
+    the rules fired on its samples, sorted by (fault type, rule index); names
+    with nothing fired have no explanation.  The rankings and the flag are
+    those of window_rankings: both read the one vote kernel.
+    """
+    layout = model._rule_layout
+    votes = _votes(model, window)
+    services, n_rules = votes.services, len(layout.rules)
     # hits[r, k]: how many samples of service k rule r fires on.
-    pairs = np.arange(n_rules)[:, None] * len(services) + codes
-    hits = np.bincount(pairs[fired.T], minlength=n_rules * len(services))
+    pairs = np.arange(n_rules)[:, None] * len(services) + votes.codes
+    hits = np.bincount(pairs[votes.fired.T], minlength=n_rules * len(services))
     hits = hits.reshape(n_rules, len(services))
     fault_expl: dict[str, list[dict]] = {name: [] for name, _ in model.rule_sets}
     service_expl: dict[str, list[dict]] = {svc: [] for svc in services}
@@ -349,14 +409,12 @@ def localization_report(model: FaultModel, window: QueryWindow) -> dict:
     q, k = np.nonzero(by_name)
     for r, svc, n_hits in zip(layout.by_name[q].tolist(), k.tolist(), by_name[q, k].tolist()):
         service_expl[services[svc]].append(explained(r, n_hits))
-    fault_ranking, fault_ties = _ranking("fault_type", dict(zip(fault_expl, fault_totals)))
-    service_ranking, service_ties = _ranking(
-        "service", dict(zip(services, service_totals.tolist()))
-    )
+    fault_ranking, fault_ties = _ranking("fault_type", model.fault_types(), votes.fault_totals)
+    service_ranking, service_ties = _ranking("service", services, votes.service_totals)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "no_signal": all(score == 0.0 for score in fault_totals),
+        "no_signal": votes.no_signal,
         "fault_ranking": fault_ranking,
         "service_ranking": service_ranking,
         "fault_ties": fault_ties,

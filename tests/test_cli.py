@@ -18,7 +18,7 @@ from ruleloc.binarize import MAX_BINS, SchemaError, check_bins, relabel, transfo
 from ruleloc.cli import CliError, main, read_csv_columns
 from ruleloc.core import Coverage, InvalidDatasetError, ObjectiveContext, cover_of_rule
 from ruleloc.generate import SurrogateState
-from ruleloc.localize import FaultModel
+from ruleloc.localize import FaultModel, Rankings
 from ruleloc.select import MAX_RULES, SelectionConfig, select_rule_set
 
 from objectives import surrogate_value
@@ -231,9 +231,19 @@ def test_eval_metrics_and_reports_are_those_of_the_replaced_window_path(
             assert main(run) in (0, 3)
         return [Path(run[-1]).read_bytes() for run in runs]
 
+    def oracle_rankings(model, window) -> Rankings:
+        report = oracle_localization_report(model, window)
+        return Rankings(
+            [e["fault_type"] for e in report["fault_ranking"]],
+            [e["service"] for e in report["service_ranking"]],
+            report["no_signal"],
+        )
+
     new = outputs("new")
+    # eval binarizes its grouped windows, and localize each window, by
+    # ruleloc.cli.feature_matrix.
     with mock.patch("ruleloc.cli.feature_matrix", oracle_feature_matrix), mock.patch(
-        "ruleloc.evaluate.localization_report", oracle_localization_report
+        "ruleloc.evaluate.window_rankings", oracle_rankings
     ), mock.patch("ruleloc.cli.localization_report", oracle_localization_report):
         assert outputs("oracle") == new
 

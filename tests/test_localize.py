@@ -15,6 +15,7 @@ from ruleloc.localize import (
     QueryWindow,
     UnknownFaultTypeError,
     localization_report,
+    window_rankings,
 )
 
 from oracle import oracle_localization_report, ranked_report
@@ -510,9 +511,14 @@ def test_report_matches_the_reduceat_oracle_bit_for_bit(data, model):
     d = model.binarization.n_features
     for _ in range(2):  # the second window reuses the model's cached layout
         window = data.draw(layout_windows(d))
+        want = oracle_localization_report(model, window)
         # json.dumps writes floats by repr, which tells -0.0 from 0.0 and 1 from 1.0.
-        assert json.dumps(localization_report(model, window)) == json.dumps(
-            oracle_localization_report(model, window)
+        assert json.dumps(localization_report(model, window)) == json.dumps(want)
+        # eval's scorer reads the same kernel: the report's rankings and flag.
+        assert window_rankings(model, window) == (
+            [e["fault_type"] for e in want["fault_ranking"]],
+            [e["service"] for e in want["service_ranking"]],
+            want["no_signal"],
         )
 
 
