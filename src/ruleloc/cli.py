@@ -631,12 +631,15 @@ def _manifest_entries(path: str, manifest) -> list[dict]:
 def _eval_windows(model: FaultModel, paths: list[Path], service_col: str) -> list[QueryWindow]:
     """The query windows of the window files at paths, in order.
 
-    Each run of files that csvgrid.grid_groups reads as one table is
-    binarized by one feature_matrix call, whose rows are then split
-    between the run's windows.  Every other file, and each file of a run
-    whose table lacks service_col or fails feature_matrix, is read and
-    binarized by itself as localize does, so every value, error and the
-    window it names are those of reading the windows one at a time.
+    Each run of files that csvgrid.grid_groups reads as one table, the
+    table of one file holding the run's header line and all its data
+    rows, is binarized by one feature_matrix call, whose rows are then
+    split between the run's windows; feature_matrix gives a column's rows
+    the same bits whether it is uint8 or float64.  Every other file, and
+    each file of a run that has no table or whose table lacks service_col
+    or fails feature_matrix, is read and binarized by itself as localize
+    does, so every value, error and the window it names are those of
+    reading the windows one at a time.
     """
     numeric = _window_numeric(model, service_col)
     windows = []
@@ -715,9 +718,7 @@ def cmd_export_fingerprints(args) -> int:
                         "direction": direction,
                         ("category" if direction == "equals" else "threshold"): value,
                     }
-                    for column, direction, value in sorted(
-                        entries, key=lambda e: (e[0], e[1], str(e[2]))
-                    )
+                    for column, direction, value in sorted(entries)
                 ],
             }
         )

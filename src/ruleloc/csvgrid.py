@@ -39,13 +39,14 @@ and its values are float64 values either way.
 
 grid_groups reads many small files, such as eval's windows, in runs.  A
 small grid is a regular file of at most one read block (64 KiB) that is
-a plain comma grid with at most _CHUNK_ROWS data rows.  Consecutive
-small grids with one header line and the same field types from their
-first data rows, up to _CHUNK_ROWS data rows in all, are read by one
-loadtxt call, into one table whose row ranges are the files' tables.
-The run is taken only where that call succeeds, so no column widens and
-every file's table is the one read_grid gives it; any other file, and
-every file of a run whose call fails, is left to be read by itself.
+a plain comma grid with at most _CHUNK_ROWS data rows.  A run is
+consecutive small grids with one header line and the same field types
+from their first data rows, up to _CHUNK_ROWS data rows in all.  Its
+table is the one read_grid gives the file of that header line and all
+their data rows, which is one chunk; a file's rows hold the values of
+its own table, if perhaps as float64.  A run holding a ragged line or a
+cell numeric_column rejects has no table, and its files are left to be
+read one at a time, as is every file that is not a small grid.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ import codecs
 import csv
 import io
 import os
+import re
 import stat
 import warnings
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -66,6 +68,9 @@ from ruleloc.binarize import numeric_column
 
 # The bytes of a plain comma grid line after the byte-order mark.
 _GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# A \n before a blank line.  re finds it in a third of the time that
+# `b"\n\n" in data` takes on grid lines.
+_BLANK_LINE = re.compile(b"\n(?=\n)")
 # Rows per loadtxt call.  Larger chunks leave more freed heap behind, as
 # glibc serves blocks below its adaptive mmap threshold from the heap: on a
 # 100k x 63 table, 8192 rows per call raised the peak RSS of train by 5 MB.
@@ -74,14 +79,21 @@ _CHUNK_ROWS = 2048
 _BLOCK = 1 << 16
 
 
-def _lines_ok(lines: list[bytes]) -> bool:
-    """Whether lines hold only plain comma grid bytes, none of them blank
-    or longer than the csv module's field size limit."""
-    return not (
-        b"".join(lines).translate(None, _GRID_BYTES)
-        or b"\n" in lines
-        or max(map(len, lines)) > csv.field_size_limit()
-    )
+def _lines_ok(data: bytes) -> bool:
+    """Whether data is whole lines, at least one, of only plain comma grid
+    bytes, none of them blank or longer than the csv module's field size
+    limit."""
+    if not data or data.translate(None, _GRID_BYTES) or data.startswith(b"\n"):
+        return False
+    if _BLANK_LINE.search(data):
+        return False
+    limit = csv.field_size_limit()
+    # A line of more than limit bytes holds a \n-free stretch of `step` bytes
+    # from a multiple of `step` on; lines are measured only if one is found.
+    step = max(limit // 2, 1)
+    if all(data.find(b"\n", i, i + step) >= 0 for i in range(0, len(data), step)):
+        return True
+    return max(map(len, data.splitlines(keepends=True))) <= limit
 
 
 def _record(kinds: list[str]) -> np.dtype:
@@ -128,6 +140,81 @@ def _widen(rows: dict[int, np.ndarray], columns: list[int], filled: int) -> None
         rows[i] = out
 
 
+def _header(line: bytes, numeric: Callable[[str], bool]) -> Optional[tuple[list, list]]:
+    """The names of a header line and each one's field type: f8 for a
+    name that `numeric` accepts, else O.  None if a name is repeated."""
+    names = line.rstrip(b"\n").decode().split(",")
+    if len(set(names)) != len(names):
+        return None
+    return names, ["f8" if numeric(name) else "O" for name in names]
+
+
+def _first_row(kinds: list[str], line: bytes) -> list[str]:
+    """kinds with u1 for each f8 field whose cell in the first data line
+    is all ASCII digits; kinds itself for a line of another field count,
+    on which the first call fails."""
+    cells = line.rstrip(b"\n").split(b",")
+    if len(cells) != len(kinds):
+        return kinds
+    return ["u1" if kind == "f8" and cell.isdigit() else kind for kind, cell in zip(kinds, cells)]
+
+
+def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Optional[dict]:
+    """The table of the n data rows of a header of names, the first row
+    picking the field types kinds, read from chunks: collections of
+    checked lines, each iterated once per call made on it.  None if a line
+    is ragged or the chunks hold other than n rows.  Raises ValueError
+    (InvalidValueError) for a numeric cell numeric_column rejects.  The
+    module docstring gives the rules."""
+    floats = ["O" if kind == "O" else "f8" for kind in kinds]
+    num = [i for i, kind in enumerate(floats) if kind == "f8"]
+    txt = [i for i, kind in enumerate(floats) if kind == "O"]
+    record = _record(kinds)
+    narrow = [i for i in num if kinds[i] == "u1"]
+    rows = dict(zip(narrow, np.empty((len(narrow), n), np.uint8)))
+    wide = [i for i in num if kinds[i] == "f8"]
+    rows.update(zip(wide, np.empty((len(wide), n))))
+    texts: list[list[str]] = [[] for _ in txt]
+    distinct: list[dict[str, str]] = [{} for _ in txt]
+    lo = 0
+    for chunk in chunks:
+        records = _load(chunk, record)
+        if records is None and "u1" in kinds:  # a value above 255, or a cell no uint reads
+            kinds = ["u8" if kind == "u1" else kind for kind in kinds]
+            record = _record(kinds)
+            records = _load(chunk, record)
+        if records is None:
+            # A blank cell, one only float() reads, one no integer field
+            # reads, or a ragged line.
+            split = [text.rstrip(b"\n").decode().split(",") for text in chunk]
+            if any(len(row) != len(names) for row in split):
+                return None
+            hi = lo + len(split)
+            # Keyed by field name, as the records are.
+            values = {f"f{i}": numeric_column([row[i] for row in split], names[i]) for i in num}
+            strings = ([row[i] for row in split] for i in txt)
+        else:
+            hi = lo + len(records)
+            values = records
+            strings = (records[f"f{i}"].tolist() for i in txt)
+        if "u1" not in kinds:  # the uint8 rows' values were not read as bytes
+            over = [i for i in narrow if not _bytes_hold(values[f"f{i}"])]
+            _widen(rows, over, lo)
+            narrow = [i for i in narrow if i not in over]
+        if records is None:
+            kinds = [kinds[i] if i in narrow else kind for i, kind in enumerate(floats)]
+            record = _record(kinds)
+        for i in num:
+            rows[i][lo:hi] = values[f"f{i}"]
+        for column, seen, cell_column in zip(texts, distinct, strings):
+            column.extend(map(seen.setdefault, cell_column, cell_column))
+        lo = hi
+    if lo != n:
+        return None
+    cells = iter(texts)
+    return {name: rows[i] if i in rows else next(cells) for i, name in enumerate(names)}
+
+
 def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Optional[dict]:
     """The table of the seekable binary file fh, read from its start, if it
     is a plain comma grid, else None.
@@ -142,9 +229,10 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     where its cell is all ASCII digits, else float64.  Numeric columns are
     uint8 or float64 arrays, rows of the blocks the module docstring
     describes: a column leaves the uint8 block only for a value a byte
-    cannot hold exactly.  Raises OSError if the file cannot be
-    read and ValueError (InvalidValueError) for a numeric cell that
-    binarize.numeric_column rejects.
+    cannot hold exactly.  grid_groups reads a run of small files as the
+    one chunk of the file joining their rows.  Raises OSError if the file
+    cannot be read and ValueError (InvalidValueError) for a numeric cell
+    that binarize.numeric_column rejects.
     """
     newlines, last = 0, b"\n"
     for block in iter(partial(fh.read, _BLOCK), b""):
@@ -157,75 +245,25 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(0)
     line = fh.readline()
-    if n < 1 or not _lines_ok([line]):
+    header = _header(line, numeric) if n >= 1 and _lines_ok(line) else None
+    if header is None:
         return None
-    header = line.rstrip(b"\n").decode().split(",")
-    if len(set(header)) != len(header):
-        return None
-    is_numeric = [bool(numeric(name)) for name in header]
-    num = [i for i, flag in enumerate(is_numeric) if flag]
-    txt = [i for i, flag in enumerate(is_numeric) if not flag]
+    names, kinds = header
     start = fh.tell()
-    first = fh.readline().rstrip(b"\n").split(b",")
+    kinds = _first_row(kinds, fh.readline())
     fh.seek(start)
-    floats = ["f8" if flag else "O" for flag in is_numeric]
-    kinds = floats
-    if len(first) == len(kinds):  # else the first chunk's call fails
-        kinds = [
-            "u1" if kind == "f8" and cell.isdigit() else kind for kind, cell in zip(kinds, first)
-        ]
-    record = _record(kinds)
-    narrow = [i for i in num if kinds[i] == "u1"]
-    rows = dict(zip(narrow, np.empty((len(narrow), n), np.uint8)))
-    wide = [i for i in num if kinds[i] == "f8"]
-    rows.update(zip(wide, np.empty((len(wide), n))))
-    texts: list[list[str]] = [[] for _ in txt]
-    distinct: list[dict[str, str]] = [{} for _ in txt]
-    for lo in range(0, n, _CHUNK_ROWS):
-        chunk = list(islice(fh, _CHUNK_ROWS))
-        if len(chunk) != min(_CHUNK_ROWS, n - lo) or not _lines_ok(chunk):
-            return None
-        hi = lo + len(chunk)
-        records = _load(chunk, record)
-        if records is None and "u1" in kinds:  # a value above 255, or a cell no uint reads
-            kinds = ["u8" if kind == "u1" else kind for kind in kinds]
-            record = _record(kinds)
-            records = _load(chunk, record)
-        if records is None:
-            # A blank cell, one only float() reads, one no integer field
-            # reads, or a ragged line.
-            split = [text.rstrip(b"\n").decode().split(",") for text in chunk]
-            if any(len(row) != len(header) for row in split):
-                return None
-            # Keyed by field name, as the records are.
-            values = {f"f{i}": numeric_column([row[i] for row in split], header[i]) for i in num}
-            strings = ([row[i] for row in split] for i in txt)
-        else:
-            values = records
-            strings = (records[f"f{i}"].tolist() for i in txt)
-        if "u1" not in kinds:  # the uint8 rows' values were not read as bytes
-            over = [i for i in narrow if not _bytes_hold(values[f"f{i}"])]
-            _widen(rows, over, lo)
-            narrow = [i for i in narrow if i not in over]
-        if records is None:
-            kinds = [kinds[i] if i in narrow else kind for i, kind in enumerate(floats)]
-            record = _record(kinds)
-        for i in num:
-            rows[i][lo:hi] = values[f"f{i}"]
-        for column, seen, cell_column in zip(texts, distinct, strings):
-            column.extend(map(seen.setdefault, cell_column, cell_column))
-    if fh.read(1):  # the file grew after its rows were counted
-        return None
-    cells = iter(texts)
-    return {name: rows[i] if i in rows else next(cells) for i, name in enumerate(header)}
+    chunks = (list(islice(fh, min(_CHUNK_ROWS, n - lo))) for lo in range(0, n, _CHUNK_ROWS))
+    table = _table(names, kinds, n, takewhile(lambda lines: _lines_ok(b"".join(lines)), chunks))
+    return None if fh.read(1) else table  # the file may grow after its rows are counted
 
 
-def _small_grid(path) -> Optional[tuple[bytes, int]]:
-    """The bytes of the file at path after any byte-order mark, and its
-    number of data rows, if it is a regular file of at most one block whose
-    lines are plain comma grid lines with 1 to _CHUNK_ROWS data rows, else
-    None (also where it cannot be read).  Anything else, a FIFO among them,
-    is left unopened."""
+def _small_grid(path, numeric: Callable[[str], bool]) -> Optional[tuple]:
+    """((header names, field types), bytes, number of data rows) of the
+    file at path, its bytes taken after any byte-order mark, if it is a
+    regular file of at most one block whose lines pass _lines_ok, with 1
+    to _CHUNK_ROWS data rows and a header naming no column twice, else
+    None (also where it cannot be read).  The field types are those
+    read_grid picks.  Anything else, a FIFO among them, is left unopened."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
@@ -237,63 +275,24 @@ def _small_grid(path) -> Optional[tuple[bytes, int]]:
         return None
     data = data.removeprefix(codecs.BOM_UTF8)
     n = data.count(b"\n") - data.endswith(b"\n")
-    # _lines_ok of its lines, which need not be split where no line can
-    # exceed the field size limit.
-    if not 1 <= n <= _CHUNK_ROWS or (
-        data.translate(None, _GRID_BYTES)
-        or data.startswith(b"\n")
-        or b"\n\n" in data
-        or (len(data) > csv.field_size_limit() and not _lines_ok(data.splitlines(keepends=True)))
-    ):
+    if not 1 <= n <= _CHUNK_ROWS or not _lines_ok(data):
         return None
-    return data, n
+    line, _, rows = data.partition(b"\n")
+    header = _header(line, numeric)
+    if header is None:
+        return None
+    return (header[0], _first_row(header[1], rows.partition(b"\n")[0])), data, n
 
 
-def _grid_file(
-    path, numeric: Callable[[str], bool], headers: dict
-) -> Optional[tuple[tuple[bytes, tuple[str, ...]], bytes, int]]:
-    """((header line, field types), bytes, number of data rows) of the
-    file at path if it is a small grid, its header naming no column twice
-    and its first data row holding as many fields, else None.  The field
-    types are those read_grid picks from that row.  headers caches, per
-    header line, its names and whether `numeric` accepts each (None for a
-    repeated name)."""
-    grid = _small_grid(path)
-    if grid is None:
-        return None
-    data, n = grid
-    header, _, rows = data.partition(b"\n")
-    if header not in headers:
-        names = header.decode().split(",")
-        flags = [bool(numeric(name)) for name in names]
-        headers[header] = (names, flags) if len(set(names)) == len(names) else None
-    known = headers[header]
-    first = rows.partition(b"\n")[0].split(b",")
-    if known is None or len(first) != len(known[0]):
-        return None
-    kinds = tuple(
-        ("u1" if cell.isdigit() else "f8") if flag else "O" for flag, cell in zip(known[1], first)
-    )
-    return (header, kinds), data, n
+class _DataLines:
+    """The data lines of files, each a header line and its rows, streamed
+    from the files' bytes anew each time they are iterated."""
 
+    def __init__(self, files: list[bytes]):
+        self.files = files
 
-def _run_table(header: list[str], kinds: tuple[str, ...], files: list[bytes]) -> Optional[dict]:
-    """The table of the data lines of files, each a header line and its
-    data rows, read by one loadtxt call with the record dtype of kinds, or
-    None if loadtxt rejects a line.  Numeric columns are C-contiguous
-    arrays and text cells are interned, as in read_grid's tables."""
-    lines = chain.from_iterable(islice(io.BytesIO(data), 1, None) for data in files)
-    records = _load(lines, _record(kinds))
-    if records is None:
-        return None
-    table = {}
-    for i, (name, kind) in enumerate(zip(header, kinds)):
-        if kind == "O":
-            cells, seen = records[f"f{i}"].tolist(), {}
-            table[name] = list(map(seen.setdefault, cells, cells))
-        else:  # a copy, which holds no text cell of the records alive
-            table[name] = records[f"f{i}"].copy()
-    return table
+    def __iter__(self) -> Iterator[bytes]:
+        return chain.from_iterable(islice(io.BytesIO(data), 1, None) for data in self.files)
 
 
 _END = object()
@@ -307,28 +306,27 @@ def grid_groups(
     Yields (run, table, bounds).  A run is consecutive small plain comma
     grids, each read whole in one block, that share one header line and
     the field types read_grid picks from their first data rows, with at
-    most _CHUNK_ROWS data rows in all.  Its table holds all their rows,
-    read by one loadtxt call with that record dtype, and rows
-    bounds[k]:bounds[k + 1] of each column are run[k]'s.  Every other
+    most _CHUNK_ROWS data rows in all.  Its table is the one read_grid
+    gives the file holding that header line and all their data rows, and
+    rows bounds[k]:bounds[k + 1] of each column are run[k]'s.  Every other
     path comes as a run of one, and table and bounds are None then, as
-    they are for a run whose call fails: each path of such a run is to be
-    read by itself, by read_grid or the cell reader.
-
-    A run's table is what read_grid gives each of its files, joined: as a
-    file of one chunk read by one successful call, each file's uint8
-    columns are those whose first cell is all digits, and nothing widens.
-    Files are read one at a time, as the runs are asked for, and a run's
-    bytes are dropped before it is yielded.
+    they are for a run holding a ragged line or a numeric cell that
+    binarize.numeric_column rejects: each path of such a run is to be
+    read by itself, by read_grid or the cell reader.  Files are read one
+    at a time, as the runs are asked for, and a run's bytes are dropped
+    before it is yielded.
     """
-    headers: dict = {}
     run: list = []
     key: tuple = ()
     files: list[bytes] = []
     bounds = [0]
     for path in chain(paths, [_END]):
-        grid = None if path is _END else _grid_file(path, numeric, headers)
+        grid = None if path is _END else _small_grid(path, numeric)
         if run and (grid is None or grid[0] != key or bounds[-1] + grid[2] > _CHUNK_ROWS):
-            table = _run_table(headers[key[0]][0], key[1], files)
+            try:
+                table = _table(*key, bounds[-1], [_DataLines(files)])
+            except ValueError:  # a numeric cell that does not parse
+                table = None
             files = []
             yield run, table, None if table is None else bounds
             run, bounds = [], [0]

@@ -14,12 +14,28 @@ import numpy as np
 import pytest
 
 from ruleloc import cli
-from ruleloc.binarize import MAX_BINS, SchemaError, check_bins, relabel, transform
+from ruleloc.binarize import (
+    MAX_BINS,
+    NUMERIC,
+    BinarizationModel,
+    ColumnModel,
+    SchemaError,
+    check_bins,
+    relabel,
+    transform,
+)
 from ruleloc.cli import CliError, main, read_csv_columns
-from ruleloc.core import Coverage, InvalidDatasetError, ObjectiveContext, cover_of_rule
+from ruleloc.core import (
+    Coverage,
+    InvalidDatasetError,
+    ObjectiveContext,
+    Rule,
+    RuleSet,
+    cover_of_rule,
+)
 from ruleloc.generate import SurrogateState
 from ruleloc.localize import FaultModel, Rankings
-from ruleloc.select import MAX_RULES, SelectionConfig, select_rule_set
+from ruleloc.select import MAX_RULES, SelectionConfig, annotate_rule_set, select_rule_set
 
 from objectives import surrogate_value
 from oracle import (
@@ -291,6 +307,21 @@ def test_export_fingerprints_equals_planted_metrics_when_clean(tmp_path):
             for j in rule
         }
         assert metrics == planted
+
+
+def test_export_fingerprints_orders_thresholds_by_value(tmp_path, capsys):
+    binarization = BinarizationModel((ColumnModel("cpu", NUMERIC, (9.5, 10.0)),))
+    dataset = transform(binarization, {"cpu": [1.0, 9.7, 12.0, 12.0]}, [0, 1, 1, 1])
+    # Features 1 and 3 are cpu > 9.5 and cpu > 10.0.
+    rules = annotate_rule_set(dataset, RuleSet((Rule((3,)), Rule((1,)))))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(FaultModel((("cpu_hog", rules),), binarization).to_json())
+    assert main(["export-fingerprints", "--model", str(model_path)]) == 0
+    (fingerprint,) = json.loads(capsys.readouterr().out)["fingerprints"]
+    assert [(m["direction"], m["threshold"]) for m in fingerprint["metrics"]] == [
+        ("high", 9.5),
+        ("high", 10.0),
+    ]
 
 
 def test_declared_fault_type_with_zero_rows_skipped_with_warning(tmp_path, scenario):

@@ -318,6 +318,28 @@ def test_field_over_the_csv_size_limit_is_invalid_data(tmp_path, capsys):
         assert len(table["note"][1]) == 131072
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.binary().map(lambda raw: bytes(b"a,\n\n\""[b % 5] for b in raw)), st.integers(1, 6))
+@example(b"a\n\n", 6)
+@example(b"\na\n", 6)
+@example(b"aaa\naa", 3)
+@example(b"aa\naaa", 3)
+@example(b"a\n\na\n", 2)
+def test_the_buffer_line_check_is_the_line_by_line_check(data, limit):
+    """Lines of only grid bytes, at least one, none blank, none (its \\n
+    included) longer than the field size limit, on data shorter and longer
+    than the limit."""
+    lines = data.splitlines(keepends=True)
+    want = bool(lines) and not (
+        data.translate(None, csvgrid._GRID_BYTES) or b"\n" in lines or max(map(len, lines)) > limit
+    )
+    old = csv.field_size_limit(limit)
+    try:
+        assert csvgrid._lines_ok(data) == want
+    finally:
+        csv.field_size_limit(old)
+
+
 def test_blank_line_still_fails(tmp_path):
     """loadtxt skips blank lines."""
     path = tmp_path / "blank.csv"

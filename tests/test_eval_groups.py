@@ -3,13 +3,17 @@
 csvgrid.grid_groups reads runs of small plain comma grids that share a
 header line as one table, and cmd_eval binarizes each such table with one
 feature_matrix call.  Every other window, and every window of a run that
-fails a check, goes through read_csv_columns and the window path of
-localize, one file at a time.  The grouped tables must equal the tables
-read_csv_columns gives each file, in values and dtypes; eval's output,
-metrics bytes included, and its first error (category, message and the
-window it names) must be those of eval with every window read by itself.
+holds a ragged line or a bad numeric cell or fails feature_matrix, goes
+through read_csv_columns and the window path of localize, one file at a
+time.  A run's table must be the table read_csv_columns gives the file
+of its header line and all its data rows, in values and dtypes, and each
+window's rows must hold the float64 values of that window's own table;
+eval's output, metrics bytes included, and its first error (category,
+message and the window it names) must be those of eval with every window
+read by itself.
 """
 
+import codecs
 import contextlib
 import csv
 import io
@@ -170,8 +174,41 @@ def _assert_same_table(got: dict, want: dict) -> None:
             assert got[name] == column, name
 
 
+def _assert_same_values(got: dict, want: dict) -> None:
+    """Same names and cells, numeric columns as float64 values bit for bit."""
+    assert list(got) == list(want)
+    for name, column in want.items():
+        if isinstance(column, np.ndarray):
+            assert np.asarray(got[name], float).tobytes() == column.astype(float).tobytes(), name
+        else:
+            assert got[name] == column, name
+
+
+def _joined(paths: list[Path]) -> bytes:
+    """The file of the first path's header line and every path's data rows."""
+    rows = []
+    for path in paths:
+        header, *lines = path.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
+        rows += lines
+    return b"\n".join([header, *rows]) + b"\n"
+
+
 def _grid(rows: int, service: str = "s0", a: str = "200") -> bytes:
     return ("service,a,b,c\n" + f"{service},{a},0.5,x\n" * rows).encode()
+
+
+def _windows(tmp: Path, files: list[bytes]) -> tuple[Path, Path, list[Path]]:
+    """The model file, and the manifest of windows w0, w1, ... holding files
+    with their paths, written to tmp."""
+    model = tmp / "model.json"
+    model.write_text(MODEL.to_json())
+    paths = [tmp / f"w{k}.csv" for k in range(len(files))]
+    for path, data in zip(paths, files):
+        path.write_bytes(data)
+    cases = [{"window": p.name, "true_fault": "f1", "true_service": "s0"} for p in paths]
+    manifest = tmp / "cases.json"
+    manifest.write_text(json.dumps({"cases": cases}))
+    return model, manifest, paths
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -179,9 +216,13 @@ def _grid(rows: int, service: str = "s0", a: str = "200") -> bytes:
 # Two 1,024-row windows fill a run; the third starts the next.
 @example([(_grid(1024), False, "f1", "s0"), (_grid(1024, "s1"), False, "f1", "s1"),
           (_grid(3, a="191"), False, "f2", "s0")])
-# A value above 255 in a run's second window sends the whole run to the per-file reader.
+# A value above 255, a blank cell and 1.5 in a run's later windows: one table, a float64.
 @example([(_grid(2), False, "f1", "s0"), (_grid(2, a="300"), False, "f1", "s0"),
-          (_grid(2), True, "f1", "s0")])
+          (_grid(2), True, "f1", "s0"), (_grid(1) + b"s1,,0.5,x\n", False, "f2", "s1"),
+          (_grid(1) + b"s0,1.5,0.5,x\n", False, "f1", "s0")])
+# x in a numeric column, or a ragged line, in a run's second window: read file by file.
+@example([(_grid(2), False, "f1", "s0"), (_grid(2, a="x"), False, "f1", "s0")])
+@example([(_grid(2), False, "f1", "s0"), (_grid(1) + b"s0,1,0.5,x,9\n", False, "f1", "s0")])
 # A missing file, then a header-only one, between grids: the first error names the first.
 @example([(_grid(2), False, "f1", "s0"), (None, False, "f1", "s0"),
           (_grid(0), False, "f1", "s0"), (_grid(2), False, "f1", "s0")])
@@ -197,9 +238,12 @@ def test_grouped_eval_equals_eval_one_window_at_a_time(drawn):
             if table is None:
                 continue
             assert bounds[0] == 0 and bounds[-1] <= csvgrid._CHUNK_ROWS
+            joined = tmp / "joined.csv"
+            joined.write_bytes(_joined(run))
+            _assert_same_table(table, read_csv_columns(joined, numeric))
             for path, lo, hi in zip(run, bounds, bounds[1:]):
                 window = {name: column[lo:hi] for name, column in table.items()}
-                _assert_same_table(window, read_csv_columns(path, numeric))
+                _assert_same_values(window, read_csv_columns(path, numeric))
 
         grouped = _eval(model, manifest, tmp / "grouped.json")
         with mock.patch("ruleloc.cli.grid_groups", _one_at_a_time):
@@ -237,15 +281,66 @@ def test_runs_share_a_header_and_hold_at_most_one_chunk_of_rows(tmp_path):
     ]
 
 
-def test_a_run_whose_call_fails_is_read_file_by_file(tmp_path):
-    ok, wide = tmp_path / "ok.csv", tmp_path / "wide.csv"
-    ok.write_bytes(_grid(2))
-    wide.write_bytes(_grid(2, a="300"))  # digits, but no byte holds 300
+@pytest.mark.parametrize("cell", ["300", "", "1.5"], ids=["above-255", "blank", "fraction"])
+def test_a_run_whose_later_window_holds_a_wide_blank_or_fractional_cell_is_one_table(
+    tmp_path, cell
+):
+    later = _grid(1) + f"s0,{cell},0.5,x\n".encode()  # the first row's field types, then cell
+    model, manifest, paths = _windows(tmp_path, [_grid(2), later])
     numeric = cli._window_numeric(MODEL, SERVICE)
-    assert [(run, table) for run, table, _ in csvgrid.grid_groups([ok, wide], numeric)] == [
-        ([ok, wide], None)
+    ((run, table, bounds),) = csvgrid.grid_groups(paths, numeric)
+    assert run == paths and bounds == [0, 2, 4] and table["a"].dtype == np.float64
+    with mock.patch("ruleloc.cli.feature_matrix", wraps=cli.feature_matrix) as spy, mock.patch(
+        "ruleloc.cli.read_csv_columns", wraps=cli.read_csv_columns
+    ) as reads:
+        grouped = _eval(model, manifest, tmp_path / "grouped.json")
+    assert spy.call_count == 1 and reads.call_count == 0
+    with mock.patch("ruleloc.cli.grid_groups", _one_at_a_time):
+        assert _eval(model, manifest, tmp_path / "alone.json") == grouped
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        (b"s0,x,0.5,x", "w1.csv: column 'a', row 2: could not convert string to float: 'x'"),
+        (b"s0,1,0.5,x,9", "w1.csv: line 3: 5 fields, header has 4"),
+    ],
+    ids=["bad-cell", "ragged-line"],
+)
+def test_a_run_holding_a_bad_cell_or_a_ragged_line_is_read_file_by_file(tmp_path, line, error):
+    model, manifest, paths = _windows(tmp_path, [_grid(2), _grid(1) + line + b"\n"])
+    numeric = cli._window_numeric(MODEL, SERVICE)
+    assert [(run, table) for run, table, _ in csvgrid.grid_groups(paths, numeric)] == [
+        (paths, None)
     ]
-    assert read_csv_columns(wide, numeric)["a"].dtype == np.float64
+    grouped = _eval(model, manifest, tmp_path / "grouped.json")
+    with mock.patch("ruleloc.cli.grid_groups", _one_at_a_time):
+        alone = _eval(model, manifest, tmp_path / "alone.json")
+    assert grouped == alone
+    assert grouped[0] == cli.EXIT_INVALID_DATA and error in grouped[2]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(windows())
+def test_a_run_of_one_small_grid_is_read_grid_s_table(drawn):
+    data = drawn[0]
+    numeric = cli._window_numeric(MODEL, SERVICE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.csv"
+        want = None
+        if data is not None:
+            path.write_bytes(data)
+            rows = len(data.splitlines()) - 1
+            small = len(data) <= csvgrid._BLOCK and rows <= csvgrid._CHUNK_ROWS
+            with open(path, "rb") as fh, contextlib.suppress(ValueError):
+                want = csvgrid.read_grid(fh, numeric) if small else None
+        ((run, table, bounds),) = csvgrid.grid_groups([path], numeric)
+    assert run == [path]
+    if want is None:
+        assert table is None and bounds is None
+    else:
+        _assert_same_table(table, want)
+        assert bounds == [0, len(next(iter(want.values())))]
 
 
 @pytest.mark.parametrize("fifo", [False, True])
@@ -260,14 +355,8 @@ def test_grouped_reads_open_no_fifo(tmp_path, fifo):
 
 
 def test_eval_binarizes_each_run_with_one_feature_matrix_call(tmp_path):
-    model = tmp_path / "model.json"
-    model.write_text(MODEL.to_json())
-    cases = []
-    for k in range(6):
-        (tmp_path / f"w{k}.csv").write_bytes(_grid(3, service=f"s{k % 2}", a=str(40 * k)))
-        cases.append({"window": f"w{k}.csv", "true_fault": "f1", "true_service": "s0"})
-    manifest = tmp_path / "cases.json"
-    manifest.write_text(json.dumps({"cases": cases}))
+    files = [_grid(3, service=f"s{k % 2}", a=str(40 * k)) for k in range(6)]
+    model, manifest, _ = _windows(tmp_path, files)
     with mock.patch("ruleloc.cli.feature_matrix", wraps=cli.feature_matrix) as spy, mock.patch(
         "ruleloc.cli.read_csv_columns", wraps=cli.read_csv_columns
     ) as reads:
@@ -279,13 +368,8 @@ def test_eval_binarizes_each_run_with_one_feature_matrix_call(tmp_path):
 
 
 def test_a_line_over_the_field_size_limit_is_read_by_itself(tmp_path):
-    model = tmp_path / "model.json"
-    model.write_text(MODEL.to_json())
-    (tmp_path / "w0.csv").write_bytes(_grid(2))
-    (tmp_path / "w1.csv").write_bytes(("ts,service,a,b,c\n" + "t" * 80 + ",s0,1,0.5,x\n").encode())
-    cases = [{"window": f"w{k}.csv", "true_fault": "f1", "true_service": "s0"} for k in range(2)]
-    manifest = tmp_path / "cases.json"
-    manifest.write_text(json.dumps({"cases": cases}))
+    wide = ("ts,service,a,b,c\n" + "t" * 80 + ",s0,1,0.5,x\n").encode()
+    model, manifest, _ = _windows(tmp_path, [_grid(2), wide])
     limit = csv.field_size_limit(64)
     try:
         grouped = _eval(model, manifest, tmp_path / "grouped.json")
