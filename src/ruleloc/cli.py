@@ -14,13 +14,10 @@ import csv
 import hashlib
 import io
 import json
-import os
-import pickle
 import sys
-import threading
 import time
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict
 from functools import cache, partial
 from itertools import chain, repeat
@@ -46,6 +43,7 @@ from ruleloc.binarize import (
 )
 from ruleloc.csvgrid import grid_groups, read_grid
 from ruleloc.evaluate import IncidentCase, evaluate_cases
+from ruleloc.forking import forked
 from ruleloc.localize import FaultModel, QueryWindow, localization_report
 from ruleloc.logfeatures import (
     DEFAULT_SIMILARITY,
@@ -120,7 +118,9 @@ def read_csv_columns(
     object per distinct value.  path is opened once; an input that cannot
     seek (a pipe) is read once into memory, then read like a file, and
     `digest` (a hashlib object) is fed every byte.  A plain comma grid
-    (see ruleloc.csvgrid) is parsed in C; any other file, and a grid with
+    (see ruleloc.csvgrid) is parsed in C, the second half of its rows by a
+    forked child when it has more than 2,048 and a CPU is free (see
+    ruleloc.forking), with the same table; any other file, and a grid with
     a cell loadtxt and numeric_column both reject, is read cell by cell
     from the same handle, with the same values and errors.  A line the
     csv module rejects (a field over its size limit; a NUL byte
@@ -324,62 +324,6 @@ def _log_counters(
     return None if logs is None else logs[1].counters()
 
 
-@contextmanager
-def _forked(function: Callable, *args) -> Iterator[Callable]:
-    """Yield a callable that returns function(*args) or raises what it raised.
-
-    When the process may run on two or more CPUs and has no other Python
-    thread, a child forked on entry calls function while the caller goes
-    on, and the callable waits for the pickled outcome the child sends
-    through a pipe.  An outcome that does not come back (the child died,
-    or the outcome does not pickle and unpickle) leaves the call to the
-    callable.  Otherwise the callable calls function itself.  On exit, a
-    child still running is killed, and the child is always reaped.
-    """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(cpus) < 2 or threading.active_count() > 1:
-        yield partial(function, *args)
-        return
-    read_end, write_end = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns of any OS thread, such as a BLAS pool numpy
-        # started; the gate above rules out Python threads.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_end)
-            try:
-                outcome = (True, function(*args))
-            except Exception as exc:
-                outcome = (False, exc)
-            with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
-        finally:
-            os._exit(0)
-    os.close(write_end)
-
-    def result():
-        with open(read_end, "rb", closefd=False) as pipe:
-            sent = pipe.read()
-        try:
-            ok, value = pickle.loads(sent)
-        except Exception:  # nothing sent, or an exception that does not unpickle
-            return function(*args)
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield result
-    finally:
-        import signal  # only a process that forked needs it
-
-        os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
-        os.waitpid(pid, 0)
-        os.close(read_end)
-
-
 LOG_COLUMNS = ("log_total", "log_unmatched", "log_distinct_new")
 
 
@@ -457,7 +401,7 @@ def cmd_train(args) -> int:
     logs_dir = Path(args.logs) if args.logs else None
     # The log pass shares no input with the table: it runs while the table is read.
     log_pass = (
-        _forked(_log_counters, logs_dir, interval, sim, ts_format)
+        forked(_log_counters, logs_dir, interval, sim, ts_format)
         if logs_dir is not None
         else nullcontext()
     )

@@ -37,6 +37,17 @@ column is uint8 exactly when its cell in the first data row is all
 digits and every value is an integer from 0 to 255 without a sign bit,
 and its values are float64 values either way.
 
+read_grid reads a grid of more than _CHUNK_ROWS data rows in two
+processes while forking.cpu_free().  Its counting pass finds the chunk
+boundary nearest the middle row; a forked child reads the rows from
+there on by the same chunk loop, taking its bytes with pread, so that
+the file offset it shares with the parent never moves.  The parent's
+loop takes the child's table as its last chunk: it copies the values
+into the rows it allocated, and a uint8 row widens by the rule above,
+so the table is the one-process table.  A part holding a ragged line or
+a cell numeric_column rejects fails the read as in one process, and an
+outcome that does not come back is read by the parent itself.
+
 grid_groups reads many small files, such as eval's windows, in runs.  A
 small grid is a regular file of at most one read block (64 KiB) that is
 a plain comma grid with at most _CHUNK_ROWS data rows.  A run is
@@ -58,13 +69,16 @@ import os
 import re
 import stat
 import warnings
+from bisect import bisect_left
+from contextlib import nullcontext
 from functools import partial
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from ruleloc.binarize import numeric_column
+from ruleloc.forking import cpu_free, forked
 
 # The bytes of a plain comma grid line after the byte-order mark.
 _GRID_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
@@ -162,8 +176,10 @@ def _first_row(kinds: list[str], line: bytes) -> list[str]:
 def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Optional[dict]:
     """The table of the n data rows of a header of names, the first row
     picking the field types kinds, read from chunks: collections of
-    checked lines, each iterated once per call made on it.  None if a line
-    is ragged or the chunks hold other than n rows.  Raises ValueError
+    checked lines, each iterated once per call made on it, and perhaps,
+    last, the table another call read of the rows that follow, whose
+    values are copied as a chunk's.  None if a line is ragged or the
+    chunks hold other than n rows.  Raises ValueError
     (InvalidValueError) for a numeric cell numeric_column rejects.  The
     module docstring gives the rules."""
     floats = ["O" if kind == "O" else "f8" for kind in kinds]
@@ -178,12 +194,18 @@ def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Opti
     distinct: list[dict[str, str]] = [{} for _ in txt]
     lo = 0
     for chunk in chunks:
-        records = _load(chunk, record)
-        if records is None and "u1" in kinds:  # a value above 255, or a cell no uint reads
+        part = isinstance(chunk, dict)  # the next rows' table, read by another call
+        records = None if part else _load(chunk, record)
+        if records is None and not part and "u1" in kinds:
+            # A value above 255, or a cell no uint reads.
             kinds = ["u8" if kind == "u1" else kind for kind in kinds]
             record = _record(kinds)
             records = _load(chunk, record)
-        if records is None:
+        if part:
+            hi = lo + len(chunk[names[0]])
+            values = {f"f{i}": chunk[name] for i, name in enumerate(names)}
+            strings = (chunk[names[i]] for i in txt)
+        elif records is None:
             # A blank cell, one only float() reads, one no integer field
             # reads, or a ragged line.
             split = [text.rstrip(b"\n").decode().split(",") for text in chunk]
@@ -197,7 +219,7 @@ def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Opti
             hi = lo + len(records)
             values = records
             strings = (records[f"f{i}"].tolist() for i in txt)
-        if "u1" not in kinds:  # the uint8 rows' values were not read as bytes
+        if records is None or "u1" not in kinds:  # the uint8 rows' values were not read as bytes
             over = [i for i in narrow if not _bytes_hold(values[f"f{i}"])]
             _widen(rows, over, lo)
             narrow = [i for i in narrow if i not in over]
@@ -215,6 +237,61 @@ def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Opti
     return {name: rows[i] if i in rows else next(cells) for i, name in enumerate(names)}
 
 
+def _chunks(lines: Iterator[bytes], n: int, rest: Optional[Callable] = None) -> Iterator:
+    """Lists of the next n lines, _CHUNK_ROWS at a time, up to the first
+    that fails _lines_ok; then, if none failed, the table rest() gives of
+    the rows after them, unless it gives None."""
+    for lo in range(0, n, _CHUNK_ROWS):
+        chunk = list(islice(lines, min(_CHUNK_ROWS, n - lo)))
+        if not _lines_ok(b"".join(chunk)):
+            return
+        yield chunk
+    if rest is not None and (table := rest()) is not None:
+        yield table
+
+
+class _Span(io.RawIOBase):
+    """Bytes lo:hi of a file, read by pread(size, offset), which moves no
+    file offset: a forked child shares its parent's."""
+
+    def __init__(self, pread: Callable[[int, int], bytes], lo: int, hi: int):
+        self.pread, self.lo, self.hi = pread, lo, hi
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self.pread(min(len(buffer), self.hi - self.lo), self.lo)
+        buffer[: len(data)] = data
+        self.lo += len(data)
+        return len(data)
+
+
+def _rows(fh: BinaryIO, lo: int, hi: int, names: list[str], kinds: list[str], n: int):
+    """The table of the n data rows in bytes lo:hi of fh, read as read_grid
+    reads its rows, without moving fh's offset."""
+    if isinstance(fh, io.BytesIO):  # an input that cannot seek, read into memory
+        view = fh.getbuffer()
+        pread = lambda size, at: view[at : at + size]
+    else:
+        pread = partial(os.pread, fh.fileno())
+    with io.BufferedReader(_Span(pread, lo, hi), _BLOCK) as lines:
+        return _table(names, kinds, n, _chunks(lines, n))
+
+
+def _after(fh: BinaryIO, ends: list[tuple[int, int]], k: int) -> int:
+    r"""The offset just past the k-th \n of fh, whose blocks end at
+    ends[b] = (\n count so far, offset)."""
+    b = bisect_left(ends, (k,))
+    count, lo = ends[b - 1] if b else (0, 0)
+    fh.seek(lo)
+    block = fh.read(ends[b][1] - lo)
+    at = -1
+    for _ in range(k - count):
+        at = block.index(b"\n", at + 1)
+    return lo + at + 1
+
+
 def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Optional[dict]:
     """The table of the seekable binary file fh, read from its start, if it
     is a plain comma grid, else None.
@@ -229,18 +306,28 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     where its cell is all ASCII digits, else float64.  Numeric columns are
     uint8 or float64 arrays, rows of the blocks the module docstring
     describes: a column leaves the uint8 block only for a value a byte
-    cannot hold exactly.  grid_groups reads a run of small files as the
-    one chunk of the file joining their rows.  Raises OSError if the file
-    cannot be read and ValueError (InvalidValueError) for a numeric cell
-    that binarize.numeric_column rejects.
+    cannot hold exactly.  When a file of more than _CHUNK_ROWS data rows
+    is read while a CPU is free (forking.cpu_free), a forked child reads
+    the rows from the chunk boundary nearest the middle on, and they come
+    back as the last chunk: the table is the same.  grid_groups reads a
+    run of small files as the one chunk of the file joining their rows.
+    Raises OSError if the file cannot be read and ValueError
+    (InvalidValueError) for a numeric cell that binarize.numeric_column
+    rejects.
     """
-    newlines, last = 0, b"\n"
+    ends = []
+    newlines, size, last = 0, 0, b"\n"
     for block in iter(partial(fh.read, _BLOCK), b""):
         newlines += block.count(b"\n")
+        size += len(block)
+        ends.append((newlines, size))
         last = block[-1:]
         if digest is not None:
             digest.update(block)
     n = newlines - (last == b"\n")
+    split = n
+    if n > _CHUNK_ROWS and cpu_free():
+        split = _CHUNK_ROWS * max(1, round(n / (2 * _CHUNK_ROWS)))
     fh.seek(0)
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(0)
@@ -251,9 +338,14 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     names, kinds = header
     start = fh.tell()
     kinds = _first_row(kinds, fh.readline())
+    rest = nullcontext()
+    if split < n:
+        # Data row `split` starts past the (split + 1)-th \n, the header's counted.
+        rest = forked(_rows, fh, _after(fh, ends, split + 1), size, names, kinds, n - split)
     fh.seek(start)
-    chunks = (list(islice(fh, min(_CHUNK_ROWS, n - lo))) for lo in range(0, n, _CHUNK_ROWS))
-    table = _table(names, kinds, n, takewhile(lambda lines: _lines_ok(b"".join(lines)), chunks))
+    with rest as rows:
+        table = _table(names, kinds, n, _chunks(fh, split, rows))
+    fh.seek(size)
     return None if fh.read(1) else table  # the file may grow after its rows are counted
 
 

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ruleloc import cli
+from ruleloc import cli, csvgrid
 from ruleloc.binarize import (
     MAX_BINS,
     NUMERIC,
@@ -1442,6 +1442,48 @@ def test_forked_log_pass_is_skipped_without_two_cpus_or_with_a_thread(
     assert main([*argv[:-2], "--model", str(tmp_path / "m2.json")]) == 0
     assert forks == [1]
     _no_child_left()
+
+
+def test_the_table_is_split_across_two_processes_only_while_a_cpu_is_free(
+    tmp_path, scenario, monkeypatch
+):
+    """A table of more than _CHUNK_ROWS rows is read by two processes when a
+    CPU is free of this process and its children: never on one CPU or with
+    a live thread, and not beside the log pass on two CPUs.  Each case
+    writes the same model."""
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    rows = len(scenario.train_table["fault_type"])
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+    forks = _counted_forks(monkeypatch)
+    models: dict[bool, set] = {False: set(), True: set()}
+    for cpus, chunk_rows, with_logs, thread, want in [
+        ({0}, rows // 2, False, False, 0),
+        ({0, 1}, rows // 2, False, True, 0),
+        ({0, 1}, rows // 2, False, False, 1),
+        ({0, 1}, rows, False, False, 0),
+        ({0, 1}, rows // 2, True, False, 1),
+        ({0, 1, 2}, rows // 2, True, False, 2),
+    ]:
+        _usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", chunk_rows)
+        model = tmp_path / "m.json"
+        argv = ["train", "--data", str(data), "--model", str(model), "-K", "2", "-l", "2"]
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait)
+        if thread:
+            waiting.start()
+        forks.clear()
+        try:
+            assert main(argv + ["--logs", str(logs)] * with_logs) == 0
+        finally:
+            done.set()
+        if thread:
+            waiting.join(timeout=10)
+        assert len(forks) == want
+        _no_child_left()
+        models[with_logs].add(model.read_bytes())
+    assert len(models[False]) == len(models[True]) == 1
 
 
 @pytest.mark.parametrize("logs_kind", ["missing", "not-utf-8"])

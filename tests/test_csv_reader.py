@@ -181,6 +181,12 @@ def took_grid_path(path, numeric, read=read_csv_columns) -> bool:
     return not cells.called
 
 
+def one_process(monkeypatch) -> None:
+    """One usable CPU, so that no forked child reads a part of a grid: the
+    loadtxt calls a test counts are all made in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 # -- generated tables -----------------------------------------------------------
 
 PLAIN_NUMBERS = ["0", "1", "-2.5", "3e2", "1e-400", "1e999", ".5", "7.", " 4 ", "+1",
@@ -401,6 +407,7 @@ def test_each_chunk_is_tokenized_by_one_loadtxt_call(tmp_path, monkeypatch):
     string objects.  Only the column holding the blank leaves the uint8
     block."""
     monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 2)
+    one_process(monkeypatch)
     chunks, loadtxt = [], np.loadtxt
     def spy(lines, *args, **kwargs):
         chunks.append(len(lines))
@@ -519,7 +526,8 @@ def test_byte_order_mark_keeps_the_grid_path(tmp_path):
 
 def spy_loadtxt(monkeypatch) -> list[tuple[int, dict[str, str]]]:
     """(lines, the type of each field, like "u1") of every loadtxt call the
-    grid reader makes."""
+    grid reader makes, read in one process."""
+    one_process(monkeypatch)
     calls, loadtxt = [], np.loadtxt
     def spy(lines, dtype, *args, **kwargs):
         calls.append((len(lines), {name: dtype[name].str[1:] for name in dtype.names}))
@@ -634,6 +642,7 @@ def test_a_value_above_255_in_a_later_chunk_keeps_the_loadtxt_path(tmp_path, mon
     were, the count column is float64, the 0/1 columns stay uint8, and no
     chunk is split and parsed in Python."""
     monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 4)
+    one_process(monkeypatch)
     counts = [0, 7, 255, 3, 9, 1, 2, 200, 40, 256, 1000, 5, 18446744073709551615, 0]
     path = tmp_path / "counts.csv"
     path.write_text(
@@ -725,20 +734,24 @@ def test_whole_numbers_written_otherwise_keep_their_column_uint8(tmp_path, monke
     assert table["x"].tolist() == [float(cell) for cell in rows]
 
 
-def test_one_blank_cell_keeps_a_flag_table_below_its_float64_size(tmp_path):
+def test_one_blank_cell_keeps_a_flag_table_below_its_float64_size(tmp_path, monkeypatch):
     """20,000 rows of 60 flags, one of them blank past the first chunk: the
-    read peaks below the 9.6 MB that the flags take as float64."""
+    read peaks below the 9.6 MB that the flags take as float64, in one
+    process and in the parent of a split read, which holds the child's
+    part too."""
     path = tmp_path / "flags.csv"
     rows, columns = 20_000, 60
     header = flags_csv(path, rows, columns, (5_000, 59, ""))
-    tracemalloc.start()
-    try:
-        table = read_csv_columns(path, set(header[1:]).__contains__)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [table[name].dtype for name in header[1:]] == [np.uint8] * 59 + [np.float64]
-    assert peak < rows * columns * 8
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        tracemalloc.start()
+        try:
+            table = read_csv_columns(path, set(header[1:]).__contains__)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [table[name].dtype for name in header[1:]] == [np.uint8] * 59 + [np.float64]
+        assert peak < rows * columns * 8
 
 
 # -- the grid path on files shaped like the benchmark inputs ------------------------
