@@ -9,10 +9,14 @@ human-readable predicate strings and serializes to JSON.
 The fitted columns are the model: the feature catalog is derived from
 them in fit's order, (<= t, > t) per numeric threshold and (== c) per
 category.  The model JSON writes that catalog out for readers, and
-loading rejects a file whose stored catalog differs from it.  Loading
-compares the stored catalog one column slice at a time in C (itemgetter
-against zip/repeat/cycle of the column's values), and walks it entry by
-entry only to name the first difference of a catalog that fails.
+loading rejects a file whose stored catalog differs from it.  One
+renderer, catalog_text, gives the catalog's exact text in the model
+file from the columns, as text templates joined with each threshold's
+repr.  The writer writes that text, and the reader (read_json_text)
+compares the stored catalog's text with it and parses none of it when
+they are equal.  Any other stored catalog, such as one of a re-indented
+file, is parsed and walked entry by entry, which names its first
+difference from the derived one.
 
 Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
@@ -46,7 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, cycle, repeat, zip_longest
-from operator import itemgetter, lt
+from operator import lt
 from typing import Container, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -60,6 +64,7 @@ from ruleloc.core import (
     Rule,
     bitset_of_flags,
 )
+from ruleloc.jsontext import object_text, read_object, value_text
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -190,11 +195,42 @@ class ColumnModel:
             return zip(repeat(self.name), cycle(("<=", ">")), doubled)
         return zip(repeat(self.name), repeat("=="), self.categories)
 
+    def catalog_text(self, pad: str) -> str:
+        """The catalog entries of a column that gives at least one feature,
+        joined as the items of the catalog list that json.dumps(...,
+        sort_keys=True, indent=2) writes on a line indented by pad.
+
+        A numeric column is one join of two entry templates, the text
+        before a (<= t) and before a (> t) entry's threshold, interleaved
+        with each threshold's text twice.
+        """
+        item, key = pad + "  ", pad + "    "
+        name = json.dumps(self.name)
+        if self.kind == CATEGORICAL:
+            tail = f',\n{key}"column": {name},\n{key}"op": "=="\n{item}}}'
+            entries = (f'{{\n{key}"category": {json.dumps(c)}{tail}' for c in self.categories)
+            return f",\n{item}".join(entries)
+        head = f'{{\n{key}"column": {name},\n{key}"op": '
+        first = f'{head}"<=",\n{key}"threshold": '
+        after = f"\n{item}}},\n{item}"  # ends one entry, starts the next
+        at_most, above = after + first, f'{after}{head}">",\n{key}"threshold": '
+        texts = _number_texts(self.thresholds)
+        pieces = list(chain.from_iterable(zip(repeat(at_most), texts, repeat(above), texts)))
+        pieces[0] = first
+        pieces.append(f"\n{item}}}")
+        return "".join(pieces)
+
 
 # The key of the value of a catalog entry of a numeric or a categorical
-# column, after "column" and "op"; _ENTRY_VALUES reads entry_values back.
+# column, after "column" and "op".
 _VALUE_KEY = {NUMERIC: "threshold", CATEGORICAL: "category"}
-_ENTRY_VALUES = {kind: itemgetter("column", "op", key) for kind, key in _VALUE_KEY.items()}
+
+
+def _number_texts(values: Sequence) -> list[str]:
+    """Each number as json.dumps writes it: repr for a float."""
+    if set(map(type, values)) <= {float}:
+        return list(map(float.__repr__, values))
+    return list(map(json.dumps, values))
 
 
 def _column_from_json(obj, path: str) -> ColumnModel:
@@ -303,25 +339,20 @@ class BinarizationModel:
             for name, op, value in c.entry_values()
         )
 
-    def _catalog_equals(self, stored: list) -> bool:
-        """Whether stored is the derived catalog, as to_json_obj writes it.
+    def _catalog_pieces(self, pad: str) -> Iterator[str]:
+        """catalog_text(pad) in pieces, one column's entries at a time."""
+        first = True
+        for c in self.columns:
+            if c.width:
+                yield f"[\n{pad}  " if first else f",\n{pad}  "
+                yield c.catalog_text(pad)
+                first = False
+        yield "[]" if first else f"\n{pad}]"
 
-        Every entry must be a dict of exactly three keys whose values, read
-        by _ENTRY_VALUES per column slice, equal the column's entry_values:
-        the same test as comparing each entry with its derived dict.
-        """
-        if len(stored) != self.n_features or not set(map(type, stored)) <= {dict}:
-            return False
-        if not set(map(len, stored)) <= {3}:
-            return False
-        try:
-            return all(
-                list(map(_ENTRY_VALUES[c.kind], stored[start : start + c.width]))
-                == list(c.entry_values())
-                for c, start in zip(self.columns, self._starts)
-            )
-        except KeyError:  # an entry of three keys, not the three of its kind
-            return False
+    def catalog_text(self, pad: str) -> str:
+        """The feature catalog as json.dumps(..., sort_keys=True, indent=2)
+        writes it on a line indented by pad, built as text: no entry dict."""
+        return "".join(self._catalog_pieces(pad))
 
     def to_json_obj(self) -> dict:
         return {
@@ -330,11 +361,53 @@ class BinarizationModel:
             "feature_catalog": list(self._catalog_objs()),
         }
 
+    def to_json_text(self, pad: str) -> str:
+        """to_json_obj() as json.dumps(..., sort_keys=True, indent=2) writes it
+        on a line indented by pad, its catalog written by catalog_text."""
+        inner = pad + "  "
+        parts = {
+            "schema_version": value_text(SCHEMA_VERSION, inner),
+            "columns": value_text([c.to_json_obj() for c in self.columns], inner),
+            "feature_catalog": self.catalog_text(inner),
+        }
+        return object_text(parts, pad)
+
+    @staticmethod
+    def read_json_text(text: str, idx: int, pad: str) -> tuple[dict, int]:
+        """The object at text[idx] that to_json_text(pad) writes, read as
+        json.loads reads it, and the index past it (see jsontext.read_object).
+
+        Where columns came first and the text of feature_catalog is the
+        catalog_text(pad + "  ") of those columns, the catalog is not
+        parsed: its value is a _RenderedCatalog of the columns' model, which
+        from_json_obj accepts as that model's catalog.  Equal text parses to equal values,
+        so this is the check from_json_obj makes of a parsed catalog.
+        """
+
+        def rendered_catalog(obj: dict, at: int) -> Optional[tuple[_RenderedCatalog, int]]:
+            try:
+                columns = checked(obj["columns"], LIST, "columns")
+                model = BinarizationModel(tuple(_column_from_json(c, "") for c in columns))
+            except (KeyError, ValueError):  # no columns yet, or none that from_json_obj takes
+                return None
+            # Compared a column at a time, so no copy of the whole catalog is built.
+            for piece in model._catalog_pieces(pad + "  "):
+                if not text.startswith(piece, at):
+                    return None
+                at += len(piece)
+            return _RenderedCatalog(model), at
+
+        return read_object(text, idx, {"feature_catalog": rendered_catalog})
+
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":
         """The model of obj["columns"], whose stored feature_catalog must equal the
         derived one; a SchemaError names the first position where they differ,
-        and a ShapeError the key path of a value of the wrong JSON type."""
+        and a ShapeError the key path of a value of the wrong JSON type.
+
+        A stored catalog that read_json_text read as a _RenderedCatalog of
+        this model is equal to it; any other is walked entry by entry.
+        """
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(
                 f"unsupported binarization schema version {obj.get('schema_version')!r}"
@@ -345,15 +418,23 @@ class BinarizationModel:
         if len(set(names)) < len(names):
             raise SchemaError(f"duplicate column {next(n for n in names if names.count(n) > 1)!r}")
         stored = obj.get("feature_catalog")
+        if isinstance(stored, _RenderedCatalog) and stored.model == model:
+            return model
         if not isinstance(stored, list):
             raise SchemaError("feature_catalog must be a list")
-        if model._catalog_equals(stored):
-            return model
         for j, pair in enumerate(zip_longest(stored, model._catalog_objs())):
             if pair[0] != pair[1]:
                 a, b = (json.dumps(x, sort_keys=True) for x in pair)
                 raise SchemaError(f"feature_catalog[{j}] is {a}, the columns give {b}")
         return model
+
+
+@dataclass(frozen=True)
+class _RenderedCatalog:
+    """A stored feature_catalog whose text was model.catalog_text: it stands
+    for the catalog of model, which the reader did not parse."""
+
+    model: BinarizationModel
 
 
 class InvalidValueError(ValueError):

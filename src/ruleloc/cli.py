@@ -211,7 +211,7 @@ def _load_config(path: Optional[str]) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
-    except ValueError as exc:  # bad JSON or not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or not UTF-8
         raise CliError("invalid-data", f"{path}: bad JSON config: {exc}")
     if not isinstance(cfg, dict):
         raise CliError("invalid-data", f"{path}: config must be a JSON object")
@@ -502,7 +502,7 @@ def _load_model(path: str) -> FaultModel:
         return FaultModel.from_json(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
-    except ValueError as exc:  # bad JSON, not UTF-8, or a model of the wrong shape
+    except (ValueError, RecursionError) as exc:  # bad or too deep JSON, or the wrong shape
         raise CliError("schema-error", f"{path}: {exc}")
 
 
@@ -623,7 +623,7 @@ def cmd_eval(args) -> int:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise CliError("io-error", f"{args.manifest}: {exc}")
-    except ValueError as exc:  # bad JSON or not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or not UTF-8
         raise CliError("invalid-data", f"{args.manifest}: {exc}")
     base_dir = Path(args.manifest).parent
     entries = _manifest_entries(args.manifest, manifest)

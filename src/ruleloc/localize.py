@@ -45,6 +45,7 @@ from ruleloc.binarize import (
     describe_rule,
 )
 from ruleloc.core import Rule, RuleSet, RuleStats
+from ruleloc.jsontext import UnreadText, object_text, read_object, skip_space, value_text
 from ruleloc.select import SelectionConfig
 
 # The JSON kinds of a fault type's knobs and of a rule's stats, in field order.
@@ -174,10 +175,13 @@ class FaultModel:
     # -- serialization -------------------------------------------------
 
     def to_json_obj(self) -> dict:
+        return {"binarization": self.binarization.to_json_obj(), **self._parts_obj()}
+
+    def _parts_obj(self) -> dict:
+        """Every part of to_json_obj() but the binarization."""
         return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
-            "binarization": self.binarization.to_json_obj(),
             "fault_types": [
                 self._rule_set_obj(name, rs) for name, rs in self.rule_sets
             ],
@@ -209,7 +213,12 @@ class FaultModel:
         return {"feature": j, **self.binarization.feature(j).to_json_obj()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n", built
+        from parts: the feature catalog is the binarization's catalog_text,
+        and every other part is dumped at its depth (see jsontext)."""
+        parts = {key: value_text(value, "  ") for key, value in self._parts_obj().items()}
+        parts["binarization"] = self.binarization.to_json_text("  ")
+        return object_text(parts, "") + "\n"
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "FaultModel":
@@ -276,7 +285,25 @@ class FaultModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultModel":
-        return cls.from_json_obj(json.loads(text))
+        """from_json_obj(json.loads(text)): the same model, or the same error.
+
+        The text is read a key at a time (see jsontext.read_object), and the
+        binarization by BinarizationModel.read_json_text, which leaves a
+        catalog written as to_json writes it unparsed.  Text that walk does
+        not take, such as a duplicate key or trailing data, is read by
+        json.loads, so a reformatted file loads as before.
+        """
+        try:
+            obj, end = read_object(
+                text,
+                skip_space(text, 0),
+                {"binarization": lambda _, at: BinarizationModel.read_json_text(text, at, "  ")},
+            )
+            if skip_space(text, end) != len(text):
+                raise UnreadText("trailing data")
+        except (ValueError, TypeError, StopIteration, RecursionError):
+            obj = json.loads(text)  # text the walk leaves, bytes among it
+        return cls.from_json_obj(obj)
 
 
 class Rankings(NamedTuple):

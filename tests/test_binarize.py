@@ -823,14 +823,35 @@ def test_stored_catalog_equal_in_value_loads(stored, columns):
     assert load_outcome(reference_from_json_obj, obj) == ("model", model)
 
 
-def test_a_catalog_equal_to_the_columns_is_accepted_without_the_walk(monkeypatch):
-    model = small_model()
+def test_a_catalog_written_as_to_json_writes_it_loads_unparsed(monkeypatch):
+    """On a model file as to_json writes it, no catalog entry is parsed: no
+    value scanned lies inside the catalog's text, json.loads does not run,
+    and the per-entry walk does not run."""
+    from ruleloc import jsontext
+    from ruleloc.core import RuleSet, RuleStats
+    from ruleloc.localize import FaultModel
 
-    def no_walk(*args):
-        raise AssertionError("the per-entry walk ran on a catalog equal to the columns")
+    rules = RuleSet((Rule.of(0, 5),), (RuleStats(0.5, 0.5, 2),))
+    model = FaultModel((("cpu", rules),), small_model())
+    text = model.to_json()
+    start = text.index('"feature_catalog": [') + len('"feature_catalog": ')
+    end = text.index("\n    ]", start) + len("\n    ]")
+    scanned = []
 
-    monkeypatch.setattr(binarize, "zip_longest", no_walk)
-    assert BinarizationModel.from_json_obj(json.loads(json.dumps(model.to_json_obj()))) == model
+    def spy(text, idx):
+        value, stop = scan(text, idx)
+        scanned.append((idx, stop))
+        return value, stop
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the whole text or the catalog was parsed")
+
+    scan = jsontext.scan_value
+    monkeypatch.setattr(jsontext, "scan_value", spy)
+    monkeypatch.setattr(json, "loads", fail)
+    monkeypatch.setattr(binarize, "zip_longest", fail)
+    assert FaultModel.from_json(text) == model
+    assert scanned and all(stop <= start or idx >= end for idx, stop in scanned)
 
 
 @settings(max_examples=150, deadline=None)
@@ -839,7 +860,11 @@ def test_feature_is_the_catalog_entry(model, leading):
     if leading:  # a featureless column ahead of the rest shifts no index
         model = BinarizationModel((ColumnModel("e", "numeric"), *model.columns))
     assert [model.feature(j) for j in range(model.n_features)] == list(model.catalog)
-    assert [f.to_json_obj() for f in model.catalog] == model.to_json_obj()["feature_catalog"]
+    catalog = model.to_json_obj()["feature_catalog"]
+    assert [f.to_json_obj() for f in model.catalog] == catalog
+    for pad in ("", "    "):
+        written = json.dumps(catalog, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        assert model.catalog_text(pad) == written
     for j in (-1, model.n_features):
         with pytest.raises(FeatureIndexError):
             model.feature(j)

@@ -1800,3 +1800,29 @@ def test_json_input_may_start_with_a_byte_order_mark(trained, scenario, tmp_path
         outputs.append(out.read_bytes())
     assert capsys.readouterr().err == ""
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("reader", ["config", "model", "manifest"])
+@pytest.mark.parametrize(
+    "nested",
+    ["[" * 200_000 + "]" * 200_000, '{"a": ' * 5_000 + "1" + "}" * 5_000],
+    ids=["arrays", "objects"],
+)
+def test_too_deeply_nested_json_is_one_error_line(trained, tmp_path, capsys, reader, nested):
+    _, data, model_path = trained
+    bad = tmp_path / f"deep-{reader}.json"
+    bad.write_text(nested)
+    out = str(tmp_path / "out.json")
+    if reader == "config":
+        argv = ["train", "--data", str(data), "--model", out, "--config", str(bad)]
+        prefix = f"invalid-data: {bad}: bad JSON config: "
+    elif reader == "model":
+        argv = ["export-fingerprints", "--model", str(bad)]
+        prefix = f"schema-error: {bad}: "
+    else:
+        argv = ["eval", "--model", str(model_path), "--manifest", str(bad)]
+        prefix = f"invalid-data: {bad}: "
+    assert main(argv) == cli.EXIT_CODES[prefix.split(":")[0]]
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "maximum recursion depth exceeded"), err[:300]
+    assert err.count("\n") == 1
