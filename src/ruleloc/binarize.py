@@ -8,15 +8,17 @@ human-readable predicate strings and serializes to JSON.
 
 The fitted columns are the model: the feature catalog is derived from
 them in fit's order, (<= t, > t) per numeric threshold and (== c) per
-category.  The model JSON writes that catalog out for readers, and
-loading rejects a file whose stored catalog differs from it.  One
-renderer, catalog_text, gives the catalog's exact text in the model
-file from the columns, as text templates joined with each threshold's
-repr.  The writer writes that text, and the reader (read_json_text)
-compares the stored catalog's text with it and parses none of it when
-they are equal.  Any other stored catalog, such as one of a re-indented
-file, is parsed and walked entry by entry, which names its first
-difference from the derived one.
+category.  The model JSON writes that catalog out for readers, each
+entry in BinaryFeature.to_json_obj's form, and loading rejects a file
+whose stored catalog differs from it.  One renderer, catalog_text, gives
+the catalog's exact text in the model file from the columns, as text
+templates joined with each threshold's repr.  The writer writes that
+text.  The reader (read_json_text) checks the columns once, compares the
+stored catalog's text with their rendering and, where they are equal,
+gives the model itself without parsing the catalog.  Any other stored
+catalog, such as one of a re-indented file, is parsed, and from_json_obj
+walks it entry by entry, which names its first difference from the
+derived one.
 
 Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
@@ -64,7 +66,7 @@ from ruleloc.core import (
     Rule,
     bitset_of_flags,
 )
-from ruleloc.jsontext import object_text, read_object, value_text
+from ruleloc.jsontext import object_text, read_object, scan_value, value_text
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -221,11 +223,6 @@ class ColumnModel:
         return "".join(pieces)
 
 
-# The key of the value of a catalog entry of a numeric or a categorical
-# column, after "column" and "op".
-_VALUE_KEY = {NUMERIC: "threshold", CATEGORICAL: "category"}
-
-
 def _number_texts(values: Sequence) -> list[str]:
     """Each number as json.dumps writes it: repr for a float."""
     if set(map(type, values)) <= {float}:
@@ -258,6 +255,19 @@ def _column_from_json(obj, path: str) -> ColumnModel:
             raise SchemaError(f"column {name!r}: categories must be distinct strings")
         return ColumnModel(name, CATEGORICAL, (), cats)
     raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
+
+
+def _columns_model(obj: Mapping) -> "BinarizationModel":
+    """The model of obj["columns"], each column checked by _column_from_json
+    and no name given twice."""
+    columns = checked_field(obj, "columns", LIST)
+    model = BinarizationModel(
+        tuple(_column_from_json(c, f"columns[{i}]") for i, c in enumerate(columns))
+    )
+    names = [c.name for c in model.columns]
+    if len(set(names)) < len(names):
+        raise SchemaError(f"duplicate column {next(n for n in names if names.count(n) > 1)!r}")
+    return model
 
 
 @dataclass(frozen=True)
@@ -332,13 +342,6 @@ class BinarizationModel:
             return BinaryFeature(column.name, ("<=", ">")[k % 2], column.thresholds[k // 2])
         return BinaryFeature(column.name, "==", None, column.categories[k])
 
-    def _catalog_objs(self) -> Iterator[dict]:
-        return (
-            {"column": name, "op": op, _VALUE_KEY[c.kind]: value}
-            for c in self.columns
-            for name, op, value in c.entry_values()
-        )
-
     def _catalog_pieces(self, pad: str) -> Iterator[str]:
         """catalog_text(pad) in pieces, one column's entries at a time."""
         first = True
@@ -358,7 +361,7 @@ class BinarizationModel:
         return {
             "schema_version": SCHEMA_VERSION,
             "columns": [c.to_json_obj() for c in self.columns],
-            "feature_catalog": list(self._catalog_objs()),
+            "feature_catalog": [f.to_json_obj() for f in self.catalog],
         }
 
     def to_json_text(self, pad: str) -> str:
@@ -373,68 +376,62 @@ class BinarizationModel:
         return object_text(parts, pad)
 
     @staticmethod
-    def read_json_text(text: str, idx: int, pad: str) -> tuple[dict, int]:
-        """The object at text[idx] that to_json_text(pad) writes, read as
-        json.loads reads it, and the index past it (see jsontext.read_object).
+    def read_json_text(text: str, idx: int, pad: str) -> tuple[BinarizationModel | dict, int]:
+        """The object at text[idx] that to_json_text(pad) writes, and the
+        index past it.
 
-        Where columns came first and the text of feature_catalog is the
-        catalog_text(pad + "  ") of those columns, the catalog is not
-        parsed: its value is a _RenderedCatalog of the columns' model, which
-        from_json_obj accepts as that model's catalog.  Equal text parses to equal values,
-        so this is the check from_json_obj makes of a parsed catalog.
+        Where columns came before feature_catalog, _columns_model takes
+        them, the text of feature_catalog is the catalog_text(pad + "  ")
+        of that model and schema_version is current, the object read is
+        that model itself, from_json_obj's result, and the catalog is not
+        parsed: equal text parses to equal values, so this is the check
+        from_json_obj makes of a parsed catalog.  Any other object is read
+        as json.loads reads it (see jsontext.read_object).
         """
+        rendered = []  # the columns' model and where its catalog's text starts
 
-        def rendered_catalog(obj: dict, at: int) -> Optional[tuple[_RenderedCatalog, int]]:
+        def rendered_catalog(obj: dict, at: int) -> Optional[tuple[None, int]]:
             try:
-                columns = checked(obj["columns"], LIST, "columns")
-                model = BinarizationModel(tuple(_column_from_json(c, "") for c in columns))
-            except (KeyError, ValueError):  # no columns yet, or none that from_json_obj takes
+                model = _columns_model(obj)
+            except ValueError:  # no columns yet, or none that from_json_obj takes
                 return None
+            start = at
             # Compared a column at a time, so no copy of the whole catalog is built.
             for piece in model._catalog_pieces(pad + "  "):
                 if not text.startswith(piece, at):
                     return None
                 at += len(piece)
-            return _RenderedCatalog(model), at
+            rendered.append((model, start))
+            return None, at
 
-        return read_object(text, idx, {"feature_catalog": rendered_catalog})
+        obj, end = read_object(text, idx, {"feature_catalog": rendered_catalog})
+        if not rendered:
+            return obj, end
+        model, start = rendered[0]
+        if obj.get("schema_version") == SCHEMA_VERSION:
+            return model, end
+        obj["feature_catalog"] = scan_value(text, start)[0]
+        return obj, end
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":
         """The model of obj["columns"], whose stored feature_catalog must equal the
         derived one; a SchemaError names the first position where they differ,
-        and a ShapeError the key path of a value of the wrong JSON type.
-
-        A stored catalog that read_json_text read as a _RenderedCatalog of
-        this model is equal to it; any other is walked entry by entry.
-        """
+        and a ShapeError the key path of a value of the wrong JSON type."""
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(
                 f"unsupported binarization schema version {obj.get('schema_version')!r}"
             )
-        columns = checked_field(obj, "columns", LIST)
-        model = cls(tuple(_column_from_json(c, f"columns[{i}]") for i, c in enumerate(columns)))
-        names = [c.name for c in model.columns]
-        if len(set(names)) < len(names):
-            raise SchemaError(f"duplicate column {next(n for n in names if names.count(n) > 1)!r}")
+        model = _columns_model(obj)
         stored = obj.get("feature_catalog")
-        if isinstance(stored, _RenderedCatalog) and stored.model == model:
-            return model
         if not isinstance(stored, list):
             raise SchemaError("feature_catalog must be a list")
-        for j, pair in enumerate(zip_longest(stored, model._catalog_objs())):
+        derived = (f.to_json_obj() for f in model.catalog)
+        for j, pair in enumerate(zip_longest(stored, derived)):
             if pair[0] != pair[1]:
                 a, b = (json.dumps(x, sort_keys=True) for x in pair)
                 raise SchemaError(f"feature_catalog[{j}] is {a}, the columns give {b}")
         return model
-
-
-@dataclass(frozen=True)
-class _RenderedCatalog:
-    """A stored feature_catalog whose text was model.catalog_text: it stands
-    for the catalog of model, which the reader did not parse."""
-
-    model: BinarizationModel
 
 
 class InvalidValueError(ValueError):

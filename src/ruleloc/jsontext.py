@@ -5,11 +5,12 @@ and most of it is its feature catalog, which the model's columns
 determine.  The writer here assembles that text from parts: a part given
 as text is used as it is, any other is dumped at its depth.  The reader
 walks an object key by key, reading each key with json's scanstring and
-each value with json's C scanner, so a caller can take one value's text
-without parsing it.  The reader takes only what json.loads would read the
-same way; anything else (a duplicate key, a missing comma, a value that
-does not parse) raises, and the caller reads the whole text with
-json.loads instead.
+each value with json's C scanner or with the caller's reader for its
+key, so a caller can check one value's text without parsing it: the
+model loader checks the feature catalog's text this way.  The walk takes
+only what json.loads would read the same way; anything else (a duplicate
+key, a missing comma, a value that does not parse) raises a ValueError,
+and the caller reads the whole text with json.loads instead.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ _space = WHITESPACE.match
 # Reads the value at an index, given the keys read before it, as
 # (value, index past it); None leaves the value to scan_value.
 ValueReader = Callable[[dict, int], Optional[tuple[object, int]]]
-
-
-class UnreadText(ValueError):
-    """JSON text that read_object leaves to json.loads."""
 
 
 def value_text(value, pad: str) -> str:
@@ -56,22 +53,22 @@ def skip_space(text: str, idx: int) -> int:
 def read_object(text: str, idx: int, readers: Mapping[str, ValueReader]) -> tuple[dict, int]:
     """The JSON object at text[idx], as json.loads reads it, and the index
     past it.  The value of a key in readers is read by its reader; any
-    other value, and one its reader declines, by scan_value.  UnreadText
+    other value, and one its reader declines, by scan_value.  A ValueError
     where json.loads would read the text otherwise: no object at idx, a
     duplicate key, or a misplaced comma, colon or brace."""
     if not text.startswith("{", idx):
-        raise UnreadText("not an object")
+        raise ValueError("not an object")
     obj: dict = {}
     idx = skip_space(text, idx + 1)
     if text.startswith("}", idx):
         return obj, idx + 1
     while True:
         if not text.startswith('"', idx):
-            raise UnreadText("not a key")
+            raise ValueError("not a key")
         key, idx = scanstring(text, idx + 1)
         idx = skip_space(text, idx)
         if key in obj or not text.startswith(":", idx):
-            raise UnreadText("a duplicate key or no colon")
+            raise ValueError("a duplicate key or no colon")
         idx = skip_space(text, idx + 1)
         read = readers.get(key)
         found = read(obj, idx) if read else None
@@ -80,5 +77,5 @@ def read_object(text: str, idx: int, readers: Mapping[str, ValueReader]) -> tupl
         if text.startswith("}", idx):
             return obj, idx + 1
         if not text.startswith(",", idx):
-            raise UnreadText("no comma")
+            raise ValueError("no comma")
         idx = skip_space(text, idx + 1)

@@ -45,7 +45,7 @@ from ruleloc.binarize import (
     describe_rule,
 )
 from ruleloc.core import Rule, RuleSet, RuleStats
-from ruleloc.jsontext import UnreadText, object_text, read_object, skip_space, value_text
+from ruleloc.jsontext import object_text, read_object, skip_space, value_text
 from ruleloc.select import SelectionConfig
 
 # The JSON kinds of a fault type's knobs and of a rule's stats, in field order.
@@ -230,11 +230,13 @@ class FaultModel:
             raise ValueError(
                 f"unsupported model schema version {obj.get('schema_version')!r}"
             )
-        binarization = checked_field(obj, "binarization", OBJECT)
-        try:
-            binarization = BinarizationModel.from_json_obj(binarization)
-        except ShapeError as exc:
-            raise ShapeError(f"binarization.{exc}") from None
+        binarization = obj.get("binarization")
+        if not isinstance(binarization, BinarizationModel):  # one from_json read is checked
+            checked_field(obj, "binarization", OBJECT)
+            try:
+                binarization = BinarizationModel.from_json_obj(binarization)
+            except ShapeError as exc:
+                raise ShapeError(f"binarization.{exc}") from None
         rule_sets, knobs = [], []
         entries = checked_field(obj, "fault_types", LIST)
         for i, entry in enumerate(entries):
@@ -288,8 +290,9 @@ class FaultModel:
         """from_json_obj(json.loads(text)): the same model, or the same error.
 
         The text is read a key at a time (see jsontext.read_object), and the
-        binarization by BinarizationModel.read_json_text, which leaves a
-        catalog written as to_json writes it unparsed.  Text that walk does
+        binarization by BinarizationModel.read_json_text, which gives the
+        checked BinarizationModel, its catalog unparsed, where to_json wrote
+        it; from_json_obj takes that model as it is.  Text that walk does
         not take, such as a duplicate key or trailing data, is read by
         json.loads, so a reformatted file loads as before.
         """
@@ -300,7 +303,7 @@ class FaultModel:
                 {"binarization": lambda _, at: BinarizationModel.read_json_text(text, at, "  ")},
             )
             if skip_space(text, end) != len(text):
-                raise UnreadText("trailing data")
+                raise ValueError("trailing data")
         except (ValueError, TypeError, StopIteration, RecursionError):
             obj = json.loads(text)  # text the walk leaves, bytes among it
         return cls.from_json_obj(obj)

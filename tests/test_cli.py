@@ -589,6 +589,17 @@ def test_train_trace_is_written_before_the_model(tmp_path, scenario, capsys):
     assert [_strict_json(line)["fault_type"] for line in lines] == list(scenario.fault_types)
 
 
+def test_parse_logs_without_online_lines_is_invalid_data(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 heartbeat ok\n")
+    (logs / "online.log").write_text("")
+    out = tmp_path / "frame.csv"
+    assert main(["parse-logs", "--logs", str(logs), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == f"invalid-data: no online* log files under {logs}\n"
+    assert not out.exists()
+
+
 def test_parse_logs_accepts_subdirectory_layout(tmp_path):
     logs = tmp_path / "logs"
     (logs / "normal").mkdir(parents=True)
@@ -684,6 +695,24 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, config, message):
     argv = ["train", "--data", str(_tiny_train_csv(tmp_path)), "--model", str(tmp_path / "m.json")]
     assert main(argv + ["--config", str(cfg)]) == 5
     assert capsys.readouterr().err.startswith(f"invalid-data: {cfg}: {message}")
+
+
+def test_unsupported_config_schema_version_is_schema_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 2}))
+    argv = ["train", "--data", str(_tiny_train_csv(tmp_path)), "--model", str(tmp_path / "m.json")]
+    assert main(argv + ["--config", str(cfg)]) == 4
+    assert capsys.readouterr().err == f"schema-error: {cfg}: unsupported config schema version\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "localize"])
+def test_a_0_byte_csv_is_invalid_data(trained, tmp_path, capsys, command):
+    model = trained[2] if command == "localize" else tmp_path / "m.json"
+    data = tmp_path / "empty.csv"
+    data.write_bytes(b"")
+    assert main([command, "--data", str(data), "--model", str(model)]) == 5
+    assert capsys.readouterr().err == f"invalid-data: {data}: empty CSV\n"
 
 
 def test_unwritable_model_path_is_io_error(tmp_path, capsys):
@@ -1229,8 +1258,14 @@ def _window_case(scenario, tmp_path):
             },
             "cases[1]: missing key 'true_service'",
         ),
+        (lambda case: {"cases": [case, 5]}, "cases[1] must be a JSON object"),
+        (lambda case: {"cases": [{**case, "window": 3}]}, "cases[0]: 'window' must be a string"),
+        (lambda case: {"schema_version": 1, "cases": []}, "no cases"),
     ],
-    ids=["top-level-list", "cases-not-a-list", "case-missing-key"],
+    ids=[
+        "top-level-list", "cases-not-a-list", "case-missing-key", "case-not-an-object",
+        "window-not-a-string", "no-cases",
+    ],
 )
 def test_malformed_manifest_is_invalid_data(
     trained, scenario, tmp_path, capsys, manifest_of, message

@@ -379,3 +379,25 @@ def test_a_line_over_the_field_size_limit_is_read_by_itself(tmp_path):
         csv.field_size_limit(limit)
     assert grouped[0] == 5 and "line 2: field larger than field limit" in grouped[2]
     assert grouped == alone
+
+
+@pytest.mark.parametrize("kind", ["over-64-KiB", "repeated-name"])
+def test_a_window_small_grid_turns_away_is_read_by_itself_between_grids(tmp_path, kind):
+    if kind == "over-64-KiB":  # 1,500 rows, under a run's bound, in more than one block
+        odd = ("ts,service,a,b,c\n" + ("t" * 40 + ",s1,191,0.5,x\n") * 1500).encode()
+        assert len(odd) > csvgrid._BLOCK
+    else:
+        odd = b"service,a,b,c,a\ns0,200,0.5,x,3\n"
+    model, manifest, paths = _windows(tmp_path, [_grid(2), odd, _grid(2)])
+    numeric = cli._window_numeric(MODEL, SERVICE)
+    runs = [(run, table is None) for run, table, _ in csvgrid.grid_groups(paths, numeric)]
+    assert runs == [([paths[0]], False), ([paths[1]], True), ([paths[2]], False)]
+    grouped = _eval(model, manifest, tmp_path / "grouped.json")
+    with mock.patch("ruleloc.cli.grid_groups", _one_at_a_time):
+        alone = _eval(model, manifest, tmp_path / "alone.json")
+    assert grouped == alone
+    if kind == "over-64-KiB":
+        assert grouped[0] == 0 and grouped[3]
+    else:
+        assert grouped[0] == cli.EXIT_SCHEMA
+        assert grouped[2] == f"schema-error: {paths[1]}: duplicate column 'a'\n"

@@ -3,10 +3,12 @@ from_json against from_json_obj of json.loads, on canonical files and on
 files edited, reformatted or cut by hand."""
 
 import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruleloc import binarize
 from ruleloc.binarize import CATEGORICAL, NUMERIC, BinarizationModel, ColumnModel, SchemaError
 from ruleloc.core import Rule, RuleSet, RuleStats
 from ruleloc.localize import FaultModel
@@ -133,6 +135,8 @@ def _variants(data, text):
         before, after = '"binarization": {', '\n    "schema_version": 1\n  }'
         yield f"{key} first", text.replace(before, f'{before}"{key}": {value},', 1)
         yield f"{key} last", text.replace(after, f'\n    "{key}": {value},{after}', 1)
+    # The catalog as to_json writes it, but a schema version the loader does not take.
+    yield "binarization version 2", text.replace(after, after.replace("1", "2"), 1)
     tokens = list(_threshold_tokens(text))
     if tokens:
         first, last, value = data.draw(st.sampled_from(tokens))
@@ -160,3 +164,28 @@ def test_from_json_gives_what_from_json_obj_of_json_loads_gives(model, data):
             assert loaded == ("model", text), name
         elif name in ("other value", "entry dropped", "entry added"):
             assert loaded[0] is SchemaError and "feature_catalog[" in loaded[1], name
+        elif name == "binarization version 2":
+            assert loaded == (SchemaError, "unsupported binarization schema version 2")
+            at = variant.index('"binarization": ') + len('"binarization": ')
+            read, _ = BinarizationModel.read_json_text(variant, at, "  ")
+            assert read == json.loads(variant)["binarization"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models())
+def test_a_canonical_load_checks_each_column_once(model):
+    """from_json builds and checks each column of a file as to_json writes it
+    once, and gives the model that from_json_obj of json.loads gives."""
+    calls = []
+    column_from_json = binarize._column_from_json
+
+    def spy(obj, path):
+        calls.append(path)
+        return column_from_json(obj, path)
+
+    text = model.to_json()
+    with mock.patch.object(binarize, "_column_from_json", spy):
+        loaded = FaultModel.from_json(text)
+    k = len(model.binarization.columns)
+    assert calls == [f"columns[{i}]" for i in range(k)]
+    assert loaded == reference_load(text) and loaded.to_json() == text
