@@ -41,6 +41,7 @@ from ruleloc.binarize import (
     relabel,
     transform,
 )
+from ruleloc.core import RuleSet
 from ruleloc.csvgrid import grid_groups, read_grid
 from ruleloc.evaluate import IncidentCase, evaluate_cases
 from ruleloc.forking import forked
@@ -353,10 +354,12 @@ def _log_feature_columns(
     if counters is None:
         warnings.warn(f"no online* log files under {logs_dir}; skipping log features")
         return
-    # Many rows share a stamp: parse and look up each distinct one once.
+    # Many rows share a stamp: parse and look up each distinct one once, then
+    # take the three columns through one index of each row's distinct stamp.
     stamps = table[timestamp_col]
-    joined: dict[str, tuple[int, int, int]] = {}
-    for raw in dict.fromkeys(stamps):
+    distinct = dict.fromkeys(stamps)
+    joined = []
+    for k, raw in enumerate(distinct):
         try:
             epoch = parse_timestamp(raw, timestamp_format)
         except ValueError:
@@ -365,10 +368,11 @@ def _log_feature_columns(
                 f"{data_path}: column {timestamp_col!r}, row {stamps.index(raw) + 1}:"
                 f" unparseable timestamp {raw!r}",
             )
-        joined[raw] = counters.get((epoch // interval) * interval, (0, 0, 0))
-    for k, name in enumerate(LOG_COLUMNS):
-        column = {raw: counts[k] for raw, counts in joined.items()}
-        table[name] = np.fromiter(map(column.__getitem__, stamps), float, len(stamps))
+        distinct[raw] = k
+        joined.append(counters.get((epoch // interval) * interval, (0, 0, 0)))
+    rows = np.fromiter(map(distinct.__getitem__, stamps), np.intp, len(stamps))
+    columns = np.array(joined, float).reshape(-1, 3).T.copy().take(rows, axis=1)
+    table.update(zip(LOG_COLUMNS, columns))
 
 
 def _write_trace(fault_type: str, record: SelectionTraceRecord) -> None:
@@ -399,7 +403,8 @@ def cmd_train(args) -> int:
 
     started = time.perf_counter()
     logs_dir = Path(args.logs) if args.logs else None
-    # The log pass shares no input with the table: it runs while the table is read.
+    # The log pass shares no input with the table: it runs while the table is
+    # read, beside the child reading the second half of a large grid.
     log_pass = (
         forked(_log_counters, logs_dir, interval, sim, ts_format)
         if logs_dir is not None
@@ -454,11 +459,24 @@ def cmd_train(args) -> int:
     del table  # frees the parsed numeric block before selection
     code_of = {name: t for t, name in enumerate(fault_types)}
     codes = np.fromiter(map(code_of.get, fault_values, repeat(-1)), np.intp, len(fault_values))
-    rule_sets = []
-    for t, name in enumerate(fault_types):
-        dataset = relabel(unlabelled, codes == t)
-        trace = partial(_write_trace, name) if args.trace else None
-        rule_sets.append((name, select_rule_set(dataset, sel, trace)))
+
+    def select(names: list[str]) -> list[tuple[str, RuleSet]]:
+        rule_sets = []
+        for name in names:
+            dataset = relabel(unlabelled, codes == code_of[name])
+            trace = partial(_write_trace, name) if args.trace else None
+            rule_sets.append((name, select_rule_set(dataset, sel, trace)))
+        return rule_sets
+
+    # A forked child selects the later half of the fault types while this
+    # process selects the rest; --trace keeps one process, so its records
+    # stream in fault-type order.
+    half = (len(fault_types) + 1) // 2
+    if args.trace or half == len(fault_types):
+        rule_sets = select(fault_types)
+    else:
+        with forked(select, fault_types[half:]) as later:
+            rule_sets = select(fault_types[:half]) + later()
 
     model = FaultModel(
         tuple(rule_sets),

@@ -1,9 +1,11 @@
 """Work done by a forked child while the caller goes on.
 
-A child is forked only while a CPU is free for it: the process may run
-on more CPUs than one plus its live children, and it runs no other
-Python thread.  So on two CPUs at most one child runs at a time, and
-the caller keeps the other CPU.
+A child is forked only while the process may run on at least two CPUs,
+on more CPUs than it has live children, and runs no other Python thread.
+So on two CPUs up to two children run at once: train's log child ends
+about halfway through the grid read beside it, and the CPU it frees then
+goes to the grid child instead of sitting idle.  On one CPU nothing is
+forked.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ _live = 0
 
 
 def cpu_free() -> bool:
-    """Whether a child forked now would have a CPU to itself and would
-    copy the only Python thread."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return len(cpus) > 1 + _live and threading.active_count() == 1
+    """Whether the process may run on two CPUs or more, on more CPUs than
+    it has live children, and a child forked now would copy the only
+    Python thread."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+    return cpus > 1 and _live < cpus and threading.active_count() == 1
 
 
 @contextmanager

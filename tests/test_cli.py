@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
@@ -1031,8 +1032,11 @@ def test_categorical_log_feature_column_is_accepted_after_the_join(tmp_path, sce
 
 
 def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
+    """One usable CPU, so that every fault type is selected in this process,
+    where the spies see it."""
     import ruleloc.cli
 
+    _usable_cpus(monkeypatch, {0})
     three = planted_fault_scenario(
         seed=7, n=900, d=12, n_fault_types=3, n_services=3, n_windows=1,
         imbalance_ratio=10.0, noise=0.0,
@@ -1079,11 +1083,13 @@ def test_train_binarizes_once_for_all_fault_types(tmp_path, monkeypatch):
 def test_train_releases_the_parsed_table_before_selection(tmp_path, monkeypatch):
     """The planted metrics are 0/1 flags, read as rows of one uint8 block;
     two float columns are rows of one float64 block.  transform reads the
-    flags as they are, and both blocks are freed before selection."""
+    flags as they are, and both blocks are freed before selection.  One
+    usable CPU, so that every fault type is selected in this process."""
     import weakref
 
     import ruleloc.cli
 
+    _usable_cpus(monkeypatch, {0})
     three = planted_fault_scenario(
         seed=7, n=900, d=12, n_fault_types=3, n_services=3, n_windows=1,
         imbalance_ratio=10.0, noise=0.0,
@@ -1409,17 +1415,19 @@ def _counted_forks(monkeypatch) -> list:
 
 
 @pytest.fixture(params=["forked", "inline"])
-def log_pass(request, monkeypatch):
+def log_pass(request, monkeypatch, tmp_path):
     """The CPU check patched so that the one train call of the test runs its
     log pass in a forked child, or in this process.  Checks that a forked
-    pass came back through the pipe: this process never ran it."""
+    pass came back through the pipe: this process never ran it.  A call
+    that writes tmp_path/m.json, from the scenario's two fault types, also
+    forks a selection child."""
     forked = request.param == "forked"
     _usable_cpus(monkeypatch, {0, 1} if forked else {0})
     forks = _counted_forks(monkeypatch)
     runs, log_counters = [], cli._log_counters
     monkeypatch.setattr(cli, "_log_counters", lambda *a: runs.append(1) or log_counters(*a))
     yield
-    assert forks == [1] * forked
+    assert forks == [1] * forked * (1 + (tmp_path / "m.json").exists())
     if forked:
         assert runs == []
 
@@ -1447,7 +1455,7 @@ def test_forked_and_inline_log_pass_write_the_same_model(tmp_path, scenario, mon
         assert main(argv) == 0
         _no_child_left()
         models.append(model.read_bytes())
-    assert forks == [1]
+    assert forks == [1, 1]  # on two CPUs: the log child, then the selection child
     assert models[0] == models[1]
     names = {c.name for c in FaultModel.from_json(models[0].decode()).binarization.columns}
     assert {"log_total", "log_unmatched", "log_distinct_new"} <= names
@@ -1475,7 +1483,7 @@ def test_forked_log_pass_is_skipped_without_two_cpus_or_with_a_thread(
     assert not thread.is_alive()
     assert forks == []
     assert main([*argv[:-2], "--model", str(tmp_path / "m2.json")]) == 0
-    assert forks == [1]
+    assert forks == [1, 1]  # the log child, then the selection child
     _no_child_left()
 
 
@@ -1483,22 +1491,25 @@ def test_the_table_is_split_across_two_processes_only_while_a_cpu_is_free(
     tmp_path, scenario, monkeypatch
 ):
     """A table of more than _CHUNK_ROWS rows is read by two processes when a
-    CPU is free of this process and its children: never on one CPU or with
-    a live thread, and not beside the log pass on two CPUs.  Each case
-    writes the same model."""
+    CPU is free: never on one CPU or with a live thread, and beside the log
+    pass on two CPUs too.  On two CPUs or more, a selection child selects
+    the second of the scenario's two fault types once both are reaped.
+    Each case writes the same model."""
     data = tmp_path / "train.csv"
     write_csv_columns(data, scenario.train_table)
     rows = len(scenario.train_table["fault_type"])
     logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
     forks = _counted_forks(monkeypatch)
     models: dict[bool, set] = {False: set(), True: set()}
+    # want: the forks, of the log pass, the second half of the rows and selection.
     for cpus, chunk_rows, with_logs, thread, want in [
         ({0}, rows // 2, False, False, 0),
         ({0, 1}, rows // 2, False, True, 0),
-        ({0, 1}, rows // 2, False, False, 1),
-        ({0, 1}, rows, False, False, 0),
-        ({0, 1}, rows // 2, True, False, 1),
-        ({0, 1, 2}, rows // 2, True, False, 2),
+        ({0, 1}, rows // 2, False, False, 2),
+        ({0, 1}, rows, False, False, 1),
+        ({0, 1}, rows // 2, True, False, 3),
+        ({0, 1}, rows, True, False, 2),
+        ({0, 1, 2}, rows // 2, True, False, 3),
     ]:
         _usable_cpus(monkeypatch, cpus)
         monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", chunk_rows)
@@ -1519,6 +1530,121 @@ def test_the_table_is_split_across_two_processes_only_while_a_cpu_is_free(
         _no_child_left()
         models[with_logs].add(model.read_bytes())
     assert len(models[False]) == len(models[True]) == 1
+
+
+def _train_table(tmp_path, n_fault_types: int) -> Path:
+    table = planted_fault_scenario(
+        seed=11, n=1200, d=20, n_fault_types=n_fault_types, n_services=3, n_windows=1,
+        imbalance_ratio=10.0, noise=0.02,
+    ).train_table
+    data = tmp_path / f"train-{n_fault_types}.csv"
+    write_csv_columns(data, table)
+    return data
+
+
+@pytest.mark.parametrize("n_fault_types", [1, 2, 3, 5])
+@pytest.mark.parametrize("with_logs", [False, True], ids=["no-logs", "logs"])
+def test_model_bytes_do_not_depend_on_the_usable_cpus(
+    tmp_path, monkeypatch, capsys, n_fault_types, with_logs
+):
+    """On two CPUs or more, the log child, the grid child and a selection
+    child for the later half of the fault types all run; the model is the
+    one-CPU model, byte for byte, and stdout lists the rule sets in the
+    same order."""
+    data = _train_table(tmp_path, n_fault_types)
+    stamps = [line.split(",")[0] for line in data.read_text().splitlines()[1::7]]
+    assert stamps[0] != "timestamp"
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "normal.log").write_text("worker 1 ok\nconn from 10.0.0.1\n")
+    (logs / "online.log").write_text(
+        "".join(
+            f"{t} disk sda{i % 3} full\n" if i % 5 == 0 else f"{t} worker {i} ok\n"
+            for i, t in enumerate(stamps)
+        )
+    )
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", 512)
+    forks = _counted_forks(monkeypatch)
+    models, outs = [], []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        _usable_cpus(monkeypatch, cpus)
+        model = tmp_path / f"model-{len(cpus)}.json"
+        argv = ["train", "--data", str(data), "--model", str(model), "-K", "2", "-l", "2"]
+        forks.clear()
+        assert main(argv + ["--logs", str(logs)] * with_logs) == 0
+        _no_child_left()
+        assert len(forks) == (len(cpus) > 1) * (with_logs + 1 + (n_fault_types > 1))
+        models.append(model.read_bytes())
+        outs.append(capsys.readouterr().out.splitlines()[:-1])  # the last line holds a time
+    assert models[0] == models[1] == models[2]
+    assert outs[0] == outs[1] == outs[2]
+    headers = [line.split(":")[0] for line in outs[0] if not line.startswith(" ")]
+    assert headers == [f"fault_{t}" for t in range(n_fault_types)]
+    assert len(FaultModel.from_json(models[0].decode()).fault_types()) == n_fault_types
+
+
+def test_trace_selects_every_fault_type_in_this_process(tmp_path, monkeypatch, capsys):
+    """--trace forks no selection child: the records stream in fault-type
+    order, as on one CPU."""
+    data = _train_table(tmp_path, 3)
+    argv = ["train", "--data", str(data), "--model", str(tmp_path / "m.json"), "--trace"]
+    forks = _counted_forks(monkeypatch)
+    errs = []
+    for cpus in ({0}, {0, 1}):
+        _usable_cpus(monkeypatch, cpus)
+        assert main(argv + ["-K", "2", "-l", "2"]) == 0
+        errs.append(capsys.readouterr().err)
+    assert forks == []
+    assert errs[0] == errs[1]
+    order = [json.loads(line)["fault_type"] for line in errs[0].splitlines()]
+    assert order == sorted(order) and set(order) == {"fault_0", "fault_1", "fault_2"}
+
+
+def test_selection_child_that_sends_nothing_leaves_its_fault_types_to_this_process(
+    tmp_path, monkeypatch
+):
+    data = _train_table(tmp_path, 3)
+    argv = ["train", "--data", str(data), "-K", "2", "-l", "2", "--model"]
+    _usable_cpus(monkeypatch, {0})
+    assert main(argv + [str(tmp_path / "one-cpu.json")]) == 0
+    parent, selected, select = os.getpid(), [], cli.select_rule_set
+
+    def select_here(dataset, *args):
+        if os.getpid() != parent:
+            os._exit(0)  # the child dies before it sends anything
+        selected.append(dataset.positives)
+        return select(dataset, *args)
+
+    monkeypatch.setattr(cli, "select_rule_set", select_here)
+    _usable_cpus(monkeypatch, {0, 1})
+    forks = _counted_forks(monkeypatch)
+    assert main(argv + [str(tmp_path / "two-cpus.json")]) == 0
+    _no_child_left()
+    assert forks == [1] and len(selected) == 3
+    assert (tmp_path / "two-cpus.json").read_bytes() == (tmp_path / "one-cpu.json").read_bytes()
+
+
+def test_interrupted_selection_kills_and_reaps_the_selection_child(tmp_path, monkeypatch):
+    data = _train_table(tmp_path, 2)
+    parent, select = os.getpid(), cli.select_rule_set
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child still running when this process stops
+        return select(*args)
+
+    monkeypatch.setattr(cli, "select_rule_set", interrupted)
+    _usable_cpus(monkeypatch, {0, 1})
+    forks = _counted_forks(monkeypatch)
+    model = tmp_path / "m.json"
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--data", str(data), "--model", str(model), "-K", "1", "-l", "2"])
+    assert time.perf_counter() - started < 30
+    assert forks == [1]
+    _no_child_left()
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("logs_kind", ["missing", "not-utf-8"])

@@ -192,6 +192,24 @@ def test_an_outcome_that_does_not_come_back_is_computed_by_the_caller(sent):
     no_child_left()
 
 
+@pytest.mark.parametrize(
+    "cpus, live, free",
+    [(1, 0, False), (2, 0, True), (2, 1, True), (2, 2, False), (3, 2, True), (3, 3, False)],
+)
+def test_a_cpu_is_free_on_two_cpus_or_more_while_fewer_children_than_cpus_live(
+    monkeypatch, cpus, live, free
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(forking, "_live", live)
+    assert forking.cpu_free() is free
+
+
+def test_no_cpu_is_free_beside_a_python_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(forking.threading, "active_count", lambda: 2)
+    assert not forking.cpu_free()
+
+
 @pytest.mark.parametrize("sent", ["nothing", "unloadable"])
 def test_a_part_that_does_not_come_back_is_read_by_the_parent(
     tmp_path, monkeypatch, small_chunks, sent
