@@ -10,15 +10,14 @@ The fitted columns are the model: the feature catalog is derived from
 them in fit's order, (<= t, > t) per numeric threshold and (== c) per
 category.  The model JSON writes that catalog out for readers, each
 entry in BinaryFeature.to_json_obj's form, and loading rejects a file
-whose stored catalog differs from it.  One renderer, catalog_text, gives
-the catalog's exact text in the model file from the columns, as text
-templates joined with each threshold's repr.  The writer writes that
-text.  The reader (read_json_text) checks the columns once, compares the
-stored catalog's text with their rendering and, where they are equal,
-gives the model itself without parsing the catalog.  Any other stored
-catalog, such as one of a re-indented file, is parsed, and from_json_obj
-walks it entry by entry, which names its first difference from the
-derived one.
+whose stored catalog differs from it.  The writer renders the catalog's
+exact text in the model file from the columns, as text templates joined
+with each threshold's repr (text_pieces).  Loading a file as the writer
+wrote it renders that text again from the stored columns and compares it
+with the file's, piece by piece: where they are equal, no catalog entry
+is parsed.  Any other stored catalog, such as one of a re-indented file,
+is parsed, and from_json_obj walks it entry by entry, which names its
+first difference from the derived one.
 
 Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
@@ -66,7 +65,6 @@ from ruleloc.core import (
     Rule,
     bitset_of_flags,
 )
-from ruleloc.jsontext import object_text, read_object, scan_value, value_text
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -197,16 +195,17 @@ class ColumnModel:
             return zip(repeat(self.name), cycle(("<=", ">")), doubled)
         return zip(repeat(self.name), repeat("=="), self.categories)
 
-    def catalog_text(self, pad: str) -> str:
+    def catalog_text(self) -> str:
         """The catalog entries of a column that gives at least one feature,
-        joined as the items of the catalog list that json.dumps(...,
-        sort_keys=True, indent=2) writes on a line indented by pad.
+        joined as the items of the feature catalog as json.dumps(...,
+        sort_keys=True, indent=2) writes it in a model file: each entry on a
+        line indented by six spaces, its keys by eight.
 
         A numeric column is one join of two entry templates, the text
         before a (<= t) and before a (> t) entry's threshold, interleaved
         with each threshold's text twice.
         """
-        item, key = pad + "  ", pad + "    "
+        item, key = " " * 6, " " * 8
         name = json.dumps(self.name)
         if self.kind == CATEGORICAL:
             tail = f',\n{key}"column": {name},\n{key}"op": "=="\n{item}}}'
@@ -342,20 +341,16 @@ class BinarizationModel:
             return BinaryFeature(column.name, ("<=", ">")[k % 2], column.thresholds[k // 2])
         return BinaryFeature(column.name, "==", None, column.categories[k])
 
-    def _catalog_pieces(self, pad: str) -> Iterator[str]:
-        """catalog_text(pad) in pieces, one column's entries at a time."""
+    def _catalog_pieces(self) -> Iterator[str]:
+        """The feature catalog as the model file holds it, in pieces, one
+        column's entries at a time."""
         first = True
         for c in self.columns:
             if c.width:
-                yield f"[\n{pad}  " if first else f",\n{pad}  "
-                yield c.catalog_text(pad)
+                yield "[\n      " if first else ",\n      "
+                yield c.catalog_text()
                 first = False
-        yield "[]" if first else f"\n{pad}]"
-
-    def catalog_text(self, pad: str) -> str:
-        """The feature catalog as json.dumps(..., sort_keys=True, indent=2)
-        writes it on a line indented by pad, built as text: no entry dict."""
-        return "".join(self._catalog_pieces(pad))
+        yield "[]" if first else "\n    ]"
 
     def to_json_obj(self) -> dict:
         return {
@@ -364,54 +359,23 @@ class BinarizationModel:
             "feature_catalog": [f.to_json_obj() for f in self.catalog],
         }
 
-    def to_json_text(self, pad: str) -> str:
+    def text_pieces(self, columns_text: str) -> Iterator[str]:
+        """to_json_text() in pieces, with columns_text as the columns' text:
+        the writer joins them, and FaultModel.from_json's loader compares a
+        file's text with them, piece by piece, so no copy of the catalog is
+        built."""
+        yield '{\n    "columns": '
+        yield columns_text
+        yield ',\n    "feature_catalog": '
+        yield from self._catalog_pieces()
+        yield f',\n    "schema_version": {json.dumps(SCHEMA_VERSION)}\n  }}'
+
+    def to_json_text(self) -> str:
         """to_json_obj() as json.dumps(..., sort_keys=True, indent=2) writes it
-        on a line indented by pad, its catalog written by catalog_text."""
-        inner = pad + "  "
-        parts = {
-            "schema_version": value_text(SCHEMA_VERSION, inner),
-            "columns": value_text([c.to_json_obj() for c in self.columns], inner),
-            "feature_catalog": self.catalog_text(inner),
-        }
-        return object_text(parts, pad)
-
-    @staticmethod
-    def read_json_text(text: str, idx: int, pad: str) -> tuple[BinarizationModel | dict, int]:
-        """The object at text[idx] that to_json_text(pad) writes, and the
-        index past it.
-
-        Where columns came before feature_catalog, _columns_model takes
-        them, the text of feature_catalog is the catalog_text(pad + "  ")
-        of that model and schema_version is current, the object read is
-        that model itself, from_json_obj's result, and the catalog is not
-        parsed: equal text parses to equal values, so this is the check
-        from_json_obj makes of a parsed catalog.  Any other object is read
-        as json.loads reads it (see jsontext.read_object).
-        """
-        rendered = []  # the columns' model and where its catalog's text starts
-
-        def rendered_catalog(obj: dict, at: int) -> Optional[tuple[None, int]]:
-            try:
-                model = _columns_model(obj)
-            except ValueError:  # no columns yet, or none that from_json_obj takes
-                return None
-            start = at
-            # Compared a column at a time, so no copy of the whole catalog is built.
-            for piece in model._catalog_pieces(pad + "  "):
-                if not text.startswith(piece, at):
-                    return None
-                at += len(piece)
-            rendered.append((model, start))
-            return None, at
-
-        obj, end = read_object(text, idx, {"feature_catalog": rendered_catalog})
-        if not rendered:
-            return obj, end
-        model, start = rendered[0]
-        if obj.get("schema_version") == SCHEMA_VERSION:
-            return model, end
-        obj["feature_catalog"] = scan_value(text, start)[0]
-        return obj, end
+        as the value of a model file's "binarization", on a line indented by
+        two spaces; the catalog is rendered as text."""
+        columns = json.dumps([c.to_json_obj() for c in self.columns], sort_keys=True, indent=2)
+        return "".join(self.text_pieces(columns.replace("\n", "\n    ")))
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":

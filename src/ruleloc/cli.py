@@ -620,16 +620,14 @@ def _grouped_windows(
     model: FaultModel, table: dict[str, Sequence], bounds: list[int], service_col: str
 ) -> Optional[list[QueryWindow]]:
     """The windows of one table of several files, rows bounds[k]:bounds[k + 1]
-    each, or None if the table lacks service_col or feature_matrix rejects it."""
-    if service_col not in table:
-        return None
+    each, or None if _window_from_table rejects the table."""
     try:
-        matrix = feature_matrix(model.binarization, table)
-    except ValueError:  # a SchemaError, or a bad cell named by its row in the table
+        window = _window_from_table(model, table, "", service_col)
+    except CliError:  # no service_col, or a SchemaError or bad cell of the table
         return None
-    services = table[service_col]
     return [
-        QueryWindow(matrix[lo:hi], tuple(services[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
+        QueryWindow(window.matrix[lo:hi], window.services[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
     ]
 
 

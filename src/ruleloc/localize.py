@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,17 +40,25 @@ from ruleloc.binarize import (
     STRING,
     BinarizationModel,
     ShapeError,
+    _columns_model,
     checked,
     checked_field,
     describe_rule,
 )
 from ruleloc.core import Rule, RuleSet, RuleStats
-from ruleloc.jsontext import object_text, read_object, skip_space, value_text
 from ruleloc.select import SelectionConfig
 
 # The JSON kinds of a fault type's knobs and of a rule's stats, in field order.
 _KNOB_KINDS = (("K", COUNT), ("l", COUNT), ("gamma", NUMBER))
 _STATS_KINDS = (("precision", FRACTION), ("recall", FRACTION), ("covered", COUNT))
+
+# Every model file that to_json writes starts with _HEAD, and its
+# binarization's columns start at _COLUMNS_AT.
+_HEAD = '{\n  "binarization": '
+_COLUMNS_AT = len(_HEAD + '{\n    "columns": ')
+# json.loads's own scanner: _scan(text, idx) is (the value at idx, the
+# index past it), and raises StopIteration where no value starts.
+_scan = json.JSONDecoder().scan_once
 
 
 class UnknownFaultTypeError(ValueError):
@@ -214,11 +222,11 @@ class FaultModel:
 
     def to_json(self) -> str:
         """json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n", built
-        from parts: the feature catalog is the binarization's catalog_text,
-        and every other part is dumped at its depth (see jsontext)."""
-        parts = {key: value_text(value, "  ") for key, value in self._parts_obj().items()}
-        parts["binarization"] = self.binarization.to_json_text("  ")
-        return object_text(parts, "") + "\n"
+        from two parts: the binarization's to_json_text, whose catalog is
+        rendered as text, then one json.dumps of the other parts, whose keys
+        all sort after "binarization"."""
+        parts = json.dumps(self._parts_obj(), sort_keys=True, indent=2)
+        return _HEAD + self.binarization.to_json_text() + "," + parts[1:] + "\n"
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "FaultModel":
@@ -289,24 +297,47 @@ class FaultModel:
     def from_json(cls, text: str) -> "FaultModel":
         """from_json_obj(json.loads(text)): the same model, or the same error.
 
-        The text is read a key at a time (see jsontext.read_object), and the
-        binarization by BinarizationModel.read_json_text, which gives the
-        checked BinarizationModel, its catalog unparsed, where to_json wrote
-        it; from_json_obj takes that model as it is.  Text that walk does
-        not take, such as a duplicate key or trailing data, is read by
-        json.loads, so a reformatted file loads as before.
+        Text that starts with the binarization as to_json writes it is read
+        by _written_model_obj in two parts: the binarization, as the checked
+        BinarizationModel with its catalog unparsed, which from_json_obj
+        takes as it is, and the members after it, by one json.loads.  Any
+        other text, such as a re-indented file, is read by json.loads.
         """
-        try:
-            obj, end = read_object(
-                text,
-                skip_space(text, 0),
-                {"binarization": lambda _, at: BinarizationModel.read_json_text(text, at, "  ")},
-            )
-            if skip_space(text, end) != len(text):
-                raise ValueError("trailing data")
-        except (ValueError, TypeError, StopIteration, RecursionError):
-            obj = json.loads(text)  # text the walk leaves, bytes among it
-        return cls.from_json_obj(obj)
+        return cls.from_json_obj(_written_model_obj(text) or json.loads(text))
+
+
+def _written_model_obj(text: str) -> Optional[dict]:
+    """json.loads(text), its binarization the checked BinarizationModel, if
+    text holds the binarization as to_json writes it, then a comma and one
+    or more members; None otherwise.
+
+    The columns are scanned once and checked once by _columns_model, and
+    the rest of the binarization's text must be the text_pieces of that
+    model: equal text parses to equal values, so this is the check that
+    BinarizationModel.from_json_obj makes of a parsed catalog.
+    """
+    if not isinstance(text, str) or not text.startswith(_HEAD):
+        return None
+    try:
+        columns, end = _scan(text, _COLUMNS_AT)
+        binarization = _columns_model({"columns": columns})
+    except (ValueError, StopIteration, RecursionError):  # no columns from_json_obj takes
+        return None
+    at = len(_HEAD)
+    for piece in binarization.text_pieces(text[_COLUMNS_AT:end]):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    if not text.startswith(",", at):
+        return None
+    try:
+        rest = json.loads("{" + text[at + 1 :])
+    except (ValueError, RecursionError):
+        return None
+    if not rest:  # a trailing comma
+        return None
+    # A second binarization among the rest has the last word, as in json.loads.
+    return {"binarization": binarization, **rest}
 
 
 class Rankings(NamedTuple):

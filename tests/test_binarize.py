@@ -825,33 +825,28 @@ def test_stored_catalog_equal_in_value_loads(stored, columns):
 
 def test_a_catalog_written_as_to_json_writes_it_loads_unparsed(monkeypatch):
     """On a model file as to_json writes it, no catalog entry is parsed: no
-    value scanned lies inside the catalog's text, json.loads does not run,
-    and the per-entry walk does not run."""
-    from ruleloc import jsontext
+    text that json.loads is given holds the catalog, and the per-entry walk
+    does not run."""
     from ruleloc.core import RuleSet, RuleStats
     from ruleloc.localize import FaultModel
 
     rules = RuleSet((Rule.of(0, 5),), (RuleStats(0.5, 0.5, 2),))
     model = FaultModel((("cpu", rules),), small_model())
     text = model.to_json()
-    start = text.index('"feature_catalog": [') + len('"feature_catalog": ')
-    end = text.index("\n    ]", start) + len("\n    ]")
-    scanned = []
+    parsed = []
 
-    def spy(text, idx):
-        value, stop = scan(text, idx)
-        scanned.append((idx, stop))
-        return value, stop
+    def spy(s, *args, **kwargs):
+        parsed.append(s)
+        return loads(s, *args, **kwargs)
 
     def fail(*args, **kwargs):
-        raise AssertionError("the whole text or the catalog was parsed")
+        raise AssertionError("the catalog was walked entry by entry")
 
-    scan = jsontext.scan_value
-    monkeypatch.setattr(jsontext, "scan_value", spy)
-    monkeypatch.setattr(json, "loads", fail)
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", spy)
     monkeypatch.setattr(binarize, "zip_longest", fail)
     assert FaultModel.from_json(text) == model
-    assert scanned and all(stop <= start or idx >= end for idx, stop in scanned)
+    assert parsed and not any('"feature_catalog"' in s for s in parsed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -862,9 +857,8 @@ def test_feature_is_the_catalog_entry(model, leading):
     assert [model.feature(j) for j in range(model.n_features)] == list(model.catalog)
     catalog = model.to_json_obj()["feature_catalog"]
     assert [f.to_json_obj() for f in model.catalog] == catalog
-    for pad in ("", "    "):
-        written = json.dumps(catalog, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-        assert model.catalog_text(pad) == written
+    written = json.dumps(catalog, sort_keys=True, indent=2).replace("\n", "\n    ")
+    assert "".join(model._catalog_pieces()) == written
     for j in (-1, model.n_features):
         with pytest.raises(FeatureIndexError):
             model.feature(j)

@@ -137,6 +137,14 @@ def _variants(data, text):
         yield f"{key} last", text.replace(after, f'\n    "{key}": {value},{after}', 1)
     # The catalog as to_json writes it, but a schema version the loader does not take.
     yield "binarization version 2", text.replace(after, after.replace("1", "2"), 1)
+    # The binarization as to_json writes it, and after it what json.loads does not
+    # take, nothing, or members that hold a second binarization, which json.loads takes.
+    end = text.index(after) + len(after)
+    yield "trailing comma", text[:end] + ",\n}\n"
+    yield "missing comma", text[:end] + " " + text[end + 1 :]
+    yield "binarization only", text[:end] + "\n}\n"
+    second = json.dumps(data.draw(st.sampled_from([None, [], {"columns": []}])))
+    yield "second binarization", text[: text.rindex("\n}")] + f',\n  "binarization": {second}\n}}\n'
     tokens = list(_threshold_tokens(text))
     if tokens:
         first, last, value = data.draw(st.sampled_from(tokens))
@@ -166,9 +174,12 @@ def test_from_json_gives_what_from_json_obj_of_json_loads_gives(model, data):
             assert loaded[0] is SchemaError and "feature_catalog[" in loaded[1], name
         elif name == "binarization version 2":
             assert loaded == (SchemaError, "unsupported binarization schema version 2")
-            at = variant.index('"binarization": ') + len('"binarization": ')
-            read, _ = BinarizationModel.read_json_text(variant, at, "  ")
-            assert read == json.loads(variant)["binarization"]
+        elif name in ("trailing comma", "missing comma"):
+            assert loaded[0] is json.JSONDecodeError, name
+        elif name == "binarization only":
+            assert loaded == (ValueError, "unsupported model schema version None")
+        elif name == "second binarization":
+            assert loaded[0] != "model" and "binarization" in loaded[1], name
 
 
 @settings(max_examples=100, deadline=None)
