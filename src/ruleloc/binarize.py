@@ -10,14 +10,18 @@ The fitted columns are the model: the feature catalog is derived from
 them in fit's order, (<= t, > t) per numeric threshold and (== c) per
 category.  The model JSON writes that catalog out for readers, each
 entry in BinaryFeature.to_json_obj's form, and loading rejects a file
-whose stored catalog differs from it.  The writer renders the catalog's
-exact text in the model file from the columns, as text templates joined
-with each threshold's repr (text_pieces).  Loading a file as the writer
-wrote it renders that text again from the stored columns and compares it
-with the file's, piece by piece: where they are equal, no catalog entry
-is parsed.  Any other stored catalog, such as one of a re-indented file,
-is parsed, and from_json_obj walks it entry by entry, which names its
-first difference from the derived one.
+whose stored catalog differs from it.  One renderer, ColumnModel.texts,
+gives a column's exact text in the model file, both its item in
+"columns" and its catalog entries, from text templates joined with the
+texts of its thresholds.  The writer makes those texts once per column,
+as json.dumps writes each threshold.  Loading a file as the writer wrote
+it renders no number: it takes the texts from the file's own "columns"
+(text_after_columns), checks that the columns rendered with them are the
+file's, and compares the catalog rendered with them with the file's:
+where they are equal, no catalog entry is parsed.  Any other stored
+catalog, such as one of a re-indented file, is parsed, and from_json_obj
+walks it entry by entry, which names its first difference from the
+derived one.
 
 Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
@@ -170,6 +174,20 @@ class BinaryFeature:
         return {"column": self.column, "op": self.op, "threshold": self.threshold}
 
 
+# How json.dumps(..., sort_keys=True, indent=2) lays out the binarization of
+# a model file: its members on lines indented by four spaces, each item of
+# its lists (columns, feature_catalog) by six, an item's keys by eight and
+# the items of a key's list (thresholds, categories) by ten.
+_MEMBER, _ITEM, _KEY, _VALUE = ("\n" + " " * n for n in (4, 6, 8, 10))
+_THRESHOLDS = '"thresholds": ['
+
+
+def _list_text(items: Sequence[str], inner: str, outer: str) -> str:
+    """The JSON list of the item texts, each on a line starting inner, its
+    "]" on one starting outer, as json.dumps(..., indent=2) writes it."""
+    return f"[{inner}{f',{inner}'.join(items)}{outer}]" if items else "[]"
+
+
 @dataclass(frozen=True)
 class ColumnModel:
     name: str
@@ -195,31 +213,39 @@ class ColumnModel:
             return zip(repeat(self.name), cycle(("<=", ">")), doubled)
         return zip(repeat(self.name), repeat("=="), self.categories)
 
-    def catalog_text(self) -> str:
-        """The catalog entries of a column that gives at least one feature,
-        joined as the items of the feature catalog as json.dumps(...,
-        sort_keys=True, indent=2) writes it in a model file: each entry on a
-        line indented by six spaces, its keys by eight.
+    def texts(self, numbers: Sequence[str]) -> tuple[str, str]:
+        """(entry, catalog): the column's item in a model file's columns, and
+        its features' items in the feature catalog joined ("" if it gives
+        none), as json.dumps(..., sort_keys=True, indent=2) writes them there,
+        numbers[k] being the text of thresholds[k].
 
-        A numeric column is one join of two entry templates, the text
-        before a (<= t) and before a (> t) entry's threshold, interleaved
-        with each threshold's text twice.
+        A numeric column's catalog is one join of two entry templates, the
+        text before a (<= t) and before a (> t) entry's threshold,
+        interleaved with each threshold's text twice.
         """
-        item, key = " " * 6, " " * 8
         name = json.dumps(self.name)
         if self.kind == CATEGORICAL:
-            tail = f',\n{key}"column": {name},\n{key}"op": "=="\n{item}}}'
-            entries = (f'{{\n{key}"category": {json.dumps(c)}{tail}' for c in self.categories)
-            return f",\n{item}".join(entries)
-        head = f'{{\n{key}"column": {name},\n{key}"op": '
-        first = f'{head}"<=",\n{key}"threshold": '
-        after = f"\n{item}}},\n{item}"  # ends one entry, starts the next
-        at_most, above = after + first, f'{after}{head}">",\n{key}"threshold": '
-        texts = _number_texts(self.thresholds)
-        pieces = list(chain.from_iterable(zip(repeat(at_most), texts, repeat(above), texts)))
+            cats = list(map(json.dumps, self.categories))
+            entry = (
+                f'{{{_KEY}"categories": {_list_text(cats, _VALUE, _KEY)},'
+                f'{_KEY}"kind": "categorical",{_KEY}"name": {name}{_ITEM}}}'
+            )
+            tail = f',{_KEY}"column": {name},{_KEY}"op": "=="{_ITEM}}}'
+            return entry, f",{_ITEM}".join(f'{{{_KEY}"category": {c}{tail}' for c in cats)
+        entry = (
+            f'{{{_KEY}"kind": "numeric",{_KEY}"name": {name},'
+            f'{_KEY}"thresholds": {_list_text(numbers, _VALUE, _KEY)}{_ITEM}}}'
+        )
+        if not numbers:
+            return entry, ""
+        head = f'{{{_KEY}"column": {name},{_KEY}"op": '
+        first = f'{head}"<=",{_KEY}"threshold": '
+        after = f"{_ITEM}}},{_ITEM}"  # ends one entry, starts the next
+        at_most, above = after + first, f'{after}{head}">",{_KEY}"threshold": '
+        pieces = list(chain.from_iterable(zip(repeat(at_most), numbers, repeat(above), numbers)))
         pieces[0] = first
-        pieces.append(f"\n{item}}}")
-        return "".join(pieces)
+        pieces.append(f"{_ITEM}}}")
+        return entry, "".join(pieces)
 
 
 def _number_texts(values: Sequence) -> list[str]:
@@ -341,17 +367,6 @@ class BinarizationModel:
             return BinaryFeature(column.name, ("<=", ">")[k % 2], column.thresholds[k // 2])
         return BinaryFeature(column.name, "==", None, column.categories[k])
 
-    def _catalog_pieces(self) -> Iterator[str]:
-        """The feature catalog as the model file holds it, in pieces, one
-        column's entries at a time."""
-        first = True
-        for c in self.columns:
-            if c.width:
-                yield "[\n      " if first else ",\n      "
-                yield c.catalog_text()
-                first = False
-        yield "[]" if first else "\n    ]"
-
     def to_json_obj(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -359,23 +374,65 @@ class BinarizationModel:
             "feature_catalog": [f.to_json_obj() for f in self.catalog],
         }
 
-    def text_pieces(self, columns_text: str) -> Iterator[str]:
-        """to_json_text() in pieces, with columns_text as the columns' text:
-        the writer joins them, and FaultModel.from_json's loader compares a
-        file's text with them, piece by piece, so no copy of the catalog is
-        built."""
-        yield '{\n    "columns": '
-        yield columns_text
-        yield ',\n    "feature_catalog": '
-        yield from self._catalog_pieces()
-        yield f',\n    "schema_version": {json.dumps(SCHEMA_VERSION)}\n  }}'
+    def text_parts(self, numbers: Sequence[Sequence[str]]) -> tuple[str, list[str]]:
+        """(columns, rest): to_json_text() is the binarization's "{", its
+        "columns" key, columns, then the pieces of rest, numbers[i] being the
+        texts of columns[i]'s thresholds.  Each column is rendered once, by
+        ColumnModel.texts, for both its item in columns and its catalog
+        entries, which rest holds a column at a time: no copy of the whole
+        catalog is made."""
+        entries, catalog = [], [f"[{_ITEM}"]
+        for column, texts in zip(self.columns, numbers):
+            entry, features = column.texts(texts)
+            entries.append(entry)
+            if features:
+                catalog += (features, f",{_ITEM}")
+        # The comma after the last column's entries ends the list instead.
+        catalog[-1] = f"{_MEMBER}]" if len(catalog) > 1 else "[]"
+        rest = [
+            f',{_MEMBER}"feature_catalog": ',
+            *catalog,
+            f',{_MEMBER}"schema_version": {json.dumps(SCHEMA_VERSION)}\n  }}',
+        ]
+        return _list_text(entries, _ITEM, _MEMBER), rest
 
     def to_json_text(self) -> str:
         """to_json_obj() as json.dumps(..., sort_keys=True, indent=2) writes it
         as the value of a model file's "binarization", on a line indented by
-        two spaces; the catalog is rendered as text."""
-        columns = json.dumps([c.to_json_obj() for c in self.columns], sort_keys=True, indent=2)
-        return "".join(self.text_pieces(columns.replace("\n", "\n    ")))
+        two spaces, rendered as text with each threshold's text made once."""
+        numbers = [_number_texts(c.thresholds) if c.thresholds else () for c in self.columns]
+        columns, rest = self.text_parts(numbers)
+        return "".join([f'{{{_MEMBER}"columns": ', columns, *rest])
+
+    def text_after_columns(self, columns_text: str) -> Optional[list[str]]:
+        """The pieces of what follows columns_text in to_json_text(), if
+        columns_text is the columns' text there, with its thresholds written
+        in any number texts; None otherwise.  No number is rendered: the
+        texts are the ones in columns_text.
+
+        A numeric column's texts are the items of the list after the next
+        '"thresholds": [', split at the separators, up to the first "]".
+        They are used only where each column gives as many as it has
+        thresholds and the columns rendered with them are columns_text.
+        Then the list holds no "]" before its own, and its items are the
+        column's thresholds, all numbers, so its only commas are the
+        separators: each text is one number token, with white space around
+        it, whose value is its threshold.  Text rendered with them parses to
+        the thresholds' values.
+        """
+        numbers, at = [], 0
+        for column in self.columns:
+            texts: Sequence[str] = ()
+            if column.kind == NUMERIC:
+                at = columns_text.find(_THRESHOLDS, at) + len(_THRESHOLDS)
+                end = columns_text.find("]", at)
+                if end > at:
+                    texts = columns_text[at + len(_VALUE) : end - len(_KEY)].split(f",{_VALUE}")
+                if len(texts) != len(column.thresholds):
+                    return None
+            numbers.append(texts)
+        columns, rest = self.text_parts(numbers)
+        return rest if columns == columns_text else None
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":

@@ -52,10 +52,11 @@ from ruleloc.select import SelectionConfig
 _KNOB_KINDS = (("K", COUNT), ("l", COUNT), ("gamma", NUMBER))
 _STATS_KINDS = (("precision", FRACTION), ("recall", FRACTION), ("covered", COUNT))
 
-# Every model file that to_json writes starts with _HEAD, and its
-# binarization's columns start at _COLUMNS_AT.
+# Every model file that to_json writes starts with _HEAD, then its
+# binarization's "columns" key, and the columns start at _COLUMNS_AT.
 _HEAD = '{\n  "binarization": '
-_COLUMNS_AT = len(_HEAD + '{\n    "columns": ')
+_COLUMNS_HEAD = _HEAD + '{\n    "columns": '
+_COLUMNS_AT = len(_COLUMNS_HEAD)
 # json.loads's own scanner: _scan(text, idx) is (the value at idx, the
 # index past it), and raises StopIteration where no value starts.
 _scan = json.JSONDecoder().scan_once
@@ -311,20 +312,27 @@ def _written_model_obj(text: str) -> Optional[dict]:
     text holds the binarization as to_json writes it, then a comma and one
     or more members; None otherwise.
 
-    The columns are scanned once and checked once by _columns_model, and
-    the rest of the binarization's text must be the text_pieces of that
-    model: equal text parses to equal values, so this is the check that
-    BinarizationModel.from_json_obj makes of a parsed catalog.
+    The columns are scanned once and checked once by _columns_model.  The
+    thresholds' texts come from the columns' own text, so no number is
+    rendered: text_after_columns checks that the columns rendered with
+    them are the file's and renders the rest of the binarization with
+    them, which the file's text after the columns must equal, piece by
+    piece, so no copy of the catalog is built.  Equal text parses to
+    equal values, so this is the check that BinarizationModel.from_json_obj
+    makes of a parsed catalog.
     """
-    if not isinstance(text, str) or not text.startswith(_HEAD):
+    if not isinstance(text, str) or not text.startswith(_COLUMNS_HEAD):
         return None
     try:
         columns, end = _scan(text, _COLUMNS_AT)
         binarization = _columns_model({"columns": columns})
     except (ValueError, StopIteration, RecursionError):  # no columns from_json_obj takes
         return None
-    at = len(_HEAD)
-    for piece in binarization.text_pieces(text[_COLUMNS_AT:end]):
+    after = binarization.text_after_columns(text[_COLUMNS_AT:end])
+    if after is None:
+        return None
+    at = end
+    for piece in after:
         if not text.startswith(piece, at):
             return None
         at += len(piece)

@@ -5,10 +5,11 @@ files edited, reformatted or cut by hand."""
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleloc import binarize
+from ruleloc import binarize, localize
 from ruleloc.binarize import CATEGORICAL, NUMERIC, BinarizationModel, ColumnModel, SchemaError
 from ruleloc.core import Rule, RuleSet, RuleStats
 from ruleloc.localize import FaultModel
@@ -114,6 +115,29 @@ def _threshold_tokens(text):
         at = text.find(key, last, end)
 
 
+def _column_tokens(text):
+    """(start, end, value) of each threshold number in a canonical file's
+    columns, in catalog order: the k-th gives catalog tokens 2k and 2k + 1."""
+    start = text.index('"columns": ') + len('"columns": ')
+    _, end = json.JSONDecoder().raw_decode(text, start)
+    item = "\n" + " " * 10  # a line of a thresholds or categories list
+    at = text.find(item, start, end)
+    while at != -1:
+        first = at + len(item)
+        line = text[first : text.index("\n", first)]
+        if not line.startswith('"'):  # a category is a string
+            token = line.removesuffix(",")
+            yield first, first + len(token), json.loads(token)
+        at = text.find(item, first, end)
+
+
+def _respelled(text, spans, new):
+    """text with each (start, end, value) span's token replaced by new."""
+    for first, last, _ in sorted(spans, reverse=True):
+        text = text[:first] + new + text[last:]
+    return text
+
+
 def _same_value_text(token):
     """Another text of the number token: 1.5 as 1.50, 3 as 3.0, 1e+16 as 1.0e+16."""
     mantissa, e, exponent = token.partition("e")
@@ -151,6 +175,21 @@ def _variants(data, text):
         token = text[first:last]
         yield "same value", text[:first] + _same_value_text(token) + text[last:]
         yield "other value", text[:first] + ("0.5" if value != 0.5 else "0.25") + text[last:]
+    # Float thresholds in columns: re-spelled as the same float, a value
+    # loads as the same model, so to_json gives the canonical text back.
+    spans = list(_column_tokens(text))
+    floats = [(k, span) for k, span in enumerate(spans) if type(span[2]) is float]
+    if floats:
+        k, span = data.draw(st.sampled_from(floats))
+        respelled = _same_value_text(text[span[0] : span[1]])
+        yield "columns same value", _respelled(text, [span], respelled)
+        both = [span, tokens[2 * k], tokens[2 * k + 1]]
+        yield "both same value", _respelled(text, both, respelled)
+        other = "0.5" if span[2] != 0.5 else "0.25"
+        yield "columns other value", _respelled(text, [span], other)
+    if spans:
+        first, last, _ = data.draw(st.sampled_from(spans))
+        yield "spaced token", text[:last] + " " + text[last:]
     catalog = obj["binarization"]["feature_catalog"]
     if catalog:
         j = data.draw(st.integers(0, len(catalog) - 1))
@@ -168,10 +207,18 @@ def test_from_json_gives_what_from_json_obj_of_json_loads_gives(model, data):
     for name, variant in _variants(data, text):
         loaded = outcome(FaultModel.from_json, variant)
         assert loaded == outcome(reference_load, variant), name
-        if name in ("indent 4", "compact", "unsorted", "crlf", "same value"):
+        if name in ("indent 4", "compact", "unsorted", "crlf", "same value", "spaced token"):
             assert loaded == ("model", text), name
+        elif name in ("columns same value", "both same value"):
+            assert loaded == ("model", text), name
+            # Where the catalog spells the threshold as the columns do, the
+            # loader takes the columns' texts and parses no catalog entry.
+            assert (localize._written_model_obj(variant) is None) == (name == "columns same value")
         elif name in ("other value", "entry dropped", "entry added"):
             assert loaded[0] is SchemaError and "feature_catalog[" in loaded[1], name
+        elif name == "columns other value":  # its catalog entries or its order give it away
+            assert loaded[0] is SchemaError, name
+            assert "feature_catalog[" in loaded[1] or "strictly increasing" in loaded[1], name
         elif name == "binarization version 2":
             assert loaded == (SchemaError, "unsupported binarization schema version 2")
         elif name in ("trailing comma", "missing comma"):
@@ -200,3 +247,43 @@ def test_a_canonical_load_checks_each_column_once(model):
     k = len(model.binarization.columns)
     assert calls == [f"columns[{i}]" for i in range(k)]
     assert loaded == reference_load(text) and loaded.to_json() == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models())
+def test_a_canonical_load_renders_no_number(model):
+    """from_json of a file as to_json writes it takes the thresholds' texts
+    from the file's columns and renders none; to_json renders each numeric
+    column's that has thresholds, once."""
+    calls = []
+    number_texts = binarize._number_texts
+
+    def spy(values):
+        calls.append(values)
+        return number_texts(values)
+
+    text = model.to_json()
+    with mock.patch.object(binarize, "_number_texts", spy):
+        loaded = FaultModel.from_json(text)
+        assert calls == []
+        assert loaded.to_json() == text
+    assert calls == [c.thresholds for c in loaded.binarization.columns if c.thresholds]
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["1.5, 2.5"], ['1.5\n        ],\n        "thresholds": [\n          2.5']],
+    ids=["two numbers", "a second list"],
+)
+def test_a_list_item_that_is_not_one_number_is_no_threshold_text(texts):
+    """A file whose columns and catalog are rendered with a text that holds
+    two thresholds, or closes the list and opens another, is no JSON: the
+    loader takes no such text and fails as json.loads does."""
+    binarization = BinarizationModel((ColumnModel("x", NUMERIC, (1.5, 2.5)),))
+    text = FaultModel((), binarization).to_json()
+    columns, rest = binarization.text_parts([texts])
+    edited = "".join(['{\n    "columns": ', columns, *rest])
+    variant = text.replace(binarization.to_json_text(), edited)
+    assert variant != text
+    assert outcome(FaultModel.from_json, variant) == outcome(reference_load, variant)
+    assert outcome(reference_load, variant)[0] is json.JSONDecodeError
