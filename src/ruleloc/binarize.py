@@ -536,8 +536,12 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
             raise SchemaError(f"column {spec.name!r} not present in table")
         raw = table[spec.name]
         if spec.kind == NUMERIC:
-            values = numeric_column(raw, spec.name).astype(float, copy=False)
-            finite = values[np.isfinite(values)]  # a copy, sorted in place
+            values = numeric_column(raw, spec.name)
+            if values.dtype == np.uint8:  # a byte is finite and never -0.0
+                finite = values.astype(float)  # a copy, sorted in place
+            else:
+                finite = values[np.isfinite(values)]
+                finite += 0.0  # -0.0 becomes 0.0
             if finite.size == 0:
                 warnings.warn(
                     f"column {spec.name!r} has no finite values; emitting no features",
@@ -546,7 +550,6 @@ def fit(table: Mapping[str, Sequence], specs: Sequence[FeatureSpec]) -> Binariza
                 thresholds: tuple[float, ...] = ()
             else:
                 finite.sort()
-                finite += 0.0  # -0.0 becomes 0.0
                 qs = np.arange(1, spec.bins) / spec.bins
                 cand = np.unique(_linear_quantiles(finite, qs))
                 thresholds = tuple(float(t) for t in cand if t < finite[-1])

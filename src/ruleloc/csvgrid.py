@@ -7,14 +7,15 @@ longer than the csv module's field size limit, and as many fields on
 every line as in the header.  The csv module splits such a line at its
 commas and nowhere else, so np.loadtxt with no quote and no comment
 character reads the same cells.  Each chunk of lines is tokenized once,
-by one loadtxt call with a record dtype: an object field per text column
-and, per numeric column, a uint8 field if the column's cell in the first
-data row is all ASCII digits, else a float64 field, all named by position
-so that header names cannot clash.  loadtxt rejects a line whose field
-count is not the header's.  Its unsigned integer parsers read only
-unsigned integers that fit their type, each the value float() gives
-once cast to float64, and reject every other cell (a minus sign, a
-point, an exponent, nan, a blank).  Its float64 parser reads a cell with
+by one loadtxt call with a record dtype: an object field per text column;
+per numeric column, a uint8 field if the column's cell in the first data
+row is all ASCII digits, else a float64 field; and a zero-width S0 field
+per skipped column, whose cells loadtxt counts and keeps no byte of; all
+named by position so that header names cannot clash.  loadtxt rejects a
+line whose field count is not the header's.  Its unsigned integer
+parsers read only unsigned integers that fit their type, each the value
+float() gives once cast to float64, and reject every other cell (a minus
+sign, a point, an exponent, nan, a blank).  Its float64 parser reads a cell with
 the rules of float() but rejects some cells float() reads (blank ones,
 "1_0").
 
@@ -73,7 +74,7 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from functools import partial
 from itertools import chain, islice
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional
+from typing import BinaryIO, Callable, Container, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -154,13 +155,16 @@ def _widen(rows: dict[int, np.ndarray], columns: list[int], filled: int) -> None
         rows[i] = out
 
 
-def _header(line: bytes, numeric: Callable[[str], bool]) -> Optional[tuple[list, list]]:
-    """The names of a header line and each one's field type: f8 for a
-    name that `numeric` accepts, else O.  None if a name is repeated."""
+def _header(
+    line: bytes, numeric: Callable[[str], bool], skip: Container[str] = ()
+) -> Optional[tuple[list, list]]:
+    """The names of a header line and each one's field type: S0 for a name
+    in skip, f8 for one that `numeric` accepts, else O.  None if a name is
+    repeated or every name is in skip."""
     names = line.rstrip(b"\n").decode().split(",")
-    if len(set(names)) != len(names):
+    if len(set(names)) != len(names) or all(name in skip for name in names):
         return None
-    return names, ["f8" if numeric(name) else "O" for name in names]
+    return names, ["S0" if name in skip else "f8" if numeric(name) else "O" for name in names]
 
 
 def _first_row(kinds: list[str], line: bytes) -> list[str]:
@@ -179,10 +183,10 @@ def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Opti
     checked lines, each iterated once per call made on it, and perhaps,
     last, the table another call read of the rows that follow, whose
     values are copied as a chunk's.  None if a line is ragged or the
-    chunks hold other than n rows.  Raises ValueError
-    (InvalidValueError) for a numeric cell numeric_column rejects.  The
-    module docstring gives the rules."""
-    floats = ["O" if kind == "O" else "f8" for kind in kinds]
+    chunks hold other than n rows; the columns of S0 fields are left out.
+    Raises ValueError (InvalidValueError) for a numeric cell
+    numeric_column rejects.  The module docstring gives the rules."""
+    floats = [kind if kind in ("O", "S0") else "f8" for kind in kinds]
     num = [i for i, kind in enumerate(floats) if kind == "f8"]
     txt = [i for i, kind in enumerate(floats) if kind == "O"]
     record = _record(kinds)
@@ -202,8 +206,8 @@ def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Opti
             record = _record(kinds)
             records = _load(chunk, record)
         if part:
-            hi = lo + len(chunk[names[0]])
-            values = {f"f{i}": chunk[name] for i, name in enumerate(names)}
+            hi = lo + len(next(iter(chunk.values())))  # some column is not skipped
+            values = {f"f{i}": chunk[names[i]] for i in num}
             strings = (chunk[names[i]] for i in txt)
         elif records is None:
             # A blank cell, one only float() reads, one no integer field
@@ -233,8 +237,8 @@ def _table(names: list[str], kinds: list[str], n: int, chunks: Iterable) -> Opti
         lo = hi
     if lo != n:
         return None
-    cells = iter(texts)
-    return {name: rows[i] if i in rows else next(cells) for i, name in enumerate(names)}
+    columns = dict(zip(txt, texts)) | rows
+    return {names[i]: columns[i] for i in sorted(columns)}
 
 
 def _chunks(lines: Iterator[bytes], n: int, rest: Optional[Callable] = None) -> Iterator:
@@ -292,13 +296,16 @@ def _after(fh: BinaryIO, ends: list[tuple[int, int]], k: int) -> int:
     return lo + at + 1
 
 
-def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Optional[dict]:
+def read_grid(
+    fh: BinaryIO, numeric: Callable[[str], bool], digest=None, skip: Container[str] = ()
+) -> Optional[dict]:
     """The table of the seekable binary file fh, read from its start, if it
-    is a plain comma grid, else None.
+    is a plain comma grid with a column not in skip, else None.
 
     Columns that `numeric` accepts by name are numpy arrays, the others
     lists of cell strings, one string object per distinct value, interned
-    chunk by chunk.  The file is read twice, so that no copy of it is held
+    chunk by chunk; the columns named in skip are left out, their cells
+    read through S0 fields that keep nothing but still count.  The file is read twice, so that no copy of it is held
     whole: in blocks to count its rows, each block also fed to `digest` (a
     hashlib object) when one is given, then in chunks of lines, each
     checked before one loadtxt call with a record dtype reads all its
@@ -332,7 +339,7 @@ def read_grid(fh: BinaryIO, numeric: Callable[[str], bool], digest=None) -> Opti
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(0)
     line = fh.readline()
-    header = _header(line, numeric) if n >= 1 and _lines_ok(line) else None
+    header = _header(line, numeric, skip) if n >= 1 and _lines_ok(line) else None
     if header is None:
         return None
     names, kinds = header

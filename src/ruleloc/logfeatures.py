@@ -16,6 +16,16 @@ shape give the same tokens.  Lines are shaped in chunks, one
 ``translate`` per chunk; the build tokenizes each distinct shape once and
 inserts each distinct token sequence once, and matching tokenizes and
 matches each distinct shape and parses each distinct stamp once per call.
+
+A line's whitespace is its shape's, so matching also finds once per
+distinct shape where its lines' stamps lie.  Where a shape starts with its
+first n_stamp tokens one space apart, the stamp of each of its lines is
+that slice of the line, and a chunk whose shapes share one slice is cut
+by one ``itemgetter`` pass; the lines of any other shape (leading
+whitespace, or a tab, two spaces, ``\\x1c`` or U+3000 inside the stamp)
+are split one by one.  The (stamp, shape) pairs that count unmatched
+lines are built only for the shapes that match no template, and only
+once some shape has missed.
 """
 
 from __future__ import annotations
@@ -25,8 +35,9 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from itertools import chain, compress, islice, repeat
+from datetime import datetime
+from itertools import chain, compress, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 WILDCARD = "<*>"
@@ -42,6 +53,9 @@ _SHAPE = str.maketrans("123456789", "000000000")
 # Python work is small next to the C passes; small enough that the
 # joined copy of a chunk adds little to the memory peak.
 _CHUNK = 4096
+
+# A naive timestamp is taken as UTC: its epoch seconds count from here.
+_EPOCH = datetime(1970, 1, 1)
 
 
 # A whitespace-delimited token holding an ASCII digit, anchored at the
@@ -226,7 +240,9 @@ def parse_timestamp(raw: str, fmt: Optional[str] = None) -> float:
     else:
         dt = datetime.strptime(raw, fmt)
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
+        # The integer-microsecond division that timestamp() makes of the same
+        # time taken as UTC, without building the aware time.
+        return (dt - _EPOCH).total_seconds()
     return dt.timestamp()
 
 
@@ -250,28 +266,39 @@ def match_and_aggregate(
     aggregate counts are order-insensitive within an interval.  Each
     distinct stamp is parsed once and each distinct line shape tokenized
     and matched once per call; its message is the shape past the stamp.
+    A line's stamp is its first n_stamp whitespace tokens joined by one
+    space (a line with fewer, a blank one too, is skipped); the module
+    docstring says how it is cut.
     """
     check_interval(interval)
     n_stamp = 1 if timestamp_format is None else timestamp_format.count(" ") + 1
-    head = slice(0, n_stamp)
     stamp_counts: Counter[str] = Counter()
     miss_counts: Counter[tuple[str, str]] = Counter()
-    known: set[str] = set()
+    ends: dict[str, Optional[int]] = {}  # each known shape's stamp length, None if split
     misses: dict[str, tuple[str, ...]] = {}
     for chunk in _chunks(lines):
         shapes = _shapes(chunk)
-        # A line's stamp is its first n_stamp whitespace tokens joined by
-        # one space; a line with fewer (a blank one too) is skipped below.
-        splits = map(str.split, chunk, repeat(None), repeat(n_stamp))
-        stamps = list(map(" ".join, map(list.__getitem__, splits, repeat(head))))
-        stamp_counts.update(stamps)
-        for shape in set(shapes).difference(known):
-            known.add(shape)
+        distinct = set(shapes)
+        for shape in distinct.difference(ends):
             parts = shape.split(None, n_stamp)
+            # A line's whitespace is its shape's: where the shape starts with
+            # its stamp tokens one space apart, each of its lines does too.
+            stamp = " ".join(parts[:n_stamp])
+            ends[shape] = len(stamp) if shape.startswith(stamp) else None
             tokens = tokenize(parts[n_stamp]) if len(parts) > n_stamp else ()
             if not tokens or base.match(tokens) is None:
                 misses[shape] = tokens
-        miss_counts.update(compress(zip(stamps, shapes), map(misses.__contains__, shapes)))
+        lengths = set(map(ends.__getitem__, distinct))
+        if len(lengths) == 1 and None not in lengths:
+            stamps = list(map(itemgetter(slice(lengths.pop())), chunk))
+        else:
+            stamps = [
+                line[:end] if end is not None else " ".join(line.split(None, n_stamp)[:n_stamp])
+                for line, end in zip(chunk, map(ends.__getitem__, shapes))
+            ]
+        stamp_counts.update(stamps)
+        if misses:
+            miss_counts.update(compress(zip(stamps, shapes), map(misses.__contains__, shapes)))
 
     starts: dict[str, float] = {}
     totals: Counter[float] = Counter()

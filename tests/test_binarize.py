@@ -7,12 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruleloc import binarize
 from ruleloc.binarize import (
     CATEGORICAL,
+    MAX_BINS,
+    NUMERIC,
     BinarizationModel,
     ColumnModel,
     FeatureSpec,
@@ -999,3 +1001,30 @@ def test_feature_matrix_gathers_a_long_window_in_bounded_blocks():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert matrix.tobytes() == oracle_feature_matrix(model, table).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 255), min_size=1, max_size=300),
+        st.tuples(st.integers(0, 255), st.integers(1, 300)).map(lambda vn: [vn[0]] * vn[1]),
+        st.lists(st.sampled_from([0, 1]), min_size=1, max_size=300),
+    ),
+    st.integers(2, MAX_BINS),
+)
+@example([0] * 9, 2)
+@example([255] * 9, MAX_BINS)
+@example(list(range(256)), MAX_BINS)
+@example([0, 255], 3)
+def test_fit_of_a_byte_column_is_fit_of_its_float64_copy(values, bins):
+    """A uint8 column is fitted as it is, without the finite mask or the
+    -0.0 pass: the same thresholds, bit for bit, as its float64 copy."""
+    column = np.array(values, np.uint8)
+    specs = [FeatureSpec("c", NUMERIC, bins)]
+    got = fit({"c": column}, specs)
+    want = fit({"c": column.astype(np.float64)}, specs)
+    assert got == want
+    assert column.tolist() == values  # the table's column is left as it was
+    assert [t.hex() for t in got.columns[0].thresholds] == [
+        t.hex() for t in want.columns[0].thresholds
+    ]

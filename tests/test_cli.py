@@ -1532,6 +1532,48 @@ def test_the_table_is_split_across_two_processes_only_while_a_cpu_is_free(
     assert len(models[False]) == len(models[True]) == 1
 
 
+def _model_without_data_hash(path: Path) -> dict:
+    obj = json.loads(path.read_text())
+    del obj["metadata"]["dataset_sha256"]
+    return obj
+
+
+def test_train_reads_no_cell_of_the_service_column(tmp_path, scenario, monkeypatch):
+    """Varied service cells (a blank one, a long one, and on the cell
+    reader's side a quoted one) learn the model that the same table with
+    every service cell s0 learns, on either reader and with or without
+    --logs; read_csv_columns gives train a table without the column, and
+    without the timestamp column unless --logs joins on it."""
+    table = scenario.train_table
+    n = len(table["fault_type"])
+    varied = [f"svc{i % 7}" for i in range(n)]
+    varied[3], varied[5] = "", "s" * 5000
+    quoted = list(varied)
+    quoted[8] = 'svc,"8"'  # csv.writer quotes it: not a plain comma grid
+    logs = _logs_dir(tmp_path, table["timestamp"][:5])
+    tables = []
+
+    def spied(*args, **kwargs):
+        tables.append(read_csv_columns(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "read_csv_columns", spied)
+    for with_logs in (False, True):
+        models = []
+        for name, services in (("plain", ["s0"] * n), ("varied", varied), ("quoted", quoted)):
+            data = tmp_path / f"{name}.csv"
+            write_csv_columns(data, {**table, "service": services})
+            model = tmp_path / f"{name}.json"
+            argv = ["train", "--data", str(data), "--model", str(model), "-K", "2", "-l", "2"]
+            with mock.patch.object(cli, "_read_csv_cells", wraps=cli._read_csv_cells) as cells:
+                assert main(argv + ["--logs", str(logs)] * with_logs) == 0
+            assert cells.called == (name == "quoted")
+            assert "service" not in tables[-1] and "fault_type" in tables[-1]
+            assert ("timestamp" in tables[-1]) == with_logs
+            models.append(_model_without_data_hash(model))
+        assert models[1] == models[0] and models[2] == models[0]
+
+
 def _train_table(tmp_path, n_fault_types: int) -> Path:
     table = planted_fault_scenario(
         seed=11, n=1200, d=20, n_fault_types=n_fault_types, n_services=3, n_windows=1,

@@ -266,6 +266,64 @@ def test_grid_reader_equals_the_exact_reader(case):
         assert_same_as_oracle(write_bytes(tmp, data), numeric_names.__contains__)
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(csv_files(), st.sets(st.sampled_from(["a", "b", "c", "svc", "ts", "a b", "#h", "zz"])))
+@example((b"a,svc\n1,x\n2,y\n", {"a"}), {"svc"})
+@example((b"a,svc\n1,x\n2,y,z\n", {"a"}), {"svc"})
+@example((b"a,svc\n1,x\n2\n", {"a"}), {"svc"})
+@example((b'a,svc\n1,"x,y"\n', {"a"}), {"svc"})
+@example((b"svc,svc\n1,x\n", set()), {"svc"})
+@example((b"svc\nx\n\ny\n", set()), {"svc"})
+@example((b"a,svc\n1,x\n", {"a"}), {"a", "svc"})
+def test_skipped_columns_are_left_out_of_the_same_read(case, skip):
+    """read_csv_columns with skip gives the table it gives without, minus the
+    skipped columns, or the same error: a ragged line, a blank line or a
+    duplicate name fails as before, on either reader."""
+    data, numeric_names = case
+    skip -= numeric_names
+    numeric = numeric_names.__contains__
+    read_skipping = lambda path, numeric: read_csv_columns(path, numeric, skip=skip)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_bytes(tmp, data)
+        want, want_error = parsed(read_csv_columns, path, numeric)
+        got, got_error = parsed(read_skipping, path, numeric)
+        assert got_error == want_error
+        if want is None:
+            return
+        # A grid of skipped columns only is left to the cell reader.
+        grid = took_grid_path(path, numeric) and not set(want) <= skip
+        assert took_grid_path(path, numeric, read_skipping) == grid
+    assert list(got) == [name for name in want if name not in skip]
+    for name, column in got.items():
+        if isinstance(column, np.ndarray):
+            assert column.dtype == want[name].dtype
+            assert column.tobytes() == want[name].tobytes()
+        else:
+            assert column == want[name]
+            assert one_object_per_value(column)
+
+
+def test_loadtxt_reads_an_s0_field_as_no_bytes_and_counts_it():
+    """What the grid reader's skipped columns rely on in the installed numpy:
+    a zero-width S0 field reads every cell as b"", and still counts as a
+    field, so a line of another field count fails."""
+    record = np.dtype([("f0", "S0"), ("f1", "u1"), ("f2", "O")])
+    rows = np.loadtxt([b"abc,1,x\n", b",2,y\n"], record, delimiter=",", comments=None, ndmin=1)
+    assert rows["f0"].tolist() == [b"", b""]
+    assert rows["f1"].tolist() == [1, 2] and rows["f2"].tolist() == ["x", "y"]
+    for ragged in (b"abc,1\n", b"abc,1,x,z\n"):
+        with pytest.raises(ValueError):
+            np.loadtxt([ragged], record, delimiter=",", comments=None, ndmin=1)
+
+
+def test_a_ragged_line_fails_with_its_line_number_when_a_column_is_skipped(tmp_path):
+    for data in (b"a,svc\n1,x\n2,y,z\n", b'a,svc\n1,"x"\n2,y,z\n'):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(CliError, match=r"line 3: 3 fields, header has 2$"):
+            read_csv_columns(path, {"a"}.__contains__, skip={"svc"})
+
+
 # -- one test per guard rule ------------------------------------------------------
 
 

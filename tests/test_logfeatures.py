@@ -1,5 +1,6 @@
 import tempfile
 from functools import partial
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ruleloc import logfeatures
+from ruleloc import cli, logfeatures
 from ruleloc.cli import CliError, _log_counters, _log_feature_columns, _log_lines
 from ruleloc.logfeatures import (
     _SHAPE,
@@ -180,6 +181,57 @@ def test_parse_timestamp_iso_and_custom():
     assert parse_timestamp("1970-01-01T00:01:00Z") == 60.0
     assert parse_timestamp("1970-01-01T00:01:00+00:00") == 60.0
     assert parse_timestamp("02/01/1970 00:00:00", "%d/%m/%Y %H:%M:%S") == 86400.0
+
+
+# Every naive time datetime can hold, microseconds included.
+NAIVE_TIMES = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999))
+# Times whose UTC offset keeps them inside datetime's range.
+OFFSET_TIMES = st.datetimes(datetime(2, 1, 1), datetime(9998, 12, 31, 23, 59, 59, 999999))
+TIMESPECS = ["auto", "seconds", "milliseconds", "microseconds"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(NAIVE_TIMES, st.sampled_from(["T", " "]), st.sampled_from(TIMESPECS))
+@example(datetime(1, 1, 1), "T", "auto")
+@example(datetime(1969, 12, 31, 23, 59, 59, 999999), "T", "auto")
+@example(datetime(9999, 12, 31, 23, 59, 59, 999999), " ", "microseconds")
+def test_a_naive_stamp_reads_as_its_utc_time_bit_for_bit(time, sep, timespec):
+    text = time.isoformat(sep, timespec)
+    want = datetime.fromisoformat(text).replace(tzinfo=timezone.utc).timestamp()
+    assert parse_timestamp(text).hex() == want.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    OFFSET_TIMES,
+    st.timedeltas(-timedelta(hours=23, minutes=59), timedelta(hours=23, minutes=59)),
+    st.sampled_from(TIMESPECS),
+)
+@example(datetime(1970, 1, 1, 0, 1), timedelta(0), "auto")
+def test_an_aware_stamp_reads_as_its_time(time, offset, timespec):
+    aware = time.replace(tzinfo=timezone(offset))
+    text = aware.isoformat("T", timespec)
+    assert parse_timestamp(text).hex() == datetime.fromisoformat(text).timestamp().hex()
+    if not offset:
+        zulu = text.removesuffix("+00:00") + "Z"
+        assert parse_timestamp(zulu).hex() == datetime.fromisoformat(text).timestamp().hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # strftime writes years before 1000 with fewer than the 4 digits strptime reads.
+    st.datetimes(datetime(1000, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)),
+    st.timedeltas(-timedelta(hours=23), timedelta(hours=23)),
+)
+def test_a_formatted_stamp_reads_as_its_utc_or_its_own_time(time, offset):
+    for fmt in ("%d/%m/%Y %H:%M:%S", "%Y-%m-%d %H:%M:%S.%f"):
+        text = time.strftime(fmt)
+        want = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc).timestamp()
+        assert parse_timestamp(text, fmt).hex() == want.hex()
+    if time <= datetime(9998, 1, 1):
+        fmt = "%Y-%m-%dT%H:%M:%S%z"
+        text = time.replace(tzinfo=timezone(offset)).strftime(fmt)
+        assert parse_timestamp(text, fmt).hex() == datetime.strptime(text, fmt).timestamp().hex()
 
 
 def test_split_timestamp_custom_format_with_space():
@@ -414,6 +466,10 @@ SEPARATORS = ["", " ", "  ", "\t", "\x0b", "\x1c", "\x1f", "\u3000"]
 # so a line shorter than its stamp could still parse as one; and the empty
 # format parses the empty stamp of a blank line.
 FORMATS = [None, "%d/%m/%Y %H:%M:%S", "%d/%m/%Y  %H:%M:%S", ""]
+# Whitespace inside a stamp and before a line: one space lets the stamp be
+# cut from its line, any other run of whitespace makes it be split out.
+STAMP_SEPARATORS = [" ", " ", "  ", "\t", "\x1c", "\u3000"]
+LEADS = ["", "", " ", "\t"]
 
 
 @st.composite
@@ -436,13 +492,16 @@ def log_case(draw):
     # and lines that generalize a template some earlier line already fits.
     pool = draw(st.lists(messages(), min_size=1, max_size=6))
     normal = draw(st.lists(st.sampled_from(pool), max_size=25))
-    stamps = [stamp(s, fmt) for s in draw(st.lists(st.integers(0, 299), min_size=1,
-                                                    max_size=5))]
+    stamps = [
+        stamp(s, fmt).replace(" ", draw(st.sampled_from(STAMP_SEPARATORS)))
+        for s in draw(st.lists(st.integers(0, 299), min_size=1, max_size=5))
+    ]
     stamps += ["not-a-time", "1970-13-01T00:00:00", "99/99/1970 00:00:00"]
     online = [
-        {"line": f"{raw} {message}", "blank": blank, "bare-stamp": raw}[kind]
-        for kind, raw, message, blank in draw(st.lists(st.tuples(
+        {"line": f"{lead}{raw} {message}", "blank": blank, "bare-stamp": raw}[kind]
+        for kind, lead, raw, message, blank in draw(st.lists(st.tuples(
             st.sampled_from(["line", "line", "line", "blank", "bare-stamp"]),
+            st.sampled_from(LEADS),
             st.sampled_from(stamps),
             st.one_of(st.sampled_from(pool), messages()),
             st.sampled_from(["", "   ", "\t"]),
@@ -486,20 +545,31 @@ def _collect_log_lines(logs_dir: Path, stem: str) -> list[str]:
 
 
 # Pieces of a log file: line ends of all three kinds, so blank lines and
-# \r\n pairs assemble from them, and characters that end a line for
-# str.splitlines but not for a log file.
-LOG_PIECES = ["a", "b 7", " ", "é", "\x1c", "\x85", "\u2028", "\n", "\r\n", "\r"]
+# \r\n pairs assemble from them, characters of two and three UTF-8 bytes,
+# and characters that end a line for str.splitlines but not for a log file.
+LOG_PIECES = ["a", "b 7", " ", "é", "€", "\x1c", "\x85", "\u2028", "\n", "\r\n", "\r"]
 BOM = b"\xef\xbb\xbf"
-# Bytes the line stream decodes per block; a \r\n may straddle the first.
-_DECODE_BLOCK = 8192
+# A block size for the line stream so small that line ends, characters
+# and the byte-order mark straddle block ends.
+_SMALL_BLOCK = 5
+
+
+def straddling(block: int, head: bytes = b"") -> bytes:
+    r"""A log file starting with head in which a \r\n, a lone \r, a 2-byte
+    and a 3-byte UTF-8 character each straddle an end of a block of block
+    bytes: the first `before` bytes of each lie in one block, the rest in
+    the next (for the lone \r, the byte that follows it)."""
+    data = head
+    for piece, before in (("\r\n", 1), ("\r", 1), ("é", 1), ("€", 2)):
+        data += b"x" * ((-len(data) - before) % block)
+        data += piece.encode("utf-8") + b"y"
+    return data
 
 
 @st.composite
 def log_file_bytes(draw):
     text = "".join(draw(st.lists(st.sampled_from(LOG_PIECES), max_size=20)))
     head = BOM if draw(st.booleans()) else b""
-    if draw(st.booleans()):
-        text = "x" * (_DECODE_BLOCK - 1 - len(head)) + "\r\n" + text
     return head + text.encode("utf-8")
 
 
@@ -511,10 +581,25 @@ def log_file_bytes(draw):
 )
 @example(
     layout="file",
-    normal=[BOM + b"x" * (_DECODE_BLOCK - 4) + b"\r\n\r\n\na\x1cb\r\xc2\x85c\xe2\x80\xa8d"],
+    normal=[BOM + b"x" * (_SMALL_BLOCK - 4) + b"\r\n\r\n\na\x1cb\r\xc2\x85c\xe2\x80\xa8d"],
     online=b"\r",
 )
+@example(
+    layout="file", normal=[straddling(_SMALL_BLOCK)], online=straddling(_SMALL_BLOCK, BOM)
+)
 def test_log_line_stream_matches_the_list_reader(layout, normal, online):
+    # At the default block size and at one that cuts line ends and
+    # characters; set here, as in the test below, not by a fixture.
+    default = cli._LOG_BLOCK
+    try:
+        for block in (default, _SMALL_BLOCK):
+            cli._LOG_BLOCK = block
+            _check_log_line_stream(layout, normal, online)
+    finally:
+        cli._LOG_BLOCK = default
+
+
+def _check_log_line_stream(layout, normal, online):
     with tempfile.TemporaryDirectory() as tmp:
         logs = Path(tmp)
         if layout == "file":
@@ -545,6 +630,31 @@ def test_log_line_stream_matches_the_list_reader(layout, normal, online):
      ["1970-01-01T00:00:01 a 7\nb c", "1970-01-01T00:00:02\nx y", "\n",
       "1970-01-01T00:00:03 a 7 b c"],
      ["1970-01-01T00:00:01"], 60.0, 0.5)
+)
+@example(
+    # One chunk whose two-token stamps are one space apart in some lines, so
+    # cut from them, and apart by a tab, two spaces, \x1c or U+3000 in others,
+    # so split out; a stamp-only line and a whitespace-only line.
+    ("%d/%m/%Y %H:%M:%S", ["a b", "alpha"],
+     ["01/01/1970 00:00:05 a b", "01/01/1970\t00:00:06 a b", "01/01/1970  00:01:07 alpha",
+      "01/01/1970\x1c00:00:08 x1", "01/01/1970\u300000:00:09 beta", "01/01/1970 00:00:10",
+      " \t ", "\t01/01/1970 00:02:11 gamma 7", "01/01/1970\t00:00:06 a b"],
+     ["01/01/1970 00:00:05", "01/01/1970 00:02:11"], 60.0, 0.5)
+)
+@example(
+    # One-token stamps: a stamp-only line, a whitespace-only line, and a
+    # stamp after leading whitespace.
+    (None, ["a b"],
+     ["1970-01-01T00:00:01", "   ", "1970-01-01T00:00:02 a b", " 1970-01-01T00:01:03 a c",
+      "\t1970-01-01T00:00:04\ta  b", "1970-01-01T00:00:01"],
+     ["1970-01-01T00:00:01"], 60.0, 0.5)
+)
+@example(
+    # Three-token stamps ("%d/%m/%Y  %H:%M:%S" has two spaces), cut and split.
+    ("%d/%m/%Y  %H:%M:%S", ["a b"],
+     ["01/01/1970 00:00:05 a b", "01/01/1970  00:00:05 a b", "01/01/1970 00:00:05",
+      "01/01/1970\t00:00:05 x", "01/01/1970 00:00:05 a\tb"],
+     [], 60.0, 0.5)
 )
 def test_memoized_log_path_matches_per_line_oracle(case):
     # Once at the default chunk size and once with chunk boundaries inside

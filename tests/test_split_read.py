@@ -41,9 +41,9 @@ def read_with(cpus: set, read, *args) -> tuple:
         return outcome(read, *args), len(forks)
 
 
-def read_file(path: Path, numeric) -> dict:
+def read_file(path: Path, numeric, skip=()) -> dict:
     with open(path, "rb") as fh:
-        return csvgrid.read_grid(fh, numeric)
+        return csvgrid.read_grid(fh, numeric, skip=skip)
 
 
 def read_buffer(data: bytes, numeric) -> dict:
@@ -130,6 +130,18 @@ def test_the_split_read_is_the_one_process_read(grid):
         cells_one, _ = read_with({0}, read_csv_columns, path, numeric)
         cells_two, _ = read_with({0, 1}, read_csv_columns, path, numeric)
         assert_same_outcome(cells_two, cells_one)
+        # The text columns skipped: both parts leave them out alike.  A grid
+        # of skipped columns only is left to the cell reader.
+        names = set(data.partition(b"\n")[0].decode().split(","))
+        skip = names - numeric_names
+        one_skipping, _ = read_with({0}, read_file, path, numeric, skip)
+        if one[0] == "table" and one[1] is not None and skip != names:
+            assert_same_outcome(
+                one_skipping, ("table", {k: v for k, v in one[1].items() if k not in skip})
+            )
+        two, forks = read_with({0, 1}, read_file, path, numeric, skip)
+        assert forks == (n > 4 and skip != names)
+        assert_same_outcome(two, one_skipping)
     no_child_left()
 
 
