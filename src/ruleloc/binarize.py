@@ -88,6 +88,9 @@ MAX_BINS = _CODE_SPACE
 # feature_matrix gathers at most this many float values (2 MB) at once: a
 # 20-row window against 1,980 thresholds takes one gather of 39,600.
 _GATHERED_CELLS = 1 << 18
+# _column_codes searches at most this many values at once, so its buffers
+# (25 bytes a value) stay at 1.6 MB whatever the row count.
+_SEARCHED_ROWS = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -664,6 +667,29 @@ def _label_bits(labels: Sequence[int], n: int) -> int:
     return bitset_of_flags(labels)
 
 
+def _left_codes(steps: np.ndarray, vals: np.ndarray, code: np.ndarray, probe, got, below) -> None:
+    """Set code to searchsorted(steps, vals, "left") for the finite values.
+
+    A branch-free binary search of all values at once (Khuong & Morin,
+    "Array Layouts for Comparison-Based Searching", 2017).  steps are
+    sorted and padded with +inf to 2**k - 1 values.  Each halving step h
+    gathers one step per value, steps[code + h - 1], and adds h to the
+    code of each value that step is below.  So steps[:code] stay below
+    each value, and steps[code + 2h - 1] (+inf past the end) does not.
+    probe, got and below are intp, float64 and bool buffers of len(vals).
+    """
+    code.fill(0)
+    half = (len(steps) + 1) >> 1
+    while half:
+        # The gathered index never passes len(steps) - 1, so clipping
+        # never moves it; it spares take the copy of `got` "raise" makes.
+        np.take(steps[half - 1 :], code, out=got, mode="clip")
+        np.less(got, vals, out=below)
+        np.multiply(below, half, out=probe)
+        code += probe
+        half >>= 1
+
+
 def _column_codes(
     model: BinarizationModel, parsed: Mapping[str, np.ndarray], n: int
 ) -> tuple[ColumnCodes, set[str]]:
@@ -674,8 +700,10 @@ def _column_codes(
     A finite value x gets code k = searchsorted(steps, x, "left"), so
     x <= steps[k'] iff k <= k'; a missing or infinite value gets code
     len(steps) + 1, which no feature covers.  The features (<= t_k, > t_k)
-    then cover codes 0..k and k+1..len(steps).  Columns that would push
-    the codes past uint16 stay on packed words.
+    then cover codes 0..k and k+1..len(steps).  The codes come from one
+    branch-free search of _SEARCHED_ROWS values at a time (_left_codes),
+    through buffers shared by every column.  Columns that would push the
+    codes past uint16 stay on packed words.
     """
     chosen, size = [], 0
     for column, start in zip(model.columns, model._starts):
@@ -686,12 +714,19 @@ def _column_codes(
     if not chosen:
         return ColumnCodes.empty(n), set()
     bins = np.empty((n, len(chosen)), dtype=np.uint16)
+    block = max(1, min(n, _SEARCHED_ROWS))
+    buffers = [np.empty(block, dtype) for dtype in (np.intp, np.intp, float, bool)]
     features, columns, lo, stop = [], [], [], []
     for c, (column, start, offset) in enumerate(chosen):
         m = len(column.thresholds)
+        steps = np.full((1 << m.bit_length()) - 1, np.inf)  # fewest 2**k - 1 >= m
+        steps[:m] = column.thresholds
         vals = parsed[column.name]
-        code = np.searchsorted(np.array(column.thresholds, dtype=float), vals, "left")
-        bins[:, c] = np.where(np.isfinite(vals), code, m + 1) + offset
+        for row in range(0, n, block):
+            part = vals[row : row + block]
+            code, *scratch = (buffer[: len(part)] for buffer in buffers)
+            _left_codes(steps, part, code, *scratch)
+            bins[row : row + block, c] = np.where(np.isfinite(part), code, m + 1) + offset
         past = np.arange(1, m + 1)  # per threshold, the first code above it
         features.append(np.arange(start, start + 2 * m))
         columns.append(np.full(2 * m, c))

@@ -5,7 +5,7 @@ on more CPUs than it has live children, and runs no other Python thread.
 So on two CPUs up to two children run at once: train's log child ends
 about halfway through the grid read beside it, and the CPU it frees then
 goes to the grid child instead of sitting idle.  On one CPU nothing is
-forked.
+forked, and where a pipe or a fork fails the caller does the work.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 # Children forked by forked() and not yet reaped.  Module state, as the
 # CPUs they hold are the whole process's.
@@ -31,6 +31,26 @@ def cpu_free() -> bool:
     return cpus > 1 and _live < cpus and threading.active_count() == 1
 
 
+def _fork() -> Optional[tuple[int, int, int]]:
+    """(os.fork(), read end, write end of a pipe opened before it), or None
+    where the pipe or the fork raised OSError (no process id or file
+    descriptor left to take), with no descriptor left open."""
+    try:
+        ends = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of any OS thread, such as a BLAS pool numpy
+            # started; cpu_free rules out Python threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return os.fork(), *ends
+    except OSError:
+        for end in ends:
+            os.close(end)
+        return None
+
+
 @contextmanager
 def forked(function: Callable, *args) -> Iterator[Callable]:
     """Yield a callable that returns function(*args) or raises what it raised.
@@ -39,20 +59,16 @@ def forked(function: Callable, *args) -> Iterator[Callable]:
     caller goes on, and the callable unpickles the outcome the child
     sends through a pipe as it arrives.  An outcome that does not come
     back (the child died, or the outcome does not pickle and unpickle)
-    leaves the call to the callable.  Otherwise the callable calls
-    function itself.  On exit, a child still running is killed, and the
-    child is always reaped.
+    leaves the call to the callable.  Otherwise, and where the pipe or
+    the fork fails, the callable calls function itself.  On exit, a
+    child still running is killed, and the child is always reaped.
     """
     global _live
-    if not cpu_free():
+    child = _fork() if cpu_free() else None
+    if child is None:
         yield partial(function, *args)
         return
-    read_end, write_end = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns of any OS thread, such as a BLAS pool numpy
-        # started; cpu_free rules out Python threads.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    pid, read_end, write_end = child
     if pid == 0:
         try:
             os.close(read_end)

@@ -677,6 +677,96 @@ def test_transform_holds_no_float64_copy_of_a_uint8_table():
     assert peak < n * d * 8 // 4
 
 
+# -- bin codes, against np.searchsorted ----------------------------------------
+
+# Ladder lengths: the shortest that transform codes, either side of each
+# power of two the padded search steps through, and the longest a column
+# can code (its m + 2 codes fill the code space).
+LADDER_LENGTHS = sorted(
+    {binarize._CODED_MIN_THRESHOLDS, MAX_BINS - 2}
+    | {(1 << k) + e for k in range(10) for e in (-1, 0, 1)} - {0}
+)
+
+
+def searched_values(thresholds: np.ndarray, rng) -> np.ndarray:
+    """Each threshold and its two float neighbours, signed zeros, the
+    smallest subnormals, ±inf and nan, and values spread past both ends."""
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan]
+    spread = rng.uniform(2 * thresholds[0] - thresholds[-1], 2 * thresholds[-1] - thresholds[0], 64)
+    vals = np.concatenate(
+        [thresholds, np.nextafter(thresholds, np.inf), np.nextafter(thresholds, -np.inf),
+         edges, spread]
+    )
+    rng.shuffle(vals)
+    return vals
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m=st.sampled_from(LADDER_LENGTHS),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-310, 1e-3, 1.0, 1e300]),
+    byte_column=st.booleans(),
+    searched_rows=st.sampled_from([7, 64, binarize._SEARCHED_ROWS]),
+)
+def test_column_codes_are_searchsorted_left(m, seed, scale, byte_column, searched_rows):
+    """_column_codes gives each finite value searchsorted(thresholds, x,
+    "left") and each nan or ±inf m + 1, for float64 ladders centred on 0.0
+    (subnormal to huge) and for uint8 columns cut at whole and half values,
+    searched in blocks of any size.  Ladders shorter than
+    _CODED_MIN_THRESHOLDS are coded too, so that every padding is searched."""
+    rng = np.random.default_rng(seed)
+    if byte_column:
+        m = min(m, 510)
+        thresholds = np.sort(rng.choice(np.arange(0, 255, 0.5), m, replace=False))
+        vals = np.concatenate([np.arange(256), rng.integers(0, 256, 300)]).astype(np.uint8)
+    else:
+        steps = np.cumsum(rng.exponential(size=m) + 0.01)
+        thresholds = (steps - steps[m // 2]) * scale  # thresholds[m // 2] is 0.0
+        assert len(np.unique(thresholds)) == m
+        vals = searched_values(thresholds, rng)
+    model = BinarizationModel((ColumnModel("x", NUMERIC, tuple(thresholds.tolist())),))
+    n = len(vals)
+    if n > 1000:  # small blocks over the longest ladder's ~200k values take seconds
+        searched_rows = binarize._SEARCHED_ROWS
+    with mock.patch.object(binarize, "_SEARCHED_ROWS", searched_rows), \
+            mock.patch.object(binarize, "_CODED_MIN_THRESHOLDS", 1):
+        codes, coded = binarize._column_codes(model, {"x": vals}, n)
+    assert coded == {"x"} and codes.size == m + 2
+    want = np.where(np.isfinite(vals), np.searchsorted(thresholds, vals, "left"), m + 1)
+    assert codes.bins.dtype == np.uint16
+    assert np.array_equal(codes.bins[:, 0], want)
+
+
+def test_transform_counts_equal_those_of_searchsorted_codes():
+    """BinaryDataset.counts over random masks, and the codes themselves, are
+    those of a store whose codes come from np.searchsorted, on N(0,1)
+    columns holding nan and ±inf and on a uint8 column."""
+    rng = np.random.default_rng(41)
+    n = 3000
+    table = {f"x{j}": rng.standard_normal(n) for j in range(4)}
+    table["x0"][rng.choice(n, 40, replace=False)] = np.nan
+    table["x1"][rng.choice(n, 20, replace=False)] = np.inf
+    table["x2"][rng.choice(n, 20, replace=False)] = -np.inf
+    table["b"] = rng.integers(0, 256, n).astype(np.uint8)
+    model = fit(table, [FeatureSpec(name) for name in table])
+
+    def searchsorted_codes(steps, vals, code, *buffers):
+        code[:] = np.searchsorted(steps, vals, "left")
+
+    got = transform(model, table)
+    with mock.patch.object(binarize, "_left_codes", searchsorted_codes):
+        want = transform(model, table)
+    assert len(got.coverage.codes.features) == 2 * sum(len(c.thresholds) for c in model.columns)
+    assert got.coverage.codes.bins.tobytes() == want.coverage.codes.bins.tobytes()
+    full = got.full_mask
+    masks = [0, full] + [int(rng.integers(0, 1 << 62)) << int(rng.integers(0, n - 62))
+                         for _ in range(10)]
+    masks += [bits_of(rng.random(n) < p) for p in (0.01, 0.3, 0.7, 0.99)]
+    for mask in masks:
+        assert got.counts(mask).tolist() == want.counts(mask).tolist()
+
+
 # -- the per-entry loader that the column-slice catalog check replaced ---------
 # Kept verbatim as it stood (with its column parser, and the catalog order of
 # the ColumnModel.predicates it walked), so that BinarizationModel.from_json_obj

@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -1530,6 +1532,56 @@ def test_the_table_is_split_across_two_processes_only_while_a_cpu_is_free(
         _no_child_left()
         models[with_logs].add(model.read_bytes())
     assert len(models[False]) == len(models[True]) == 1
+
+
+def _open_descriptors() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["log-pass", "grid-read", "selection"])
+def test_a_fork_or_pipe_that_fails_leaves_its_work_to_train(
+    tmp_path, scenario, monkeypatch, capsys, call, failing
+):
+    """Where os.fork or os.pipe raises OSError for one of train's three
+    forks (the log pass, the second half of a split grid read, the
+    selection child), that work runs in this process: train exits 0 with
+    the model bytes, stdout (but for the time taken) and stderr of the
+    one-process run, reaps every child and leaves no descriptor open.  No
+    process id is used up: the patched call raises before it forks."""
+    data = tmp_path / "train.csv"
+    write_csv_columns(data, scenario.train_table)
+    logs = _logs_dir(tmp_path, scenario.train_table["timestamp"][:5])
+    monkeypatch.setattr(csvgrid, "_CHUNK_ROWS", len(scenario.train_table["fault_type"]) // 2)
+
+    def train(name: str) -> tuple:
+        model = tmp_path / name
+        argv = ["train", "--data", str(data), "--logs", str(logs), "--model", str(model),
+                "-K", "2", "-l", "2"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, model.read_bytes(), re.sub(r"in [0-9.]+ s$", "in _ s", out, flags=re.M), err
+
+    _usable_cpus(monkeypatch, {0})  # forking.cpu_free() is False: nothing forks
+    want = train("inline.json")
+    _usable_cpus(monkeypatch, {0, 1})
+    calls, real = [], getattr(os, call)
+
+    def fails_once():
+        calls.append(1)
+        if len(calls) == failing + 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, call, fails_once)
+    before = _open_descriptors()
+    got = train("failed.json")
+    assert _open_descriptors() == before
+    _no_child_left()
+    assert len(calls) == 3
+    assert got == want
+    assert want[0] == 0 and want[3] == ""
 
 
 def _model_without_data_hash(path: Path) -> dict:
