@@ -10,18 +10,16 @@ The fitted columns are the model: the feature catalog is derived from
 them in fit's order, (<= t, > t) per numeric threshold and (== c) per
 category.  The model JSON writes that catalog out for readers, each
 entry in BinaryFeature.to_json_obj's form, and loading rejects a file
-whose stored catalog differs from it.  One renderer, ColumnModel.texts,
-gives a column's exact text in the model file, both its item in
-"columns" and its catalog entries, from text templates joined with the
-texts of its thresholds.  The writer makes those texts once per column,
-as json.dumps writes each threshold.  Loading a file as the writer wrote
-it renders no number: it takes the texts from the file's own "columns"
-(text_after_columns), checks that the columns rendered with them are the
-file's, and compares the catalog rendered with them with the file's:
-where they are equal, no catalog entry is parsed.  Any other stored
-catalog, such as one of a re-indented file, is parsed, and from_json_obj
-walks it entry by entry, which names its first difference from the
-derived one.
+whose stored catalog differs from it.  json.dumps writes the columns;
+one renderer, BinarizationModel.text_after_columns, writes the catalog
+that follows them as text, each threshold as the columns spell it, which
+json's own scanner reads back from the columns' text.  The writer reads
+the texts json.dumps wrote, and loading a file as the writer wrote it
+reads the file's own, so no number is rendered: where the file's text
+after its columns is the renderer's, no catalog entry is parsed.  Any
+other stored catalog, such as one of a re-indented file, is parsed, and
+from_json_obj walks it entry by entry, which names its first difference
+from the derived one.
 
 Conventions (fixed, documented): x == t satisfies (x <= t); a missing
 value satisfies no predicate of its column; thresholds equal to or above
@@ -104,12 +102,13 @@ class ShapeError(SchemaError):
 # The JSON types a model's values must have, by the name messages give them.
 # Booleans are JSON's own type: no number, fraction or count.
 OBJECT, LIST, STRING = "an object", "a list", "a string"
-NUMBER, FRACTION, COUNT = "a number", "a number in [0, 1]", "a non-negative integer"
+NUMBER, FRACTION, COUNT = "a finite number", "a number in [0, 1]", "a non-negative integer"
 _JSON_KINDS = {
     OBJECT: lambda v: isinstance(v, dict),
     LIST: lambda v: isinstance(v, list),
     STRING: lambda v: isinstance(v, str),
-    NUMBER: lambda v: type(v) in (int, float),
+    # An int is finite however large, where math.isfinite would overflow.
+    NUMBER: lambda v: type(v) is int or type(v) is float and math.isfinite(v),
     FRACTION: lambda v: type(v) in (int, float) and 0 <= v <= 1,
     COUNT: lambda v: type(v) is int and v >= 0,
 }
@@ -121,6 +120,11 @@ def _shown(value) -> str:
         return OBJECT if isinstance(value, dict) else LIST
     text = json.dumps(value)
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+def is_schema_version(value) -> bool:
+    """Whether value is SCHEMA_VERSION as a JSON integer: true and 1.0 are not."""
+    return type(value) is int and value == SCHEMA_VERSION
 
 
 def checked(value, kind: str, path: str):
@@ -179,16 +183,8 @@ class BinaryFeature:
 
 # How json.dumps(..., sort_keys=True, indent=2) lays out the binarization of
 # a model file: its members on lines indented by four spaces, each item of
-# its lists (columns, feature_catalog) by six, an item's keys by eight and
-# the items of a key's list (thresholds, categories) by ten.
-_MEMBER, _ITEM, _KEY, _VALUE = ("\n" + " " * n for n in (4, 6, 8, 10))
-_THRESHOLDS = '"thresholds": ['
-
-
-def _list_text(items: Sequence[str], inner: str, outer: str) -> str:
-    """The JSON list of the item texts, each on a line starting inner, its
-    "]" on one starting outer, as json.dumps(..., indent=2) writes it."""
-    return f"[{inner}{f',{inner}'.join(items)}{outer}]" if items else "[]"
+# its lists (columns, feature_catalog) by six and an item's keys by eight.
+_MEMBER, _ITEM, _KEY = ("\n" + " " * n for n in (4, 6, 8))
 
 
 @dataclass(frozen=True)
@@ -216,31 +212,24 @@ class ColumnModel:
             return zip(repeat(self.name), cycle(("<=", ">")), doubled)
         return zip(repeat(self.name), repeat("=="), self.categories)
 
-    def texts(self, numbers: Sequence[str]) -> tuple[str, str]:
-        """(entry, catalog): the column's item in a model file's columns, and
-        its features' items in the feature catalog joined ("" if it gives
-        none), as json.dumps(..., sort_keys=True, indent=2) writes them there,
-        numbers[k] being the text of thresholds[k].
+    def catalog_text(self, numbers: Sequence[str]) -> str:
+        """The column's features' items in a model file's feature catalog,
+        joined ("" if it gives none), as json.dumps(..., sort_keys=True,
+        indent=2) writes them there, numbers[k] being the text of
+        thresholds[k].
 
-        A numeric column's catalog is one join of two entry templates, the
+        A numeric column's text is one join of two entry templates, the
         text before a (<= t) and before a (> t) entry's threshold,
         interleaved with each threshold's text twice.
         """
         name = json.dumps(self.name)
         if self.kind == CATEGORICAL:
-            cats = list(map(json.dumps, self.categories))
-            entry = (
-                f'{{{_KEY}"categories": {_list_text(cats, _VALUE, _KEY)},'
-                f'{_KEY}"kind": "categorical",{_KEY}"name": {name}{_ITEM}}}'
-            )
             tail = f',{_KEY}"column": {name},{_KEY}"op": "=="{_ITEM}}}'
-            return entry, f",{_ITEM}".join(f'{{{_KEY}"category": {c}{tail}' for c in cats)
-        entry = (
-            f'{{{_KEY}"kind": "numeric",{_KEY}"name": {name},'
-            f'{_KEY}"thresholds": {_list_text(numbers, _VALUE, _KEY)}{_ITEM}}}'
-        )
+            return f",{_ITEM}".join(
+                f'{{{_KEY}"category": {json.dumps(c)}{tail}' for c in self.categories
+            )
         if not numbers:
-            return entry, ""
+            return ""
         head = f'{{{_KEY}"column": {name},{_KEY}"op": '
         first = f'{head}"<=",{_KEY}"threshold": '
         after = f"{_ITEM}}},{_ITEM}"  # ends one entry, starts the next
@@ -248,14 +237,7 @@ class ColumnModel:
         pieces = list(chain.from_iterable(zip(repeat(at_most), numbers, repeat(above), numbers)))
         pieces[0] = first
         pieces.append(f"{_ITEM}}}")
-        return entry, "".join(pieces)
-
-
-def _number_texts(values: Sequence) -> list[str]:
-    """Each number as json.dumps writes it: repr for a float."""
-    if set(map(type, values)) <= {float}:
-        return list(map(float.__repr__, values))
-    return list(map(json.dumps, values))
+        return "".join(pieces)
 
 
 def _column_from_json(obj, path: str) -> ColumnModel:
@@ -377,72 +359,33 @@ class BinarizationModel:
             "feature_catalog": [f.to_json_obj() for f in self.catalog],
         }
 
-    def text_parts(self, numbers: Sequence[Sequence[str]]) -> tuple[str, list[str]]:
-        """(columns, rest): to_json_text() is the binarization's "{", its
-        "columns" key, columns, then the pieces of rest, numbers[i] being the
-        texts of columns[i]'s thresholds.  Each column is rendered once, by
-        ColumnModel.texts, for both its item in columns and its catalog
-        entries, which rest holds a column at a time: no copy of the whole
-        catalog is made."""
-        entries, catalog = [], [f"[{_ITEM}"]
-        for column, texts in zip(self.columns, numbers):
-            entry, features = column.texts(texts)
-            entries.append(entry)
+    def text_after_columns(self, written: Sequence[Mapping]) -> list[str]:
+        """The pieces of what follows the "columns" member of a model file's
+        binarization as json.dumps(..., sort_keys=True, indent=2) writes it:
+        the feature catalog, a column at a time, then the schema version and
+        the binarization's closing "}".  written[i] is columns[i] as the
+        file's "columns" hold it, each number as its text, so the catalog
+        carries the thresholds' texts as the columns spell them: no number
+        is rendered, and no copy of the whole catalog is made."""
+        catalog = [f"[{_ITEM}"]
+        for column, obj in zip(self.columns, written):
+            features = column.catalog_text(obj.get("thresholds", ()))
             if features:
                 catalog += (features, f",{_ITEM}")
         # The comma after the last column's entries ends the list instead.
         catalog[-1] = f"{_MEMBER}]" if len(catalog) > 1 else "[]"
-        rest = [
+        return [
             f',{_MEMBER}"feature_catalog": ',
             *catalog,
             f',{_MEMBER}"schema_version": {json.dumps(SCHEMA_VERSION)}\n  }}',
         ]
-        return _list_text(entries, _ITEM, _MEMBER), rest
-
-    def to_json_text(self) -> str:
-        """to_json_obj() as json.dumps(..., sort_keys=True, indent=2) writes it
-        as the value of a model file's "binarization", on a line indented by
-        two spaces, rendered as text with each threshold's text made once."""
-        numbers = [_number_texts(c.thresholds) if c.thresholds else () for c in self.columns]
-        columns, rest = self.text_parts(numbers)
-        return "".join([f'{{{_MEMBER}"columns": ', columns, *rest])
-
-    def text_after_columns(self, columns_text: str) -> Optional[list[str]]:
-        """The pieces of what follows columns_text in to_json_text(), if
-        columns_text is the columns' text there, with its thresholds written
-        in any number texts; None otherwise.  No number is rendered: the
-        texts are the ones in columns_text.
-
-        A numeric column's texts are the items of the list after the next
-        '"thresholds": [', split at the separators, up to the first "]".
-        They are used only where each column gives as many as it has
-        thresholds and the columns rendered with them are columns_text.
-        Then the list holds no "]" before its own, and its items are the
-        column's thresholds, all numbers, so its only commas are the
-        separators: each text is one number token, with white space around
-        it, whose value is its threshold.  Text rendered with them parses to
-        the thresholds' values.
-        """
-        numbers, at = [], 0
-        for column in self.columns:
-            texts: Sequence[str] = ()
-            if column.kind == NUMERIC:
-                at = columns_text.find(_THRESHOLDS, at) + len(_THRESHOLDS)
-                end = columns_text.find("]", at)
-                if end > at:
-                    texts = columns_text[at + len(_VALUE) : end - len(_KEY)].split(f",{_VALUE}")
-                if len(texts) != len(column.thresholds):
-                    return None
-            numbers.append(texts)
-        columns, rest = self.text_parts(numbers)
-        return rest if columns == columns_text else None
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BinarizationModel":
         """The model of obj["columns"], whose stored feature_catalog must equal the
         derived one; a SchemaError names the first position where they differ,
         and a ShapeError the key path of a value of the wrong JSON type."""
-        if obj.get("schema_version") != SCHEMA_VERSION:
+        if not is_schema_version(obj.get("schema_version")):
             raise SchemaError(
                 f"unsupported binarization schema version {obj.get('schema_version')!r}"
             )

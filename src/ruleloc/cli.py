@@ -38,6 +38,7 @@ from ruleloc.binarize import (
     check_bins,
     feature_matrix,
     fit,
+    is_schema_version,
     numeric_column,
     relabel,
     transform,
@@ -234,7 +235,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise CliError("invalid-data", f"{path}: bad JSON config: {exc}")
     if not isinstance(cfg, dict):
         raise CliError("invalid-data", f"{path}: config must be a JSON object")
-    if cfg.get("schema_version") not in (None, SCHEMA_VERSION):
+    if not is_schema_version(cfg.get("schema_version", SCHEMA_VERSION)):
         raise CliError("schema-error", f"{path}: unsupported config schema version")
     return cfg
 
@@ -638,6 +639,8 @@ def _manifest_entries(path: str, manifest) -> list[dict]:
 
     if not isinstance(manifest, dict):
         raise invalid("manifest must be a JSON object")
+    if not is_schema_version(manifest.get("schema_version", SCHEMA_VERSION)):
+        raise CliError("schema-error", f"{path}: unsupported manifest schema version")
     entries = manifest.get("cases", [])
     if not isinstance(entries, list):
         raise invalid("'cases' must be a list")

@@ -44,6 +44,7 @@ from ruleloc.binarize import (
     checked,
     checked_field,
     describe_rule,
+    is_schema_version,
 )
 from ruleloc.core import Rule, RuleSet, RuleStats
 from ruleloc.select import SelectionConfig
@@ -52,14 +53,15 @@ from ruleloc.select import SelectionConfig
 _KNOB_KINDS = (("K", COUNT), ("l", COUNT), ("gamma", NUMBER))
 _STATS_KINDS = (("precision", FRACTION), ("recall", FRACTION), ("covered", COUNT))
 
-# Every model file that to_json writes starts with _HEAD, then its
-# binarization's "columns" key, and the columns start at _COLUMNS_AT.
-_HEAD = '{\n  "binarization": '
-_COLUMNS_HEAD = _HEAD + '{\n    "columns": '
+# Every model file that to_json writes starts with _COLUMNS_HEAD, and its
+# binarization's columns start at _COLUMNS_AT.
+_COLUMNS_HEAD = '{\n  "binarization": {\n    "columns": '
 _COLUMNS_AT = len(_COLUMNS_HEAD)
 # json.loads's own scanner: _scan(text, idx) is (the value at idx, the
 # index past it), and raises StopIteration where no value starts.
+# _scan_texts gives each number in the value as its text instead.
 _scan = json.JSONDecoder().scan_once
+_scan_texts = json.JSONDecoder(parse_float=str, parse_int=str, parse_constant=str).scan_once
 
 
 class UnknownFaultTypeError(ValueError):
@@ -223,11 +225,17 @@ class FaultModel:
 
     def to_json(self) -> str:
         """json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n", built
-        from two parts: the binarization's to_json_text, whose catalog is
-        rendered as text, then one json.dumps of the other parts, whose keys
-        all sort after "binarization"."""
+        from three parts: one json.dumps of the binarization's columns,
+        indented to their depth (no JSON string holds a raw line end), the
+        rest of the binarization from text_after_columns, with the
+        thresholds' texts scanned back from the columns' text, then one
+        json.dumps of the other parts, whose keys all sort after
+        "binarization"."""
+        columns = [c.to_json_obj() for c in self.binarization.columns]
+        text = json.dumps(columns, sort_keys=True, indent=2).replace("\n", "\n    ")
+        after = self.binarization.text_after_columns(_scan_texts(text, 0)[0])
         parts = json.dumps(self._parts_obj(), sort_keys=True, indent=2)
-        return _HEAD + self.binarization.to_json_text() + "," + parts[1:] + "\n"
+        return "".join([_COLUMNS_HEAD, text, *after, ",", parts[1:], "\n"])
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "FaultModel":
@@ -235,7 +243,7 @@ class FaultModel:
         fails as a ShapeError naming its key path, such as
         fault_types[0].rules[1].precision."""
         checked(obj, OBJECT, "the model")
-        if obj.get("schema_version") != SCHEMA_VERSION:
+        if not is_schema_version(obj.get("schema_version")):
             raise ValueError(
                 f"unsupported model schema version {obj.get('schema_version')!r}"
             )
@@ -298,8 +306,9 @@ class FaultModel:
     def from_json(cls, text: str) -> "FaultModel":
         """from_json_obj(json.loads(text)): the same model, or the same error.
 
-        Text that starts with the binarization as to_json writes it is read
-        by _written_model_obj in two parts: the binarization, as the checked
+        Text that starts with the binarization as to_json writes it, its
+        columns spelled in any way json.loads reads, is read by
+        _written_model_obj in two parts: the binarization, as the checked
         BinarizationModel with its catalog unparsed, which from_json_obj
         takes as it is, and the members after it, by one json.loads.  Any
         other text, such as a re-indented file, is read by json.loads.
@@ -312,27 +321,23 @@ def _written_model_obj(text: str) -> Optional[dict]:
     text holds the binarization as to_json writes it, then a comma and one
     or more members; None otherwise.
 
-    The columns are scanned once and checked once by _columns_model.  The
-    thresholds' texts come from the columns' own text, so no number is
-    rendered: text_after_columns checks that the columns rendered with
-    them are the file's and renders the rest of the binarization with
-    them, which the file's text after the columns must equal, piece by
-    piece, so no copy of the catalog is built.  Equal text parses to
-    equal values, so this is the check that BinarizationModel.from_json_obj
-    makes of a parsed catalog.
+    The columns may be spelled in any way json.loads reads.  They are
+    scanned once for their values, which _columns_model checks, and once
+    for their numbers' texts, so no number is rendered: the rest of the
+    binarization, rendered by text_after_columns with those texts, must
+    equal the file's text after the columns, piece by piece, so no copy of
+    the catalog is built.  Each text is one number token of the columns,
+    and equal text parses to equal values, so this is the check that
+    BinarizationModel.from_json_obj makes of a parsed catalog.
     """
     if not isinstance(text, str) or not text.startswith(_COLUMNS_HEAD):
         return None
     try:
-        columns, end = _scan(text, _COLUMNS_AT)
+        columns, at = _scan(text, _COLUMNS_AT)
         binarization = _columns_model({"columns": columns})
     except (ValueError, StopIteration, RecursionError):  # no columns from_json_obj takes
         return None
-    after = binarization.text_after_columns(text[_COLUMNS_AT:end])
-    if after is None:
-        return None
-    at = end
-    for piece in after:
+    for piece in binarization.text_after_columns(_scan_texts(text, _COLUMNS_AT)[0]):
         if not text.startswith(piece, at):
             return None
         at += len(piece)

@@ -28,6 +28,7 @@ from ruleloc.binarize import (
     transform,
 )
 from ruleloc.core import BinaryDataset, FeatureIndexError, Rule
+from ruleloc.localize import FaultModel
 
 from oracle import oracle_feature_matrix
 
@@ -920,7 +921,6 @@ def test_a_catalog_written_as_to_json_writes_it_loads_unparsed(monkeypatch):
     text that json.loads is given holds the catalog, and the per-entry walk
     does not run."""
     from ruleloc.core import RuleSet, RuleStats
-    from ruleloc.localize import FaultModel
 
     rules = RuleSet((Rule.of(0, 5),), (RuleStats(0.5, 0.5, 2),))
     model = FaultModel((("cpu", rules),), small_model())
@@ -950,7 +950,7 @@ def test_feature_is_the_catalog_entry(model, leading):
     catalog = model.to_json_obj()["feature_catalog"]
     assert [f.to_json_obj() for f in model.catalog] == catalog
     written = json.dumps(catalog, sort_keys=True, indent=2).replace("\n", "\n    ")
-    assert f'"feature_catalog": {written},' in model.to_json_text()
+    assert f'"feature_catalog": {written},' in FaultModel((), model).to_json()
     for j in (-1, model.n_features):
         with pytest.raises(FeatureIndexError):
             model.feature(j)

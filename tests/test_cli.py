@@ -709,6 +709,18 @@ def test_unsupported_config_schema_version_is_schema_error(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", "null"])
+def test_a_config_schema_version_is_the_json_integer_1(tmp_path, capsys, version):
+    """true and 1.0 equal 1 in Python, but only the JSON integer 1, or no
+    schema_version at all, is version 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"schema_version": {version}}}')
+    argv = ["train", "--data", str(_tiny_train_csv(tmp_path)), "--model", str(tmp_path / "m.json")]
+    assert main(argv + ["--config", str(cfg)]) == 4
+    assert capsys.readouterr().err == f"schema-error: {cfg}: unsupported config schema version\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "localize"])
 def test_a_0_byte_csv_is_invalid_data(trained, tmp_path, capsys, command):
     model = trained[2] if command == "localize" else tmp_path / "m.json"
@@ -1170,6 +1182,51 @@ def test_model_feature_outside_catalog_is_schema_error(
     )
 
 
+def _load_edited_model(model_path, tmp_path, old, new):
+    """(exit code, path) of export-fingerprints on the model file with the
+    text old, which it holds, replaced by new."""
+    text = model_path.read_text()
+    assert old in text
+    edited = tmp_path / "edited_model.json"
+    edited.write_text(text.replace(old, new))
+    return main(["export-fingerprints", "--model", str(edited)]), edited
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+@pytest.mark.parametrize("where", ["model", "binarization"])
+def test_a_model_schema_version_is_the_json_integer_1(trained, tmp_path, capsys, where, version):
+    """true and 1.0 equal 1 in Python, but are no model or binarization
+    schema version."""
+    _, _, model_path = trained
+    old = '\n  "schema_version": 1,' if where == "model" else '\n    "schema_version": 1\n'
+    code, edited = _load_edited_model(model_path, tmp_path, old, old.replace("1", version))
+    assert code == 4
+    shown = "True" if version == "true" else version
+    expected = f"schema-error: {edited}: unsupported {where} schema version {shown}\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_gamma_is_schema_error(trained, tmp_path, capsys, token):
+    """json.loads reads NaN and the infinities, which to_json could write
+    back only as non-strict JSON: a model's gamma is a finite number."""
+    _, _, model_path = trained
+    gamma = json.loads(model_path.read_text())["fault_types"][0]["gamma"]
+    old = f'"gamma": {json.dumps(gamma)},'
+    code, edited = _load_edited_model(model_path, tmp_path, old, f'"gamma": {token},')
+    assert code == 4
+    expected = f"schema-error: {edited}: fault_types[0].gamma: expected a finite number, got {token}\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_a_huge_integer_gamma_loads_and_writes_back(trained):
+    """An integer too large for a float is still a finite number."""
+    _, _, model_path = trained
+    text = re.sub(r'"gamma": [^,]+,', f'"gamma": {10**400},', model_path.read_text())
+    model = FaultModel.from_json(text)
+    assert model.gamma == 10**400 and model.to_json() == text
+
+
 def _run_on_model(command, obj, scenario, tmp_path):
     """main(command) on a model file holding obj, with a window or manifest as needed."""
     model = tmp_path / "edited_model.json"
@@ -1284,6 +1341,22 @@ def test_malformed_manifest_is_invalid_data(
     code = main(["eval", "--model", str(model_path), "--manifest", str(manifest)])
     assert code == 5
     assert capsys.readouterr().err == f"invalid-data: {manifest}: {message}\n"
+
+
+@pytest.mark.parametrize("version", ["true", "1.0", "null", "2"])
+def test_a_manifest_schema_version_is_the_json_integer_1(
+    trained, scenario, tmp_path, capsys, version
+):
+    """A manifest may leave schema_version out; any value but the JSON
+    integer 1 is a schema error naming the manifest."""
+    _, _, model_path = trained
+    manifest = tmp_path / "cases.json"
+    case = json.dumps(_window_case(scenario, tmp_path))
+    manifest.write_text(f'{{"schema_version": {version}, "cases": [{case}]}}')
+    code = main(["eval", "--model", str(model_path), "--manifest", str(manifest)])
+    assert code == 4
+    expected = f"schema-error: {manifest}: unsupported manifest schema version\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_header_only_window_names_its_file(trained, scenario, tmp_path, capsys):

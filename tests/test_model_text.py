@@ -3,6 +3,7 @@ from_json against from_json_obj of json.loads, on canonical files and on
 files edited, reformatted or cut by hand."""
 
 import json
+from decimal import Decimal
 from unittest import mock
 
 import pytest
@@ -187,6 +188,8 @@ def _variants(data, text):
         yield "both same value", _respelled(text, both, respelled)
         other = "0.5" if span[2] != 0.5 else "0.25"
         yield "columns other value", _respelled(text, [span], other)
+        exponent = format(Decimal(text[span[0] : span[1]]), "e")  # 0.25 as 2.5e-1
+        yield "both exponent form", _respelled(text, both, exponent)
     if spans:
         first, last, _ = data.draw(st.sampled_from(spans))
         yield "spaced token", text[:last] + " " + text[last:]
@@ -207,12 +210,13 @@ def test_from_json_gives_what_from_json_obj_of_json_loads_gives(model, data):
     for name, variant in _variants(data, text):
         loaded = outcome(FaultModel.from_json, variant)
         assert loaded == outcome(reference_load, variant), name
-        if name in ("indent 4", "compact", "unsorted", "crlf", "same value", "spaced token"):
+        if name in ("indent 4", "compact", "unsorted", "crlf", "same value"):
             assert loaded == ("model", text), name
-        elif name in ("columns same value", "both same value"):
+        elif name in ("columns same value", "both same value", "both exponent form", "spaced token"):
             assert loaded == ("model", text), name
             # Where the catalog spells the threshold as the columns do, the
-            # loader takes the columns' texts and parses no catalog entry.
+            # loader takes the columns' texts, however spelled or spaced
+            # there, and parses no catalog entry.
             assert (localize._written_model_obj(variant) is None) == (name == "columns same value")
         elif name in ("other value", "entry dropped", "entry added"):
             assert loaded[0] is SchemaError and "feature_catalog[" in loaded[1], name
@@ -252,38 +256,46 @@ def test_a_canonical_load_checks_each_column_once(model):
 @settings(max_examples=100, deadline=None)
 @given(model=models())
 def test_a_canonical_load_renders_no_number(model):
-    """from_json of a file as to_json writes it takes the thresholds' texts
-    from the file's columns and renders none; to_json renders each numeric
-    column's that has thresholds, once."""
+    """from_json of a file as to_json writes it renders each column's catalog
+    once, with the thresholds' texts in the file's columns, and parses no
+    catalog entry; to_json renders each column's catalog once, with the
+    texts that json.dumps wrote in the columns."""
     calls = []
-    number_texts = binarize._number_texts
+    catalog_text = ColumnModel.catalog_text
 
-    def spy(values):
-        calls.append(values)
-        return number_texts(values)
+    def spy(column, numbers):
+        calls.append((column, list(numbers)))
+        return catalog_text(column, numbers)
 
     text = model.to_json()
-    with mock.patch.object(binarize, "_number_texts", spy):
-        loaded = FaultModel.from_json(text)
-        assert calls == []
+    tokens = iter([text[first:last] for first, last, _ in _column_tokens(text)])
+    columns = model.binarization.columns
+    expected = [(c, [next(tokens) for _ in c.thresholds]) for c in columns]
+    no_parse = mock.patch.object(
+        BinarizationModel, "from_json_obj", side_effect=AssertionError("a catalog was parsed")
+    )
+    with mock.patch.object(ColumnModel, "catalog_text", spy):
+        with no_parse:
+            loaded = FaultModel.from_json(text)
+        assert calls == expected
+        calls.clear()
         assert loaded.to_json() == text
-    assert calls == [c.thresholds for c in loaded.binarization.columns if c.thresholds]
+        assert calls == expected
 
 
 @pytest.mark.parametrize(
-    "texts",
-    [["1.5, 2.5"], ['1.5\n        ],\n        "thresholds": [\n          2.5']],
+    "token",
+    ["1.5, 2.5", '1.5\n        ],\n        "thresholds": [\n          2.5'],
     ids=["two numbers", "a second list"],
 )
-def test_a_list_item_that_is_not_one_number_is_no_threshold_text(texts):
-    """A file whose columns and catalog are rendered with a text that holds
-    two thresholds, or closes the list and opens another, is no JSON: the
-    loader takes no such text and fails as json.loads does."""
-    binarization = BinarizationModel((ColumnModel("x", NUMERIC, (1.5, 2.5)),))
+def test_a_list_item_that_is_not_one_number_is_no_threshold_text(token):
+    """A file that holds, wherever to_json writes a column's one threshold
+    (in the columns and in both its catalog entries), a text that holds two
+    numbers, or closes the list and opens another, is no JSON: the loader
+    takes no such text and fails as json.loads does."""
+    binarization = BinarizationModel((ColumnModel("x", NUMERIC, (1.5,)),))
     text = FaultModel((), binarization).to_json()
-    columns, rest = binarization.text_parts([texts])
-    edited = "".join(['{\n    "columns": ', columns, *rest])
-    variant = text.replace(binarization.to_json_text(), edited)
-    assert variant != text
+    variant = text.replace("1.5\n", token + "\n")
+    assert variant.count(token) == 3
     assert outcome(FaultModel.from_json, variant) == outcome(reference_load, variant)
     assert outcome(reference_load, variant)[0] is json.JSONDecodeError
